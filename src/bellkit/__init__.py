@@ -78,6 +78,7 @@ from .quantum import (
     mix_with_white_noise,
     paper_model,
     parse_model,
+    probability_table,
     violation_report,
 )
 from .scenario import (

@@ -9,23 +9,34 @@ generators are keyed by (seed, restart index), so results are deterministic
 for a given seed and independent of restart execution order; ties go to the
 earliest start.
 
-The search objective uses an eigenbasis contraction that is fast for pure
-states; the returned best value is always re-evaluated through the canonical
-projector-based path, so the reported number never depends on the shortcut.
+The objective is the probability-table engine of :mod:`bellkit.quantum`
+called directly: the density matrix and the expression's weight tensor are
+prepared once per run, each evaluation turns all angles into Bloch vectors
+in one vectorised step and dots the weights against the resulting table.
+Pure and mixed states take the same path.  The returned best value is
+re-evaluated through :func:`bellkit.quantum.expression_value` at the
+returned angles.
 """
 
 from __future__ import annotations
 
-import cmath
 import math
 from dataclasses import dataclass
-from typing import Callable, Optional
+from typing import Optional
 
 import numpy as np
-from scipy.optimize import minimize
 
 from .errors import ConfigError, DimensionMismatchError, UnsupportedScenarioError
-from .quantum import MeasurementModel, PureState, State, expression_value
+from .quantum import (
+    MeasurementModel,
+    State,
+    _bloch_from_angles,
+    _interleaved,
+    _paired_density,
+    _parity_signs,
+    _table,
+    expression_value,
+)
 from .scenario import CorrelatorExpression, Expression
 
 
@@ -47,7 +58,7 @@ class OptimizerConfig:
             raise ConfigError(f"max_evals must be >= 1, got {self.max_evals}")
 
 
-@dataclass(frozen=True, eq=False)
+@dataclass(frozen=True)
 class AngleParameterization:
     """(theta, phi) per party per setting; Bloch vectors are unit by construction."""
 
@@ -62,11 +73,6 @@ class AngleParameterization:
             ),
         )
 
-    def __eq__(self, other):
-        if not isinstance(other, AngleParameterization):
-            return NotImplemented
-        return self.angles == other.angles
-
     __hash__ = None
 
     @property
@@ -75,17 +81,7 @@ class AngleParameterization:
 
     def to_model(self) -> MeasurementModel:
         return MeasurementModel(
-            tuple(
-                tuple(
-                    (
-                        math.sin(t) * math.cos(f),
-                        math.sin(t) * math.sin(f),
-                        math.cos(t),
-                    )
-                    for t, f in row
-                )
-                for row in self.angles
-            )
+            tuple(tuple(_bloch_from_angles(t, f) for t, f in row) for row in self.angles)
         )
 
     def flatten(self) -> np.ndarray:
@@ -121,7 +117,7 @@ class AngleParameterization:
         )
 
 
-@dataclass(frozen=True, eq=False)
+@dataclass(frozen=True)
 class OptimizationResult:
     """Best value found (a lower bound on the quantum supremum), and how."""
 
@@ -131,93 +127,29 @@ class OptimizationResult:
     evaluations: int
     seed: int
 
-    def __eq__(self, other):
-        if not isinstance(other, OptimizationResult):
-            return NotImplemented
-        return (
-            self.best_value == other.best_value
-            and self.best_angles == other.best_angles
-            and self.restarts == other.restarts
-            and self.evaluations == other.evaluations
-            and self.seed == other.seed
-        )
-
     __hash__ = None
 
 
-def _eigenrow_matrix(theta: float, phi: float) -> np.ndarray:
-    """Rows are conjugated eigenvectors of n.sigma: row 0 the -1 branch, row 1 the +1."""
-    half = theta / 2.0
-    c = math.cos(half)
-    s = math.sin(half)
-    phase = cmath.exp(1j * phi)
-    return np.array(
-        [[-phase * s, c], [c, phase.conjugate() * s]], dtype=complex
-    )
+def minimize(*args, **kwargs):
+    """``scipy.optimize.minimize``, imported on first call so that ``import bellkit``
+    does not load scipy.  A module-level name, so that each start's call can be traced."""
+    from scipy.optimize import minimize as scipy_minimize
+
+    return scipy_minimize(*args, **kwargs)
 
 
-def _pure_state_value_fn(
-    expr: Expression, state: PureState
-) -> Callable[[np.ndarray], float]:
-    """Fast evaluator for the search loop.
-
-    One einsum contracts the state into every measurement eigenbasis at once,
-    producing the joint outcome probabilities for all setting combinations;
-    the expression is then a fixed weight tensor dotted against them.
-    """
-    parties = state.parties
-    settings_per_party = expr.scenario.settings_per_party
-    tensor = state.amplitudes.reshape((2,) * parties)
-
-    # weights[s_0, .., s_k, o_0, .., o_k]: coefficient of P(outcomes | settings)
-    weights = np.zeros(tuple(settings_per_party) + (2,) * parties)
+def _expression_weights(expr: Expression) -> np.ndarray:
+    """weights[s_0, .., s_k, o_0, .., o_k]: the coefficient of P(outcomes | settings)."""
+    scenario = expr.scenario
+    weights = np.zeros(scenario.settings_per_party + (2,) * scenario.parties)
     if isinstance(expr, CorrelatorExpression):
+        signs = _parity_signs(scenario.parties)
         for settings, coefficient in expr.terms.items():
-            for outcomes in np.ndindex(*(2,) * parties):
-                sign = -1.0 if outcomes.count(0) % 2 else 1.0
-                weights[settings + outcomes] += float(coefficient) * sign
+            weights[settings] += float(coefficient) * signs
     else:
         for (settings, outcomes), coefficient in expr.terms.items():
             weights[settings + outcomes] += float(coefficient)
-    flat_weights = weights.reshape(-1)
-
-    # integer-labeled einsum: W_p[s_p, o_p, a_p] against state[a_0 .. a_k]
-    operand_labels = []
-    for party in range(parties):
-        operand_labels.append([3 * party, 3 * party + 1, 3 * party + 2])
-    state_label = [3 * party + 2 for party in range(parties)]
-    output_label = [3 * party for party in range(parties)] + [
-        3 * party + 1 for party in range(parties)
-    ]
-
-    def value(flat: np.ndarray) -> float:
-        stacks = []
-        cursor = 0
-        for n_settings in settings_per_party:
-            stack = np.empty((n_settings, 2, 2), dtype=complex)
-            for s in range(n_settings):
-                stack[s] = _eigenrow_matrix(flat[cursor], flat[cursor + 1])
-                cursor += 2
-            stacks.append(stack)
-        operands: list = []
-        for stack, labels in zip(stacks, operand_labels):
-            operands.extend((stack, labels))
-        operands.extend((tensor, state_label))
-        amplitudes = np.einsum(*operands, output_label)
-        probabilities = np.abs(amplitudes.reshape(-1)) ** 2
-        return float(np.dot(flat_weights, probabilities))
-
-    return value
-
-
-def _generic_value_fn(
-    expr: Expression, state: State, settings_per_party
-) -> Callable[[np.ndarray], float]:
-    def value(flat: np.ndarray) -> float:
-        model = AngleParameterization.from_flat(flat, settings_per_party).to_model()
-        return expression_value(expr, state, model).value
-
-    return value
+    return weights
 
 
 def optimize_measurements(
@@ -229,7 +161,7 @@ def optimize_measurements(
     """Maximize the expression value (or its magnitude) over measurement angles.
 
     Deterministic for a fixed config; the best value across starts is
-    reported, re-evaluated through the projector-based engine at the returned
+    reported, re-evaluated through ``expression_value`` at the returned
     angles.  It is a lower bound on the quantum supremum, not a certificate.
     """
     if config is None:
@@ -243,17 +175,18 @@ def optimize_measurements(
             f"{scenario.parties} parties"
         )
     settings_per_party = scenario.settings_per_party
-    if isinstance(state, PureState):
-        raw_value = _pure_state_value_fn(expr, state)
-    else:
-        raw_value = _generic_value_fn(expr, state, settings_per_party)
-
+    paired = _paired_density(state, settings_per_party)
+    # in the engine's flat (s_0, o_0, s_1, o_1, ..) order
+    weights = _expression_weights(expr).transpose(_interleaved(scenario.parties)).reshape(-1)
     evaluations = 0
 
     def objective(flat: np.ndarray) -> float:
         nonlocal evaluations
         evaluations += 1
-        value = raw_value(flat)
+        theta, phi = flat[0::2], flat[1::2]
+        sin_theta = np.sin(theta)
+        bloch = np.array((sin_theta * np.cos(phi), sin_theta * np.sin(phi), np.cos(theta)))
+        value = float(np.dot(weights, _table(paired, bloch, settings_per_party)))
         return -(abs(value) if magnitude else value)
 
     slots = sum(settings_per_party)

@@ -7,11 +7,18 @@ Conventions, fixed so that amplitude-level fixtures are reproducible:
 * a measurement setting is a Bloch unit vector ``n`` with observable ``n . sigma``;
   outcome 1 projects onto the +1 eigenspace ``(I + n.sigma)/2`` and outcome 0
   onto the -1 eigenspace, the sign convention under which the all-ones
-  outcome enters a correlator with positive sign;
-* probabilities always go through projector expectation values, never through
-  amplitude shortcuts, so pure and mixed states share one code path.
+  outcome enters a correlator with positive sign.
 
-Dense complex algebra only; dimensions are capped at 2^10.
+Every quantum number comes from one engine, :func:`probability_table`:
+``P[s_0..s_{n-1}, o_0..o_{n-1}] = Tr(rho Pi)`` with ``Pi`` the tensor product
+of the parties' projectors, contracted one party at a time so that no
+2^n x 2^n operator is built.  Pure states enter as ``|psi><psi|``, so pure
+and mixed states share one path.  Joint probabilities, correlators,
+expression values and the optimizer objective are lookups or signed sums on
+that table.
+
+Dense complex algebra only; dimensions are capped at 2^10 and the table's
+largest intermediate at ``MAX_TABLE_ENTRIES``.
 """
 
 from __future__ import annotations
@@ -31,7 +38,6 @@ from .errors import (
 )
 from .lhv import DEFAULT_ENUMERATION_CAP, local_bounds
 from .scenario import (
-    BellExpression,
     CorrelatorExpression,
     Expression,
     Scenario,
@@ -39,13 +45,19 @@ from .scenario import (
 )
 
 MAX_PARTIES = 10
+# complex entries in the largest array the table contraction allocates (64 MiB);
+# 10 parties with 2 settings each need 4^10, 10 parties with 3 settings 6^10
+MAX_TABLE_ENTRIES = 2**22
 STATE_ATOL = 1e-12
 EIGENVALUE_FLOOR = -1e-10
 
 PAULI_X = np.array([[0.0, 1.0], [1.0, 0.0]], dtype=complex)
 PAULI_Y = np.array([[0.0, -1.0j], [1.0j, 0.0]], dtype=complex)
 PAULI_Z = np.array([[1.0, 0.0], [0.0, -1.0]], dtype=complex)
-_IDENTITY = np.eye(2, dtype=complex)
+_SIGNS = np.array([-1.0, 1.0])  # eigenvalue of n.sigma for outcome 0, outcome 1
+# halves of one-qubit operators M, flattened to rows 2a + b holding M[b, a]
+_HALF_IDENTITY_AB = np.eye(2).reshape(4) / 2.0
+_HALF_PAULI_AB = np.array([PAULI_X, PAULI_Y, PAULI_Z]).transpose(2, 1, 0).reshape(4, 3) / 2.0
 
 
 def _parties_from_dim(dim: int, what: str) -> int:
@@ -68,6 +80,8 @@ class PureState:
     def __post_init__(self):
         amplitudes = np.array(self.amplitudes, dtype=complex).reshape(-1)
         _parties_from_dim(amplitudes.size, "state")
+        if not np.all(np.isfinite(amplitudes)):
+            raise DimensionMismatchError("state amplitudes must be finite")
         norm = float(np.linalg.norm(amplitudes))
         if abs(norm - 1.0) > STATE_ATOL:
             raise DimensionMismatchError(f"state norm {norm!r} is not 1 within {STATE_ATOL}")
@@ -97,6 +111,8 @@ class DensityMatrix:
         if matrix.ndim != 2 or matrix.shape[0] != matrix.shape[1]:
             raise DimensionMismatchError(f"density matrix must be square, got {matrix.shape}")
         _parties_from_dim(matrix.shape[0], "density matrix")
+        if not np.all(np.isfinite(matrix)):
+            raise DimensionMismatchError("density matrix entries must be finite")
         if float(np.max(np.abs(matrix - matrix.conj().T))) > STATE_ATOL:
             raise DimensionMismatchError("density matrix is not Hermitian within 1e-12")
         trace = complex(np.trace(matrix))
@@ -138,6 +154,10 @@ class MeasurementModel:
                     raise DimensionMismatchError(
                         f"party {party} setting {setting}: Bloch vector needs 3 components"
                     )
+                if not all(math.isfinite(x) for x in vector):
+                    raise DimensionMismatchError(
+                        f"party {party} setting {setting}: Bloch vector {vector} is not finite"
+                    )
                 norm = math.sqrt(sum(x * x for x in vector))
                 if abs(norm - 1.0) > STATE_ATOL:
                     raise DimensionMismatchError(
@@ -168,16 +188,6 @@ class MeasurementModel:
             self.parties, settings, tuple((2,) * n for n in settings)
         )
 
-    def observable(self, party: int, setting: int) -> np.ndarray:
-        nx, ny, nz = self.bloch[party][setting]
-        return nx * PAULI_X + ny * PAULI_Y + nz * PAULI_Z
-
-    def projector(self, party: int, setting: int, outcome: int) -> np.ndarray:
-        if outcome not in (0, 1):
-            raise DimensionMismatchError(f"outcome must be 0 or 1, got {outcome}")
-        sign = 1.0 if outcome == 1 else -1.0
-        return (_IDENTITY + sign * self.observable(party, setting)) / 2.0
-
 
 def ghz_state(parties: int) -> PureState:
     """Equal superposition of the all-up and all-down basis states."""
@@ -201,63 +211,90 @@ def _check_state_model(state: State, model: MeasurementModel) -> None:
         )
 
 
-def _check_indices(model: MeasurementModel, settings, outcomes=None) -> tuple:
-    settings = tuple(int(s) for s in settings)
-    if len(settings) != model.parties:
-        raise DimensionMismatchError(
-            f"expected {model.parties} setting indices, got {len(settings)}"
-        )
-    for party, s in enumerate(settings):
-        if not 0 <= s < len(model.bloch[party]):
-            raise DimensionMismatchError(f"party {party}: setting {s} out of range")
-    if outcomes is None:
-        return settings, None
-    outcomes = tuple(int(o) for o in outcomes)
-    if len(outcomes) != model.parties:
-        raise DimensionMismatchError(
-            f"expected {model.parties} outcome labels, got {len(outcomes)}"
-        )
-    for party, o in enumerate(outcomes):
-        if o not in (0, 1):
-            raise DimensionMismatchError(f"party {party}: outcome {o} must be 0 or 1")
-    return settings, outcomes
+def _interleaved(parties: int) -> list:
+    """Axis order (0, n, 1, n + 1, ..) that puts each party's two indices side by side."""
+    return [axis for party in range(parties) for axis in (party, parties + party)]
 
 
-def _joint_projector(model: MeasurementModel, settings, outcomes) -> np.ndarray:
-    projector = model.projector(0, settings[0], outcomes[0])
-    for party in range(1, model.parties):
-        projector = np.kron(projector, model.projector(party, settings[party], outcomes[party]))
-    return projector
+def _paired_density(state: State, settings_per_party) -> np.ndarray:
+    """The density matrix with each party's row and column index side by side.
+
+    Entry ``rho[a, b]`` sits at multi-index ``(a_0, b_0, a_1, b_1, ..)``,
+    flattened to shape (4, 4^(n-1)) so that party 0's pair leads.  The size
+    guard for the whole contraction runs here, before anything is allocated.
+    """
+    parties = len(settings_per_party)
+    size = largest = 4**parties
+    for count in settings_per_party:
+        size = size // 4 * 2 * count  # one party's (a, b) pair becomes (s, o)
+        largest = max(largest, size)
+    if largest > MAX_TABLE_ENTRIES:
+        raise DimensionMismatchError(
+            f"the probability table for settings {tuple(settings_per_party)} needs "
+            f"{largest} complex entries ({largest * 16 / 2**20:.0f} MiB); "
+            f"the cap is {MAX_TABLE_ENTRIES}"
+        )
+    rho = state.density() if isinstance(state, PureState) else state.matrix
+    shaped = rho.reshape((2,) * (2 * parties)).transpose(_interleaved(parties))
+    return shaped.reshape(4, -1)
+
+
+def _table(paired: np.ndarray, bloch: np.ndarray, settings_per_party) -> np.ndarray:
+    """Unclamped Tr(rho Pi) for every setting and outcome tuple, flat in
+    ``(s_0, o_0, s_1, o_1, ..)`` order, for Bloch vectors ``bloch`` of shape
+    (3, slots), one per (party, setting) slot, party-major.
+
+    Column ``2k + o`` of ``projectors`` is slot k's outcome-o projector
+    ``Pi = (I + (2o - 1) n.sigma) / 2`` read as ``Pi[b, a]`` at row ``2a + b``,
+    so each matrix product applies one party's share of
+    ``Tr(rho Pi) = sum rho[a, b] Pi[b, a]``: it consumes the leading (a, b)
+    pair and appends that party's (s, o) pair at the end.
+    """
+    half_observables = _HALF_PAULI_AB @ bloch
+    projectors = _HALF_IDENTITY_AB[:, None, None] + half_observables[:, :, None] * _SIGNS
+    projectors = projectors.reshape(4, -1)
+    table = paired
+    start = 0
+    for count in settings_per_party:
+        table = table.reshape(4, -1).T @ projectors[:, start : start + 2 * count]
+        start += 2 * count
+    return table.real.reshape(-1)
+
+
+def probability_table(state: State, model: MeasurementModel) -> np.ndarray:
+    """Born probabilities of every outcome tuple under every setting tuple.
+
+    Entry ``[s_0, .., s_{n-1}, o_0, .., o_{n-1}]`` is the expectation value of
+    the tensor-product projector, clamped to [0, 1] against sub-1e-15
+    rounding excursions.
+    """
+    _check_state_model(state, model)
+    settings = model.settings_per_party
+    bloch = np.array([vector for row in model.bloch for vector in row]).T
+    table = _table(_paired_density(state, settings), bloch, settings)
+    shape = [dim for count in settings for dim in (count, 2)]
+    order = [*range(0, 2 * model.parties, 2), *range(1, 2 * model.parties, 2)]
+    return np.clip(table.reshape(shape).transpose(order), 0.0, 1.0)
+
+
+def _parity_signs(parties: int) -> np.ndarray:
+    """Outcome-tensor signs of a correlator: each outcome 0 flips the sign."""
+    return np.prod(np.meshgrid(*[_SIGNS] * parties, indexing="ij"), axis=0)
 
 
 def joint_probability(
     state: State, model: MeasurementModel, settings: Sequence[int], outcomes: Sequence[int]
 ) -> float:
-    """Born probability of one outcome tuple under one setting choice.
-
-    Computed as the expectation value of the tensor-product projector; the
-    result is clamped to [0, 1] against sub-1e-15 rounding excursions.
-    """
-    _check_state_model(state, model)
-    settings, outcomes = _check_indices(model, settings, outcomes)
-    projector = _joint_projector(model, settings, outcomes)
-    if isinstance(state, PureState):
-        value = float(np.real(np.vdot(state.amplitudes, projector @ state.amplitudes)))
-    else:
-        value = float(np.real(np.trace(state.matrix @ projector)))
-    return min(1.0, max(0.0, value))
+    """Born probability of one outcome tuple under one setting choice."""
+    settings, outcomes = model.scenario().validate_term(settings, outcomes)
+    return float(probability_table(state, model)[settings + outcomes])
 
 
 def correlator(state: State, model: MeasurementModel, settings: Sequence[int]) -> float:
     """Signed sum of joint probabilities: outcome 1 counts +1, outcome 0 counts -1."""
-    _check_state_model(state, model)
-    settings, _ = _check_indices(model, settings)
-    total = 0.0
-    for index in range(2**model.parties):
-        outcomes = tuple((index >> (model.parties - 1 - p)) & 1 for p in range(model.parties))
-        sign = -1.0 if outcomes.count(0) % 2 else 1.0
-        total += sign * joint_probability(state, model, settings, outcomes)
-    return total
+    settings = model.scenario().validate_settings(settings)
+    table = probability_table(state, model)
+    return float(np.sum(_parity_signs(model.parties) * table[settings]))
 
 
 @dataclass(frozen=True)
@@ -294,13 +331,17 @@ def expression_value(expr: Expression, state: State, model: MeasurementModel) ->
 
     Terms are visited in the expression's stored order, so builtin
     expressions report their contributions in their declared term order.
+    Probability terms are table lookups and correlator terms signed sums
+    over one setting tuple's slice of the table.
     """
     _check_state_model(state, model)
     _check_expression_model(expr, model)
+    table = probability_table(state, model)
     contributions = []
     if isinstance(expr, CorrelatorExpression):
+        signs = _parity_signs(model.parties)
         for settings, coefficient in expr.terms.items():
-            term_value = correlator(state, model, settings)
+            term_value = float(np.sum(signs * table[settings]))
             contributions.append(
                 TermContribution(
                     settings, None, coefficient, term_value, float(coefficient) * term_value
@@ -308,7 +349,7 @@ def expression_value(expr: Expression, state: State, model: MeasurementModel) ->
             )
     else:
         for (settings, outcomes), coefficient in expr.terms.items():
-            term_value = joint_probability(state, model, settings, outcomes)
+            term_value = float(table[settings + outcomes])
             contributions.append(
                 TermContribution(
                     settings, outcomes, coefficient, term_value, float(coefficient) * term_value
@@ -375,6 +416,20 @@ def _bloch_from_angles(theta: float, phi: float) -> tuple:
     )
 
 
+def _setting_numbers(entry: dict, key: str, count: int, party: int, setting: int) -> tuple:
+    values = entry[key]
+    try:
+        numbers = tuple(float(x) for x in values)
+    except (TypeError, ValueError):
+        numbers = ()
+    if len(numbers) != count or not all(math.isfinite(x) for x in numbers):
+        raise ParseError(
+            f"party {party} setting {setting}: {key!r} must be {count} finite numbers, "
+            f"got {values!r}"
+        )
+    return numbers
+
+
 def parse_model(text: str) -> tuple:
     """Parse a JSON model document into (state, measurement model).
 
@@ -417,9 +472,9 @@ def parse_model(text: str) -> tuple:
                     "{'bloch': [x, y, z]} or {'angles': [theta, phi]}"
                 )
             if "bloch" in entry:
-                vectors.append(tuple(float(x) for x in entry["bloch"]))
+                vectors.append(_setting_numbers(entry, "bloch", 3, party, setting))
             elif "angles" in entry:
-                theta, phi = (float(x) for x in entry["angles"])
+                theta, phi = _setting_numbers(entry, "angles", 2, party, setting)
                 vectors.append(_bloch_from_angles(theta, phi))
             else:
                 raise ParseError(

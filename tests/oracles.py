@@ -1,9 +1,10 @@
 """Independent brute-force oracles the tests check the engine paths against.
 
 Everything here stays deliberately close to the definitions: explicit loops
-over assignments, term matching by comparing outcome labels slot by slot, and
-observable expectations through one dense operator product.  None of it
-shares code with the package's computational routines.
+over assignments, term matching by comparing outcome labels slot by slot,
+observable expectations through one dense operator product, and joint
+probabilities as Tr(rho Pi) with every projector built by ``np.kron``.  None
+of it shares code with the package's computational routines.
 """
 
 from fractions import Fraction
@@ -55,9 +56,53 @@ def observable_expectation(state_vector, bloch_vectors):
     return float(np.real(np.vdot(state_vector, op @ state_vector)))
 
 
+def kron_projector(bloch_vectors, outcomes):
+    """Tensor product of one projector (I + (2o - 1) n.sigma) / 2 per party."""
+    op = None
+    for (nx, ny, nz), outcome in zip(bloch_vectors, outcomes):
+        sign = 1 if outcome == 1 else -1
+        single = (np.eye(2) + sign * (nx * PAULI_X + ny * PAULI_Y + nz * PAULI_Z)) / 2
+        op = single if op is None else np.kron(op, single)
+    return op
+
+
+def kron_probability_table(density, model):
+    """P[s_0.., o_0..] = Tr(rho Pi), each joint projector built densely with np.kron."""
+    parties = model.parties
+    table = np.zeros(model.settings_per_party + (2,) * parties)
+    for settings in product(*(range(n) for n in model.settings_per_party)):
+        vectors = [model.bloch[p][settings[p]] for p in range(parties)]
+        for outcomes in product((0, 1), repeat=parties):
+            projector = kron_projector(vectors, outcomes)
+            table[settings + outcomes] = np.real(np.trace(density @ projector))
+    return table
+
+
+def kron_expression_value(expr, density, model):
+    """Expression value summed term by term over the kron-projector table."""
+    table = kron_probability_table(density, model)
+    total = 0.0
+    for key, coefficient in expr.terms.items():
+        if isinstance(key[0], tuple):  # (settings, outcomes) of a probability term
+            total += float(coefficient) * table[key[0] + key[1]]
+        else:  # settings of a correlator term
+            for outcomes in product((0, 1), repeat=len(key)):
+                sign = -1 if outcomes.count(0) % 2 else 1
+                total += float(coefficient) * sign * table[key + outcomes]
+    return total
+
+
 def random_pure_amplitudes(rng, parties):
     raw = rng.normal(size=2**parties) + 1j * rng.normal(size=2**parties)
     return raw / np.linalg.norm(raw)
+
+
+def random_density_matrix(rng, parties, rank):
+    """G G^dagger / Tr for a complex Gaussian G with the given number of columns."""
+    dim = 2**parties
+    g = rng.normal(size=(dim, rank)) + 1j * rng.normal(size=(dim, rank))
+    rho = g @ g.conj().T
+    return rho / np.trace(rho).real
 
 
 def random_bloch(rng):

@@ -272,3 +272,35 @@ class TestErrorPaths:
         code, out, err = run(capsys, ["--help"])
         assert code == 0
         assert "bellkit" in out
+
+    @pytest.mark.parametrize(
+        "entry,message",
+        [
+            ('{"bloch": [NaN, 0, 0]}', "'bloch' must be 3 finite numbers"),
+            ('{"bloch": null}', "'bloch' must be 3 finite numbers, got None"),
+            ('{"angles": [Infinity, 0]}', "'angles' must be 2 finite numbers"),
+        ],
+    )
+    def test_non_finite_or_missing_model_numbers_are_input_errors(
+        self, capsys, tmp_path, entry, message
+    ):
+        path = tmp_path / "model.json"
+        path.write_text(
+            '{"state": "ghz", "measurements": ['
+            + ", ".join(f'[{entry}, {{"bloch": [0, 1, 0]}}]' for _ in range(3))
+            + "]}"
+        )
+        code, out, err = run(capsys, ["quantum", "--builtin", "g-paper", "--model", str(path)])
+        assert code == 1
+        assert f"party 0 setting 0: {message}" in err
+        assert out == ""
+
+    def test_oversized_probability_table_is_an_input_error(self, capsys, tmp_path):
+        expr_path = tmp_path / "wide.bell"
+        expr_path.write_text("scenario 10 3 2\n+1 E(A0 B0 C0 D0 E0 F0 G0 H0 I0 J0)\n")
+        xyz = '[{"bloch": [1, 0, 0]}, {"bloch": [0, 1, 0]}, {"bloch": [0, 0, 1]}]'
+        model_path = tmp_path / "wide.json"
+        model_path.write_text(f'{{"state": "ghz", "measurements": [{", ".join([xyz] * 10)}]}}')
+        code, out, err = run(capsys, ["quantum", str(expr_path), "--model", str(model_path)])
+        assert code == 1
+        assert "60466176 complex entries (923 MiB)" in err

@@ -1,7 +1,14 @@
 import math
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
+
+import bellkit
+import bellkit.optimize
 
 from bellkit import (
     AngleParameterization,
@@ -12,10 +19,29 @@ from bellkit import (
     builtin_expression,
     expression_value,
     ghz_state,
+    mix_with_white_noise,
     optimize_measurements,
     paper_model,
 )
-from bellkit.optimize import _pure_state_value_fn
+
+import oracles
+
+
+def random_flats(rng, count):
+    for _ in range(count):
+        flat = np.empty(12)
+        flat[0::2] = rng.uniform(0.0, math.pi, 6)
+        flat[1::2] = rng.uniform(0.0, 2 * math.pi, 6)
+        yield flat
+
+
+def state_and_density(kind):
+    """GHZ_3, pure or mixed with 20 % white noise, with its density matrix."""
+    pure = ghz_state(3)
+    if kind == "pure":
+        return pure, np.outer(pure.amplitudes, pure.amplitudes.conj())
+    noisy = mix_with_white_noise(pure, 0.2)
+    return noisy, np.array(noisy.matrix)
 
 
 class TestConfig:
@@ -65,19 +91,50 @@ class TestAngleParameterization:
                 assert math.isclose(sum(x * x for x in vector), 1.0, abs_tol=1e-12)
 
 
-class TestFastEvaluator:
+class TestTableEvaluator:
+    @pytest.mark.parametrize("kind", ["pure", "noisy"])
     @pytest.mark.parametrize("name", ["g-paper", "mermin"])
-    def test_matches_the_projector_path(self, name, ghz3):
+    def test_expression_value_matches_the_kron_oracle(self, name, kind):
         expr = builtin_expression(name)
-        fast = _pure_state_value_fn(expr, ghz3)
-        rng = np.random.default_rng(9)
-        for _ in range(25):
-            flat = np.empty(12)
-            flat[0::2] = rng.uniform(0.0, math.pi, 6)
-            flat[1::2] = rng.uniform(0.0, 2 * math.pi, 6)
+        state, density = state_and_density(kind)
+        for flat in random_flats(np.random.default_rng(9), 25):
             model = AngleParameterization.from_flat(flat, (2, 2, 2)).to_model()
-            reference = expression_value(expr, ghz3, model).value
-            assert fast(flat) == pytest.approx(reference, abs=1e-12)
+            reference = oracles.kron_expression_value(expr, density, model)
+            assert expression_value(expr, state, model).value == pytest.approx(
+                reference, abs=1e-12
+            )
+
+    @pytest.mark.parametrize("kind", ["pure", "noisy"])
+    @pytest.mark.parametrize("name", ["g-paper", "mermin"])
+    def test_objective_matches_the_kron_oracle(self, name, kind, monkeypatch):
+        # the objective handed to the simplex is the negated expression value
+        expr = builtin_expression(name)
+        state, density = state_and_density(kind)
+        objectives = []
+        real_minimize = bellkit.optimize.minimize
+
+        def capture(fun, x0, **kwargs):
+            objectives.append(fun)
+            return real_minimize(fun, x0, **kwargs)
+
+        monkeypatch.setattr(bellkit.optimize, "minimize", capture)
+        optimize_measurements(expr, state, OptimizerConfig(restarts=0, max_evals=1))
+        (objective,) = objectives
+        for flat in random_flats(np.random.default_rng(10), 25):
+            model = AngleParameterization.from_flat(flat, (2, 2, 2)).to_model()
+            reference = oracles.kron_expression_value(expr, density, model)
+            assert -objective(flat) == pytest.approx(reference, abs=1e-12)
+
+
+def test_import_leaves_scipy_unloaded():
+    source_root = str(Path(bellkit.__file__).resolve().parents[1])
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [source_root, env.get("PYTHONPATH")]))
+    probe = "import sys, bellkit; print('scipy' in sys.modules)"
+    result = subprocess.run(
+        [sys.executable, "-c", probe], capture_output=True, text=True, env=env, check=True
+    )
+    assert result.stdout.strip() == "False"
 
 
 class TestOptimization:
@@ -134,7 +191,7 @@ class TestOptimization:
         with pytest.raises(DimensionMismatchError):
             optimize_measurements(g_expr, ghz_state(2))
 
-    def test_density_matrix_states_use_the_generic_path(self, g_expr, ghz3):
+    def test_density_matrix_states_reach_the_pinned_value(self, g_expr, ghz3):
         from bellkit import mix_with_white_noise
 
         noisy = mix_with_white_noise(ghz3, 0.2)

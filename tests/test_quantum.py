@@ -4,6 +4,8 @@ from itertools import product
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from bellkit import (
     DensityMatrix,
@@ -23,6 +25,7 @@ from bellkit import (
     mix_with_white_noise,
     paper_model,
     parse_model,
+    probability_table,
     violation_report,
 )
 
@@ -66,6 +69,15 @@ class TestStates:
             DensityMatrix(np.eye(2, dtype=complex))
         with pytest.raises(DimensionMismatchError, match="eigenvalue"):
             DensityMatrix(np.diag([1.5, -0.5]).astype(complex))
+
+    @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+    def test_non_finite_entries_rejected(self, bad):
+        with pytest.raises(DimensionMismatchError, match="finite"):
+            PureState(np.array([bad, 0.0], dtype=complex))
+        with pytest.raises(DimensionMismatchError, match="finite"):
+            DensityMatrix(np.array([[bad, 0.0], [0.0, 0.5]], dtype=complex))
+        with pytest.raises(DimensionMismatchError, match="party 0 setting 1.*finite"):
+            MeasurementModel((((1.0, 0.0, 0.0), (bad, 0.0, 0.0)),))
 
     def test_states_are_immutable(self, ghz3):
         with pytest.raises(ValueError):
@@ -158,6 +170,55 @@ class TestJointProbability:
                             total += table[tuple(settings)][tuple(outcomes)]
                         marginals.append(total)
                     assert max(marginals) - min(marginals) <= 1e-12
+
+
+class TestProbabilityTable:
+    @settings(max_examples=40, deadline=None)
+    @given(
+        settings_per_party=st.lists(st.integers(1, 3), min_size=2, max_size=4),
+        mixed=st.booleans(),
+        seed=st.integers(0, 2**32 - 1),
+    )
+    def test_matches_the_kron_oracle(self, settings_per_party, mixed, seed):
+        rng = np.random.default_rng(seed)
+        parties = len(settings_per_party)
+        if mixed:
+            density = oracles.random_density_matrix(rng, parties, int(rng.integers(1, 5)))
+            state = DensityMatrix(density)
+        else:
+            amplitudes = oracles.random_pure_amplitudes(rng, parties)
+            density = np.outer(amplitudes, amplitudes.conj())
+            state = PureState(amplitudes)
+        model = MeasurementModel(
+            tuple(
+                tuple(oracles.random_bloch(rng) for _ in range(count))
+                for count in settings_per_party
+            )
+        )
+        table = probability_table(state, model)
+        assert table.shape == tuple(settings_per_party) + (2,) * parties
+        reference = oracles.kron_probability_table(density, model)
+        assert np.max(np.abs(table - reference)) <= 1e-12
+        outcome_axes = tuple(range(parties, 2 * parties))
+        assert np.max(np.abs(table.sum(axis=outcome_axes) - 1.0)) <= 1e-12
+        # no signalling: summing out party q's outcome leaves no trace of its setting
+        for q in range(parties):
+            marginal = table.sum(axis=parties + q)
+            assert np.max(np.ptp(marginal, axis=q)) <= 1e-12
+
+    def test_ten_parties_with_two_settings_fit_under_the_cap(self):
+        xy = ((1.0, 0.0, 0.0), (0.0, 1.0, 0.0))
+        table = probability_table(ghz_state(10), MeasurementModel((xy,) * 10))
+        assert table.shape == (2,) * 20
+        # GHZ_10 gives outcome parity +1 with certainty when every party measures X
+        all_x = table[(0,) * 10]
+        even_zeros = [o for o in product((0, 1), repeat=10) if o.count(0) % 2 == 0]
+        assert sum(all_x[o] for o in even_zeros) == pytest.approx(1.0, abs=1e-12)
+
+    def test_size_guard_names_the_size(self):
+        xyz = ((1.0, 0.0, 0.0), (0.0, 1.0, 0.0), (0.0, 0.0, 1.0))
+        with pytest.raises(DimensionMismatchError, match=r"60466176 complex entries \(923 MiB\)"):
+            probability_table(ghz_state(10), MeasurementModel((xyz,) * 10))
 
 
 class TestCorrelator:
@@ -334,6 +395,24 @@ class TestModelDocuments:
                 '{"state": {"amplitudes": [[1, 0], [0, 0]]}, '
                 '"measurements": [[{"bloch": [1, 0, 0]}], [{"bloch": [1, 0, 0]}]]}',
                 "1 qubits but the model has 2",
+            ),
+            (
+                '{"state": "ghz", "measurements": [[{"bloch": [NaN, 0, 0]}]]}',
+                "party 0 setting 0: 'bloch' must be 3 finite numbers",
+            ),
+            (
+                '{"state": {"amplitudes": [[NaN, 0], [0, 0]]}, '
+                '"measurements": [[{"bloch": [1, 0, 0]}]]}',
+                "amplitudes must be finite",
+            ),
+            (
+                '{"state": "ghz", "measurements": [[{"bloch": null}]]}',
+                "party 0 setting 0: 'bloch' must be 3 finite numbers, got None",
+            ),
+            (
+                '{"state": "ghz", "measurements": '
+                '[[{"bloch": [1, 0, 0]}, {"angles": [Infinity, 0]}]]}',
+                "party 0 setting 1: 'angles' must be 2 finite numbers",
             ),
         ],
     )
