@@ -14,6 +14,7 @@ import argparse
 import hashlib
 import json
 import sys
+import warnings
 from fractions import Fraction
 from pathlib import Path
 from typing import Optional, Sequence
@@ -310,9 +311,10 @@ def _cmd_optimize(args) -> dict:
         inputs,
         {
             "optimization": {
-                "method": "Nelder-Mead simplex with seeded random restarts",
+                "method": "see-saw ascent over Bloch vectors with seeded random restarts",
                 "best_value": _f12(result.best_value),
                 "evaluations": result.evaluations,
+                "converged_starts": result.converged_starts,
                 "restarts": result.restarts,
                 "seed": result.seed,
                 "magnitude_convention": magnitude,
@@ -495,6 +497,17 @@ def _emit(report: dict, fmt: str) -> None:
         sys.stdout.write("\n".join(lines) + "\n")
 
 
+def _run_handler(args) -> dict:
+    """Run one command, writing each warning it raises to stderr as one line."""
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        try:
+            return _HANDLERS[args.command](args)
+        finally:
+            for warning in caught:
+                sys.stderr.write(f"warning: {warning.message}\n")
+
+
 def run_command(argv: Optional[Sequence[str]] = None) -> int:
     """Parse and run one command; returns the process exit code."""
     parser = build_parser()
@@ -510,7 +523,7 @@ def run_command(argv: Optional[Sequence[str]] = None) -> int:
         sys.stderr.write(parser.format_usage())
         return 1
     try:
-        report = _HANDLERS[args.command](args)
+        report = _run_handler(args)
     except _UsageError as exc:
         sys.stderr.write(f"error: {exc}\n")
         return 1

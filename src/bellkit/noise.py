@@ -108,7 +108,7 @@ def white_noise_tolerance(
     margin = quantum - float(local)
     if margin < -MARGIN_TOL:
         raise NoViolationError(
-            f"quantum value {quantum} does not reach the local bound {local}; "
+            f"quantum value {quantum:.12g} does not reach the local bound {local}; "
             "the noise tolerance is undefined"
         )
     cells = 2**expr.scenario.parties

@@ -1,28 +1,36 @@
-"""Seeded random-restart search over measurement angles for a fixed state.
+"""Seeded random-restart see-saw ascent over measurement directions for a fixed state.
 
-Measurements stay rank-1 projective qubit observables, parameterized per
-(party, setting) by polar angles with Bloch vector
-(sin t cos f, sin t sin f, cos t).  Each restart runs a Nelder-Mead simplex
-from an independently seeded random start; one extra start is pinned at the
-in-plane X/Y angles (t = pi/2, f = s * pi/2 for setting s).  Restart
-generators are keyed by (seed, restart index), so results are deterministic
-for a given seed and independent of restart execution order; ties go to the
-earliest start.
+Measurements stay rank-1 projective qubit observables, one Bloch unit vector
+per (party, setting) slot.  With every other slot fixed, the expression
+value is affine in one slot's vector n, ``a + b . n``, so the best unit
+vector for that slot is ``b / |b|``; ``a`` and ``b`` come from four table
+evaluations, at n = 0, e_x, e_y and e_z.  One sweep takes that step for
+every slot in party-major order and re-evaluates the value, so an ascent is
+monotone.  It stops when a sweep gains no more than ``tolerance``
+(converged) or when the next sweep would exceed ``max_evals`` table
+evaluations (out of budget).  This is the measurement half of the see-saw
+of Werner & Wolf, Quantum Inf. Comput. 1, 1 (2001) and Liang & Doherty,
+Phys. Rev. A 75, 042103 (2007); the state stays fixed.
 
-The objective is the probability-table engine of :mod:`bellkit.quantum`
-called directly: the density matrix and the expression's weight tensor are
-prepared once per run, each evaluation turns all angles into Bloch vectors
-in one vectorised step and dots the weights against the resulting table.
-Pure and mixed states take the same path.  The returned best value is
-re-evaluated through :func:`bellkit.quantum.expression_value` at the
-returned angles.
+One start is pinned at the in-plane X/Y directions (t = pi/2, f = s * pi/2
+for setting s, in polar angles); each random start draws its polar angles
+from a generator keyed by (seed, restart index), so results are
+deterministic for a given seed and independent of restart execution order.
+Magnitude runs ascend on the expression and on its negation from every
+start.  Ties go to the earliest ascent.
+
+Each table evaluation is the probability-table engine of
+:mod:`bellkit.quantum` called directly, with the density matrix and the
+expression's weight tensor prepared once per run.  The best directions are
+returned as polar angles and the best value is re-evaluated through
+:func:`bellkit.quantum.expression_value` at those angles.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Optional
+from typing import Callable, Optional
 
 import numpy as np
 
@@ -44,8 +52,8 @@ from .scenario import CorrelatorExpression, Expression
 class OptimizerConfig:
     restarts: int = 20  # random restarts; the pinned X/Y start always runs
     seed: int = 0
-    tolerance: float = 1e-9  # value tolerance passed to the simplex
-    max_evals: int = 6000  # objective-evaluation budget per start
+    tolerance: float = 1e-9  # an ascent converges once a sweep gains no more
+    max_evals: int = 6000  # table-evaluation budget per ascent
 
     def __post_init__(self):
         if self.restarts < 0:
@@ -124,18 +132,11 @@ class OptimizationResult:
     best_value: float
     best_angles: AngleParameterization
     restarts: int
-    evaluations: int
+    evaluations: int  # table evaluations over all ascents
     seed: int
+    converged_starts: int  # ascents stopped by tolerance, not by budget
 
     __hash__ = None
-
-
-def minimize(*args, **kwargs):
-    """``scipy.optimize.minimize``, imported on first call so that ``import bellkit``
-    does not load scipy.  A module-level name, so that each start's call can be traced."""
-    from scipy.optimize import minimize as scipy_minimize
-
-    return scipy_minimize(*args, **kwargs)
 
 
 def _expression_weights(expr: Expression) -> np.ndarray:
@@ -152,15 +153,66 @@ def _expression_weights(expr: Expression) -> np.ndarray:
     return weights
 
 
+def _objective(expr: Expression, state: State) -> Callable[[np.ndarray], float]:
+    """The expression value as a function of Bloch vectors of shape (3, slots),
+    one column per (party, setting) slot, party-major."""
+    settings_per_party = expr.scenario.settings_per_party
+    paired = _paired_density(state, settings_per_party)
+    # in the engine's flat (s_0, o_0, s_1, o_1, ..) order
+    weights = _expression_weights(expr).transpose(_interleaved(expr.scenario.parties))
+    weights = weights.reshape(-1)
+    return lambda bloch: float(np.dot(weights, _table(paired, bloch, settings_per_party)))
+
+
+def _affine(value_at, bloch: np.ndarray, slot: int) -> tuple:
+    """(a, b) with ``value_at(bloch) = a + b . n`` while column ``slot`` is n
+    and the other columns stay as they are; ``bloch`` is left unchanged."""
+    kept = bloch[:, slot].copy()
+    bloch[:, slot] = 0.0
+    a = value_at(bloch)
+    b = np.empty(3)
+    for axis, unit in enumerate(np.eye(3)):
+        bloch[:, slot] = unit
+        b[axis] = value_at(bloch) - a
+    bloch[:, slot] = kept
+    return a, b
+
+
+def _ascend(value_at, bloch: np.ndarray, config: OptimizerConfig) -> tuple:
+    """Coordinate ascent on ``bloch`` in place: (value, table evaluations, converged)."""
+    slots = bloch.shape[1]
+    sweep_evals = 4 * slots + 1
+    value = value_at(bloch)
+    evaluations = 1
+    while evaluations + sweep_evals <= config.max_evals:
+        for slot in range(slots):
+            _, b = _affine(value_at, bloch, slot)
+            norm = np.linalg.norm(b)
+            if norm > 0:
+                bloch[:, slot] = b / norm
+        previous, value = value, value_at(bloch)
+        evaluations += sweep_evals
+        if value - previous <= config.tolerance:
+            return value, evaluations, True
+    return value, evaluations, False
+
+
+def _bloch_from_flat(flat: np.ndarray) -> np.ndarray:
+    """Interleaved (theta, phi) pairs as Bloch vectors of shape (3, slots)."""
+    theta, phi = flat[0::2], flat[1::2]
+    sin_theta = np.sin(theta)
+    return np.array((sin_theta * np.cos(phi), sin_theta * np.sin(phi), np.cos(theta)))
+
+
 def optimize_measurements(
     expr: Expression,
     state: State,
     config: Optional[OptimizerConfig] = None,
     magnitude: bool = False,
 ) -> OptimizationResult:
-    """Maximize the expression value (or its magnitude) over measurement angles.
+    """Maximize the expression value (or its magnitude) over measurement directions.
 
-    Deterministic for a fixed config; the best value across starts is
+    Deterministic for a fixed config; the best value across ascents is
     reported, re-evaluated through ``expression_value`` at the returned
     angles.  It is a lower bound on the quantum supremum, not a certificate.
     """
@@ -175,49 +227,37 @@ def optimize_measurements(
             f"{scenario.parties} parties"
         )
     settings_per_party = scenario.settings_per_party
-    paired = _paired_density(state, settings_per_party)
-    # in the engine's flat (s_0, o_0, s_1, o_1, ..) order
-    weights = _expression_weights(expr).transpose(_interleaved(scenario.parties)).reshape(-1)
-    evaluations = 0
-
-    def objective(flat: np.ndarray) -> float:
-        nonlocal evaluations
-        evaluations += 1
-        theta, phi = flat[0::2], flat[1::2]
-        sin_theta = np.sin(theta)
-        bloch = np.array((sin_theta * np.cos(phi), sin_theta * np.sin(phi), np.cos(theta)))
-        value = float(np.dot(weights, _table(paired, bloch, settings_per_party)))
-        return -(abs(value) if magnitude else value)
+    value_at = _objective(expr, state)
+    orientations = [value_at]
+    if magnitude:
+        orientations.append(lambda bloch: -value_at(bloch))
 
     slots = sum(settings_per_party)
-    starts = [AngleParameterization.xy_plane_start(settings_per_party).flatten()]
+    pinned = AngleParameterization.xy_plane_start(settings_per_party).flatten()
+    starts = [_bloch_from_flat(pinned)]
     for index in range(config.restarts):
         rng = np.random.default_rng([config.seed, index])
         flat = np.empty(2 * slots)
         flat[0::2] = rng.uniform(0.0, math.pi, slots)
         flat[1::2] = rng.uniform(0.0, 2.0 * math.pi, slots)
-        starts.append(flat)
+        starts.append(_bloch_from_flat(flat))
 
     best_score = None
-    best_flat = None
-    for flat in starts:
-        result = minimize(
-            objective,
-            flat,
-            method="Nelder-Mead",
-            options={
-                "xatol": 1e-6,
-                "fatol": config.tolerance,
-                "maxfev": config.max_evals,
-                "maxiter": config.max_evals,
-            },
-        )
-        score = -float(result.fun)
-        if best_score is None or score > best_score:
-            best_score = score
-            best_flat = np.array(result.x, dtype=float)
+    best_bloch = None
+    evaluations = 0
+    converged_starts = 0
+    for start in starts:
+        for oriented in orientations:
+            bloch = start.copy()
+            score, used, converged = _ascend(oriented, bloch, config)
+            evaluations += used
+            converged_starts += converged
+            if best_score is None or score > best_score:
+                best_score, best_bloch = score, bloch
 
-    best_angles = AngleParameterization.from_flat(best_flat, settings_per_party)
+    x, y, z = best_bloch
+    flat = np.column_stack((np.arccos(np.clip(z, -1.0, 1.0)), np.arctan2(y, x))).reshape(-1)
+    best_angles = AngleParameterization.from_flat(flat, settings_per_party)
     final = expression_value(expr, state, best_angles.to_model()).value
     best_value = abs(final) if magnitude else final
     return OptimizationResult(
@@ -226,4 +266,5 @@ def optimize_measurements(
         restarts=config.restarts,
         evaluations=evaluations,
         seed=config.seed,
+        converged_starts=converged_starts,
     )

@@ -35,6 +35,15 @@ class TestBound:
         assert report["local"]["max"]["exact"] == "2"
         assert report["local"]["min"]["exact"] == "-2"
 
+    def test_duplicate_terms_warn_on_one_stderr_line(self, capsys, tmp_path):
+        path = tmp_path / "dup.bell"
+        path.write_text("scenario 3 2 2\n+1 P(A0 B0 C0 | 1 1 1)\n+2 P(A0 B0 C0 | 1 1 1)\n")
+        code, out, err = run(capsys, ["bound", str(path)])
+        assert code == 0
+        assert json.loads(out)["local"]["max"]["exact"] == "3"
+        assert err == "warning: duplicate term at line 3 merges with line 2\n"
+        assert ".py:" not in err
+
     def test_expression_file(self, capsys, tmp_path):
         path = tmp_path / "g.bell"
         path.write_text(serialize_expression(builtin_expression("g-paper")))
@@ -158,6 +167,7 @@ class TestOptimize:
         assert optimization["best_value"] == pytest.approx(3.5, abs=1e-6)
         assert optimization["restarts"] == 2
         assert optimization["seed"] == 7
+        assert optimization["converged_starts"] == 3
         # the emitted model document must evaluate back to the best value
         path = tmp_path / "best.json"
         path.write_text(json.dumps(optimization["model"]))
@@ -167,6 +177,12 @@ class TestOptimize:
         assert quantum["quantum"]["value"] == pytest.approx(
             optimization["best_value"], abs=1e-9
         )
+
+    def test_exhausted_budget_converges_no_start(self, capsys):
+        argv = ["optimize", "--builtin", "g-paper", "--restarts", "2", "--max-evals", "1"]
+        optimization = run_json(capsys, argv)["optimization"]
+        assert optimization["converged_starts"] == 0
+        assert optimization["evaluations"] == 3
 
     def test_byte_identical_for_identical_seeds(self, capsys):
         argv = ["optimize", "--builtin", "g-paper", "--restarts", "2", "--seed", "3"]
@@ -211,6 +227,17 @@ class TestReport:
         report = run_json(capsys, ["report", str(path)])
         assert report["violation"]["violated"] is False
         assert report["noise"]["defined"] is False
+        # the reason quotes the quantum value at 12 significant digits, like
+        # every other float in a report
+        angles = '[{"angles": [1.0, 0.3]}, {"angles": [2.0, 2.1]}]'
+        model_path = tmp_path / "weak.json"
+        model_path.write_text(f'{{"state": "ghz", "measurements": [{", ".join([angles] * 3)}]}}')
+        report = run_json(capsys, ["report", "--builtin", "g-paper", "--model", str(model_path)])
+        assert report["noise"] == {
+            "defined": False,
+            "reason": "quantum value -0.487061222385 does not reach the local bound 1; "
+            "the noise tolerance is undefined",
+        }
 
 
 class TestPlainFormat:

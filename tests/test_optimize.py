@@ -14,6 +14,7 @@ from bellkit import (
     AngleParameterization,
     ConfigError,
     DimensionMismatchError,
+    MeasurementModel,
     OptimizerConfig,
     UnsupportedScenarioError,
     builtin_expression,
@@ -106,31 +107,35 @@ class TestTableEvaluator:
 
     @pytest.mark.parametrize("kind", ["pure", "noisy"])
     @pytest.mark.parametrize("name", ["g-paper", "mermin"])
-    def test_objective_matches_the_kron_oracle(self, name, kind, monkeypatch):
-        # the objective handed to the simplex is the negated expression value
+    def test_affine_step_matches_the_kron_oracle(self, name, kind):
+        # with the other slots fixed, a + b . n is the value at any unit n
         expr = builtin_expression(name)
         state, density = state_and_density(kind)
-        objectives = []
-        real_minimize = bellkit.optimize.minimize
-
-        def capture(fun, x0, **kwargs):
-            objectives.append(fun)
-            return real_minimize(fun, x0, **kwargs)
-
-        monkeypatch.setattr(bellkit.optimize, "minimize", capture)
-        optimize_measurements(expr, state, OptimizerConfig(restarts=0, max_evals=1))
-        (objective,) = objectives
-        for flat in random_flats(np.random.default_rng(10), 25):
-            model = AngleParameterization.from_flat(flat, (2, 2, 2)).to_model()
+        value_at = bellkit.optimize._objective(expr, state)
+        rng = np.random.default_rng(10)
+        for flat in random_flats(rng, 25):
+            bloch = bellkit.optimize._bloch_from_flat(flat)
+            slot = int(rng.integers(6))
+            a, b = bellkit.optimize._affine(value_at, bloch, slot)
+            n = rng.normal(size=3)
+            bloch[:, slot] = n / np.linalg.norm(n)
+            vectors = [tuple(column) for column in bloch.T]
+            model = MeasurementModel(tuple(tuple(vectors[i : i + 2]) for i in (0, 2, 4)))
             reference = oracles.kron_expression_value(expr, density, model)
-            assert -objective(flat) == pytest.approx(reference, abs=1e-12)
+            assert a + b @ bloch[:, slot] == pytest.approx(reference, abs=1e-12)
 
 
 def test_import_leaves_scipy_unloaded():
+    # nothing in bellkit loads scipy, including a full optimizer run
     source_root = str(Path(bellkit.__file__).resolve().parents[1])
     env = dict(os.environ)
     env["PYTHONPATH"] = os.pathsep.join(filter(None, [source_root, env.get("PYTHONPATH")]))
-    probe = "import sys, bellkit; print('scipy' in sys.modules)"
+    probe = (
+        "import sys, bellkit; "
+        "bellkit.optimize_measurements(bellkit.builtin_expression('g-paper'), "
+        "bellkit.ghz_state(3), bellkit.OptimizerConfig(restarts=1)); "
+        "print('scipy' in sys.modules)"
+    )
     result = subprocess.run(
         [sys.executable, "-c", probe], capture_output=True, text=True, env=env, check=True
     )
@@ -143,6 +148,24 @@ class TestOptimization:
         assert result.best_value == pytest.approx(3.5, abs=1e-9)
         assert result.restarts == 0
         assert result.evaluations > 0
+
+    def test_every_start_converges_on_g_paper(self, g_expr, ghz3):
+        result = optimize_measurements(g_expr, ghz3, OptimizerConfig(restarts=20))
+        assert result.converged_starts == 21
+        assert result.best_value == pytest.approx(3.5, abs=1e-9)
+
+    def test_magnitude_counts_two_ascents_per_start(self, mermin_expr, ghz3):
+        config = OptimizerConfig(restarts=2, seed=5)
+        result = optimize_measurements(mermin_expr, ghz3, config, magnitude=True)
+        assert result.converged_starts == 6
+
+    def test_one_evaluation_budget_converges_nothing(self, g_expr, ghz3):
+        config = OptimizerConfig(restarts=2, max_evals=1)
+        result = optimize_measurements(g_expr, ghz3, config)
+        assert result.converged_starts == 0
+        assert result.evaluations == 3
+        # the pinned start is returned as it was
+        assert result.best_angles == AngleParameterization.xy_plane_start((2, 2, 2))
 
     def test_best_value_is_the_reevaluated_value(self, g_expr, ghz3):
         result = optimize_measurements(g_expr, ghz3, OptimizerConfig(restarts=1))
