@@ -9,17 +9,32 @@ assignments: its coefficient at an assignment equals the expression value on
 the corresponding deterministic strategy, which is why the extreme expansion
 coefficients reproduce the enumerated bounds.
 
+Both routes work in exact integers: every coefficient is multiplied by the
+lcm of the coefficient denominators, and results are divided back as
+``Fraction(x, scale)``.  The vertex sweep reads each strategy off a lookup
+compiled once per expression (``BellExpression.strategy_lookup``): one dict
+lookup per distinct settings tuple.  The expansion route builds one integer
+array with an axis per slot, to which each term adds its coefficient on the
+slice it fixes; its dtype is int64 when the sum of the scaled coefficients'
+magnitudes stays below 2^62, so no entry can overflow, and Python ints
+otherwise.  The two routes share no code beyond the enumeration order: a
+defect in either one makes ``local_bounds`` and ``trivial_bounds`` disagree
+rather than repeat the same wrong number.
+
 The canonical tripartite two-setting binary scenario has 2^6 = 64 strategies;
 a configurable cap guards against accidentally enormous enumerations.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from fractions import Fraction
-from itertools import product
+from itertools import accumulate, product, repeat
 from types import MappingProxyType
 from typing import Mapping, Sequence
+
+import numpy as np
 
 from .errors import EnumerationCapError, ScenarioMismatchError
 from .scenario import BellExpression, Scenario, as_fraction
@@ -83,14 +98,14 @@ def evaluate_on_strategy(expr: BellExpression, strategy: Sequence) -> Fraction:
     """Exact expression value when every measurement has a pre-assigned outcome.
 
     Under a deterministic strategy each joint probability is 0 or 1, so the
-    value is the sum of coefficients of the terms the strategy hits.
+    value is the sum of coefficients of the terms the strategy hits: at most
+    one term per distinct settings tuple, found by one dict lookup.
     """
     strategy = validate_strategy(expr.scenario, strategy)
-    total = Fraction(0)
-    for (settings, outcomes), coefficient in expr.terms.items():
-        if all(strategy[p][settings[p]] == outcomes[p] for p in range(expr.scenario.parties)):
-            total += coefficient
-    return total
+    scale, pick, tables = expr.strategy_lookup
+    labels = iter(pick(sum(strategy, ())))
+    keys = zip(*[labels] * expr.scenario.parties)  # one outcome tuple per table
+    return Fraction(sum(map(dict.get, tables, keys, repeat(0))), scale)
 
 
 @dataclass(frozen=True, eq=False)
@@ -106,13 +121,12 @@ class FullJointExpansion:
     coefficients: Mapping
 
     def __post_init__(self):
-        provided = {}
+        complete = dict.fromkeys(enumerate_strategies(self.scenario), Fraction(0))
         for assignment, coefficient in dict(self.coefficients).items():
-            provided[validate_strategy(self.scenario, assignment)] = as_fraction(coefficient)
-        complete = {}
-        for assignment in enumerate_strategies(self.scenario):
-            complete[assignment] = provided.pop(assignment, Fraction(0))
-        # enumerate_strategies covers the key space, so leftovers are impossible
+            # a key equal to an enumerated strategy is valid as it stands
+            if assignment not in complete:
+                assignment = validate_strategy(self.scenario, assignment)
+            complete[assignment] = as_fraction(coefficient)
         object.__setattr__(self, "coefficients", MappingProxyType(complete))
 
     def __eq__(self, other):
@@ -132,6 +146,32 @@ class FullJointExpansion:
         return sum(self.coefficients.values(), Fraction(0))
 
 
+def _expansion_grid(expr: BellExpression, cap: int) -> tuple:
+    """(grid, scale): the full-joint expansion times scale, one axis per slot.
+
+    Axes follow Scenario.slots(), so the grid in C order lists assignments in
+    enumeration order.  Every entry is a sum of some of the scaled
+    coefficients, which bounds it by the sum of their magnitudes; int64 is
+    used only when that bound is below 2^62.
+    """
+    scenario = expr.scenario
+    _check_cap(scenario, cap)
+    scale = math.lcm(*(c.denominator for c in expr.terms.values()))
+    scaled = [
+        (key, c.numerator * (scale // c.denominator)) for key, c in expr.terms.items()
+    ]
+    dtype = np.int64 if sum(abs(v) for _, v in scaled) < 2**62 else object
+    shape = tuple(n for row in scenario.outcomes_per_setting for n in row)
+    grid = np.zeros(shape, dtype=dtype)
+    offsets = tuple(accumulate(scenario.settings_per_party, initial=0))
+    for (settings, outcomes), value in scaled:
+        index = [slice(None)] * len(shape)
+        for offset, s, o in zip(offsets, settings, outcomes):
+            index[offset + s] = o
+        grid[tuple(index)] += value
+    return grid, scale
+
+
 def expand_full_joint(
     expr: BellExpression, cap: int = DEFAULT_ENUMERATION_CAP
 ) -> FullJointExpansion:
@@ -141,23 +181,13 @@ def expand_full_joint(
     it does not measure (marginalization run in reverse), so the coefficient
     at assignment t equals evaluate_on_strategy(expr, t).
     """
-    scenario = expr.scenario
-    _check_cap(scenario, cap)
-    slots = scenario.slots()
-    coefficients: dict = {}
-    for (settings, outcomes), coefficient in expr.terms.items():
-        fixed = {(p, settings[p]): outcomes[p] for p in range(scenario.parties)}
-        free = [slot for slot in slots if slot not in fixed]
-        free_ranges = [range(scenario.outcomes_per_setting[p][s]) for p, s in free]
-        for combo in product(*free_ranges):
-            values = dict(fixed)
-            values.update(zip(free, combo))
-            assignment = tuple(
-                tuple(values[(p, s)] for s in range(scenario.settings_per_party[p]))
-                for p in range(scenario.parties)
-            )
-            coefficients[assignment] = coefficients.get(assignment, Fraction(0)) + coefficient
-    return FullJointExpansion(scenario, coefficients)
+    grid, scale = _expansion_grid(expr, cap)
+    values = grid.ravel().tolist()
+    exact = {v: Fraction(v, scale) for v in set(values)}
+    return FullJointExpansion(
+        expr.scenario,
+        dict(zip(enumerate_strategies(expr.scenario, cap), map(exact.__getitem__, values))),
+    )
 
 
 @dataclass(frozen=True)
@@ -209,12 +239,12 @@ def trivial_bounds(
     """(lower, upper) from the extreme full-joint expansion coefficients.
 
     Deterministic strategies are the basis vectors of the assignment simplex,
-    so these equal local_bounds exactly; computing them from the expansion
-    rather than the vertex sweep keeps the two routes independent.
+    so these equal local_bounds exactly.  They are read straight off the
+    integer expansion grid, never from the vertex sweep or its compiled
+    lookup, so the two routes stay independent and each checks the other.
     """
-    expansion = expand_full_joint(expr, cap)
-    values = expansion.coefficients.values()
-    return (min(values), max(values))
+    grid, scale = _expansion_grid(expr, cap)
+    return (Fraction(int(grid.min()), scale), Fraction(int(grid.max()), scale))
 
 
 @dataclass(frozen=True)

@@ -15,9 +15,12 @@ coefficient inputs instead of being silently converted.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from fractions import Fraction
-from itertools import product
+from functools import cached_property
+from itertools import accumulate, product
+from operator import itemgetter
 from types import MappingProxyType
 from typing import Iterable, Mapping, Sequence, Union
 
@@ -189,6 +192,28 @@ class BellExpression:
     @property
     def term_count(self) -> int:
         return len(self.terms)
+
+    @cached_property
+    def strategy_lookup(self) -> tuple:
+        """(scale, pick, tables): the terms compiled for reading off a deterministic strategy.
+
+        ``scale`` is the lcm of the coefficient denominators.  ``tables`` holds
+        one dict per distinct settings tuple, mapping an outcome tuple to its
+        coefficient times ``scale``, an exact integer.  ``pick`` reads every
+        table's outcome labels, table after table and party by party, off a
+        strategy flattened in ``Scenario.slots()`` order.  Built on first use
+        and kept, since the expression is immutable.
+        """
+        scale = math.lcm(*(c.denominator for c in self.terms.values()))
+        offsets = tuple(accumulate(self.scenario.settings_per_party, initial=0))
+        tables: dict = {}
+        for (settings, outcomes), coefficient in self.terms.items():
+            values = tables.setdefault(settings, {})
+            values[outcomes] = coefficient.numerator * (scale // coefficient.denominator)
+        slots = [offset + s for settings in tables for offset, s in zip(offsets, settings)]
+        # itemgetter returns a tuple only when given two or more indices
+        pick = itemgetter(*slots) if len(slots) > 1 else lambda flat: tuple(flat[i] for i in slots)
+        return scale, pick, tuple(tables.values())
 
     def coefficient(self, settings: Sequence[int], outcomes: Sequence[int]) -> Fraction:
         """Stored coefficient of a term key, or 0 when absent."""

@@ -12,7 +12,7 @@ from itertools import product
 
 import numpy as np
 
-from bellkit import MarginalTerm, MeasurementModel, make_expression
+from bellkit import LocalBoundResult, MarginalTerm, MeasurementModel, make_expression
 
 PAULI_X = np.array([[0, 1], [1, 0]], dtype=complex)
 PAULI_Y = np.array([[0, -1j], [1j, 0]], dtype=complex)
@@ -45,6 +45,19 @@ def expansion_by_direct_evaluation(expr):
                 total += coefficient
         table[assignment] = total
     return table
+
+
+def vertex_local_bounds(expr):
+    """Extremes of the direct-evaluation table, every tie kept in assignment order."""
+    table = expansion_by_direct_evaluation(expr)
+    high = max(table.values())
+    low = min(table.values())
+    return LocalBoundResult(
+        high,
+        low,
+        tuple(a for a, value in table.items() if value == high),
+        tuple(a for a, value in table.items() if value == low),
+    )
 
 
 def observable_expectation(state_vector, bloch_vectors):

@@ -1,7 +1,10 @@
 from fractions import Fraction
+from itertools import product
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from bellkit import (
     EnumerationCapError,
@@ -17,6 +20,7 @@ from bellkit import (
     expand_full_joint,
     g_paper_expansion_fixture,
     local_bounds,
+    make_correlator_expression,
     make_expression,
     trivial_bounds,
 )
@@ -24,6 +28,40 @@ from bellkit import (
 import oracles
 
 TRI = Scenario.uniform(3, 2, 2)
+
+
+@st.composite
+def small_expressions(draw):
+    """Random expressions over 1-4 parties, unequal settings and outcome counts."""
+    parties = draw(st.integers(1, 4))
+    most_settings = 3 if parties <= 2 else 2
+    settings_per_party = draw(
+        st.lists(st.integers(1, most_settings), min_size=parties, max_size=parties)
+    )
+    outcomes_per_setting = [
+        draw(st.lists(st.integers(2, 3), min_size=n, max_size=n)) for n in settings_per_party
+    ]
+    scenario = Scenario(parties, settings_per_party, outcomes_per_setting)
+    terms = []
+    for _ in range(draw(st.integers(0, 12))):
+        settings = [draw(st.integers(0, n - 1)) for n in settings_per_party]
+        outcomes = [
+            draw(st.integers(0, outcomes_per_setting[p][s] - 1)) for p, s in enumerate(settings)
+        ]
+        coefficient = draw(st.fractions(-9, 9, max_denominator=12))
+        terms.append(MarginalTerm(settings, outcomes, coefficient))
+    return make_expression(scenario, terms)
+
+
+def mermin_probability_form(parties):
+    """Re prod_k (A_k + i A'_k): m primed (setting 1) parties, m even, weigh (-1)^(m/2)."""
+    terms = [
+        (settings, (-1) ** (sum(settings) // 2))
+        for settings in product((0, 1), repeat=parties)
+        if sum(settings) % 2 == 0
+    ]
+    scenario = Scenario.uniform(parties, 2, 2)
+    return as_probability_form(make_correlator_expression(scenario, terms))
 
 
 class TestEnumeration:
@@ -44,9 +82,19 @@ class TestEnumeration:
         flattened = [tuple(o for row in s for o in row) for s in strategies]
         assert flattened == sorted(flattened)
 
-    def test_cap_error_reports_size(self):
+    @pytest.mark.parametrize(
+        "route",
+        [
+            lambda expr, cap: enumerate_strategies(expr.scenario, cap=cap),
+            local_bounds,
+            trivial_bounds,
+            expand_full_joint,
+        ],
+        ids=["enumerate_strategies", "local_bounds", "trivial_bounds", "expand_full_joint"],
+    )
+    def test_cap_error_reports_size(self, route, g_expr):
         with pytest.raises(EnumerationCapError, match="64") as excinfo:
-            enumerate_strategies(TRI, cap=10)
+            route(g_expr, cap=10)
         assert excinfo.value.size == 64
         assert excinfo.value.cap == 10
 
@@ -182,6 +230,59 @@ class TestLocalBounds:
         expr = oracles.random_expression(rng, scenario)
         bounds = local_bounds(expr)
         assert trivial_bounds(expr) == (bounds.min, bounds.max)
+
+    @settings(max_examples=60, deadline=None)
+    @given(expr=small_expressions())
+    @example(expr=make_expression(TRI, []))
+    @example(
+        # the last party's settings differ in outcome count
+        expr=make_expression(
+            Scenario(2, (1, 2), ((2,), (2, 3))),
+            [
+                MarginalTerm((0, 0), (1, 1), Fraction(1, 2)),
+                MarginalTerm((0, 1), (1, 2), Fraction(-1, 3)),
+                MarginalTerm((0, 1), (0, 2), 2),
+            ],
+        )
+    )
+    def test_both_routes_match_the_brute_oracles(self, expr):
+        assert local_bounds(expr) == oracles.vertex_local_bounds(expr)
+        oracle = oracles.expansion_by_direct_evaluation(expr)
+        expansion = expand_full_joint(expr)
+        assert list(expansion.coefficients.items()) == list(oracle.items())
+        assert trivial_bounds(expr) == (min(oracle.values()), max(oracle.values()))
+
+    @pytest.mark.parametrize(
+        "terms",
+        [
+            # scaled by the lcm 7 (2^61 - 1) 1000000007, the 10^30/7 term
+            # alone exceeds 2^190
+            [
+                MarginalTerm((0, 0, 0), (0, 0, 0), Fraction(1, 2**61 - 1)),
+                MarginalTerm((0, 1, 0), (0, 1, 1), Fraction(3, 1000000007)),
+                MarginalTerm((1, 1, 1), (1, 0, 1), Fraction(10**30, 7)),
+                MarginalTerm((1, 0, 1), (1, 0, 1), Fraction(-(10**30), 7)),
+            ],
+            # each coefficient fits in int64, but where both terms hit, their
+            # sum 2^63 would wrap to -2^63 without an error
+            [
+                MarginalTerm((0, 0, 0), (0, 0, 0), 2**62),
+                MarginalTerm((1, 1, 1), (0, 0, 0), 2**62),
+            ],
+        ],
+        ids=["huge-denominators", "wrapping-sum"],
+    )
+    def test_exact_beyond_int64(self, terms):
+        expr = make_expression(TRI, terms)
+        oracle = oracles.expansion_by_direct_evaluation(expr)
+        assert local_bounds(expr) == oracles.vertex_local_bounds(expr)
+        assert trivial_bounds(expr) == (min(oracle.values()), max(oracle.values()))
+        assert dict(expand_full_joint(expr).coefficients) == oracle
+
+    @pytest.mark.parametrize("parties", [3, 4, 5, 6])
+    def test_mermin_magnitude_is_two_to_half_the_parties(self, parties):
+        bounds = local_bounds(mermin_probability_form(parties))
+        assert bounds.magnitude == 2 ** (parties // 2)
 
     def test_random_mixtures_stay_within_bounds(self, g_expr):
         rng = np.random.default_rng(5)
