@@ -9,7 +9,6 @@ from .builtins import (
     builtin_expression,
     builtin_magnitude,
     builtin_names,
-    register_builtin,
 )
 from .errors import (
     BellkitError,
@@ -54,8 +53,10 @@ from .lhv import (
 )
 from .noise import (
     NoiseReport,
+    ViolationReport,
     coefficient_sum,
     tolerance_by_root_scan,
+    violation_report,
     white_noise_tolerance,
 )
 from .optimize import (
@@ -70,7 +71,6 @@ from .quantum import (
     MeasurementModel,
     PureState,
     TermContribution,
-    ViolationReport,
     correlator,
     expression_value,
     ghz_state,
@@ -79,7 +79,6 @@ from .quantum import (
     paper_model,
     parse_model,
     probability_table,
-    violation_report,
 )
 from .scenario import (
     BellExpression,

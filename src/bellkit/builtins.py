@@ -1,9 +1,6 @@
-"""Registry of named Bell expressions shipped with the toolkit."""
+"""Named Bell expressions shipped with the toolkit."""
 
 from __future__ import annotations
-
-from dataclasses import dataclass
-from typing import Callable
 
 from .errors import UnknownBuiltinError
 from .scenario import (
@@ -61,52 +58,30 @@ def _mermin() -> CorrelatorExpression:
     )
 
 
-@dataclass(frozen=True)
-class BuiltinEntry:
-    factory: Callable[[], Expression]
-    magnitude: bool  # whether analyses report this expression by |value|
-    summary: str
-
-
-_REGISTRY: dict = {
-    "g-paper": BuiltinEntry(
-        _g_paper, False, "20-term tripartite expression with local bound 1"
-    ),
-    "mermin": BuiltinEntry(
-        _mermin, True, "tripartite correlator inequality, reported by magnitude"
-    ),
-}
+# name -> (factory, whether analyses report the expression by |value|)
+_BUILTINS = {"g-paper": (_g_paper, False), "mermin": (_mermin, True)}
 
 
 def builtin_names() -> tuple:
-    return tuple(sorted(_REGISTRY))
+    return tuple(sorted(_BUILTINS))
 
 
-def builtin_expression(name: str) -> Expression:
-    """Construct a fresh instance of a registered expression."""
+def _builtin(name: str) -> tuple:
     try:
-        entry = _REGISTRY[name]
+        return _BUILTINS[name]
     except KeyError:
         raise UnknownBuiltinError(
             f"unknown builtin {name!r}; available: {', '.join(builtin_names())}"
         ) from None
-    return entry.factory()
+
+
+def builtin_expression(name: str) -> Expression:
+    """Construct a fresh instance of a builtin expression."""
+    factory, _ = _builtin(name)
+    return factory()
 
 
 def builtin_magnitude(name: str) -> bool:
     """Whether analyses of this builtin report magnitudes by default."""
-    try:
-        return _REGISTRY[name].magnitude
-    except KeyError:
-        raise UnknownBuiltinError(
-            f"unknown builtin {name!r}; available: {', '.join(builtin_names())}"
-        ) from None
-
-
-def register_builtin(
-    name: str, factory: Callable[[], Expression], magnitude: bool = False, summary: str = ""
-) -> None:
-    """Add an expression to the registry; names must be unique."""
-    if name in _REGISTRY:
-        raise UnknownBuiltinError(f"builtin {name!r} is already registered")
-    _REGISTRY[name] = BuiltinEntry(factory, magnitude, summary)
+    _, magnitude = _builtin(name)
+    return magnitude

@@ -35,15 +35,14 @@ from .lhv import (
     expand_full_joint,
     local_bounds,
 )
-from .noise import tolerance_by_root_scan, white_noise_tolerance
-from .optimize import OptimizerConfig, optimize_measurements
-from .quantum import (
-    expression_value,
-    ghz_state,
-    paper_model,
-    parse_model,
-    violation_report,
+from .noise import (
+    ViolationReport,
+    coefficient_sum,
+    tolerance_by_root_scan,
+    white_noise_tolerance,
 )
+from .optimize import OptimizerConfig, optimize_measurements
+from .quantum import expression_value, ghz_state, paper_model, parse_model
 from .scenario import BellExpression, as_probability_form
 
 SCHEMA_VERSION = 1
@@ -330,7 +329,7 @@ def _cmd_report(args) -> dict:
     probability_form = as_probability_form(expr)
     bounds = local_bounds(probability_form, args.cap)
     valuation = expression_value(expr, state, model)
-    violation = violation_report(expr, state, model, magnitude=magnitude, cap=args.cap)
+    violation = ViolationReport.of(valuation.value, bounds, magnitude)
     expansion = expand_full_joint(probability_form, args.cap)
 
     diff_path = args.diff
@@ -353,9 +352,7 @@ def _cmd_report(args) -> dict:
         },
         "term_count": probability_form.term_count,
         "stored_term_count": expr.term_count,
-        "coefficient_sum": _rational(
-            sum(probability_form.terms.values(), Fraction(0))
-        ),
+        "coefficient_sum": _rational(coefficient_sum(probability_form)),
     }
 
     expansion_block = _expansion_block(expansion, list_terms=False)

@@ -97,7 +97,7 @@ def _parse_party_tokens(
         token = match.group(0)
         column = offset + match.start() + 1
         expected = _party_letter(party)
-        if not (len(token) >= 2 and token[0] == expected and token[1:].isdigit()):
+        if not (len(token) >= 2 and token[0] == expected and token[1:].isdecimal()):
             raise ParseError(
                 f"expected token {expected}<setting>, got {token!r}", line_no, column
             )
@@ -124,7 +124,7 @@ def _parse_outcome_tokens(
     for party, match in enumerate(tokens):
         token = match.group(0)
         column = offset + match.start() + 1
-        if not token.isdigit():
+        if not token.isdecimal():
             raise ParseError(f"outcome label must be an integer, got {token!r}", line_no, column)
         outcome = int(token)
         if outcome >= scenario.outcomes_per_setting[party][settings[party]]:
@@ -157,12 +157,7 @@ def _parse_assignment_digits(
                 offset + i + 1,
             )
         flat.append(outcome)
-    assignment = []
-    start = 0
-    for n_settings in scenario.settings_per_party:
-        assignment.append(tuple(flat[start : start + n_settings]))
-        start += n_settings
-    return tuple(assignment)
+    return scenario.split_slots(tuple(flat))
 
 
 def parse_document(text: str) -> ExpressionDocument:
@@ -203,7 +198,14 @@ def parse_document(text: str) -> ExpressionDocument:
                 line_no,
                 1,
             )
-        coefficient = Fraction(match.group(1))
+        try:
+            coefficient = Fraction(match.group(1))
+        except ZeroDivisionError:
+            raise ParseError(
+                f"coefficient {match.group(1)!r} has a zero denominator",
+                line_no,
+                match.start(1) + 1,
+            ) from None
         term_kind = match.group(2)
         body = match.group(3)
         body_offset = match.start(3)
@@ -241,7 +243,7 @@ def parse_document(text: str) -> ExpressionDocument:
             terms.append(DocumentTerm(line_no, "E", coefficient, settings))
         else:
             digits = body.strip()
-            if not digits.isdigit():
+            if not digits.isdecimal():
                 raise ParseError(
                     "L(...) expects a run of outcome digits", line_no, body_offset + 1
                 )

@@ -30,7 +30,8 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from fractions import Fraction
-from itertools import accumulate, product, repeat
+from functools import cached_property
+from itertools import product, repeat
 from types import MappingProxyType
 from typing import Mapping, Sequence
 
@@ -84,14 +85,7 @@ def enumerate_strategies(
     slot_ranges = [
         range(scenario.outcomes_per_setting[p][s]) for p, s in scenario.slots()
     ]
-    offsets = []
-    start = 0
-    for n_settings in scenario.settings_per_party:
-        offsets.append((start, start + n_settings))
-        start += n_settings
-    return [
-        tuple(flat[lo:hi] for lo, hi in offsets) for flat in product(*slot_ranges)
-    ]
+    return list(map(scenario.split_slots, product(*slot_ranges)))
 
 
 def evaluate_on_strategy(expr: BellExpression, strategy: Sequence) -> Fraction:
@@ -163,10 +157,9 @@ def _expansion_grid(expr: BellExpression, cap: int) -> tuple:
     dtype = np.int64 if sum(abs(v) for _, v in scaled) < 2**62 else object
     shape = tuple(n for row in scenario.outcomes_per_setting for n in row)
     grid = np.zeros(shape, dtype=dtype)
-    offsets = tuple(accumulate(scenario.settings_per_party, initial=0))
     for (settings, outcomes), value in scaled:
         index = [slice(None)] * len(shape)
-        for offset, s, o in zip(offsets, settings, outcomes):
+        for offset, s, o in zip(scenario.slot_offsets, settings, outcomes):
             index[offset + s] = o
         grid[tuple(index)] += value
     return grid, scale
@@ -199,9 +192,12 @@ class LocalBoundResult:
     maximizers: tuple
     minimizers: tuple
 
-    @property
+    @cached_property
     def magnitude(self) -> Fraction:
-        """Bound on |expression| over all local models."""
+        """Bound on |expression| over all local models.
+
+        Cached: the noise root scan reads it at every bisection step.
+        """
         return max(abs(self.max), abs(self.min))
 
 

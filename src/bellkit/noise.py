@@ -1,4 +1,10 @@
-"""White-noise robustness: the mixing fraction at which a violation disappears.
+"""Quantum value against local bound: the violation and its white-noise robustness.
+
+Every number here compares one pair (Q, L), the quantum value and the exact
+local bound, taken in one orientation, which :meth:`ViolationReport.of`
+decides: with ``magnitude`` set, |Q| against the larger of |local max| and
+|local min|, else the signed Q against the local maximum.  The violation
+factor is Q / L and the amount Q - L.
 
 Mixing a pure state with the maximally mixed state moves every joint
 probability affinely in the mixing fraction p, so the expression value is
@@ -6,12 +12,12 @@ affine in p and the critical fraction has the closed form
 
     p = (Q - L) / (Q - S / 2^parties)
 
-with Q the quantum value, L the local maximum, and S the coefficient sum of
-the probability form (the value on the maximally mixed state times the number
-of outcome cells).  A term-counting variant replaces S by the number of
-positive terms minus the number of negative terms; both results are reported,
-because the two only agree when every coefficient has unit magnitude, and a
-disagreement is worth surfacing rather than hiding.
+with S the coefficient sum of the probability form (the value on the
+maximally mixed state times the number of outcome cells).  A term-counting
+variant replaces S by the number of positive terms minus the number of
+negative terms; both results are reported, because the two only agree when
+every coefficient has unit magnitude, and a disagreement is worth surfacing
+rather than hiding.
 
 An independent bisection root scan cross-checks the closed form.
 """
@@ -23,7 +29,7 @@ from fractions import Fraction
 from typing import Optional
 
 from .errors import DegenerateExpressionError, NoRootError, NoViolationError
-from .lhv import DEFAULT_ENUMERATION_CAP, local_bounds
+from .lhv import DEFAULT_ENUMERATION_CAP, LocalBoundResult, local_bounds
 from .quantum import (
     MeasurementModel,
     PureState,
@@ -47,6 +53,43 @@ def coefficient_sum(expr: Expression) -> Fraction:
     """
     probability_form = as_probability_form(expr)
     return sum(probability_form.terms.values(), Fraction(0))
+
+
+@dataclass(frozen=True)
+class ViolationReport:
+    """Quantum value against the exact local bound of the same expression.
+
+    With ``magnitude`` set, both sides are magnitudes: |quantum value| against
+    max(|local max|, |local min|).  The factor is absent when the local bound
+    is not positive.
+    """
+
+    quantum_value: float
+    local_max: Fraction
+    violation_factor: Optional[float]
+    violation_amount: float
+    violated: bool
+    magnitude: bool
+
+    @classmethod
+    def of(cls, value: float, bounds: LocalBoundResult, magnitude: bool) -> "ViolationReport":
+        """Compare a signed quantum value with local bounds in the analyzed orientation."""
+        quantum = abs(value) if magnitude else value
+        local = bounds.magnitude if magnitude else bounds.max
+        factor = quantum / float(local) if local > 0 else None
+        amount = quantum - float(local)
+        return cls(quantum, local, factor, amount, amount > 0, magnitude)
+
+
+def violation_report(
+    expr: Expression,
+    state: State,
+    model: MeasurementModel,
+    magnitude: bool = False,
+    cap: int = DEFAULT_ENUMERATION_CAP,
+) -> ViolationReport:
+    value = expression_value(expr, state, model).value
+    return ViolationReport.of(value, local_bounds(as_probability_form(expr), cap), magnitude)
 
 
 @dataclass(frozen=True)
@@ -74,20 +117,6 @@ class NoiseReport:
     magnitude: bool
 
 
-def _analyzed_orientation(
-    expr: Expression, state: State, model: MeasurementModel, magnitude: bool, cap: int
-) -> tuple:
-    """(probability form, quantum value, local bound) in the violating orientation."""
-    probability_form = as_probability_form(expr)
-    value = expression_value(expr, state, model).value
-    bounds = local_bounds(probability_form, cap)
-    if magnitude:
-        if value < 0:
-            return probability_form.scale(-1), -value, bounds.magnitude
-        return probability_form, value, bounds.magnitude
-    return probability_form, value, bounds.max
-
-
 def white_noise_tolerance(
     expr: Expression,
     state: State,
@@ -102,17 +131,20 @@ def white_noise_tolerance(
     local bound.  Margins within 1e-9 of zero count as zero-margin violations
     and give p = 0; clearly negative margins raise NoViolationError.
     """
-    probability_form, quantum, local = _analyzed_orientation(
-        expr, state, model, magnitude, cap
-    )
-    margin = quantum - float(local)
+    probability_form = as_probability_form(expr)
+    value = expression_value(expr, state, model).value
+    violation = ViolationReport.of(value, local_bounds(probability_form, cap), magnitude)
+    if magnitude and value < 0:
+        probability_form = -probability_form
+    quantum, local = violation.quantum_value, violation.local_max
+    margin = violation.violation_amount
     if margin < -MARGIN_TOL:
         raise NoViolationError(
             f"quantum value {quantum:.12g} does not reach the local bound {local}; "
             "the noise tolerance is undefined"
         )
     cells = 2**expr.scenario.parties
-    total = sum(probability_form.terms.values(), Fraction(0))
+    total = coefficient_sum(probability_form)
     denominator = quantum - float(total) / cells
     if denominator <= 0:
         # unreachable for honest quantum values: the uniform distribution is a
@@ -159,12 +191,11 @@ def tolerance_by_root_scan(
     p = 1.
     """
     bounds = local_bounds(as_probability_form(expr), cap)
-    local = float(bounds.magnitude if magnitude else bounds.max)
 
     def overshoot(p: float) -> float:
         noisy = mix_with_white_noise(state, p)
         value = expression_value(expr, noisy, model).value
-        return (abs(value) if magnitude else value) - local
+        return ViolationReport.of(value, bounds, magnitude).violation_amount
 
     at_zero = overshoot(0.0)
     if at_zero < -MARGIN_TOL:

@@ -15,7 +15,8 @@ of the parties' projectors, contracted one party at a time so that no
 2^n x 2^n operator is built.  Pure states enter as ``|psi><psi|``, so pure
 and mixed states share one path.  Joint probabilities, correlators,
 expression values and the optimizer objective are lookups or signed sums on
-that table.
+that table.  Local bounds play no part here: comparing a quantum value with
+one is the job of :mod:`bellkit.noise`.
 
 Dense complex algebra only; dimensions are capped at 2^10 and the table's
 largest intermediate at ``MAX_TABLE_ENTRIES``.
@@ -36,13 +37,7 @@ from .errors import (
     ParseError,
     ScenarioMismatchError,
 )
-from .lhv import DEFAULT_ENUMERATION_CAP, local_bounds
-from .scenario import (
-    CorrelatorExpression,
-    Expression,
-    Scenario,
-    as_probability_form,
-)
+from .scenario import CorrelatorExpression, Expression, Scenario
 
 MAX_PARTIES = 10
 # complex entries in the largest array the table contraction allocates (64 MiB);
@@ -371,43 +366,6 @@ def mix_with_white_noise(state: PureState, p: float) -> DensityMatrix:
     return DensityMatrix(matrix)
 
 
-@dataclass(frozen=True)
-class ViolationReport:
-    """Quantum value against the exact local bound of the same expression.
-
-    With ``magnitude`` set, both sides are magnitudes: |quantum value| against
-    max(|local max|, |local min|).  The factor is absent when the local bound
-    is not positive.
-    """
-
-    quantum_value: float
-    local_max: Fraction
-    violation_factor: Optional[float]
-    violation_amount: float
-    violated: bool
-    magnitude: bool
-
-
-def violation_report(
-    expr: Expression,
-    state: State,
-    model: MeasurementModel,
-    magnitude: bool = False,
-    cap: int = DEFAULT_ENUMERATION_CAP,
-) -> ViolationReport:
-    value = expression_value(expr, state, model).value
-    bounds = local_bounds(as_probability_form(expr), cap)
-    if magnitude:
-        quantum = abs(value)
-        local = bounds.magnitude
-    else:
-        quantum = value
-        local = bounds.max
-    factor = quantum / float(local) if local > 0 else None
-    amount = quantum - float(local)
-    return ViolationReport(quantum, local, factor, amount, amount > 0, magnitude)
-
-
 def _bloch_from_angles(theta: float, phi: float) -> tuple:
     return (
         math.sin(theta) * math.cos(phi),
@@ -420,7 +378,7 @@ def _setting_numbers(entry: dict, key: str, count: int, party: int, setting: int
     values = entry[key]
     try:
         numbers = tuple(float(x) for x in values)
-    except (TypeError, ValueError):
+    except (TypeError, ValueError, OverflowError):
         numbers = ()
     if len(numbers) != count or not all(math.isfinite(x) for x in numbers):
         raise ParseError(
@@ -495,7 +453,7 @@ def parse_model(text: str) -> tuple:
             amplitudes = np.array(
                 [complex(float(re), float(im)) for re, im in pairs], dtype=complex
             )
-        except (TypeError, ValueError) as exc:
+        except (TypeError, ValueError, OverflowError) as exc:
             raise ParseError(f"bad amplitude list: {exc}") from None
         try:
             state = PureState(amplitudes)

@@ -19,7 +19,7 @@ import math
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
-from itertools import accumulate, product
+from itertools import accumulate, pairwise, product
 from operator import itemgetter
 from types import MappingProxyType
 from typing import Iterable, Mapping, Sequence, Union
@@ -118,6 +118,23 @@ class Scenario:
             (p, s) for p in range(self.parties) for s in range(self.settings_per_party[p])
         )
 
+    @cached_property
+    def slot_offsets(self) -> tuple:
+        """Index of each party's first slot in ``slots()`` order, then the slot count."""
+        return tuple(accumulate(self.settings_per_party, initial=0))
+
+    @cached_property
+    def split_slots(self):
+        """Callable splitting a flat tuple in ``slots()`` order into one row per party.
+
+        An ``itemgetter`` over one slice per party, so a strategy sweep splits
+        every flat tuple without a Python-level call.
+        """
+        rows = [slice(lo, hi) for lo, hi in pairwise(self.slot_offsets)]
+        if len(rows) == 1:  # itemgetter returns the bare item when given one index
+            return lambda flat: (flat[rows[0]],)
+        return itemgetter(*rows)
+
     def validate_term(self, settings: Sequence[int], outcomes: Sequence[int]) -> TermKey:
         """Range-check a term key against this scenario and return it as tuples."""
         settings = tuple(int(s) for s in settings)
@@ -161,16 +178,54 @@ class MarginalTerm:
 
 
 @dataclass(frozen=True, eq=False)
-class BellExpression:
+class _LinearExpression:
+    """Exact linear-combination algebra shared by both expression forms.
+
+    ``terms`` maps a term key to a nonzero rational coefficient.  Equality
+    and addition hold only between expressions of one form; across the two
+    forms they return NotImplemented.
+    """
+
+    scenario: Scenario
+    terms: Mapping
+
+    def __eq__(self, other):
+        if not isinstance(other, type(self)):
+            return NotImplemented
+        return self.scenario == other.scenario and dict(self.terms) == dict(other.terms)
+
+    __hash__ = None
+
+    @property
+    def term_count(self) -> int:
+        return len(self.terms)
+
+    def scale(self, factor: RationalInput):
+        factor = as_fraction(factor)
+        return type(self)(self.scenario, {key: factor * c for key, c in self.terms.items()})
+
+    def __add__(self, other):
+        if not isinstance(other, type(self)):
+            return NotImplemented
+        if self.scenario != other.scenario:
+            raise ScenarioMismatchError("cannot add expressions over different scenarios")
+        merged = dict(self.terms)
+        for key, c in other.terms.items():
+            merged[key] = merged.get(key, Fraction(0)) + c
+        return type(self)(self.scenario, merged)
+
+    def __neg__(self):
+        return self.scale(-1)
+
+
+@dataclass(frozen=True, eq=False)
+class BellExpression(_LinearExpression):
     """Exact linear combination of joint-probability terms over one scenario.
 
     The term map preserves construction order, which downstream per-term
     value breakdowns follow; equality compares coefficient maps and ignores
     order.  Instances are immutable and safe to share across threads.
     """
-
-    scenario: Scenario
-    terms: Mapping
 
     def __post_init__(self):
         validated = {}
@@ -181,17 +236,6 @@ class BellExpression:
             if coefficient != 0:
                 validated[key] = coefficient
         object.__setattr__(self, "terms", MappingProxyType(validated))
-
-    def __eq__(self, other):
-        if not isinstance(other, BellExpression):
-            return NotImplemented
-        return self.scenario == other.scenario and dict(self.terms) == dict(other.terms)
-
-    __hash__ = None
-
-    @property
-    def term_count(self) -> int:
-        return len(self.terms)
 
     @cached_property
     def strategy_lookup(self) -> tuple:
@@ -205,7 +249,7 @@ class BellExpression:
         and kept, since the expression is immutable.
         """
         scale = math.lcm(*(c.denominator for c in self.terms.values()))
-        offsets = tuple(accumulate(self.scenario.settings_per_party, initial=0))
+        offsets = self.scenario.slot_offsets
         tables: dict = {}
         for (settings, outcomes), coefficient in self.terms.items():
             values = tables.setdefault(settings, {})
@@ -219,28 +263,10 @@ class BellExpression:
         """Stored coefficient of a term key, or 0 when absent."""
         return self.terms.get(self.scenario.validate_term(settings, outcomes), Fraction(0))
 
-    def scale(self, factor: RationalInput) -> "BellExpression":
-        factor = as_fraction(factor)
-        return BellExpression(
-            self.scenario, {key: factor * c for key, c in self.terms.items()}
-        )
-
-    def __add__(self, other: "BellExpression") -> "BellExpression":
-        if not isinstance(other, BellExpression):
-            return NotImplemented
-        if self.scenario != other.scenario:
-            raise ScenarioMismatchError("cannot add expressions over different scenarios")
-        merged = dict(self.terms)
-        for key, c in other.terms.items():
-            merged[key] = merged.get(key, Fraction(0)) + c
-        return BellExpression(self.scenario, merged)
-
-    def __neg__(self) -> "BellExpression":
-        return self.scale(-1)
 
 
 @dataclass(frozen=True, eq=False)
-class CorrelatorExpression:
+class CorrelatorExpression(_LinearExpression):
     """Signed sum of full correlators E(settings); binary outcomes only.
 
     Each term maps a per-party settings choice to a rational coefficient.
@@ -248,9 +274,6 @@ class CorrelatorExpression:
     +1 and outcome 0 carries -1, so a term expands over outcome tuples with
     sign (-1)^z where z counts zero outcomes.
     """
-
-    scenario: Scenario
-    terms: Mapping
 
     def __post_init__(self):
         if not self.scenario.is_binary:
@@ -265,38 +288,8 @@ class CorrelatorExpression:
                 validated[settings] = coefficient
         object.__setattr__(self, "terms", MappingProxyType(validated))
 
-    def __eq__(self, other):
-        if not isinstance(other, CorrelatorExpression):
-            return NotImplemented
-        return self.scenario == other.scenario and dict(self.terms) == dict(other.terms)
-
-    __hash__ = None
-
-    @property
-    def term_count(self) -> int:
-        return len(self.terms)
-
     def coefficient(self, settings: Sequence[int]) -> Fraction:
         return self.terms.get(self.scenario.validate_settings(settings), Fraction(0))
-
-    def scale(self, factor: RationalInput) -> "CorrelatorExpression":
-        factor = as_fraction(factor)
-        return CorrelatorExpression(
-            self.scenario, {key: factor * c for key, c in self.terms.items()}
-        )
-
-    def __add__(self, other: "CorrelatorExpression") -> "CorrelatorExpression":
-        if not isinstance(other, CorrelatorExpression):
-            return NotImplemented
-        if self.scenario != other.scenario:
-            raise ScenarioMismatchError("cannot add expressions over different scenarios")
-        merged = dict(self.terms)
-        for key, c in other.terms.items():
-            merged[key] = merged.get(key, Fraction(0)) + c
-        return CorrelatorExpression(self.scenario, merged)
-
-    def __neg__(self) -> "CorrelatorExpression":
-        return self.scale(-1)
 
 
 Expression = Union[BellExpression, CorrelatorExpression]

@@ -2,8 +2,14 @@ import json
 
 import pytest
 
-from bellkit import serialize_expression, builtin_expression
-from bellkit.cli import run_command
+from bellkit import (
+    builtin_expression,
+    ghz_state,
+    paper_model,
+    serialize_expression,
+    violation_report,
+)
+from bellkit.cli import _f12, _rational, run_command
 from bellkit.fixtures import g_paper_expansion_fixture_path
 
 
@@ -239,6 +245,23 @@ class TestReport:
             "the noise tolerance is undefined",
         }
 
+    @pytest.mark.parametrize("flag", ["--magnitude", "--no-magnitude"])
+    @pytest.mark.parametrize("name", ["g-paper", "mermin"])
+    def test_violation_block_matches_violation_report(self, capsys, name, flag):
+        report = run_json(capsys, ["report", "--builtin", name, flag])
+        expected = violation_report(
+            builtin_expression(name), ghz_state(3), paper_model(),
+            magnitude=flag == "--magnitude",
+        )
+        assert report["violation"] == {
+            "quantum_value": _f12(expected.quantum_value),
+            "local_bound": _rational(expected.local_max),
+            "factor": _f12(expected.violation_factor),
+            "amount": _f12(expected.violation_amount),
+            "violated": expected.violated,
+            "magnitude_convention": expected.magnitude,
+        }
+
 
 class TestPlainFormat:
     def test_plain_lines(self, capsys):
@@ -290,6 +313,14 @@ class TestErrorPaths:
         assert code == 1
         assert "line 2" in err
 
+    def test_zero_denominator_is_a_located_input_error(self, capsys, tmp_path):
+        path = tmp_path / "bad.bell"
+        path.write_text("scenario 3 2 2\n+1/0 P(A0 B0 C0 | 0 0 0)\n")
+        code, out, err = run(capsys, ["bound", str(path)])
+        assert code == 1
+        assert err == "error: coefficient '+1/0' has a zero denominator (line 2, column 1)\n"
+        assert out == ""
+
     def test_no_arguments_prints_usage(self, capsys):
         code, out, err = run(capsys, [])
         assert code == 1
@@ -306,6 +337,16 @@ class TestErrorPaths:
             ('{"bloch": [NaN, 0, 0]}', "'bloch' must be 3 finite numbers"),
             ('{"bloch": null}', "'bloch' must be 3 finite numbers, got None"),
             ('{"angles": [Infinity, 0]}', "'angles' must be 2 finite numbers"),
+            pytest.param(
+                '{"bloch": [1%s, 0, 0]}' % ("0" * 400),
+                "'bloch' must be 3 finite numbers",
+                id="bloch-too-large-for-a-float",
+            ),
+            pytest.param(
+                '{"angles": [0, 1%s]}' % ("0" * 400),
+                "'angles' must be 2 finite numbers",
+                id="angles-too-large-for-a-float",
+            ),
         ],
     )
     def test_non_finite_or_missing_model_numbers_are_input_errors(
@@ -320,6 +361,19 @@ class TestErrorPaths:
         code, out, err = run(capsys, ["quantum", "--builtin", "g-paper", "--model", str(path)])
         assert code == 1
         assert f"party 0 setting 0: {message}" in err
+        assert out == ""
+
+    def test_overflowing_amplitude_is_an_input_error(self, capsys, tmp_path):
+        path = tmp_path / "model.json"
+        amplitudes = [[1, 0]] + [[0, 0]] * 7
+        amplitudes[0][0] = 10**400
+        path.write_text(
+            json.dumps({"state": {"amplitudes": amplitudes},
+                        "measurements": [[{"bloch": [1, 0, 0]}, {"bloch": [0, 1, 0]}]] * 3})
+        )
+        code, out, err = run(capsys, ["quantum", "--builtin", "g-paper", "--model", str(path)])
+        assert code == 1
+        assert err.startswith("error: bad amplitude list: ")
         assert out == ""
 
     def test_oversized_probability_table_is_an_input_error(self, capsys, tmp_path):

@@ -81,6 +81,20 @@ class TestParseExpression:
             parse_expression(text)
         assert excinfo.value.line == 3
 
+    @pytest.mark.parametrize(
+        "line,match,column",
+        [
+            ("+1/0 P(A0 B0 C0 | 0 0 0)", "coefficient '\\+1/0' has a zero denominator", 1),
+            ("+1 P(A\u00b2 B0 C0 | 0 0 0)", "expected token A<setting>", 6),
+            ("+1 P(A0 B0 C0 | \u00b2 0 0)", "outcome label must be an integer", 17),
+            ("+1 L(\u00b200000)", "L\\(...\\) expects a run of outcome digits", 6),
+        ],
+    )
+    def test_malformed_documents_are_located(self, line, match, column):
+        with pytest.raises(ParseError, match=match) as excinfo:
+            parse_document(f"scenario 3 2 2\n{line}\n")
+        assert (excinfo.value.line, excinfo.value.column) == (2, column)
+
     def test_wrong_party_letter(self):
         with pytest.raises(ParseError, match="expected token B"):
             parse_expression("scenario 3 2 2\n+1 P(A0 A0 C0 | 0 0 0)\n")

@@ -414,6 +414,23 @@ class TestModelDocuments:
                 '[[{"bloch": [1, 0, 0]}, {"angles": [Infinity, 0]}]]}',
                 "party 0 setting 1: 'angles' must be 2 finite numbers",
             ),
+            pytest.param(
+                '{"state": "ghz", "measurements": [[{"bloch": [1%s, 0, 0]}]]}' % ("0" * 400),
+                "party 0 setting 0: 'bloch' must be 3 finite numbers",
+                id="bloch-too-large-for-a-float",
+            ),
+            pytest.param(
+                '{"state": "ghz", "measurements": '
+                '[[{"bloch": [1, 0, 0]}, {"angles": [0, 1%s]}]]}' % ("0" * 400),
+                "party 0 setting 1: 'angles' must be 2 finite numbers",
+                id="angles-too-large-for-a-float",
+            ),
+            pytest.param(
+                '{"state": {"amplitudes": [[1%s, 0], [0, 0]]}, '
+                '"measurements": [[{"bloch": [1, 0, 0]}]]}' % ("0" * 400),
+                "bad amplitude list",
+                id="amplitude-too-large-for-a-float",
+            ),
         ],
     )
     def test_malformed_documents(self, document, match):
