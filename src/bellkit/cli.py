@@ -35,12 +35,7 @@ from .lhv import (
     expand_full_joint,
     local_bounds,
 )
-from .noise import (
-    ViolationReport,
-    coefficient_sum,
-    tolerance_by_root_scan,
-    white_noise_tolerance,
-)
+from .noise import ViolationReport, _closed_form, _root_scan, coefficient_sum
 from .optimize import OptimizerConfig, optimize_measurements
 from .quantum import expression_value, ghz_state, paper_model, parse_model
 from .scenario import BellExpression, as_probability_form
@@ -94,7 +89,8 @@ def _load_expression(args):
             f"an expression file or --builtin is required "
             f"(builtins: {', '.join(builtin_names())})"
         )
-    magnitude = default_magnitude if args.magnitude is None else args.magnitude
+    magnitude = getattr(args, "magnitude", None)  # expand takes no --magnitude
+    magnitude = default_magnitude if magnitude is None else magnitude
     return expr, identity, magnitude
 
 
@@ -167,9 +163,9 @@ def _violation_block(report) -> dict:
     }
 
 
-def _noise_block(expr, state, model, magnitude: bool, cap: int) -> dict:
-    closed = white_noise_tolerance(expr, state, model, magnitude=magnitude, cap=cap)
-    scanned = tolerance_by_root_scan(expr, state, model, magnitude=magnitude, cap=cap)
+def _noise_block(expr, probability_form, state, model, value, bounds, magnitude) -> dict:
+    closed = _closed_form(probability_form, value, bounds, magnitude)
+    scanned = _root_scan(expr, state, model, bounds, magnitude)
     term_count_value = closed.p_critical_term_count
     return {
         "quantum_value": _f12(closed.quantum_value),
@@ -267,10 +263,12 @@ def _cmd_quantum(args) -> dict:
 def _cmd_noise(args) -> dict:
     expr, identity, magnitude = _load_expression(args)
     state, model, model_identity = _load_model(args.model)
+    probability_form = as_probability_form(expr)
+    value = expression_value(expr, state, model).value
+    bounds = local_bounds(probability_form, args.cap)
+    noise_block = _noise_block(expr, probability_form, state, model, value, bounds, magnitude)
     inputs = {"expression": identity, "model": model_identity, "magnitude": magnitude}
-    return _envelope(
-        "noise", inputs, {"noise": _noise_block(expr, state, model, magnitude, args.cap)}
-    )
+    return _envelope("noise", inputs, {"noise": noise_block})
 
 
 def _cmd_optimize(args) -> dict:
@@ -337,7 +335,9 @@ def _cmd_report(args) -> dict:
         diff_path = str(g_paper_expansion_fixture_path())
 
     try:
-        noise_block = _noise_block(expr, state, model, magnitude, args.cap)
+        noise_block = _noise_block(
+            expr, probability_form, state, model, valuation.value, bounds, magnitude
+        )
         noise_block["defined"] = True
     except (NoViolationError, NoRootError, DegenerateExpressionError) as exc:
         noise_block = {"defined": False, "reason": str(exc)}
@@ -389,30 +389,6 @@ _HANDLERS = {
 }
 
 
-def _add_expression_arguments(parser) -> None:
-    parser.add_argument("expr", nargs="?", help="expression document path")
-    parser.add_argument(
-        "--builtin",
-        metavar="NAME",
-        help=f"use a builtin expression ({', '.join(builtin_names())})",
-    )
-    parser.add_argument(
-        "--magnitude",
-        action=argparse.BooleanOptionalAction,
-        default=None,
-        help="report by |value| (default: the builtin's convention, else signed)",
-    )
-    parser.add_argument(
-        "--format", choices=("json", "plain"), default="json", help="output format"
-    )
-    parser.add_argument(
-        "--cap",
-        type=int,
-        default=DEFAULT_ENUMERATION_CAP,
-        help="enumeration size cap for the strategy space",
-    )
-
-
 def build_parser() -> argparse.ArgumentParser:
     parser = _Parser(
         prog="bellkit",
@@ -422,33 +398,53 @@ def build_parser() -> argparse.ArgumentParser:
     parser.add_argument("--version", action="version", version=f"bellkit {__version__}")
     subparsers = parser.add_subparsers(dest="command", metavar="command")
 
-    p_bound = subparsers.add_parser("bound", help="exact local bounds and extremizers")
-    _add_expression_arguments(p_bound)
+    # shared flags, each given only to the subcommands that read it
+    source, magnitude, cap, model = (_Parser(add_help=False) for _ in range(4))
+    source.add_argument("expr", nargs="?", help="expression document path")
+    source.add_argument(
+        "--builtin",
+        metavar="NAME",
+        help=f"use a builtin expression ({', '.join(builtin_names())})",
+    )
+    source.add_argument(
+        "--format", choices=("json", "plain"), default="json", help="output format"
+    )
+    magnitude.add_argument(
+        "--magnitude",
+        action=argparse.BooleanOptionalAction,
+        default=None,
+        help="report by |value| (default: the builtin's convention, else signed)",
+    )
+    cap.add_argument(
+        "--cap",
+        type=int,
+        default=DEFAULT_ENUMERATION_CAP,
+        help="enumeration size cap for the strategy space",
+    )
+    model.add_argument("--model", default="paper", help="'paper' or a model document path")
 
+    subparsers.add_parser(
+        "bound", help="exact local bounds and extremizers", parents=[source, magnitude, cap]
+    )
     p_expand = subparsers.add_parser(
-        "expand", help="full-joint expansion, optionally diffed against a fixture"
+        "expand",
+        help="full-joint expansion, optionally diffed against a fixture",
+        parents=[source, cap],
     )
-    _add_expression_arguments(p_expand)
     p_expand.add_argument("--diff", metavar="FIXTURE", help="expansion fixture to audit")
-
-    p_quantum = subparsers.add_parser(
-        "quantum", help="quantum value with per-term breakdown"
+    subparsers.add_parser(
+        "quantum",
+        help="quantum value with per-term breakdown",
+        parents=[source, magnitude, model],
     )
-    _add_expression_arguments(p_quantum)
-    p_quantum.add_argument(
-        "--model", default="paper", help="'paper' or a model document path"
+    subparsers.add_parser(
+        "noise", help="white-noise tolerance", parents=[source, magnitude, cap, model]
     )
-
-    p_noise = subparsers.add_parser("noise", help="white-noise tolerance")
-    _add_expression_arguments(p_noise)
-    p_noise.add_argument(
-        "--model", default="paper", help="'paper' or a model document path"
-    )
-
     p_optimize = subparsers.add_parser(
-        "optimize", help="search measurement angles for the best value"
+        "optimize",
+        help="search measurement angles for the best value",
+        parents=[source, magnitude],
     )
-    _add_expression_arguments(p_optimize)
     p_optimize.add_argument(
         "--state", default="ghz", help="'ghz' or a model document path (its state is used)"
     )
@@ -457,10 +453,8 @@ def build_parser() -> argparse.ArgumentParser:
     p_optimize.add_argument("--tolerance", type=float, default=1e-9)
     p_optimize.add_argument("--max-evals", type=int, default=6000)
 
-    p_report = subparsers.add_parser("report", help="full analysis report")
-    _add_expression_arguments(p_report)
-    p_report.add_argument(
-        "--model", default="paper", help="'paper' or a model document path"
+    p_report = subparsers.add_parser(
+        "report", help="full analysis report", parents=[source, magnitude, cap, model]
     )
     p_report.add_argument(
         "--diff",

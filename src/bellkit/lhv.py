@@ -175,12 +175,11 @@ def expand_full_joint(
     at assignment t equals evaluate_on_strategy(expr, t).
     """
     grid, scale = _expansion_grid(expr, cap)
-    values = grid.ravel().tolist()
+    index = np.nonzero(grid)  # FullJointExpansion fills in the zeros
+    values = grid[index].tolist()
     exact = {v: Fraction(v, scale) for v in set(values)}
-    return FullJointExpansion(
-        expr.scenario,
-        dict(zip(enumerate_strategies(expr.scenario, cap), map(exact.__getitem__, values))),
-    )
+    assignments = map(expr.scenario.split_slots, zip(*(axis.tolist() for axis in index)))
+    return FullJointExpansion(expr.scenario, dict(zip(assignments, map(exact.__getitem__, values))))
 
 
 @dataclass(frozen=True)

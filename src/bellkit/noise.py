@@ -20,6 +20,12 @@ every coefficient has unit magnitude, and a disagreement is worth surfacing
 rather than hiding.
 
 An independent bisection root scan cross-checks the closed form.
+
+Each public function sweeps the local polytope's vertices once and then
+runs one private step against the bounds it found: the closed form, or the
+bisection.  The ``noise`` and ``report`` commands call both steps with the
+one probability form, vertex sweep and quantum value they already hold, so
+each command sweeps once.
 """
 
 from __future__ import annotations
@@ -117,25 +123,9 @@ class NoiseReport:
     magnitude: bool
 
 
-def white_noise_tolerance(
-    expr: Expression,
-    state: State,
-    model: MeasurementModel,
-    magnitude: bool = False,
-    cap: int = DEFAULT_ENUMERATION_CAP,
-) -> NoiseReport:
-    """Closed-form critical fraction; requires an actual violation.
-
-    The returned fraction is the unique p with
-    (1-p) * Q + (p / 2^parties) * S = L, i.e. where the noisy value meets the
-    local bound.  Margins within 1e-9 of zero count as zero-margin violations
-    and give p = 0; clearly negative margins raise NoViolationError.
-    """
-    probability_form = as_probability_form(expr)
-    value = expression_value(expr, state, model).value
-    violation = ViolationReport.of(value, local_bounds(probability_form, cap), magnitude)
-    if magnitude and value < 0:
-        probability_form = -probability_form
+def _closed_form(probability_form, value: float, bounds, magnitude: bool) -> NoiseReport:
+    """The closed form of :func:`white_noise_tolerance`, given the signed value and bounds."""
+    violation = ViolationReport.of(value, bounds, magnitude)
     quantum, local = violation.quantum_value, violation.local_max
     margin = violation.violation_amount
     if margin < -MARGIN_TOL:
@@ -143,8 +133,12 @@ def white_noise_tolerance(
             f"quantum value {quantum:.12g} does not reach the local bound {local}; "
             "the noise tolerance is undefined"
         )
-    cells = 2**expr.scenario.parties
+    cells = 2**probability_form.scenario.parties
     total = coefficient_sum(probability_form)
+    positive = sum(1 for c in probability_form.terms.values() if c > 0)
+    negative = sum(1 for c in probability_form.terms.values() if c < 0)
+    if magnitude and value < 0:  # the analyzed orientation is the negated expression
+        total, positive, negative = -total, negative, positive
     denominator = quantum - float(total) / cells
     if denominator <= 0:
         # unreachable for honest quantum values: the uniform distribution is a
@@ -154,8 +148,6 @@ def white_noise_tolerance(
         )
     p_critical = max(0.0, margin) / denominator
 
-    positive = sum(1 for c in probability_form.terms.values() if c > 0)
-    negative = sum(1 for c in probability_form.terms.values() if c < 0)
     denominator_tc = quantum - (positive - negative) / cells
     p_term_count = (
         max(0.0, margin) / denominator_tc if denominator_tc > 0 else None
@@ -175,22 +167,27 @@ def white_noise_tolerance(
     )
 
 
-def tolerance_by_root_scan(
+def white_noise_tolerance(
     expr: Expression,
-    state: PureState,
+    state: State,
     model: MeasurementModel,
     magnitude: bool = False,
     cap: int = DEFAULT_ENUMERATION_CAP,
-    resolution: float = 1e-12,
-) -> float:
-    """Bisection on the mixing fraction, independent of the closed form.
+) -> NoiseReport:
+    """Closed-form critical fraction; requires an actual violation.
 
-    Solves value(noisy state at p) = local bound on p in [0, 1] down to the
-    given interval width.  The noisy value is affine and decreasing across a
-    violation, so a single sign change exists whenever the violation dies by
-    p = 1.
+    The returned fraction is the unique p with
+    (1-p) * Q + (p / 2^parties) * S = L, i.e. where the noisy value meets the
+    local bound.  Margins within 1e-9 of zero count as zero-margin violations
+    and give p = 0; clearly negative margins raise NoViolationError.
     """
-    bounds = local_bounds(as_probability_form(expr), cap)
+    probability_form = as_probability_form(expr)
+    value = expression_value(expr, state, model).value
+    return _closed_form(probability_form, value, local_bounds(probability_form, cap), magnitude)
+
+
+def _root_scan(expr, state, model, bounds, magnitude: bool, resolution: float = 1e-12) -> float:
+    """The bisection of :func:`tolerance_by_root_scan`, against given bounds."""
 
     def overshoot(p: float) -> float:
         noisy = mix_with_white_noise(state, p)
@@ -215,3 +212,22 @@ def tolerance_by_root_scan(
         else:
             hi = mid
     return (lo + hi) / 2.0
+
+
+def tolerance_by_root_scan(
+    expr: Expression,
+    state: PureState,
+    model: MeasurementModel,
+    magnitude: bool = False,
+    cap: int = DEFAULT_ENUMERATION_CAP,
+    resolution: float = 1e-12,
+) -> float:
+    """Bisection on the mixing fraction, independent of the closed form.
+
+    Solves value(noisy state at p) = local bound on p in [0, 1] down to the
+    given interval width.  The noisy value is affine and decreasing across a
+    violation, so a single sign change exists whenever the violation dies by
+    p = 1.
+    """
+    bounds = local_bounds(as_probability_form(expr), cap)
+    return _root_scan(expr, state, model, bounds, magnitude, resolution)

@@ -45,7 +45,7 @@ from .quantum import (
     _table,
     expression_value,
 )
-from .scenario import CorrelatorExpression, Expression
+from .scenario import CorrelatorExpression, Expression, Scenario
 
 
 @dataclass(frozen=True)
@@ -104,15 +104,10 @@ class AngleParameterization:
             raise ConfigError(
                 f"expected {2 * sum(settings_per_party)} angles, got {len(values)}"
             )
-        rows = []
-        cursor = 0
-        for n_settings in settings_per_party:
-            row = []
-            for _ in range(n_settings):
-                row.append((values[cursor], values[cursor + 1]))
-                cursor += 2
-            rows.append(tuple(row))
-        return cls(tuple(rows))
+        qubits = Scenario(
+            len(settings_per_party), settings_per_party, [(2,) * n for n in settings_per_party]
+        )
+        return cls(qubits.split_slots(tuple(zip(values[0::2], values[1::2]))))
 
     @classmethod
     def xy_plane_start(cls, settings_per_party) -> "AngleParameterization":

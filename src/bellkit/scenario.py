@@ -327,18 +327,18 @@ def correlator_to_probability(expr: CorrelatorExpression) -> BellExpression:
     """Expand every correlator term into its 2^parties signed probability terms.
 
     A term with coefficient c contributes c * (-1)^z at each outcome tuple,
-    z being the number of outcome labels equal to 0.  Conversion is linear
-    and merges overlapping keys exactly.
+    z being the number of outcome labels equal to 0.  Conversion is linear,
+    and distinct settings tuples give distinct keys, so no two pieces merge.
     """
     if not isinstance(expr, CorrelatorExpression):
         raise UnsupportedScenarioError("correlator_to_probability expects a correlator form")
-    pieces = []
-    parties = expr.scenario.parties
-    for settings, coefficient in expr.terms.items():
-        for outcomes in product((0, 1), repeat=parties):
-            sign = -1 if outcomes.count(0) % 2 else 1
-            pieces.append(MarginalTerm(settings, outcomes, coefficient * sign))
-    return make_expression(expr.scenario, pieces)
+    all_outcomes = list(product((0, 1), repeat=expr.scenario.parties))
+    terms = {
+        (settings, outcomes): -coefficient if outcomes.count(0) % 2 else coefficient
+        for settings, coefficient in expr.terms.items()
+        for outcomes in all_outcomes
+    }
+    return BellExpression(expr.scenario, terms)
 
 
 def as_probability_form(expr: Expression) -> BellExpression:

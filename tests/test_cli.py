@@ -1,4 +1,7 @@
+import importlib
 import json
+import sys
+from collections import Counter
 
 import pytest
 
@@ -263,6 +266,52 @@ class TestReport:
         }
 
 
+# module holding each counted function; every bellkit module that binds the
+# name gets the counting wrapper, as the benchmark's tracer does
+COUNTED = {
+    "local_bounds": "bellkit.lhv",
+    "correlator_to_probability": "bellkit.scenario",
+    "expression_value": "bellkit.quantum",
+}
+
+
+def _counting(counts, name, original):
+    def counted(*args, **kwargs):
+        counts[name] += 1
+        return original(*args, **kwargs)
+
+    return counted
+
+
+@pytest.fixture
+def call_counts(monkeypatch):
+    counts = Counter()
+    wrappers = {}
+    for name, module in COUNTED.items():
+        original = getattr(importlib.import_module(module), name)
+        wrappers[id(original)] = _counting(counts, name, original)
+    for module_name, module in list(sys.modules.items()):
+        if module_name == "bellkit" or module_name.startswith("bellkit."):
+            for attribute, value in list(vars(module).items()):
+                if id(value) in wrappers:
+                    monkeypatch.setattr(module, attribute, wrappers[id(value)])
+    return counts
+
+
+class TestWorkPerCommand:
+    @pytest.mark.parametrize("name", ["g-paper", "mermin"])
+    def test_noise_and_report_sweep_once(self, capsys, call_counts, name):
+        values = {}
+        for command in ("noise", "report"):
+            call_counts.clear()
+            run_json(capsys, [command, "--builtin", name])
+            assert call_counts["local_bounds"] == 1, command
+            assert call_counts["correlator_to_probability"] <= 1, command
+            values[command] = call_counts["expression_value"]
+        # one quantum value each, plus the same bisection
+        assert values["report"] == values["noise"]
+
+
 class TestPlainFormat:
     def test_plain_lines(self, capsys):
         code, out, err = run(
@@ -289,6 +338,28 @@ class TestErrorPaths:
         code, out, err = run(capsys, ["bound", "--builtin", "g-paper", "--bogus"])
         assert code == 1
         assert "usage" in err.lower()
+
+    def test_cap_bounds_the_sweep(self, capsys):
+        code, out, err = run(capsys, ["bound", "--builtin", "g-paper", "--cap", "10"])
+        assert code == 1
+        assert "exceeding the cap of 10" in err
+        assert out == ""
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["quantum", "--builtin", "g-paper", "--cap", "10"],
+            ["optimize", "--builtin", "g-paper", "--cap", "10"],
+            ["expand", "--builtin", "g-paper", "--magnitude"],
+            ["expand", "--builtin", "g-paper", "--no-magnitude"],
+        ],
+        ids=["quantum-cap", "optimize-cap", "expand-magnitude", "expand-no-magnitude"],
+    )
+    def test_flags_a_command_ignores_are_usage_errors(self, capsys, argv):
+        code, out, err = run(capsys, argv)
+        assert code == 1
+        assert f"unrecognized arguments: {argv[3]}" in err
+        assert out == ""
 
     def test_missing_expression(self, capsys):
         code, out, err = run(capsys, ["bound"])

@@ -25,6 +25,7 @@ from bellkit import (
     trivial_bounds,
 )
 
+import bellkit.lhv as lhv
 import oracles
 
 TRI = Scenario.uniform(3, 2, 2)
@@ -151,6 +152,17 @@ class TestExpansion:
         oracle = oracles.expansion_by_direct_evaluation(expr)
         expansion = expand_full_joint(expr)
         assert dict(expansion.coefficients) == oracle
+
+    def test_expansion_enumerates_the_strategy_space_once(self, g_expr, monkeypatch):
+        calls = []
+
+        def counted(*args, **kwargs):
+            calls.append(args)
+            return enumerate_strategies(*args, **kwargs)
+
+        monkeypatch.setattr(lhv, "enumerate_strategies", counted)
+        assert len(expand_full_joint(g_expr).coefficients) == 64
+        assert len(calls) == 1
 
     def test_expansion_is_linear(self, g_expr):
         rng = np.random.default_rng(7)

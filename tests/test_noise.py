@@ -7,6 +7,7 @@ from bellkit import (
     MarginalTerm,
     NoViolationError,
     Scenario,
+    as_probability_form,
     builtin_expression,
     coefficient_sum,
     expression_value,
@@ -61,6 +62,27 @@ class TestClosedForm:
         assert report.negative_terms == 16
         assert report.p_critical_term_count == pytest.approx(0.5, abs=1e-9)
         assert report.interpretations_agree
+
+    @pytest.mark.parametrize("tweak", [0, Fraction(1, 4)], ids=["mermin", "mermin-tweaked"])
+    def test_negated_orientation(self, mermin_expr, ghz3, xy_model, tweak):
+        # Mermin is -4 on the paper model, so magnitude mode analyzes its
+        # negation: S is negated and the term counts trade places.  The tweak,
+        # +1/4 P(A1 B1 C1 | 1 1 1), makes both visible (S = 1/4, 17 positive
+        # terms and 16 negative before the swap).
+        expr = as_probability_form(mermin_expr) + make_expression(
+            TRI, [MarginalTerm((1, 1, 1), (1, 1, 1), tweak)]
+        )
+        assert expression_value(expr, ghz3, xy_model).value < 0
+        report = white_noise_tolerance(expr, ghz3, xy_model, magnitude=True)
+        assert report.coefficient_sum == -tweak
+        assert (report.positive_terms, report.negative_terms) == (16, 16 + (tweak != 0))
+        assert report.quantum_value == pytest.approx(4 - tweak / 8, abs=1e-12)
+        assert report.local_max == 2 + tweak
+        # P(A1 B1 C1 | 1 1 1) = 1/8, so Q - S/8 = 4 and p = (Q - L) / 4
+        expected = (4 - tweak / 8 - 2 - tweak) / 4
+        assert report.p_critical == pytest.approx(float(expected), abs=1e-12)
+        # the negated expression is already in the analyzed orientation
+        assert white_noise_tolerance(-expr, ghz3, xy_model, magnitude=True) == report
 
     def test_no_violation_raises(self, ghz3, xy_model):
         # a single positive term has local max 1 but quantum value 1/4

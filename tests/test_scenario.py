@@ -1,4 +1,5 @@
 from fractions import Fraction
+from itertools import product
 
 import pytest
 from hypothesis import given, settings
@@ -164,6 +165,12 @@ class TestCorrelatorConversion:
         assert converted.term_count == 32
         assert term_count(converted) == 32
         assert sum(converted.terms.values()) == 0
+        # settings in stored order, each with its outcome tuples in product order
+        assert list(converted.terms) == [
+            (settings, outcomes)
+            for settings in mermin_expr.terms
+            for outcomes in product((0, 1), repeat=3)
+        ]
 
     def test_correlator_needs_binary_outcomes(self):
         ternary = Scenario.uniform(2, 2, 3)
