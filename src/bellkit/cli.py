@@ -325,8 +325,8 @@ def _cmd_report(args) -> dict:
     expr, identity, magnitude = _load_expression(args)
     state, model, model_identity = _load_model(args.model)
     probability_form = as_probability_form(expr)
+    valuation = expression_value(expr, state, model)  # checks the model before the sweep
     bounds = local_bounds(probability_form, args.cap)
-    valuation = expression_value(expr, state, model)
     violation = ViolationReport.of(valuation.value, bounds, magnitude)
     expansion = expand_full_joint(probability_form, args.cap)
 

@@ -52,14 +52,12 @@ _TOKEN_RE = re.compile(r"\S+")
 
 @dataclass(frozen=True)
 class DocumentTerm:
-    """One parsed term line; exactly one of the key payloads is set."""
+    """One parsed term line, keyed as its expression or expansion stores it."""
 
     line: int
     kind: str  # "P", "E", or "L"
     coefficient: Fraction
-    settings: tuple | None = None
-    outcomes: tuple | None = None
-    assignment: tuple | None = None
+    key: tuple  # (settings, outcomes) for P, settings for E, the assignment for L
 
 
 @dataclass(frozen=True)
@@ -81,21 +79,22 @@ def _party_letter(party: int) -> str:
     return chr(ord("A") + party)
 
 
+def _located_tokens(part: str, offset: int, line_no: int, count: int, what: str) -> list:
+    """The whitespace-separated tokens of a field with their 1-based columns,
+    exactly ``count`` of them; ``offset`` is the field's start in the line."""
+    tokens = [(m.group(0), offset + m.start() + 1) for m in _TOKEN_RE.finditer(part)]
+    if len(tokens) != count:
+        raise ParseError(f"expected {count} {what}, got {len(tokens)}", line_no, offset + 1)
+    return tokens
+
+
 def _parse_party_tokens(
     scenario: Scenario, part: str, offset: int, line_no: int
 ) -> tuple:
     """Parse 'A0 B1 C0'-style setting tokens, reporting real columns."""
-    tokens = list(_TOKEN_RE.finditer(part))
-    if len(tokens) != scenario.parties:
-        raise ParseError(
-            f"expected {scenario.parties} party tokens, got {len(tokens)}",
-            line_no,
-            offset + 1,
-        )
+    tokens = _located_tokens(part, offset, line_no, scenario.parties, "party tokens")
     settings = []
-    for party, match in enumerate(tokens):
-        token = match.group(0)
-        column = offset + match.start() + 1
+    for party, (token, column) in enumerate(tokens):
         expected = _party_letter(party)
         if not (len(token) >= 2 and token[0] == expected and token[1:].isdecimal()):
             raise ParseError(
@@ -113,17 +112,9 @@ def _parse_party_tokens(
 def _parse_outcome_tokens(
     scenario: Scenario, settings: tuple, part: str, offset: int, line_no: int
 ) -> tuple:
-    tokens = list(_TOKEN_RE.finditer(part))
-    if len(tokens) != scenario.parties:
-        raise ParseError(
-            f"expected {scenario.parties} outcome labels, got {len(tokens)}",
-            line_no,
-            offset + 1,
-        )
+    tokens = _located_tokens(part, offset, line_no, scenario.parties, "outcome labels")
     outcomes = []
-    for party, match in enumerate(tokens):
-        token = match.group(0)
-        column = offset + match.start() + 1
+    for party, (token, column) in enumerate(tokens):
         if not token.isdecimal():
             raise ParseError(f"outcome label must be an integer, got {token!r}", line_no, column)
         outcome = int(token)
@@ -233,34 +224,33 @@ def parse_document(text: str) -> ExpressionDocument:
                 body_offset + len(settings_part) + 1,
                 line_no,
             )
-            terms.append(DocumentTerm(line_no, "P", coefficient, settings, outcomes))
+            key = (settings, outcomes)
         elif term_kind == "E":
             if not scenario.is_binary:
                 raise ParseError(
                     "correlator terms need a binary scenario", line_no, match.start(2) + 1
                 )
-            settings = _parse_party_tokens(scenario, body, body_offset, line_no)
-            terms.append(DocumentTerm(line_no, "E", coefficient, settings))
+            key = _parse_party_tokens(scenario, body, body_offset, line_no)
         else:
             digits = body.strip()
             if not digits.isdecimal():
                 raise ParseError(
                     "L(...) expects a run of outcome digits", line_no, body_offset + 1
                 )
-            assignment = _parse_assignment_digits(
+            key = _parse_assignment_digits(
                 scenario, digits, body_offset + body.index(digits), line_no
             )
-            terms.append(DocumentTerm(line_no, "L", coefficient, assignment=assignment))
+        terms.append(DocumentTerm(line_no, term_kind, coefficient, key))
     if scenario is None:
         raise ParseError("document has no scenario header", 1, 1)
     return ExpressionDocument(scenario, tuple(terms), tuple(comments))
 
 
-def _merge(document: ExpressionDocument, key_of) -> dict:
+def _merge(document: ExpressionDocument) -> dict:
     merged: dict = {}
     first_line: dict = {}
     for term in document.terms:
-        key = key_of(term)
+        key = term.key
         if key in merged:
             warnings.warn(
                 f"duplicate term at line {term.line} merges with line {first_line[key]}",
@@ -282,11 +272,8 @@ def parse_expression(text: str) -> Expression:
             "document holds full-joint L(...) terms; use parse_expansion",
             document.terms[0].line,
         )
-    if document.kind == "E" and document.terms:
-        merged = _merge(document, lambda t: t.settings)
-        return CorrelatorExpression(document.scenario, merged)
-    merged = _merge(document, lambda t: (t.settings, t.outcomes))
-    return BellExpression(document.scenario, merged)
+    form = CorrelatorExpression if document.kind == "E" else BellExpression
+    return form(document.scenario, _merge(document))
 
 
 def parse_expansion(text: str) -> FullJointExpansion:
@@ -297,8 +284,7 @@ def parse_expansion(text: str) -> FullJointExpansion:
             "document holds expression terms; use parse_expression",
             document.terms[0].line,
         )
-    merged = _merge(document, lambda t: t.assignment)
-    return FullJointExpansion(document.scenario, merged)
+    return FullJointExpansion(document.scenario, _merge(document))
 
 
 def _format_coefficient(value: Fraction) -> str:
@@ -312,29 +298,20 @@ def _header_line(scenario: Scenario) -> str:
         raise UnsupportedScenarioError(
             "the text format only covers uniform scenarios"
         )
-    parties, settings, outcomes = cardinalities
-    if parties > 26:
-        raise UnsupportedScenarioError("the text format supports at most 26 parties")
-    return f"scenario {parties} {settings} {outcomes}"
+    _party_letter(scenario.parties - 1)  # the 26-party limit
+    return "scenario {} {} {}".format(*cardinalities)
 
 
 def serialize_expression(expr: Expression) -> str:
     """Canonical text: header, then terms sorted by key, LF-terminated."""
     lines = [_header_line(expr.scenario)]
-    if isinstance(expr, CorrelatorExpression):
-        for settings in sorted(expr.terms):
-            tokens = " ".join(
-                f"{_party_letter(p)}{s}" for p, s in enumerate(settings)
-            )
-            lines.append(f"{_format_coefficient(expr.terms[settings])} E({tokens})")
-    else:
-        for settings, outcomes in sorted(expr.terms):
-            tokens = " ".join(
-                f"{_party_letter(p)}{s}" for p, s in enumerate(settings)
-            )
-            labels = " ".join(str(o) for o in outcomes)
-            coefficient = _format_coefficient(expr.terms[(settings, outcomes)])
-            lines.append(f"{coefficient} P({tokens} | {labels})")
+    correlator = isinstance(expr, CorrelatorExpression)
+    for key in sorted(expr.terms):
+        settings, outcomes = (key, ()) if correlator else key
+        tokens = " ".join(f"{_party_letter(p)}{s}" for p, s in enumerate(settings))
+        labels = " ".join(map(str, outcomes))
+        body = f"E({tokens})" if correlator else f"P({tokens} | {labels})"
+        lines.append(f"{_format_coefficient(expr.terms[key])} {body}")
     return "\n".join(lines) + "\n"
 
 

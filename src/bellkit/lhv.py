@@ -38,7 +38,7 @@ from typing import Mapping, Sequence
 import numpy as np
 
 from .errors import EnumerationCapError, ScenarioMismatchError
-from .scenario import BellExpression, Scenario, as_fraction
+from .scenario import BellExpression, Scenario, _indices, as_fraction
 
 DEFAULT_ENUMERATION_CAP = 10**7
 
@@ -62,7 +62,7 @@ def validate_strategy(scenario: Scenario, strategy: Sequence) -> DeterministicSt
         )
     normalized = []
     for p, row in enumerate(strategy):
-        row = tuple(int(o) for o in row)
+        row = _indices(row, ScenarioMismatchError)
         if len(row) != scenario.settings_per_party[p]:
             raise ScenarioMismatchError(
                 f"party {p}: strategy lists {len(row)} settings, "

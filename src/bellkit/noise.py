@@ -50,6 +50,8 @@ AGREEMENT_TOL = 1e-9
 # quantum values are floats; margins inside this band count as zero-margin
 # violations (tolerance 0) rather than as missing violations
 MARGIN_TOL = 1e-9
+# the root scan bisects until its bracket on the mixing fraction is this narrow
+SCAN_RESOLUTION = 1e-12
 
 
 def coefficient_sum(expr: Expression) -> Fraction:
@@ -186,7 +188,7 @@ def white_noise_tolerance(
     return _closed_form(probability_form, value, local_bounds(probability_form, cap), magnitude)
 
 
-def _root_scan(expr, state, model, bounds, magnitude: bool, resolution: float = 1e-12) -> float:
+def _root_scan(expr, state, model, bounds, magnitude: bool) -> float:
     """The bisection of :func:`tolerance_by_root_scan`, against given bounds."""
 
     def overshoot(p: float) -> float:
@@ -205,7 +207,7 @@ def _root_scan(expr, state, model, bounds, magnitude: bool, resolution: float = 
     if at_one > 0:
         raise NoRootError("the violation survives the whole interval; no root in [0, 1]")
     lo, hi = 0.0, 1.0
-    while hi - lo > resolution:
+    while hi - lo > SCAN_RESOLUTION:
         mid = (lo + hi) / 2.0
         if overshoot(mid) > 0:
             lo = mid
@@ -220,14 +222,13 @@ def tolerance_by_root_scan(
     model: MeasurementModel,
     magnitude: bool = False,
     cap: int = DEFAULT_ENUMERATION_CAP,
-    resolution: float = 1e-12,
 ) -> float:
     """Bisection on the mixing fraction, independent of the closed form.
 
-    Solves value(noisy state at p) = local bound on p in [0, 1] down to the
-    given interval width.  The noisy value is affine and decreasing across a
-    violation, so a single sign change exists whenever the violation dies by
-    p = 1.
+    Solves value(noisy state at p) = local bound on p in [0, 1] down to an
+    interval of width ``SCAN_RESOLUTION``.  The noisy value is affine and
+    decreasing across a violation, so a single sign change exists whenever
+    the violation dies by p = 1.
     """
     bounds = local_bounds(as_probability_form(expr), cap)
-    return _root_scan(expr, state, model, bounds, magnitude, resolution)
+    return _root_scan(expr, state, model, bounds, magnitude)

@@ -24,6 +24,11 @@ Each table evaluation is the probability-table engine of
 expression's weight tensor prepared once per run.  The best directions are
 returned as polar angles and the best value is re-evaluated through
 :func:`bellkit.quantum.expression_value` at those angles.
+
+No qubit convention is re-derived here: angles become Bloch vectors in
+``quantum._bloch_from_angles``, party counts are checked by
+``quantum._check_parties``, and the weight tensor reads the probability
+form, whose correlator signs :func:`bellkit.scenario.correlator_to_probability` owns.
 """
 
 from __future__ import annotations
@@ -34,18 +39,18 @@ from typing import Callable, Optional
 
 import numpy as np
 
-from .errors import ConfigError, DimensionMismatchError, UnsupportedScenarioError
+from .errors import ConfigError, UnsupportedScenarioError
 from .quantum import (
     MeasurementModel,
     State,
     _bloch_from_angles,
+    _check_parties,
     _interleaved,
     _paired_density,
-    _parity_signs,
     _table,
     expression_value,
 )
-from .scenario import CorrelatorExpression, Expression, Scenario
+from .scenario import Expression, Scenario, as_probability_form
 
 
 @dataclass(frozen=True)
@@ -138,13 +143,8 @@ def _expression_weights(expr: Expression) -> np.ndarray:
     """weights[s_0, .., s_k, o_0, .., o_k]: the coefficient of P(outcomes | settings)."""
     scenario = expr.scenario
     weights = np.zeros(scenario.settings_per_party + (2,) * scenario.parties)
-    if isinstance(expr, CorrelatorExpression):
-        signs = _parity_signs(scenario.parties)
-        for settings, coefficient in expr.terms.items():
-            weights[settings] += float(coefficient) * signs
-    else:
-        for (settings, outcomes), coefficient in expr.terms.items():
-            weights[settings + outcomes] += float(coefficient)
+    for (settings, outcomes), coefficient in as_probability_form(expr).terms.items():
+        weights[settings + outcomes] = float(coefficient)
     return weights
 
 
@@ -192,13 +192,6 @@ def _ascend(value_at, bloch: np.ndarray, config: OptimizerConfig) -> tuple:
     return value, evaluations, False
 
 
-def _bloch_from_flat(flat: np.ndarray) -> np.ndarray:
-    """Interleaved (theta, phi) pairs as Bloch vectors of shape (3, slots)."""
-    theta, phi = flat[0::2], flat[1::2]
-    sin_theta = np.sin(theta)
-    return np.array((sin_theta * np.cos(phi), sin_theta * np.sin(phi), np.cos(theta)))
-
-
 def optimize_measurements(
     expr: Expression,
     state: State,
@@ -216,11 +209,7 @@ def optimize_measurements(
     scenario = expr.scenario
     if not scenario.is_binary:
         raise UnsupportedScenarioError("angle optimization needs binary outcomes")
-    if state.parties != scenario.parties:
-        raise DimensionMismatchError(
-            f"state spans {state.parties} qubits but the expression has "
-            f"{scenario.parties} parties"
-        )
+    _check_parties(state, scenario.parties, holder="expression")
     settings_per_party = scenario.settings_per_party
     value_at = _objective(expr, state)
     orientations = [value_at]
@@ -229,13 +218,12 @@ def optimize_measurements(
 
     slots = sum(settings_per_party)
     pinned = AngleParameterization.xy_plane_start(settings_per_party).flatten()
-    starts = [_bloch_from_flat(pinned)]
+    starts = [_bloch_from_angles(pinned[0::2], pinned[1::2])]
     for index in range(config.restarts):
         rng = np.random.default_rng([config.seed, index])
-        flat = np.empty(2 * slots)
-        flat[0::2] = rng.uniform(0.0, math.pi, slots)
-        flat[1::2] = rng.uniform(0.0, 2.0 * math.pi, slots)
-        starts.append(_bloch_from_flat(flat))
+        theta = rng.uniform(0.0, math.pi, slots)  # every slot's theta, then its phi
+        phi = rng.uniform(0.0, 2.0 * math.pi, slots)
+        starts.append(_bloch_from_angles(theta, phi))
 
     best_score = None
     best_bloch = None

@@ -7,7 +7,11 @@ Conventions, fixed so that amplitude-level fixtures are reproducible:
 * a measurement setting is a Bloch unit vector ``n`` with observable ``n . sigma``;
   outcome 1 projects onto the +1 eigenspace ``(I + n.sigma)/2`` and outcome 0
   onto the -1 eigenspace, the sign convention under which the all-ones
-  outcome enters a correlator with positive sign.
+  outcome enters a correlator with positive sign;
+* polar angles (theta, phi) mean ``n = (sin t cos f, sin t sin f, cos t)``,
+  and a state has one qubit per party.  :func:`_bloch_from_angles` and
+  :func:`_check_parties` own these two; model documents and the optimizer
+  call them.
 
 Every quantum number comes from one engine, :func:`probability_table`:
 ``P[s_0..s_{n-1}, o_0..o_{n-1}] = Tr(rho Pi)`` with ``Pi`` the tensor product
@@ -199,10 +203,10 @@ def paper_model() -> MeasurementModel:
     return MeasurementModel((xy, xy, xy))
 
 
-def _check_state_model(state: State, model: MeasurementModel) -> None:
-    if state.parties != model.parties:
+def _check_parties(state: State, parties: int, holder: str = "model") -> None:
+    if state.parties != parties:
         raise DimensionMismatchError(
-            f"state spans {state.parties} qubits but the model has {model.parties} parties"
+            f"state spans {state.parties} qubits but the {holder} has {parties} parties"
         )
 
 
@@ -263,7 +267,7 @@ def probability_table(state: State, model: MeasurementModel) -> np.ndarray:
     the tensor-product projector, clamped to [0, 1] against sub-1e-15
     rounding excursions.
     """
-    _check_state_model(state, model)
+    _check_parties(state, model.parties)
     settings = model.settings_per_party
     bloch = np.array([vector for row in model.bloch for vector in row]).T
     table = _table(_paired_density(state, settings), bloch, settings)
@@ -329,29 +333,16 @@ def expression_value(expr: Expression, state: State, model: MeasurementModel) ->
     Probability terms are table lookups and correlator terms signed sums
     over one setting tuple's slice of the table.
     """
-    _check_state_model(state, model)
+    _check_parties(state, model.parties)
     _check_expression_model(expr, model)
     table = probability_table(state, model)
-    contributions = []
     if isinstance(expr, CorrelatorExpression):
         signs = _parity_signs(model.parties)
-        for settings, coefficient in expr.terms.items():
-            term_value = float(np.sum(signs * table[settings]))
-            contributions.append(
-                TermContribution(
-                    settings, None, coefficient, term_value, float(coefficient) * term_value
-                )
-            )
+        terms = [(s, None, c, float(np.sum(signs * table[s]))) for s, c in expr.terms.items()]
     else:
-        for (settings, outcomes), coefficient in expr.terms.items():
-            term_value = float(table[settings + outcomes])
-            contributions.append(
-                TermContribution(
-                    settings, outcomes, coefficient, term_value, float(coefficient) * term_value
-                )
-            )
-    total = math.fsum(t.contribution for t in contributions)
-    return ExpressionValue(total, tuple(contributions))
+        terms = [(s, o, c, float(table[s + o])) for (s, o), c in expr.terms.items()]
+    contributions = tuple(TermContribution(s, o, c, v, float(c) * v) for s, o, c, v in terms)
+    return ExpressionValue(math.fsum(t.contribution for t in contributions), contributions)
 
 
 def mix_with_white_noise(state: PureState, p: float) -> DensityMatrix:
@@ -366,12 +357,10 @@ def mix_with_white_noise(state: PureState, p: float) -> DensityMatrix:
     return DensityMatrix(matrix)
 
 
-def _bloch_from_angles(theta: float, phi: float) -> tuple:
-    return (
-        math.sin(theta) * math.cos(phi),
-        math.sin(theta) * math.sin(phi),
-        math.cos(theta),
-    )
+def _bloch_from_angles(theta, phi) -> np.ndarray:
+    """Bloch vectors at polar angles, shape (3,) + the angles' shape."""
+    sin_theta = np.sin(theta)
+    return np.array((sin_theta * np.cos(phi), sin_theta * np.sin(phi), np.cos(theta)))
 
 
 def _setting_numbers(entry: dict, key: str, count: int, party: int, setting: int) -> tuple:
@@ -457,13 +446,9 @@ def parse_model(text: str) -> tuple:
             raise ParseError(f"bad amplitude list: {exc}") from None
         try:
             state = PureState(amplitudes)
+            _check_parties(state, model.parties)
         except DimensionMismatchError as exc:
             raise ParseError(str(exc)) from None
-        if state.parties != model.parties:
-            raise ParseError(
-                f"state spans {state.parties} qubits but the model has "
-                f"{model.parties} parties"
-            )
     else:
         raise ParseError("'state' must be \"ghz\" or {'amplitudes': [[re, im], ...]}")
     return state, model

@@ -16,6 +16,7 @@ coefficient inputs instead of being silently converted.
 from __future__ import annotations
 
 import math
+import operator
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
@@ -43,6 +44,23 @@ def as_fraction(value: RationalInput) -> Fraction:
         raise ScenarioError(f"not a rational coefficient: {value!r}") from exc
 
 
+def _indices(values: Iterable, error: type = ScenarioError) -> tuple:
+    """Indices and counts as a tuple of ints, through ``operator.index``.
+
+    Python and numpy integers pass; a float, string or other non-integer
+    raises ``error`` naming the value, where ``int()`` would truncate it.
+    """
+    try:
+        return tuple(map(operator.index, values))
+    except TypeError:
+        for value in values:
+            try:
+                operator.index(value)
+            except TypeError:
+                raise error(f"index {value!r} is not an integer") from None
+        raise
+
+
 @dataclass(frozen=True)
 class Scenario:
     """Cardinalities of a finite measurement scenario.
@@ -58,14 +76,12 @@ class Scenario:
     outcomes_per_setting: tuple
 
     def __post_init__(self):
-        object.__setattr__(self, "parties", int(self.parties))
-        object.__setattr__(
-            self, "settings_per_party", tuple(int(s) for s in self.settings_per_party)
-        )
+        object.__setattr__(self, "parties", _indices([self.parties])[0])
+        object.__setattr__(self, "settings_per_party", _indices(self.settings_per_party))
         object.__setattr__(
             self,
             "outcomes_per_setting",
-            tuple(tuple(int(o) for o in row) for row in self.outcomes_per_setting),
+            tuple(_indices(row) for row in self.outcomes_per_setting),
         )
         if self.parties < 1:
             raise ScenarioError("a scenario needs at least one party")
@@ -88,6 +104,7 @@ class Scenario:
 
     @classmethod
     def uniform(cls, parties: int, settings: int, outcomes: int) -> "Scenario":
+        parties, settings, outcomes = _indices((parties, settings, outcomes))
         return cls(parties, (settings,) * parties, ((outcomes,) * settings,) * parties)
 
     @property
@@ -137,8 +154,8 @@ class Scenario:
 
     def validate_term(self, settings: Sequence[int], outcomes: Sequence[int]) -> TermKey:
         """Range-check a term key against this scenario and return it as tuples."""
-        settings = tuple(int(s) for s in settings)
-        outcomes = tuple(int(o) for o in outcomes)
+        settings = _indices(settings)
+        outcomes = _indices(outcomes)
         if len(settings) != self.parties or len(outcomes) != self.parties:
             raise ScenarioError(
                 f"term must list one setting and one outcome for each of "
@@ -152,7 +169,7 @@ class Scenario:
         return (settings, outcomes)
 
     def validate_settings(self, settings: Sequence[int]) -> SettingsKey:
-        settings = tuple(int(s) for s in settings)
+        settings = _indices(settings)
         if len(settings) != self.parties:
             raise ScenarioError(f"expected {self.parties} setting indices, got {settings}")
         for p, s in enumerate(settings):
@@ -170,8 +187,8 @@ class MarginalTerm:
     coefficient: Fraction
 
     def __post_init__(self):
-        object.__setattr__(self, "settings", tuple(int(s) for s in self.settings))
-        object.__setattr__(self, "outcomes", tuple(int(o) for o in self.outcomes))
+        object.__setattr__(self, "settings", _indices(self.settings))
+        object.__setattr__(self, "outcomes", _indices(self.outcomes))
         object.__setattr__(self, "coefficient", as_fraction(self.coefficient))
         if len(self.settings) != len(self.outcomes):
             raise ScenarioError("settings and outcomes must have one entry per party")

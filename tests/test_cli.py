@@ -193,6 +193,16 @@ class TestOptimize:
         assert optimization["converged_starts"] == 0
         assert optimization["evaluations"] == 3
 
+    def test_state_file_must_match_the_expression(self, capsys, tmp_path):
+        path = tmp_path / "two.json"
+        path.write_text(
+            '{"state": {"amplitudes": [[1, 0], [0, 0], [0, 0], [0, 0]]}, '
+            '"measurements": [[{"bloch": [0, 0, 1]}], [{"bloch": [0, 0, 1]}]]}'
+        )
+        code, out, err = run(capsys, ["optimize", "--builtin", "g-paper", "--state", str(path)])
+        assert (code, out) == (1, "")
+        assert err == "error: state spans 2 qubits but the expression has 3 parties\n"
+
     def test_byte_identical_for_identical_seeds(self, capsys):
         argv = ["optimize", "--builtin", "g-paper", "--restarts", "2", "--seed", "3"]
         code1, out1, err1 = run(capsys, argv)
@@ -310,6 +320,15 @@ class TestWorkPerCommand:
             values[command] = call_counts["expression_value"]
         # one quantum value each, plus the same bisection
         assert values["report"] == values["noise"]
+
+    def test_report_checks_the_model_before_it_sweeps(self, capsys, call_counts, tmp_path):
+        path = tmp_path / "ternary.bell"
+        path.write_text("scenario 3 3 3\n+1 P(A2 B2 C2 | 2 2 2)\n")
+        mismatch = "error: expression scenario does not match the measurement model\n"
+        for cap in ([], ["--cap", "10"]):  # the mismatch outranks a cap too small
+            call_counts.clear()
+            assert run(capsys, ["report", str(path), *cap]) == (1, "", mismatch)
+            assert call_counts["local_bounds"] == 0
 
 
 class TestPlainFormat:

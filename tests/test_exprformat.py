@@ -114,6 +114,18 @@ class TestParseExpression:
         assert isinstance(expr, BellExpression)
         assert expr.term_count == 0
 
+    @pytest.mark.parametrize(
+        "line,key",
+        [
+            ("+1 P(A0 B1 C0 | 1 0 1)", ((0, 1, 0), (1, 0, 1))),
+            ("+1 E(A1 B0 C1)", (1, 0, 1)),
+            ("+1 L(010011)", ((0, 1), (0, 0), (1, 1))),
+        ],
+    )
+    def test_each_term_carries_the_key_its_form_stores(self, line, key):
+        (term,) = parse_document(f"scenario 3 2 2\n{line}\n").terms
+        assert term.key == key
+
     def test_document_records_comments(self):
         doc = parse_document("scenario 3 2 2\n# a note\n+1 E(A1 B0 C1)\n")
         assert doc.comments == ("a note",)

@@ -116,6 +116,10 @@ class TestEvaluateOnStrategy:
         with pytest.raises(ScenarioMismatchError):
             evaluate_on_strategy(g_expr, ((0, 0), (0, 0)))
 
+    def test_non_integer_outcomes_are_rejected_not_truncated(self, g_expr):
+        with pytest.raises(ScenarioMismatchError, match="index 1.7 is not an integer"):
+            evaluate_on_strategy(g_expr, ((1.7, 0), (0, 0), (1, 0)))
+
 
 class TestExpansion:
     def test_g_paper_expansion_matches_direct_evaluation_oracle(self, g_expr):

@@ -1,3 +1,4 @@
+import json
 import math
 import os
 import subprocess
@@ -84,6 +85,18 @@ class TestAngleParameterization:
         again = AngleParameterization.from_flat(start.flatten(), (2, 1))
         assert again == start
 
+    def test_model_documents_and_to_model_share_one_angle_convention(self):
+        rng = np.random.default_rng(3)
+        angles = AngleParameterization.from_flat(rng.uniform(-9, 9, 12), (2, 2, 2))
+        document = {
+            "state": "ghz",
+            "measurements": [
+                [{"angles": [theta, phi]} for theta, phi in row] for row in angles.angles
+            ],
+        }
+        _, model = bellkit.parse_model(json.dumps(document))
+        assert model.bloch == angles.to_model().bloch
+
     def test_bloch_vectors_are_unit_norm_for_any_angles(self):
         rng = np.random.default_rng(0)
         angles = AngleParameterization.from_flat(rng.uniform(-9, 9, 12), (2, 2, 2))
@@ -114,7 +127,7 @@ class TestTableEvaluator:
         value_at = bellkit.optimize._objective(expr, state)
         rng = np.random.default_rng(10)
         for flat in random_flats(rng, 25):
-            bloch = bellkit.optimize._bloch_from_flat(flat)
+            bloch = bellkit.optimize._bloch_from_angles(flat[0::2], flat[1::2])
             slot = int(rng.integers(6))
             a, b = bellkit.optimize._affine(value_at, bloch, slot)
             n = rng.normal(size=3)
@@ -183,6 +196,14 @@ class TestOptimization:
             mermin_expr, ghz3, result.best_angles.to_model()
         ).value
         assert result.best_value == abs(recomputed)
+
+    def test_correlator_and_probability_forms_optimize_alike(self, mermin_expr, ghz3):
+        config = OptimizerConfig(restarts=3, seed=6)
+        converted = bellkit.as_probability_form(mermin_expr)
+        for magnitude in (False, True):
+            assert optimize_measurements(
+                mermin_expr, ghz3, config, magnitude
+            ) == optimize_measurements(converted, ghz3, config, magnitude)
 
     def test_restarts_only_improve(self, g_expr, ghz3):
         few = optimize_measurements(g_expr, ghz3, OptimizerConfig(restarts=2, seed=4))

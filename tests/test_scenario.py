@@ -60,6 +60,35 @@ class TestScenario:
     def test_slot_order(self):
         assert TRI.slots() == ((0, 0), (0, 1), (1, 0), (1, 1), (2, 0), (2, 1))
 
+    @pytest.mark.parametrize(
+        "build",
+        [
+            lambda: Scenario(3.0, (2, 2, 2), ((2, 2),) * 3),
+            lambda: Scenario(3, (2, 2.0, 2), ((2, 2),) * 3),
+            lambda: Scenario.uniform(3, 2.5, 2),
+            lambda: Scenario(3, (2, 2, 2), ((2, 2), (2, 2), (2, 2.5))),
+            lambda: BellExpression(TRI, {((0.5, 0, 0), (1, 1, 1)): 1}),
+            lambda: BellExpression(TRI, {((0, 0, 0), (1, "1", 1)): 1}),
+            lambda: CorrelatorExpression(TRI, {(1.0, 0, 0): 1}),
+            lambda: MarginalTerm((0, 0, 0), (1, 1, 1.7), 1),
+        ],
+        ids=[
+            "parties", "settings", "uniform", "outcomes",
+            "term-setting", "term-outcome", "correlator", "marginal",
+        ],
+    )
+    def test_non_integer_indices_are_rejected_not_truncated(self, build):
+        with pytest.raises(ScenarioError, match="is not an integer"):
+            build()
+
+    def test_numpy_integer_indices_are_accepted(self):
+        import numpy as np
+
+        key = tuple(np.arange(3)[[0, 1, 0]]), (np.int8(1), np.uint64(0), 1)
+        expr = BellExpression(Scenario.uniform(np.int64(3), 2, 2), {key: 1})
+        assert list(expr.terms) == [((0, 1, 0), (1, 0, 1))]
+        assert all(type(i) is int for i in expr.scenario.settings_per_party)
+
 
 class TestMakeExpression:
     def test_duplicate_keys_merge_by_addition(self):
