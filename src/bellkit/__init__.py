@@ -13,7 +13,6 @@ from .builtins import (
 from .errors import (
     BellkitError,
     ConfigError,
-    DegenerateExpressionError,
     DimensionMismatchError,
     EnumerationCapError,
     NoRootError,

@@ -21,13 +21,8 @@ from typing import Optional, Sequence
 
 from . import __version__
 from .builtins import builtin_expression, builtin_magnitude, builtin_names
-from .errors import (
-    BellkitError,
-    DegenerateExpressionError,
-    NoRootError,
-    NoViolationError,
-)
-from .exprformat import parse_expansion, parse_expression
+from .errors import BellkitError, NoRootError, NoViolationError
+from .exprformat import _assignment_digits, parse_expansion, parse_expression
 from .fixtures import g_paper_expansion_fixture_path
 from .lhv import (
     DEFAULT_ENUMERATION_CAP,
@@ -35,7 +30,7 @@ from .lhv import (
     expand_full_joint,
     local_bounds,
 )
-from .noise import ViolationReport, _closed_form, _root_scan, coefficient_sum
+from .noise import AGREEMENT_TOL, ViolationReport, _closed_form, _root_scan, coefficient_sum
 from .optimize import OptimizerConfig, optimize_measurements
 from .quantum import expression_value, ghz_state, paper_model, parse_model
 from .scenario import BellExpression, as_probability_form
@@ -61,11 +56,11 @@ def _f12(value: Optional[float]) -> Optional[float]:
 
 
 def _rational(value: Fraction) -> dict:
-    return {"exact": str(value), "value": _f12(float(value))}
-
-
-def _digits(assignment) -> str:
-    return "".join(str(outcome) for row in assignment for outcome in row)
+    try:
+        approximation = float(value)
+    except OverflowError:  # e.g. an expansion's sum, up to 2^slots times its entries
+        raise ValueError("an exact figure of the report is beyond the float range") from None
+    return {"exact": str(value), "value": _f12(approximation)}
 
 
 def _sha256(text: str) -> str:
@@ -128,8 +123,8 @@ def _local_block(bounds, strategy_count: int) -> dict:
         "max": _rational(bounds.max),
         "min": _rational(bounds.min),
         "magnitude": _rational(bounds.magnitude),
-        "maximizers": [_digits(s) for s in bounds.maximizers],
-        "minimizers": [_digits(s) for s in bounds.minimizers],
+        "maximizers": [_assignment_digits(s) for s in bounds.maximizers],
+        "minimizers": [_assignment_digits(s) for s in bounds.minimizers],
     }
 
 
@@ -182,7 +177,7 @@ def _noise_block(expr, probability_form, state, model, value, bounds, magnitude)
         "p_critical_root_scan": {
             "value": _f12(scanned),
             "method": "bisection on the mixing fraction",
-            "agrees_with_closed_form": abs(scanned - closed.p_critical) <= 1e-9,
+            "agrees_with_closed_form": abs(scanned - closed.p_critical) <= AGREEMENT_TOL,
         },
         "p_critical_term_count_rule": {
             "value": _f12(term_count_value),
@@ -203,8 +198,8 @@ def _expansion_block(expansion, list_terms: bool) -> dict:
     }
     if list_terms:
         block["terms"] = [
-            {"assignment": _digits(assignment), "coefficient": _rational(coefficient)}
-            for assignment, coefficient in expansion.coefficients.items()
+            {"assignment": _assignment_digits(key), "coefficient": _rational(coefficient)}
+            for key, coefficient in expansion.coefficients.items()
         ]
     return block
 
@@ -219,7 +214,7 @@ def _diff_block(expansion, fixture_path: str) -> dict:
         "mismatches": len(report),
         "entries": [
             {
-                "assignment": _digits(entry.assignment),
+                "assignment": _assignment_digits(entry.assignment),
                 "computed": _rational(entry.computed),
                 "fixture": _rational(entry.fixture),
             }
@@ -339,7 +334,7 @@ def _cmd_report(args) -> dict:
             expr, probability_form, state, model, valuation.value, bounds, magnitude
         )
         noise_block["defined"] = True
-    except (NoViolationError, NoRootError, DegenerateExpressionError) as exc:
+    except (NoViolationError, NoRootError) as exc:
         noise_block = {"defined": False, "reason": str(exc)}
 
     scenario = expr.scenario
@@ -448,10 +443,11 @@ def build_parser() -> argparse.ArgumentParser:
     p_optimize.add_argument(
         "--state", default="ghz", help="'ghz' or a model document path (its state is used)"
     )
-    p_optimize.add_argument("--restarts", type=int, default=20)
-    p_optimize.add_argument("--seed", type=int, default=0)
-    p_optimize.add_argument("--tolerance", type=float, default=1e-9)
-    p_optimize.add_argument("--max-evals", type=int, default=6000)
+    defaults = OptimizerConfig()
+    p_optimize.add_argument("--restarts", type=int, default=defaults.restarts)
+    p_optimize.add_argument("--seed", type=int, default=defaults.seed)
+    p_optimize.add_argument("--tolerance", type=float, default=defaults.tolerance)
+    p_optimize.add_argument("--max-evals", type=int, default=defaults.max_evals)
 
     p_report = subparsers.add_parser(
         "report", help="full analysis report", parents=[source, magnitude, cap, model]

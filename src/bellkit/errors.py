@@ -37,10 +37,14 @@ class ParseError(BellkitError, ValueError):
 
 
 class EnumerationCapError(BellkitError, RuntimeError):
-    """The deterministic-strategy space exceeds the configured cap."""
+    """The deterministic-strategy space exceeds the configured cap.
 
-    def __init__(self, size: int, cap: int):
-        super().__init__(f"strategy space has {size} elements, exceeding the cap of {cap}")
+    ``size`` is None for a space too large to count exactly.
+    """
+
+    def __init__(self, size: int | None, cap: int):
+        count = "too many elements to count" if size is None else f"{size} elements"
+        super().__init__(f"strategy space has {count}, exceeding the cap of {cap}")
         self.size = size
         self.cap = cap
 
@@ -51,10 +55,6 @@ class DimensionMismatchError(BellkitError, ValueError):
 
 class NoViolationError(BellkitError, ArithmeticError):
     """The quantum value does not exceed the local bound, so the quantity is undefined."""
-
-
-class DegenerateExpressionError(BellkitError, ArithmeticError):
-    """The noise-tolerance denominator is not positive."""
 
 
 class NoRootError(BellkitError, ArithmeticError):

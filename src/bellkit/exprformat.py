@@ -32,6 +32,7 @@ stably line by line.
 from __future__ import annotations
 
 import re
+import sys
 import warnings
 from dataclasses import dataclass
 from fractions import Fraction
@@ -151,6 +152,14 @@ def _parse_assignment_digits(
     return scenario.split_slots(tuple(flat))
 
 
+def _assignment_digits(assignment) -> str:
+    """The ``L(...)`` key of an assignment, which reports use too: one digit per slot."""
+    labels = [outcome for row in assignment for outcome in row]
+    if any(label >= 10 for label in labels):
+        raise UnsupportedScenarioError("assignment digit keys need outcome labels 0-9")
+    return "".join(map(str, labels))
+
+
 def parse_document(text: str) -> ExpressionDocument:
     """Parse a document into its header scenario and raw term records.
 
@@ -161,6 +170,7 @@ def parse_document(text: str) -> ExpressionDocument:
     terms: list = []
     comments: list = []
     kind = None
+    magnitude = Fraction(0)
     for line_no, raw in enumerate(text.splitlines(), start=1):
         line = raw.rstrip("\r")
         if "#" in line:
@@ -176,8 +186,9 @@ def parse_document(text: str) -> ExpressionDocument:
                 )
             parties, settings, outcomes = (int(g) for g in header.groups())
             try:
+                _party_letter(parties - 1)  # the 26-party limit
                 scenario = Scenario.uniform(parties, settings, outcomes)
-            except ScenarioError as exc:
+            except (ScenarioError, UnsupportedScenarioError) as exc:
                 raise ParseError(str(exc), line_no, 1) from None
             continue
         if _HEADER_RE.match(line):
@@ -197,6 +208,10 @@ def parse_document(text: str) -> ExpressionDocument:
                 line_no,
                 match.start(1) + 1,
             ) from None
+        # every bound, quantum value and expansion entry is at most this sum
+        magnitude += abs(coefficient)
+        if magnitude > sys.float_info.max:
+            raise ParseError("term coefficient magnitudes sum past the largest float", line_no, 1)
         term_kind = match.group(2)
         body = match.group(3)
         body_offset = match.start(3)
@@ -319,14 +334,10 @@ def serialize_expansion(
     expansion: FullJointExpansion, include_zeros: bool = False
 ) -> str:
     """Canonical text for an expansion, sorted by assignment."""
-    scenario = expansion.scenario
-    if any(o > 10 for row in scenario.outcomes_per_setting for o in row):
-        raise UnsupportedScenarioError("L(...) digit keys need outcome labels 0-9")
-    lines = [_header_line(scenario)]
+    lines = [_header_line(expansion.scenario)]
     for assignment in sorted(expansion.coefficients):
         coefficient = expansion.coefficients[assignment]
         if coefficient == 0 and not include_zeros:
             continue
-        digits = "".join(str(o) for row in assignment for o in row)
-        lines.append(f"{_format_coefficient(coefficient)} L({digits})")
+        lines.append(f"{_format_coefficient(coefficient)} L({_assignment_digits(assignment)})")
     return "\n".join(lines) + "\n"

@@ -48,6 +48,13 @@ DeterministicStrategy = tuple
 
 
 def _check_cap(scenario: Scenario, cap: int) -> int:
+    # log10 of the size first: an exact size of 4300 digits or more is slow
+    # to multiply out and beyond Python's int-to-text limit
+    log_size = math.fsum(
+        row.count(n) * math.log10(n) for row in scenario.outcomes_per_setting for n in set(row)
+    )
+    if log_size >= 4299:
+        raise EnumerationCapError(None, cap)
     size = scenario.assignment_count
     if size > cap:
         raise EnumerationCapError(size, cap)

@@ -19,7 +19,9 @@ negative terms; both results are reported, because the two only agree when
 every coefficient has unit magnitude, and a disagreement is worth surfacing
 rather than hiding.
 
-An independent bisection root scan cross-checks the closed form.
+An independent bisection root scan cross-checks the closed form.  A margin
+within ``MARGIN_TOL`` of zero gives 0 by both routes and is not flagged as a
+violation: :func:`_margin` owns that zero-margin rule.
 
 Each public function sweeps the local polytope's vertices once and then
 runs one private step against the bounds it found: the closed form, or the
@@ -34,7 +36,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Optional
 
-from .errors import DegenerateExpressionError, NoRootError, NoViolationError
+from .errors import NoRootError, NoViolationError
 from .lhv import DEFAULT_ENUMERATION_CAP, LocalBoundResult, local_bounds
 from .quantum import (
     MeasurementModel,
@@ -48,7 +50,7 @@ from .scenario import Expression, as_probability_form
 AGREEMENT_TOL = 1e-9
 
 # quantum values are floats; margins inside this band count as zero-margin
-# violations (tolerance 0) rather than as missing violations
+# violations (tolerance 0, not flagged) rather than as missing violations
 MARGIN_TOL = 1e-9
 # the root scan bisects until its bracket on the mixing fraction is this narrow
 SCAN_RESOLUTION = 1e-12
@@ -69,7 +71,7 @@ class ViolationReport:
 
     With ``magnitude`` set, both sides are magnitudes: |quantum value| against
     max(|local max|, |local min|).  The factor is absent when the local bound
-    is not positive.
+    is not positive.  ``violated`` holds only for a margin above ``MARGIN_TOL``.
     """
 
     quantum_value: float
@@ -86,7 +88,7 @@ class ViolationReport:
         local = bounds.magnitude if magnitude else bounds.max
         factor = quantum / float(local) if local > 0 else None
         amount = quantum - float(local)
-        return cls(quantum, local, factor, amount, amount > 0, magnitude)
+        return cls(quantum, local, factor, amount, amount > MARGIN_TOL, magnitude)
 
 
 def violation_report(
@@ -125,35 +127,37 @@ class NoiseReport:
     magnitude: bool
 
 
+def _margin(violation: ViolationReport) -> float:
+    """Q - L, or exactly 0.0 within ``MARGIN_TOL`` of zero: the one owner of the
+    zero-margin rule.  Below -``MARGIN_TOL`` there is no violation to measure."""
+    amount = violation.violation_amount
+    if amount < -MARGIN_TOL:
+        raise NoViolationError(
+            f"quantum value {violation.quantum_value:.12g} does not reach the local bound "
+            f"{violation.local_max}; the noise tolerance is undefined"
+        )
+    return amount if amount > MARGIN_TOL else 0.0
+
+
 def _closed_form(probability_form, value: float, bounds, magnitude: bool) -> NoiseReport:
     """The closed form of :func:`white_noise_tolerance`, given the signed value and bounds."""
     violation = ViolationReport.of(value, bounds, magnitude)
+    margin = _margin(violation)
     quantum, local = violation.quantum_value, violation.local_max
-    margin = violation.violation_amount
-    if margin < -MARGIN_TOL:
-        raise NoViolationError(
-            f"quantum value {quantum:.12g} does not reach the local bound {local}; "
-            "the noise tolerance is undefined"
-        )
     cells = 2**probability_form.scenario.parties
     total = coefficient_sum(probability_form)
     positive = sum(1 for c in probability_form.terms.values() if c > 0)
     negative = sum(1 for c in probability_form.terms.values() if c < 0)
     if magnitude and value < 0:  # the analyzed orientation is the negated expression
         total, positive, negative = -total, negative, positive
-    denominator = quantum - float(total) / cells
-    if denominator <= 0:
-        # unreachable for honest quantum values: the uniform distribution is a
-        # local model, so local >= S / cells; kept as a defensive guard
-        raise DegenerateExpressionError(
-            f"mixing denominator {denominator} is not positive"
-        )
-    p_critical = max(0.0, margin) / denominator
-
-    denominator_tc = quantum - (positive - negative) / cells
-    p_term_count = (
-        max(0.0, margin) / denominator_tc if denominator_tc > 0 else None
-    )
+    if margin > 0:
+        # the uniform distribution is local, so L >= S/2^n exactly; rounding is
+        # monotone and 2^n a power of two, so fl(S)/2^n <= fl(L) < Q here
+        p_critical = margin / (quantum - float(total) / cells)
+        denominator_tc = quantum - (positive - negative) / cells
+        p_term_count = margin / denominator_tc if denominator_tc > 0 else None
+    else:  # zero margin: the noisy value meets the bound at p = 0
+        p_critical = p_term_count = 0.0
     agree = p_term_count is not None and abs(p_critical - p_term_count) <= AGREEMENT_TOL
     return NoiseReport(
         p_critical=p_critical,
@@ -180,8 +184,8 @@ def white_noise_tolerance(
 
     The returned fraction is the unique p with
     (1-p) * Q + (p / 2^parties) * S = L, i.e. where the noisy value meets the
-    local bound.  Margins within 1e-9 of zero count as zero-margin violations
-    and give p = 0; clearly negative margins raise NoViolationError.
+    local bound.  Under :func:`_margin`'s zero-margin rule, margins within
+    ``MARGIN_TOL`` of zero give p = 0; lower ones raise NoViolationError.
     """
     probability_form = as_probability_form(expr)
     value = expression_value(expr, state, model).value
@@ -191,25 +195,19 @@ def white_noise_tolerance(
 def _root_scan(expr, state, model, bounds, magnitude: bool) -> float:
     """The bisection of :func:`tolerance_by_root_scan`, against given bounds."""
 
-    def overshoot(p: float) -> float:
+    def violation(p: float) -> ViolationReport:
         noisy = mix_with_white_noise(state, p)
         value = expression_value(expr, noisy, model).value
-        return ViolationReport.of(value, bounds, magnitude).violation_amount
+        return ViolationReport.of(value, bounds, magnitude)
 
-    at_zero = overshoot(0.0)
-    if at_zero < -MARGIN_TOL:
-        raise NoViolationError(
-            "no violation at p = 0; there is no crossing to scan for"
-        )
-    if at_zero <= 0:
+    if _margin(violation(0.0)) == 0.0:
         return 0.0  # zero-margin violation: the crossing sits at the start
-    at_one = overshoot(1.0)
-    if at_one > 0:
+    if violation(1.0).violation_amount > 0:
         raise NoRootError("the violation survives the whole interval; no root in [0, 1]")
     lo, hi = 0.0, 1.0
     while hi - lo > SCAN_RESOLUTION:
         mid = (lo + hi) / 2.0
-        if overshoot(mid) > 0:
+        if violation(mid).violation_amount > 0:
             lo = mid
         else:
             hi = mid

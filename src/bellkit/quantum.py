@@ -32,6 +32,7 @@ import json
 import math
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import cache, reduce
 from typing import Optional, Sequence, Union
 
 import numpy as np
@@ -41,7 +42,7 @@ from .errors import (
     ParseError,
     ScenarioMismatchError,
 )
-from .scenario import CorrelatorExpression, Expression, Scenario
+from .scenario import _OUTCOME_SIGNS, CorrelatorExpression, Expression, Scenario
 
 MAX_PARTIES = 10
 # complex entries in the largest array the table contraction allocates (64 MiB);
@@ -53,7 +54,7 @@ EIGENVALUE_FLOOR = -1e-10
 PAULI_X = np.array([[0.0, 1.0], [1.0, 0.0]], dtype=complex)
 PAULI_Y = np.array([[0.0, -1.0j], [1.0j, 0.0]], dtype=complex)
 PAULI_Z = np.array([[1.0, 0.0], [0.0, -1.0]], dtype=complex)
-_SIGNS = np.array([-1.0, 1.0])  # eigenvalue of n.sigma for outcome 0, outcome 1
+_SIGNS = np.array(_OUTCOME_SIGNS, dtype=float)  # eigenvalue of n.sigma per outcome
 # halves of one-qubit operators M, flattened to rows 2a + b holding M[b, a]
 _HALF_IDENTITY_AB = np.eye(2).reshape(4) / 2.0
 _HALF_PAULI_AB = np.array([PAULI_X, PAULI_Y, PAULI_Z]).transpose(2, 1, 0).reshape(4, 3) / 2.0
@@ -276,9 +277,13 @@ def probability_table(state: State, model: MeasurementModel) -> np.ndarray:
     return np.clip(table.reshape(shape).transpose(order), 0.0, 1.0)
 
 
+@cache
 def _parity_signs(parties: int) -> np.ndarray:
-    """Outcome-tensor signs of a correlator: each outcome 0 flips the sign."""
-    return np.prod(np.meshgrid(*[_SIGNS] * parties, indexing="ij"), axis=0)
+    """Outcome-tensor signs of a correlator, the product of each party's
+    outcome eigenvalue; built once per party count and read-only."""
+    signs = reduce(np.multiply.outer, [_SIGNS] * parties)
+    signs.flags.writeable = False
+    return signs
 
 
 def joint_probability(

@@ -33,6 +33,10 @@ TermKey = tuple      # (SettingsKey, OutcomesKey)
 
 RationalInput = Union[Fraction, int, str]
 
+# eigenvalue of outcome 0 and of outcome 1 in a binary measurement: the one
+# statement of the correlator sign rule, which quantum.py reads as well
+_OUTCOME_SIGNS = (-1, 1)
+
 
 def as_fraction(value: RationalInput) -> Fraction:
     """Coerce to an exact rational; floats and bools are rejected outright."""
@@ -287,9 +291,9 @@ class CorrelatorExpression(_LinearExpression):
     """Signed sum of full correlators E(settings); binary outcomes only.
 
     Each term maps a per-party settings choice to a rational coefficient.
-    The correlator uses the sign convention that outcome 1 carries eigenvalue
-    +1 and outcome 0 carries -1, so a term expands over outcome tuples with
-    sign (-1)^z where z counts zero outcomes.
+    The correlator uses the sign convention of ``_OUTCOME_SIGNS``: outcome 1
+    carries eigenvalue +1 and outcome 0 carries -1, so a term expands over
+    outcome tuples with sign (-1)^z where z counts zero outcomes.
     """
 
     def __post_init__(self):
@@ -349,11 +353,14 @@ def correlator_to_probability(expr: CorrelatorExpression) -> BellExpression:
     """
     if not isinstance(expr, CorrelatorExpression):
         raise UnsupportedScenarioError("correlator_to_probability expects a correlator form")
-    all_outcomes = list(product((0, 1), repeat=expr.scenario.parties))
+    signs = {
+        outcomes: math.prod(_OUTCOME_SIGNS[o] for o in outcomes)
+        for outcomes in product((0, 1), repeat=expr.scenario.parties)
+    }
     terms = {
-        (settings, outcomes): -coefficient if outcomes.count(0) % 2 else coefficient
+        (settings, outcomes): sign * coefficient
         for settings, coefficient in expr.terms.items()
-        for outcomes in all_outcomes
+        for outcomes, sign in signs.items()
     }
     return BellExpression(expr.scenario, terms)
 

@@ -265,3 +265,21 @@ def test_criterion_11_term_counts():
         assert term_count(builtin_expression("g-paper")) == 20
         converted = as_probability_form(builtin_expression("mermin"))
         assert term_count(converted) == 32
+
+
+def test_criterion_12_g_paper_is_rescaled_mermin():
+    with criterion(12, "g-paper = -5/4 mermin - 3/2, exactly on strategies and on quantum behaviours"):
+        g_expr = builtin_expression("g-paper")
+        mermin = builtin_expression("mermin")
+        g_expansion = expand_full_joint(g_expr).coefficients
+        m_expansion = expand_full_joint(as_probability_form(mermin)).coefficients
+        assert len(g_expansion) == 64
+        for assignment, value in g_expansion.items():
+            assert value == Fraction(-5, 4) * m_expansion[assignment] - Fraction(3, 2)
+        rng = np.random.default_rng(2011)
+        for _ in range(20):
+            state = PureState(oracles.random_pure_amplitudes(rng, 3))
+            model = oracles.random_model(rng)
+            g_value = expression_value(g_expr, state, model).value
+            m_value = expression_value(mermin, state, model).value
+            assert abs(g_value - (-1.25 * m_value - 1.5)) <= 1e-12

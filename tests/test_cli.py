@@ -1,6 +1,8 @@
 import importlib
 import json
+import math
 import sys
+import time
 from collections import Counter
 
 import pytest
@@ -156,6 +158,56 @@ class TestNoise:
         code, out, err = run(capsys, ["noise", str(path)])
         assert code == 1
         assert "undefined" in err
+
+
+class TestZeroMargin:
+    """Expressions constant on every behaviour sit at their local bound: a
+    zero margin, tolerance 0 on both routes and no violation."""
+
+    @staticmethod
+    def normalization_file(tmp_path, coefficient, settings):
+        lines = ["scenario 3 2 2"] + [
+            f"{coefficient} P({settings} | {a} {b} {c})"
+            for a in (0, 1)
+            for b in (0, 1)
+            for c in (0, 1)
+        ]
+        path = tmp_path / "normalization.bell"
+        path.write_text("\n".join(lines) + "\n")
+        return str(path)
+
+    def test_w_state_normalization_sum(self, capsys, tmp_path):
+        expr_path = self.normalization_file(tmp_path, "+1", "A0 B0 C0")
+        amplitudes = [[1 / math.sqrt(3), 0] if i in (1, 2, 4) else [0, 0] for i in range(8)]
+        settings = [{"angles": [0.5, 0]}, {"angles": [1, 0.5]}]
+        model_path = tmp_path / "w.json"
+        model_path.write_text(
+            json.dumps({"state": {"amplitudes": amplitudes}, "measurements": [settings] * 3})
+        )
+        argv = [expr_path, "--model", str(model_path)]
+        noise = run_json(capsys, ["noise", *argv])["noise"]
+        assert noise["p_critical"]["value"] == 0.0
+        assert noise["p_critical_root_scan"]["value"] == 0.0
+        assert noise["p_critical_root_scan"]["agrees_with_closed_form"] is True
+        assert noise["p_critical_term_count_rule"]["value"] == 0.0
+        violation = run_json(capsys, ["report", *argv])["violation"]
+        assert violation["amount"] > 0  # rounding puts the value just above 1
+        assert violation["violated"] is False
+
+    def test_paper_model_normalization_sum(self, capsys, tmp_path):
+        path = self.normalization_file(tmp_path, "+3/7", "A1 B0 C1")
+        noise = run_json(capsys, ["noise", path])["noise"]
+        assert noise["p_critical"]["value"] == 0.0
+        assert noise["p_critical_root_scan"]["value"] == 0.0
+        assert run_json(capsys, ["report", path])["noise"]["defined"] is True
+
+    def test_empty_expression_report(self, capsys, tmp_path):
+        path = tmp_path / "empty.bell"
+        path.write_text("scenario 3 2 2\n")
+        report = run_json(capsys, ["report", str(path)])
+        assert report["violation"]["violated"] is False
+        assert report["noise"]["defined"] is True
+        assert report["noise"]["p_critical"]["value"] == 0.0
 
 
 class TestOptimize:
@@ -475,3 +527,66 @@ class TestErrorPaths:
         code, out, err = run(capsys, ["quantum", str(expr_path), "--model", str(model_path)])
         assert code == 1
         assert "60466176 complex entries (923 MiB)" in err
+
+    def test_two_digit_outcome_labels_have_no_assignment_key(self, capsys, tmp_path):
+        path = tmp_path / "twelve.bell"
+        path.write_text("scenario 1 2 12\n+1 P(A0 | 11)\n-1 P(A1 | 3)\n")
+        for command in ("bound", "expand"):
+            code, out, err = run(capsys, [command, str(path)])
+            assert code == 1, command
+            assert err == "error: assignment digit keys need outcome labels 0-9\n"
+            assert out == ""
+
+    def test_single_digit_labels_keep_their_keys(self, capsys, tmp_path):
+        path = tmp_path / "ten.bell"
+        path.write_text("scenario 1 2 10\n+1 P(A0 | 9)\n-1 P(A1 | 3)\n")
+        report = run_json(capsys, ["bound", str(path)])
+        assert report["local"]["maximizers"] == ["90", "91", "92", "94", "95", "96", "97", "98", "99"]
+
+    @pytest.mark.parametrize("command", ["bound", "expand", "quantum", "noise", "report"])
+    def test_outsized_coefficients_are_located_input_errors(self, capsys, tmp_path, command):
+        path = tmp_path / "huge.bell"
+        path.write_text("scenario 3 2 2\n+1" + "0" * 400 + " P(A0 B0 C0 | 0 0 0)\n")
+        code, out, err = run(capsys, [command, str(path)])
+        assert code == 1
+        assert err == (
+            "error: term coefficient magnitudes sum past the largest float (line 2, column 1)\n"
+        )
+
+    def test_coefficient_magnitudes_are_summed(self, capsys, tmp_path):
+        path = tmp_path / "two.bell"
+        big = "+1" + "0" * 308
+        path.write_text(
+            f"scenario 3 2 2\n{big} P(A0 B0 C0 | 0 0 0)\n{big} P(A0 B0 C0 | 0 0 1)\n"
+        )
+        code, out, err = run(capsys, ["bound", str(path)])
+        assert code == 1
+        assert "(line 3, column 1)" in err
+
+    def test_expansion_sum_beyond_the_float_range(self, capsys, tmp_path):
+        # one coefficient of 10^308 fills 8 assignments; their sum has no float
+        path = tmp_path / "wide.bell"
+        path.write_text("scenario 3 2 2\n+1" + "0" * 308 + " P(A0 B0 C0 | 0 0 0)\n")
+        assert run(capsys, ["bound", str(path)])[0] == 0
+        code, out, err = run(capsys, ["expand", str(path)])
+        assert code == 1
+        assert err == "error: an exact figure of the report is beyond the float range\n"
+
+    def test_more_than_26_parties_is_refused_at_the_header(self, capsys, tmp_path):
+        path = tmp_path / "crowd.bell"
+        path.write_text("scenario 1000000 2 2\n")
+        code, out, err = run(capsys, ["bound", str(path)])
+        assert code == 1
+        assert err == "error: the text format supports at most 26 parties (line 1, column 1)\n"
+
+    def test_huge_strategy_space_fails_fast(self, capsys, tmp_path):
+        path = tmp_path / "wide.bell"
+        path.write_text("scenario 3 100000 2\n")
+        start = time.perf_counter()
+        code, out, err = run(capsys, ["bound", str(path)])
+        assert time.perf_counter() - start < 1.0
+        assert code == 1
+        assert err == (
+            "error: strategy space has too many elements to count, "
+            "exceeding the cap of 10000000\n"
+        )

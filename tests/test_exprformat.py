@@ -21,6 +21,7 @@ from bellkit import (
     serialize_expression,
     expand_full_joint,
 )
+from bellkit.exprformat import _assignment_digits
 
 TRI = Scenario.uniform(3, 2, 2)
 
@@ -125,6 +126,16 @@ class TestParseExpression:
     def test_each_term_carries_the_key_its_form_stores(self, line, key):
         (term,) = parse_document(f"scenario 3 2 2\n{line}\n").terms
         assert term.key == key
+
+    def test_more_than_26_parties_refused_at_the_header(self):
+        with pytest.raises(ParseError, match=r"at most 26 parties \(line 2, column 1\)"):
+            parse_expression("# wide\nscenario 27 2 2\n")
+
+    def test_coefficient_magnitudes_summing_past_the_largest_float(self):
+        big = "1" + "0" * 308
+        assert parse_document(f"scenario 1 2 2\n+{big} P(A0 | 0)\n")
+        with pytest.raises(ParseError, match=r"largest float \(line 3, column 1\)"):
+            parse_document(f"scenario 1 2 2\n+{big} P(A0 | 0)\n-{big} P(A0 | 1)\n")
 
     def test_document_records_comments(self):
         doc = parse_document("scenario 3 2 2\n# a note\n+1 E(A1 B0 C1)\n")
@@ -234,6 +245,14 @@ class TestExpansionFormat:
     def test_expression_document_rejected(self):
         with pytest.raises(ParseError, match="parse_expression"):
             parse_expansion("scenario 3 2 2\n+1 P(A0 B0 C0 | 0 0 0)\n")
+
+    def test_two_digit_outcome_labels_have_no_l_key(self):
+        expr = parse_expression("scenario 1 2 12\n+1 P(A0 | 11)\n-1 P(A1 | 3)\n")
+        with pytest.raises(UnsupportedScenarioError, match="labels 0-9"):
+            serialize_expansion(expand_full_joint(expr))
+        assert _assignment_digits(((9, 3),)) == "93"
+        with pytest.raises(UnsupportedScenarioError):
+            _assignment_digits(((1, 10),))
 
     def test_include_zeros_lists_every_assignment(self):
         expansion = parse_expansion("scenario 3 2 2\n+1 L(000000)\n")

@@ -99,6 +99,17 @@ class TestEnumeration:
         assert excinfo.value.size == 64
         assert excinfo.value.cap == 10
 
+    def test_cap_error_on_a_space_too_large_to_count(self):
+        # 2^300000 strategies: refused from logarithms, without the exact size
+        with pytest.raises(EnumerationCapError, match="too many elements to count") as excinfo:
+            enumerate_strategies(Scenario.uniform(3, 100000, 2), cap=10)
+        assert excinfo.value.size is None
+
+    def test_cap_error_keeps_exact_sizes_under_4300_digits(self):
+        with pytest.raises(EnumerationCapError) as excinfo:
+            enumerate_strategies(Scenario.uniform(3, 1432, 10), cap=10)
+        assert excinfo.value.size == 10**4296
+
 
 class TestEvaluateOnStrategy:
     def test_g_paper_at_all_zero_strategy(self, g_expr):

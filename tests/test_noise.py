@@ -1,4 +1,7 @@
+import json
+import math
 from fractions import Fraction
+from itertools import product
 
 import numpy as np
 import pytest
@@ -6,6 +9,7 @@ import pytest
 from bellkit import (
     MarginalTerm,
     NoViolationError,
+    PureState,
     Scenario,
     as_probability_form,
     builtin_expression,
@@ -14,7 +18,9 @@ from bellkit import (
     local_bounds,
     make_expression,
     mix_with_white_noise,
+    parse_model,
     tolerance_by_root_scan,
+    violation_report,
     white_noise_tolerance,
 )
 
@@ -164,3 +170,58 @@ class TestRootScan:
         )
         with pytest.raises(NoViolationError):
             tolerance_by_root_scan(expr, ghz3, xy_model)
+
+
+def normalization_sum(scenario, settings, coefficient):
+    """coefficient times the sum of P(settings | o) over every outcome tuple o:
+    the constant ``coefficient`` on every behaviour, local or quantum."""
+    return make_expression(
+        scenario,
+        [
+            MarginalTerm(settings, outcomes, coefficient)
+            for outcomes in product((0, 1), repeat=scenario.parties)
+        ],
+    )
+
+
+class TestZeroMargin:
+    """A margin within MARGIN_TOL of zero gives 0 on both routes and no violation."""
+
+    def test_w_state_normalization_sum(self):
+        amplitudes = [[1 / math.sqrt(3), 0] if i in (1, 2, 4) else [0, 0] for i in range(8)]
+        settings = [{"angles": [0.5, 0]}, {"angles": [1, 0.5]}]
+        state, model = parse_model(
+            json.dumps({"state": {"amplitudes": amplitudes}, "measurements": [settings] * 3})
+        )
+        expr = normalization_sum(TRI, (0, 0, 0), 1)
+        # the quantum value rounds above the exact local bound 1
+        assert expression_value(expr, state, model).value > 1
+        report = white_noise_tolerance(expr, state, model)
+        assert report.p_critical == 0.0
+        assert report.p_critical_term_count == 0.0
+        assert tolerance_by_root_scan(expr, state, model) == 0.0
+        assert violation_report(expr, state, model).violated is False
+
+    @pytest.mark.parametrize("seed", range(40))
+    def test_random_normalization_sums(self, seed):
+        rng = np.random.default_rng(900 + seed)
+        parties = int(rng.integers(2, 5))
+        scenario = Scenario.uniform(parties, 2, 2)
+        settings = tuple(int(s) for s in rng.integers(0, 2, size=parties))
+        expr = normalization_sum(scenario, settings, oracles.random_rational(rng) or 1)
+        state = PureState(oracles.random_pure_amplitudes(rng, parties))
+        model = oracles.random_model(rng, parties=parties)
+        magnitude = bool(rng.integers(0, 2))
+        report = white_noise_tolerance(expr, state, model, magnitude=magnitude)
+        assert report.p_critical == 0.0
+        assert report.p_critical_term_count == 0.0
+        assert tolerance_by_root_scan(expr, state, model, magnitude=magnitude) == 0.0
+        assert violation_report(expr, state, model, magnitude=magnitude).violated is False
+
+    def test_both_routes_give_one_no_violation_message(self, ghz3, xy_model):
+        expr = make_expression(TRI, [MarginalTerm((0, 0, 0), (1, 1, 1), 1)])
+        with pytest.raises(NoViolationError) as closed:
+            white_noise_tolerance(expr, ghz3, xy_model)
+        with pytest.raises(NoViolationError) as scanned:
+            tolerance_by_root_scan(expr, ghz3, xy_model)
+        assert str(scanned.value) == str(closed.value)

@@ -18,9 +18,11 @@ from bellkit import (
     ScenarioMismatchError,
     builtin_expression,
     correlator,
+    correlator_to_probability,
     expression_value,
     ghz_state,
     joint_probability,
+    make_correlator_expression,
     make_expression,
     mix_with_white_noise,
     paper_model,
@@ -28,6 +30,7 @@ from bellkit import (
     probability_table,
     violation_report,
 )
+from bellkit.quantum import _parity_signs
 
 import oracles
 
@@ -240,6 +243,14 @@ class TestCorrelator:
             assert correlator(state, model, settings) == pytest.approx(
                 expected, abs=1e-12
             )
+
+    def test_parity_signs_are_built_once_from_the_scenario_rule(self):
+        signs = _parity_signs(3)
+        assert signs is _parity_signs(3)
+        assert not signs.flags.writeable
+        converted = correlator_to_probability(make_correlator_expression(TRI, [((0, 1, 0), 1)]))
+        for outcomes in product((0, 1), repeat=3):
+            assert signs[outcomes] == converted.coefficient((0, 1, 0), outcomes)
 
 
 class TestExpressionValue:
