@@ -30,7 +30,14 @@ from .lhv import (
     expand_full_joint,
     local_bounds,
 )
-from .noise import AGREEMENT_TOL, ViolationReport, _closed_form, _root_scan, coefficient_sum
+from .noise import (
+    AGREEMENT_TOL,
+    ViolationReport,
+    _closed_form,
+    _margin_band,
+    _root_scan,
+    coefficient_sum,
+)
 from .optimize import OptimizerConfig, optimize_measurements
 from .quantum import expression_value, ghz_state, paper_model, parse_model
 from .scenario import BellExpression, as_probability_form
@@ -56,11 +63,7 @@ def _f12(value: Optional[float]) -> Optional[float]:
 
 
 def _rational(value: Fraction) -> dict:
-    try:
-        approximation = float(value)
-    except OverflowError:  # e.g. an expansion's sum, up to 2^slots times its entries
-        raise ValueError("an exact figure of the report is beyond the float range") from None
-    return {"exact": str(value), "value": _f12(approximation)}
+    return {"exact": str(value), "value": _f12(float(value))}
 
 
 def _sha256(text: str) -> str:
@@ -116,15 +119,15 @@ def _envelope(command: str, inputs: dict, payload: dict) -> dict:
     return report
 
 
-def _local_block(bounds, strategy_count: int) -> dict:
+def _local_block(bounds, scenario) -> dict:
     return {
         "method": "exhaustive enumeration of deterministic strategies",
-        "strategy_count": strategy_count,
+        "strategy_count": scenario.assignment_count,
         "max": _rational(bounds.max),
         "min": _rational(bounds.min),
         "magnitude": _rational(bounds.magnitude),
-        "maximizers": [_assignment_digits(s) for s in bounds.maximizers],
-        "minimizers": [_assignment_digits(s) for s in bounds.minimizers],
+        "maximizers": [_assignment_digits(scenario, s) for s in bounds.maximizers],
+        "minimizers": [_assignment_digits(scenario, s) for s in bounds.minimizers],
     }
 
 
@@ -160,7 +163,7 @@ def _violation_block(report) -> dict:
 
 def _noise_block(expr, probability_form, state, model, value, bounds, magnitude) -> dict:
     closed = _closed_form(probability_form, value, bounds, magnitude)
-    scanned = _root_scan(expr, state, model, bounds, magnitude)
+    scanned = _root_scan(expr, state, model, bounds, _margin_band(probability_form), magnitude)
     term_count_value = closed.p_critical_term_count
     return {
         "quantum_value": _f12(closed.quantum_value),
@@ -198,7 +201,10 @@ def _expansion_block(expansion, list_terms: bool) -> dict:
     }
     if list_terms:
         block["terms"] = [
-            {"assignment": _assignment_digits(key), "coefficient": _rational(coefficient)}
+            {
+                "assignment": _assignment_digits(expansion.scenario, key),
+                "coefficient": _rational(coefficient),
+            }
             for key, coefficient in expansion.coefficients.items()
         ]
     return block
@@ -214,7 +220,7 @@ def _diff_block(expansion, fixture_path: str) -> dict:
         "mismatches": len(report),
         "entries": [
             {
-                "assignment": _assignment_digits(entry.assignment),
+                "assignment": _assignment_digits(expansion.scenario, entry.assignment),
                 "computed": _rational(entry.computed),
                 "fixture": _rational(entry.fixture),
             }
@@ -231,7 +237,7 @@ def _cmd_bound(args) -> dict:
     return _envelope(
         "bound",
         inputs,
-        {"local": _local_block(bounds, probability_form.scenario.assignment_count)},
+        {"local": _local_block(bounds, probability_form.scenario)},
     )
 
 
@@ -322,7 +328,9 @@ def _cmd_report(args) -> dict:
     probability_form = as_probability_form(expr)
     valuation = expression_value(expr, state, model)  # checks the model before the sweep
     bounds = local_bounds(probability_form, args.cap)
-    violation = ViolationReport.of(valuation.value, bounds, magnitude)
+    violation = ViolationReport.of(
+        valuation.value, bounds, magnitude, _margin_band(probability_form)
+    )
     expansion = expand_full_joint(probability_form, args.cap)
 
     diff_path = args.diff
@@ -365,7 +373,7 @@ def _cmd_report(args) -> dict:
         inputs,
         {
             "expression": expression_block,
-            "local": _local_block(bounds, scenario.assignment_count),
+            "local": _local_block(bounds, scenario),
             "quantum": _quantum_block(valuation, magnitude),
             "violation": _violation_block(violation),
             "noise": noise_block,
@@ -514,7 +522,7 @@ def run_command(argv: Optional[Sequence[str]] = None) -> int:
     except _UsageError as exc:
         sys.stderr.write(f"error: {exc}\n")
         return 1
-    except (BellkitError, OSError, ValueError) as exc:
+    except (BellkitError, OSError, ValueError, OverflowError) as exc:
         sys.stderr.write(f"error: {exc}\n")
         return 1
     except Exception as exc:  # pragma: no cover - internal invariant failure

@@ -152,12 +152,15 @@ def _parse_assignment_digits(
     return scenario.split_slots(tuple(flat))
 
 
-def _assignment_digits(assignment) -> str:
-    """The ``L(...)`` key of an assignment, which reports use too: one digit per slot."""
-    labels = [outcome for row in assignment for outcome in row]
-    if any(label >= 10 for label in labels):
+def _assignment_digits(scenario: Scenario, assignment) -> str:
+    """The ``L(...)`` key of an assignment, which reports use too: one digit per slot.
+
+    Refused for the whole scenario once any setting has more than 10 outcomes,
+    whichever labels this assignment holds.
+    """
+    if any(count > 10 for row in scenario.outcomes_per_setting for count in row):
         raise UnsupportedScenarioError("assignment digit keys need outcome labels 0-9")
-    return "".join(map(str, labels))
+    return "".join(str(outcome) for row in assignment for outcome in row)
 
 
 def parse_document(text: str) -> ExpressionDocument:
@@ -334,10 +337,12 @@ def serialize_expansion(
     expansion: FullJointExpansion, include_zeros: bool = False
 ) -> str:
     """Canonical text for an expansion, sorted by assignment."""
-    lines = [_header_line(expansion.scenario)]
+    scenario = expansion.scenario
+    lines = [_header_line(scenario)]
     for assignment in sorted(expansion.coefficients):
         coefficient = expansion.coefficients[assignment]
         if coefficient == 0 and not include_zeros:
             continue
-        lines.append(f"{_format_coefficient(coefficient)} L({_assignment_digits(assignment)})")
+        key = _assignment_digits(scenario, assignment)
+        lines.append(f"{_format_coefficient(coefficient)} L({key})")
     return "\n".join(lines) + "\n"

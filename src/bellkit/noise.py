@@ -20,8 +20,8 @@ every coefficient has unit magnitude, and a disagreement is worth surfacing
 rather than hiding.
 
 An independent bisection root scan cross-checks the closed form.  A margin
-within ``MARGIN_TOL`` of zero gives 0 by both routes and is not flagged as a
-violation: :func:`_margin` owns that zero-margin rule.
+within the band of :func:`_margin_band` gives 0 by both routes and is not
+flagged as a violation: :func:`_margin` owns that zero-margin rule.
 
 Each public function sweeps the local polytope's vertices once and then
 runs one private step against the bounds it found: the closed form, or the
@@ -32,6 +32,7 @@ each command sweeps once.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Optional
@@ -49,8 +50,8 @@ from .scenario import Expression, as_probability_form
 
 AGREEMENT_TOL = 1e-9
 
-# quantum values are floats; margins inside this band count as zero-margin
-# violations (tolerance 0, not flagged) rather than as missing violations
+# quantum values are floats; margins within this much per unit of coefficient
+# magnitude are zero margins (tolerance 0, not flagged), not missing violations
 MARGIN_TOL = 1e-9
 # the root scan bisects until its bracket on the mixing fraction is this narrow
 SCAN_RESOLUTION = 1e-12
@@ -65,13 +66,21 @@ def coefficient_sum(expr: Expression) -> Fraction:
     return sum(probability_form.terms.values(), Fraction(0))
 
 
+def _margin_band(probability_form) -> float:
+    """Half-width of the zero-margin band: ``MARGIN_TOL`` times the sum of the
+    coefficient magnitudes, which bounds the expression on every behaviour and
+    so sets the scale of the rounding error in a quantum value."""
+    coefficients = probability_form.terms.values()
+    return MARGIN_TOL * math.fsum(abs(c.numerator) / c.denominator for c in coefficients)
+
+
 @dataclass(frozen=True)
 class ViolationReport:
     """Quantum value against the exact local bound of the same expression.
 
     With ``magnitude`` set, both sides are magnitudes: |quantum value| against
     max(|local max|, |local min|).  The factor is absent when the local bound
-    is not positive.  ``violated`` holds only for a margin above ``MARGIN_TOL``.
+    is not positive.  ``violated`` holds only for a margin above ``band``.
     """
 
     quantum_value: float
@@ -82,13 +91,16 @@ class ViolationReport:
     magnitude: bool
 
     @classmethod
-    def of(cls, value: float, bounds: LocalBoundResult, magnitude: bool) -> "ViolationReport":
-        """Compare a signed quantum value with local bounds in the analyzed orientation."""
+    def of(
+        cls, value: float, bounds: LocalBoundResult, magnitude: bool, band: float
+    ) -> "ViolationReport":
+        """Compare a signed quantum value with local bounds in the analyzed orientation;
+        ``band`` is the expression's :func:`_margin_band`."""
         quantum = abs(value) if magnitude else value
         local = bounds.magnitude if magnitude else bounds.max
         factor = quantum / float(local) if local > 0 else None
         amount = quantum - float(local)
-        return cls(quantum, local, factor, amount, amount > MARGIN_TOL, magnitude)
+        return cls(quantum, local, factor, amount, amount > band, magnitude)
 
 
 def violation_report(
@@ -98,8 +110,10 @@ def violation_report(
     magnitude: bool = False,
     cap: int = DEFAULT_ENUMERATION_CAP,
 ) -> ViolationReport:
+    probability_form = as_probability_form(expr)
     value = expression_value(expr, state, model).value
-    return ViolationReport.of(value, local_bounds(as_probability_form(expr), cap), magnitude)
+    bounds = local_bounds(probability_form, cap)
+    return ViolationReport.of(value, bounds, magnitude, _margin_band(probability_form))
 
 
 @dataclass(frozen=True)
@@ -127,22 +141,23 @@ class NoiseReport:
     magnitude: bool
 
 
-def _margin(violation: ViolationReport) -> float:
-    """Q - L, or exactly 0.0 within ``MARGIN_TOL`` of zero: the one owner of the
-    zero-margin rule.  Below -``MARGIN_TOL`` there is no violation to measure."""
+def _margin(violation: ViolationReport, band: float) -> float:
+    """Q - L, or exactly 0.0 within ``band`` of zero: the one owner of the
+    zero-margin rule.  Below -``band`` there is no violation to measure."""
     amount = violation.violation_amount
-    if amount < -MARGIN_TOL:
+    if amount < -band:
         raise NoViolationError(
             f"quantum value {violation.quantum_value:.12g} does not reach the local bound "
             f"{violation.local_max}; the noise tolerance is undefined"
         )
-    return amount if amount > MARGIN_TOL else 0.0
+    return amount if amount > band else 0.0
 
 
 def _closed_form(probability_form, value: float, bounds, magnitude: bool) -> NoiseReport:
     """The closed form of :func:`white_noise_tolerance`, given the signed value and bounds."""
-    violation = ViolationReport.of(value, bounds, magnitude)
-    margin = _margin(violation)
+    band = _margin_band(probability_form)
+    violation = ViolationReport.of(value, bounds, magnitude, band)
+    margin = _margin(violation, band)
     quantum, local = violation.quantum_value, violation.local_max
     cells = 2**probability_form.scenario.parties
     total = coefficient_sum(probability_form)
@@ -184,23 +199,23 @@ def white_noise_tolerance(
 
     The returned fraction is the unique p with
     (1-p) * Q + (p / 2^parties) * S = L, i.e. where the noisy value meets the
-    local bound.  Under :func:`_margin`'s zero-margin rule, margins within
-    ``MARGIN_TOL`` of zero give p = 0; lower ones raise NoViolationError.
+    local bound.  Under :func:`_margin`'s zero-margin rule, margins within the
+    band of :func:`_margin_band` give p = 0; lower ones raise NoViolationError.
     """
     probability_form = as_probability_form(expr)
     value = expression_value(expr, state, model).value
     return _closed_form(probability_form, value, local_bounds(probability_form, cap), magnitude)
 
 
-def _root_scan(expr, state, model, bounds, magnitude: bool) -> float:
-    """The bisection of :func:`tolerance_by_root_scan`, against given bounds."""
+def _root_scan(expr, state, model, bounds, band: float, magnitude: bool) -> float:
+    """The bisection of :func:`tolerance_by_root_scan`, against given bounds and band."""
 
     def violation(p: float) -> ViolationReport:
         noisy = mix_with_white_noise(state, p)
         value = expression_value(expr, noisy, model).value
-        return ViolationReport.of(value, bounds, magnitude)
+        return ViolationReport.of(value, bounds, magnitude, band)
 
-    if _margin(violation(0.0)) == 0.0:
+    if _margin(violation(0.0), band) == 0.0:
         return 0.0  # zero-margin violation: the crossing sits at the start
     if violation(1.0).violation_amount > 0:
         raise NoRootError("the violation survives the whole interval; no root in [0, 1]")
@@ -228,5 +243,6 @@ def tolerance_by_root_scan(
     decreasing across a violation, so a single sign change exists whenever
     the violation dies by p = 1.
     """
-    bounds = local_bounds(as_probability_form(expr), cap)
-    return _root_scan(expr, state, model, bounds, magnitude)
+    probability_form = as_probability_form(expr)
+    bounds = local_bounds(probability_form, cap)
+    return _root_scan(expr, state, model, bounds, _margin_band(probability_form), magnitude)

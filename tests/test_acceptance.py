@@ -268,7 +268,8 @@ def test_criterion_11_term_counts():
 
 
 def test_criterion_12_g_paper_is_rescaled_mermin():
-    with criterion(12, "g-paper = -5/4 mermin - 3/2, exactly on strategies and on quantum behaviours"):
+    claim = "g-paper = -5/4 mermin - 3/2, exactly on strategies and on quantum behaviours"
+    with criterion(12, claim):
         g_expr = builtin_expression("g-paper")
         mermin = builtin_expression("mermin")
         g_expansion = expand_full_joint(g_expr).coefficients

@@ -16,6 +16,7 @@ from bellkit import (
 )
 from bellkit.cli import _f12, _rational, run_command
 from bellkit.fixtures import g_paper_expansion_fixture_path
+from bellkit.noise import MARGIN_TOL
 
 
 def run(capsys, argv):
@@ -191,7 +192,7 @@ class TestZeroMargin:
         assert noise["p_critical_root_scan"]["agrees_with_closed_form"] is True
         assert noise["p_critical_term_count_rule"]["value"] == 0.0
         violation = run_json(capsys, ["report", *argv])["violation"]
-        assert violation["amount"] > 0  # rounding puts the value just above 1
+        assert abs(violation["amount"]) <= MARGIN_TOL  # rounding, of either sign
         assert violation["violated"] is False
 
     def test_paper_model_normalization_sum(self, capsys, tmp_path):
@@ -200,6 +201,19 @@ class TestZeroMargin:
         assert noise["p_critical"]["value"] == 0.0
         assert noise["p_critical_root_scan"]["value"] == 0.0
         assert run_json(capsys, ["report", path])["noise"]["defined"] is True
+
+    def test_scaled_down_mermin_is_still_violated(self, capsys, tmp_path):
+        path = tmp_path / "small.bell"
+        path.write_text(
+            "scenario 3 2 2\n+1/10000000000 E(A0 B1 C1)\n+1/10000000000 E(A1 B0 C1)\n"
+            "+1/10000000000 E(A1 B1 C0)\n-1/10000000000 E(A0 B0 C0)\n"
+        )
+        noise = run_json(capsys, ["noise", str(path), "--magnitude"])["noise"]
+        assert noise["p_critical"]["value"] == 0.5
+        assert noise["p_critical_root_scan"]["value"] == 0.5
+        violation = run_json(capsys, ["report", str(path), "--magnitude"])["violation"]
+        assert violation["amount"] == 2e-10
+        assert violation["violated"] is True
 
     def test_empty_expression_report(self, capsys, tmp_path):
         path = tmp_path / "empty.bell"
@@ -528,9 +542,17 @@ class TestErrorPaths:
         assert code == 1
         assert "60466176 complex entries (923 MiB)" in err
 
-    def test_two_digit_outcome_labels_have_no_assignment_key(self, capsys, tmp_path):
+    @pytest.mark.parametrize(
+        "text",
+        [
+            "scenario 1 2 12\n+1 P(A0 | 11)\n-1 P(A1 | 3)\n",
+            # every extremizer has single-digit labels: the scenario decides
+            "scenario 1 1 12\n+1 P(A0 | 3)\n-1 P(A0 | 4)\n",
+        ],
+    )
+    def test_two_digit_outcome_labels_have_no_assignment_key(self, capsys, tmp_path, text):
         path = tmp_path / "twelve.bell"
-        path.write_text("scenario 1 2 12\n+1 P(A0 | 11)\n-1 P(A1 | 3)\n")
+        path.write_text(text)
         for command in ("bound", "expand"):
             code, out, err = run(capsys, [command, str(path)])
             assert code == 1, command
@@ -541,7 +563,8 @@ class TestErrorPaths:
         path = tmp_path / "ten.bell"
         path.write_text("scenario 1 2 10\n+1 P(A0 | 9)\n-1 P(A1 | 3)\n")
         report = run_json(capsys, ["bound", str(path)])
-        assert report["local"]["maximizers"] == ["90", "91", "92", "94", "95", "96", "97", "98", "99"]
+        maximizers = ["90", "91", "92", "94", "95", "96", "97", "98", "99"]
+        assert report["local"]["maximizers"] == maximizers
 
     @pytest.mark.parametrize("command", ["bound", "expand", "quantum", "noise", "report"])
     def test_outsized_coefficients_are_located_input_errors(self, capsys, tmp_path, command):
@@ -570,7 +593,7 @@ class TestErrorPaths:
         assert run(capsys, ["bound", str(path)])[0] == 0
         code, out, err = run(capsys, ["expand", str(path)])
         assert code == 1
-        assert err == "error: an exact figure of the report is beyond the float range\n"
+        assert err == "error: integer division result too large for a float\n"
 
     def test_more_than_26_parties_is_refused_at_the_header(self, capsys, tmp_path):
         path = tmp_path / "crowd.bell"

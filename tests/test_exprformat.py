@@ -250,9 +250,11 @@ class TestExpansionFormat:
         expr = parse_expression("scenario 1 2 12\n+1 P(A0 | 11)\n-1 P(A1 | 3)\n")
         with pytest.raises(UnsupportedScenarioError, match="labels 0-9"):
             serialize_expansion(expand_full_joint(expr))
-        assert _assignment_digits(((9, 3),)) == "93"
+        ten = Scenario.uniform(1, 2, 10)
+        assert _assignment_digits(ten, ((9, 3),)) == "93"
+        # refused from the scenario, whichever labels the assignment holds
         with pytest.raises(UnsupportedScenarioError):
-            _assignment_digits(((1, 10),))
+            _assignment_digits(Scenario.uniform(1, 2, 11), ((1, 3),))
 
     def test_include_zeros_lists_every_assignment(self):
         expansion = parse_expansion("scenario 3 2 2\n+1 L(000000)\n")

@@ -23,6 +23,7 @@ from bellkit import (
     violation_report,
     white_noise_tolerance,
 )
+from bellkit.noise import MARGIN_TOL
 
 import oracles
 
@@ -185,7 +186,8 @@ def normalization_sum(scenario, settings, coefficient):
 
 
 class TestZeroMargin:
-    """A margin within MARGIN_TOL of zero gives 0 on both routes and no violation."""
+    """A margin within the zero-margin band gives 0 on both routes and no
+    violation; the band scales with the coefficient magnitudes."""
 
     def test_w_state_normalization_sum(self):
         amplitudes = [[1 / math.sqrt(3), 0] if i in (1, 2, 4) else [0, 0] for i in range(8)]
@@ -194,8 +196,8 @@ class TestZeroMargin:
             json.dumps({"state": {"amplitudes": amplitudes}, "measurements": [settings] * 3})
         )
         expr = normalization_sum(TRI, (0, 0, 0), 1)
-        # the quantum value rounds above the exact local bound 1
-        assert expression_value(expr, state, model).value > 1
+        # the quantum value is 1 up to rounding, which may fall on either side
+        assert abs(expression_value(expr, state, model).value - 1) <= MARGIN_TOL
         report = white_noise_tolerance(expr, state, model)
         assert report.p_critical == 0.0
         assert report.p_critical_term_count == 0.0
@@ -217,6 +219,26 @@ class TestZeroMargin:
         assert report.p_critical_term_count == 0.0
         assert tolerance_by_root_scan(expr, state, model, magnitude=magnitude) == 0.0
         assert violation_report(expr, state, model, magnitude=magnitude).violated is False
+
+    @pytest.mark.parametrize("coefficient", [Fraction(1, 10**10), 10**8, 10**12])
+    def test_scaled_normalization_sums(self, ghz3, xy_model, coefficient):
+        # the sum is `coefficient` on every behaviour; 10^8 and 10^12 miss an
+        # absolute band of 1e-9 by rounding (amounts -1.5e-8 and -2.4e-4)
+        expr = normalization_sum(TRI, (1, 0, 1), coefficient)
+        assert white_noise_tolerance(expr, ghz3, xy_model).p_critical == 0.0
+        assert tolerance_by_root_scan(expr, ghz3, xy_model) == 0.0
+        assert violation_report(expr, ghz3, xy_model).violated is False
+
+    def test_scaled_down_mermin_keeps_its_violation(self, mermin_expr, ghz3, xy_model):
+        # Q = 4e-10 against L = 2e-10: a margin below 1e-9 that is no rounding error
+        expr = mermin_expr.scale(Fraction(1, 10**10))
+        report = white_noise_tolerance(expr, ghz3, xy_model, magnitude=True)
+        assert report.p_critical == pytest.approx(0.5, abs=1e-12)
+        scanned = tolerance_by_root_scan(expr, ghz3, xy_model, magnitude=True)
+        assert scanned == pytest.approx(0.5, abs=1e-9)
+        violation = violation_report(expr, ghz3, xy_model, magnitude=True)
+        assert violation.violation_amount == pytest.approx(2e-10, rel=1e-9)
+        assert violation.violated is True
 
     def test_both_routes_give_one_no_violation_message(self, ghz3, xy_model):
         expr = make_expression(TRI, [MarginalTerm((0, 0, 0), (1, 1, 1), 1)])
