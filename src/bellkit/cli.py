@@ -163,7 +163,8 @@ def _violation_block(report) -> dict:
 
 def _noise_block(expr, probability_form, state, model, value, bounds, magnitude) -> dict:
     closed = _closed_form(probability_form, value, bounds, magnitude)
-    scanned = _root_scan(expr, state, model, bounds, _margin_band(probability_form), magnitude)
+    band = _margin_band(probability_form)
+    scanned, evaluations = _root_scan(expr, state, model, bounds, band, magnitude)
     term_count_value = closed.p_critical_term_count
     return {
         "quantum_value": _f12(closed.quantum_value),
@@ -179,7 +180,9 @@ def _noise_block(expr, probability_form, state, model, value, bounds, magnitude)
         },
         "p_critical_root_scan": {
             "value": _f12(scanned),
-            "method": "bisection on the mixing fraction",
+            "method": "false position with a bisection safeguard on the mixing fraction",
+            "evaluations": evaluations,
+            "gap": _f12(scanned - closed.p_critical),
             "agrees_with_closed_form": abs(scanned - closed.p_critical) <= AGREEMENT_TOL,
         },
         "p_critical_term_count_rule": {

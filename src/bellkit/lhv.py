@@ -202,7 +202,7 @@ class LocalBoundResult:
     def magnitude(self) -> Fraction:
         """Bound on |expression| over all local models.
 
-        Cached: the noise root scan reads it at every bisection step.
+        Cached: the noise root scan reads it at every noisy state it evaluates.
         """
         return max(abs(self.max), abs(self.min))
 

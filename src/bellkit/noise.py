@@ -19,13 +19,18 @@ negative terms; both results are reported, because the two only agree when
 every coefficient has unit magnitude, and a disagreement is worth surfacing
 rather than hiding.
 
-An independent bisection root scan cross-checks the closed form.  A margin
-within the band of :func:`_margin_band` gives 0 by both routes and is not
-flagged as a violation: :func:`_margin` owns that zero-margin rule.
+An independent root scan cross-checks the closed form.  It reads only the
+margins of evaluated noisy states, never Q, S or the number of outcome
+cells, and keeps a bracket on the mixing fraction across which the margin
+changes sign.  Each step probes either side of the false-position guess and
+falls back to bisection when that does not halve the bracket, so the affine
+crossing is closed with four noisy states and any crossing still converges.
+A margin within the band of :func:`_margin_band` gives 0 by both routes and
+is not flagged as a violation: :func:`_margin` owns that zero-margin rule.
 
 Each public function sweeps the local polytope's vertices once and then
 runs one private step against the bounds it found: the closed form, or the
-bisection.  The ``noise`` and ``report`` commands call both steps with the
+root scan.  The ``noise`` and ``report`` commands call both steps with the
 one probability form, vertex sweep and quantum value they already hold, so
 each command sweeps once.
 """
@@ -35,7 +40,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Optional
+from typing import Callable, Optional
 
 from .errors import NoRootError, NoViolationError
 from .lhv import DEFAULT_ENUMERATION_CAP, LocalBoundResult, local_bounds
@@ -53,7 +58,8 @@ AGREEMENT_TOL = 1e-9
 # quantum values are floats; margins within this much per unit of coefficient
 # magnitude are zero margins (tolerance 0, not flagged), not missing violations
 MARGIN_TOL = 1e-9
-# the root scan bisects until its bracket on the mixing fraction is this narrow
+# the root scan narrows its bracket on the mixing fraction to this width; its
+# probes sit a quarter of it either side of each false-position guess
 SCAN_RESOLUTION = 1e-12
 
 
@@ -207,26 +213,60 @@ def white_noise_tolerance(
     return _closed_form(probability_form, value, local_bounds(probability_form, cap), magnitude)
 
 
-def _root_scan(expr, state, model, bounds, band: float, magnitude: bool) -> float:
-    """The bisection of :func:`tolerance_by_root_scan`, against given bounds and band."""
+def _crossing(
+    amount: Callable[[float], float], lo: float, hi: float, lo_amount: float, hi_amount: float
+) -> float:
+    """A sign change of ``amount`` in [lo, hi], to within ``SCAN_RESOLUTION / 2``.
+
+    Requires amount(lo) = ``lo_amount`` > 0 >= ``hi_amount`` = amount(hi).  The
+    bracket keeps that invariant and shrinks to at most ``SCAN_RESOLUTION``;
+    its midpoint is returned.  Each step evaluates ``amount`` a quarter of the
+    resolution either side of the false-position guess, which closes the
+    bracket of an affine ``amount`` at once.  Probes outside the open bracket,
+    as from a non-finite guess, are skipped, and a step that leaves more than
+    half the bracket adds a bisection, so no step costs more than three
+    evaluations or fails to halve the bracket.
+    """
+
+    def probe(p: float) -> None:
+        nonlocal lo, hi, lo_amount, hi_amount
+        value = amount(p)
+        if value > 0:
+            lo, lo_amount = p, value
+        else:
+            hi, hi_amount = p, value
+
+    while hi - lo > SCAN_RESOLUTION:
+        width = hi - lo
+        guess = lo + width * (lo_amount / (lo_amount - hi_amount))
+        for p in (guess - SCAN_RESOLUTION / 4, guess + SCAN_RESOLUTION / 4):
+            if lo < p < hi:
+                probe(p)
+        if hi - lo > width / 2:
+            probe((lo + hi) / 2)
+    return (lo + hi) / 2
+
+
+def _root_scan(expr, state, model, bounds, band: float, magnitude: bool) -> tuple[float, int]:
+    """The scan of :func:`tolerance_by_root_scan`, against given bounds and band:
+    the crossing and the number of noisy states evaluated to find it."""
+    evaluations = 0
 
     def violation(p: float) -> ViolationReport:
+        nonlocal evaluations
+        evaluations += 1
         noisy = mix_with_white_noise(state, p)
         value = expression_value(expr, noisy, model).value
         return ViolationReport.of(value, bounds, magnitude, band)
 
-    if _margin(violation(0.0), band) == 0.0:
-        return 0.0  # zero-margin violation: the crossing sits at the start
-    if violation(1.0).violation_amount > 0:
+    margin = _margin(violation(0.0), band)
+    if margin == 0.0:
+        return 0.0, evaluations  # zero-margin violation: the crossing sits at the start
+    end = violation(1.0).violation_amount
+    if end > 0:
         raise NoRootError("the violation survives the whole interval; no root in [0, 1]")
-    lo, hi = 0.0, 1.0
-    while hi - lo > SCAN_RESOLUTION:
-        mid = (lo + hi) / 2.0
-        if violation(mid).violation_amount > 0:
-            lo = mid
-        else:
-            hi = mid
-    return (lo + hi) / 2.0
+    p = _crossing(lambda p: violation(p).violation_amount, 0.0, 1.0, margin, end)
+    return p, evaluations
 
 
 def tolerance_by_root_scan(
@@ -236,13 +276,16 @@ def tolerance_by_root_scan(
     magnitude: bool = False,
     cap: int = DEFAULT_ENUMERATION_CAP,
 ) -> float:
-    """Bisection on the mixing fraction, independent of the closed form.
+    """Root scan on the mixing fraction, independent of the closed form.
 
     Solves value(noisy state at p) = local bound on p in [0, 1] down to an
-    interval of width ``SCAN_RESOLUTION``.  The noisy value is affine and
-    decreasing across a violation, so a single sign change exists whenever
-    the violation dies by p = 1.
+    interval of width ``SCAN_RESOLUTION`` by :func:`_crossing`, which reads
+    only the margins of evaluated noisy states.  The noisy value is affine
+    and decreasing across a violation, so a single sign change exists
+    whenever the violation dies by p = 1, and four noisy states (both ends
+    and one probe either side of the false-position guess) locate it.
     """
     probability_form = as_probability_form(expr)
     bounds = local_bounds(probability_form, cap)
-    return _root_scan(expr, state, model, bounds, _margin_band(probability_form), magnitude)
+    band = _margin_band(probability_form)
+    return _root_scan(expr, state, model, bounds, band, magnitude)[0]

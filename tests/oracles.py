@@ -105,6 +105,42 @@ def kron_expression_value(expr, density, model):
     return total
 
 
+def bisection_root_scan(expr, amplitudes, model, magnitude=False, resolution=1e-12):
+    """Critical white-noise fraction by plain bisection on [0, 1].
+
+    The noisy state is rho = (1 - p)|psi><psi| + p I / 2^n and its value
+    Tr(rho W), with W the sum of coefficient times kron projector over the
+    terms of the probability-form ``expr``; the bound comes from vertex
+    enumeration.  With ``magnitude`` set |value| meets the larger bound
+    magnitude, else the value meets the local maximum.  The bracket [lo, hi]
+    keeps a positive margin at lo and none at hi until it is ``resolution``
+    wide; the midpoint is returned.
+    """
+    bounds = vertex_local_bounds(expr)
+    local = float(max(abs(bounds.max), abs(bounds.min)) if magnitude else bounds.max)
+    operator = sum(
+        float(c) * kron_projector([model.bloch[p][s] for p, s in enumerate(settings)], outcomes)
+        for (settings, outcomes), c in expr.terms.items()
+    )
+    pure = np.outer(amplitudes, np.conj(amplitudes))
+    mixed = np.eye(len(amplitudes)) / len(amplitudes)
+
+    def margin(p):
+        value = float(np.real(np.trace(((1 - p) * pure + p * mixed) @ operator)))
+        return (abs(value) if magnitude else value) - local
+
+    if not margin(0.0) > 0 >= margin(1.0):
+        raise ValueError("no violation that dies by p = 1")
+    lo, hi = 0.0, 1.0
+    while hi - lo > resolution:
+        mid = (lo + hi) / 2
+        if margin(mid) > 0:
+            lo = mid
+        else:
+            hi = mid
+    return (lo + hi) / 2
+
+
 def random_pure_amplitudes(rng, parties):
     raw = rng.normal(size=2**parties) + 1j * rng.normal(size=2**parties)
     return raw / np.linalg.norm(raw)

@@ -140,6 +140,9 @@ class TestNoise:
         assert noise["p_critical"]["value"] == pytest.approx(0.5, abs=1e-9)
         assert noise["p_critical_root_scan"]["value"] == pytest.approx(0.5, abs=1e-9)
         assert noise["p_critical_root_scan"]["agrees_with_closed_form"] is True
+        # both ends of [0, 1] and one probe either side of the affine crossing
+        assert noise["p_critical_root_scan"]["evaluations"] == 4
+        assert noise["p_critical_root_scan"]["gap"] == 0.0
         assert noise["p_critical_term_count_rule"]["value"] == pytest.approx(
             0.714285714286, abs=1e-9
         )
@@ -150,6 +153,8 @@ class TestNoise:
         report = run_json(capsys, ["noise", "--builtin", "mermin"])
         noise = report["noise"]
         assert noise["p_critical"]["value"] == pytest.approx(0.5, abs=1e-9)
+        assert noise["p_critical_root_scan"]["evaluations"] == 4
+        assert abs(noise["p_critical_root_scan"]["gap"]) <= 1e-12
         assert noise["p_critical_term_count_rule"]["agrees_with_closed_form"] is True
         assert noise["magnitude_convention"] is True
 
@@ -190,6 +195,9 @@ class TestZeroMargin:
         assert noise["p_critical"]["value"] == 0.0
         assert noise["p_critical_root_scan"]["value"] == 0.0
         assert noise["p_critical_root_scan"]["agrees_with_closed_form"] is True
+        # the zero margin at p = 0 ends the scan after one noisy state
+        assert noise["p_critical_root_scan"]["evaluations"] == 1
+        assert noise["p_critical_root_scan"]["gap"] == 0.0
         assert noise["p_critical_term_count_rule"]["value"] == 0.0
         violation = run_json(capsys, ["report", *argv])["violation"]
         assert abs(violation["amount"]) <= MARGIN_TOL  # rounding, of either sign
@@ -384,7 +392,7 @@ class TestWorkPerCommand:
             assert call_counts["local_bounds"] == 1, command
             assert call_counts["correlator_to_probability"] <= 1, command
             values[command] = call_counts["expression_value"]
-        # one quantum value each, plus the same bisection
+        # one quantum value each, plus the same root scan
         assert values["report"] == values["noise"]
 
     def test_report_checks_the_model_before_it_sweeps(self, capsys, call_counts, tmp_path):

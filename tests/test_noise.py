@@ -5,9 +5,12 @@ from itertools import product
 
 import numpy as np
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 
 from bellkit import (
     MarginalTerm,
+    MeasurementModel,
     NoViolationError,
     PureState,
     Scenario,
@@ -15,19 +18,34 @@ from bellkit import (
     builtin_expression,
     coefficient_sum,
     expression_value,
+    ghz_state,
     local_bounds,
+    make_correlator_expression,
     make_expression,
     mix_with_white_noise,
+    paper_model,
     parse_model,
     tolerance_by_root_scan,
     violation_report,
     white_noise_tolerance,
 )
-from bellkit.noise import MARGIN_TOL
+from bellkit import noise
+from bellkit.noise import MARGIN_TOL, SCAN_RESOLUTION, _crossing
 
 import oracles
 
 TRI = Scenario.uniform(3, 2, 2)
+XY = ((1.0, 0.0, 0.0), (0.0, 1.0, 0.0))
+
+
+def mermin_expression(parties):
+    """n-party Mermin correlator sum; n = 3 is the builtin ``mermin``."""
+    terms = [
+        (settings, -((-1) ** (sum(settings) // 2)))
+        for settings in product((0, 1), repeat=parties)
+        if sum(settings) % 2 == 0
+    ]
+    return make_correlator_expression(Scenario.uniform(parties, 2, 2), terms)
 
 
 class TestCoefficientSum:
@@ -171,6 +189,170 @@ class TestRootScan:
         )
         with pytest.raises(NoViolationError):
             tolerance_by_root_scan(expr, ghz3, xy_model)
+
+    @settings(max_examples=60, deadline=None)
+    @given(
+        base=st.sampled_from(["g-paper", "mermin"]),
+        spread=st.floats(0.0, 0.3),
+        seed=st.integers(0, 2**32 - 1),
+    )
+    def test_agrees_with_the_bisection_oracle(self, base, spread, seed):
+        # a builtin plus small random terms, on a pure state and X/Y settings
+        # each moved off the paper's by a random vector of size ~spread
+        rng = np.random.default_rng(seed)
+        magnitude = base == "mermin"
+        expr = as_probability_form(builtin_expression(base)) + oracles.random_expression(
+            rng, TRI, max_terms=4
+        ).scale(Fraction(1, 20))
+        amplitudes = ghz_state(3).amplitudes + spread * oracles.random_pure_amplitudes(rng, 3)
+        state = PureState(amplitudes / np.linalg.norm(amplitudes))
+        bloch = np.array(XY) + spread * rng.normal(size=(3, 2, 3))
+        bloch /= np.linalg.norm(bloch, axis=-1, keepdims=True)
+        model = MeasurementModel(tuple(tuple(map(tuple, party)) for party in bloch.tolist()))
+        try:
+            closed = white_noise_tolerance(expr, state, model, magnitude=magnitude).p_critical
+        except NoViolationError:
+            assume(False)
+        assume(closed > 0)
+        scanned = tolerance_by_root_scan(expr, state, model, magnitude=magnitude)
+        oracle = oracles.bisection_root_scan(expr, state.amplitudes, model, magnitude)
+        assert abs(scanned - oracle) <= SCAN_RESOLUTION
+        assert abs(scanned - closed) <= 1e-9
+
+    @pytest.mark.parametrize(
+        "expr, state, model, magnitude",
+        [
+            (builtin_expression("g-paper"), ghz_state(3), paper_model(), False),
+            (builtin_expression("mermin"), ghz_state(3), paper_model(), True),
+        ]
+        + [
+            (mermin_expression(n), ghz_state(n), MeasurementModel((XY,) * n), True)
+            for n in (3, 4, 5)
+        ],
+        ids=["g-paper", "mermin", "mermin3", "mermin4", "mermin5"],
+    )
+    def test_affine_crossing_takes_four_noisy_states(
+        self, monkeypatch, expr, state, model, magnitude
+    ):
+        # both ends plus one probe either side of the false-position guess
+        mixes = []
+
+        def counted(state, p):
+            mixes.append(p)
+            return mix_with_white_noise(state, p)
+
+        monkeypatch.setattr(noise, "mix_with_white_noise", counted)
+        scanned = tolerance_by_root_scan(expr, state, model, magnitude=magnitude)
+        assert len(mixes) == 4
+        closed = white_noise_tolerance(expr, state, model, magnitude=magnitude)
+        assert abs(scanned - closed.p_critical) <= 1e-12
+
+
+# largest evaluation count :func:`_crossing` may take on [0, 1], ends included
+MAX_EVALUATIONS = 2 + 3 * math.ceil(math.log2(1 / SCAN_RESOLUTION))
+
+
+class BracketRecorder:
+    """Wraps an amount function, keeps the bracket its evaluations imply and
+    checks at every call that the point lies strictly inside that bracket and
+    that the bracket ends keep their signs."""
+
+    def __init__(self, amount, lo, hi):
+        self.amount = amount
+        self.lo, self.hi = lo, hi
+        self.lo_amount, self.hi_amount = amount(lo), amount(hi)
+        self.points = []
+
+    def __call__(self, p):
+        assert self.lo < p < self.hi
+        self.points.append(p)
+        value = self.amount(p)
+        if value > 0:
+            self.lo, self.lo_amount = p, value
+        else:
+            self.hi, self.hi_amount = p, value
+        assert self.lo_amount > 0 >= self.hi_amount
+        return value
+
+    def crossing(self):
+        """Run :func:`_crossing` through this recorder; the evaluations count both ends."""
+        result = _crossing(self, self.lo, self.hi, self.lo_amount, self.hi_amount)
+        assert self.hi - self.lo <= SCAN_RESOLUTION
+        assert result == (self.lo + self.hi) / 2
+        return result, 2 + len(self.points)
+
+
+def step(c):
+    return lambda p: 1.0 if p < c else -1.0
+
+
+class TestCrossing:
+    """The bracketing root finder of the root scan, on plain functions."""
+
+    @pytest.mark.parametrize("root", [0.5, 1 / 3, 0.123456789, 1e-6, 0.999999])
+    @pytest.mark.parametrize("slope", [1.0, 5.0, 1e-3])
+    def test_affine_closes_in_one_step(self, root, slope):
+        result, evaluations = BracketRecorder(lambda p: slope * (root - p), 0.0, 1.0).crossing()
+        assert evaluations == 4
+        assert abs(result - root) <= 1e-15
+
+    def test_kinked(self):
+        # |2 - 5p| - 1 falls to its first root at 0.2, kinks at 0.4 and rises
+        result, evaluations = BracketRecorder(lambda p: abs(2 - 5 * p) - 1, 0.0, 0.5).crossing()
+        assert evaluations <= 8
+        assert abs(result - 0.2) <= SCAN_RESOLUTION / 2
+
+    @pytest.mark.parametrize(
+        "amount, root",
+        [
+            (lambda p: 0.3 - p**3, 0.3 ** (1 / 3)),
+            (lambda p: (0.6 - p) ** 3, 0.6),
+            (step(0.3), 0.3),
+            (step(1 / math.pi), 1 / math.pi),
+        ],
+        ids=["cubic", "triple-root", "step", "step-irrational"],
+    )
+    def test_bracket_holds_and_closes_on_the_sign_change(self, amount, root):
+        result, evaluations = BracketRecorder(amount, 0.0, 1.0).crossing()
+        assert abs(result - root) <= SCAN_RESOLUTION / 2
+        assert evaluations <= MAX_EVALUATIONS
+
+    @settings(max_examples=200, deadline=None)
+    @given(
+        root=st.floats(0.0, 1.0, exclude_min=True, exclude_max=True),
+        family=st.sampled_from(["step", "cubic", "steep", "flat-then-steep", "sqrt"]),
+    )
+    def test_evaluation_bound(self, root, family):
+        amount = {
+            "step": step(root),
+            "cubic": lambda p: (root - p) ** 3,
+            "steep": lambda p: math.tanh(1e4 * (root - p)),
+            "flat-then-steep": lambda p: 1e-9 if p < root else -1e9,
+            "sqrt": lambda p: math.copysign(math.sqrt(abs(root - p)), root - p),
+        }[family]
+        recorder = BracketRecorder(amount, 0.0, 1.0)
+        assume(recorder.lo_amount > 0 >= recorder.hi_amount)
+        result, evaluations = recorder.crossing()
+        assert evaluations <= MAX_EVALUATIONS
+        assert abs(result - root) <= SCAN_RESOLUTION / 2
+
+    def test_non_finite_guess_bisects(self):
+        # an infinite margin at lo makes the false-position guess inf/inf = NaN
+        recorder = BracketRecorder(lambda p: math.inf if p == 0 else 0.3 - p, 0.0, 1.0)
+        result, _ = recorder.crossing()
+        assert recorder.points[0] == 0.5
+        assert abs(result - 0.3) <= SCAN_RESOLUTION / 2
+
+    def test_guess_on_a_bracket_end_skips_the_outer_probe_and_bisects(self):
+        # hi's margin -inf puts the guess on lo: the probe below lo is skipped,
+        # the one above it leaves the bracket unhalved, and a bisection follows
+        recorder = BracketRecorder(lambda p: 1.0 if p < 0.3 else -math.inf, 0.0, 1.0)
+        result, evaluations = recorder.crossing()
+        first, second = recorder.points[:2]
+        assert first == SCAN_RESOLUTION / 4
+        assert second == (first + 1.0) / 2
+        assert abs(result - 0.3) <= SCAN_RESOLUTION / 2
+        assert evaluations <= MAX_EVALUATIONS
 
 
 def normalization_sum(scenario, settings, coefficient):
