@@ -29,6 +29,7 @@ from .lhv import (
     diff_expansion,
     expand_full_joint,
     local_bounds,
+    trivial_bounds,
 )
 from .noise import (
     AGREEMENT_TOL,
@@ -269,7 +270,7 @@ def _cmd_noise(args) -> dict:
     state, model, model_identity = _load_model(args.model)
     probability_form = as_probability_form(expr)
     value = expression_value(expr, state, model).value
-    bounds = local_bounds(probability_form, args.cap)
+    bounds = trivial_bounds(probability_form, args.cap)
     noise_block = _noise_block(expr, probability_form, state, model, value, bounds, magnitude)
     inputs = {"expression": identity, "model": model_identity, "magnitude": magnitude}
     return _envelope("noise", inputs, {"noise": noise_block})
@@ -331,8 +332,9 @@ def _cmd_report(args) -> dict:
     probability_form = as_probability_form(expr)
     valuation = expression_value(expr, state, model)  # checks the model before the sweep
     bounds = local_bounds(probability_form, args.cap)
+    extremes = (bounds.min, bounds.max)  # the one sweep, which the extremizers need
     violation = ViolationReport.of(
-        valuation.value, bounds, magnitude, _margin_band(probability_form)
+        valuation.value, extremes, magnitude, _margin_band(probability_form)
     )
     expansion = expand_full_joint(probability_form, args.cap)
 
@@ -342,7 +344,7 @@ def _cmd_report(args) -> dict:
 
     try:
         noise_block = _noise_block(
-            expr, probability_form, state, model, valuation.value, bounds, magnitude
+            expr, probability_form, state, model, valuation.value, extremes, magnitude
         )
         noise_block["defined"] = True
     except (NoViolationError, NoRootError) as exc:

@@ -21,6 +21,11 @@ otherwise.  The two routes share no code beyond the enumeration order: a
 defect in either one makes ``local_bounds`` and ``trivial_bounds`` disagree
 rather than repeat the same wrong number.
 
+Callers that need only the extremes read ``trivial_bounds``, one slice-add per
+term: the noise layer and the ``noise`` command.  The sweep, one call per
+strategy, stays the route behind ``bound`` and ``report``, which list the tied
+extremizers, and the independent check on the grid.
+
 The canonical tripartite two-setting binary scenario has 2^6 = 64 strategies;
 a configurable cap guards against accidentally enormous enumerations.
 """
@@ -30,7 +35,6 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import cached_property
 from itertools import product, repeat
 from types import MappingProxyType
 from typing import Mapping, Sequence
@@ -189,6 +193,11 @@ def expand_full_joint(
     return FullJointExpansion(expr.scenario, dict(zip(assignments, map(exact.__getitem__, values))))
 
 
+def bound_magnitude(low: Fraction, high: Fraction) -> Fraction:
+    """Bound on |expression| over all local models, from its local extremes."""
+    return max(abs(high), abs(low))
+
+
 @dataclass(frozen=True)
 class LocalBoundResult:
     """Exact extrema over deterministic strategies, with every tied extremizer."""
@@ -198,13 +207,10 @@ class LocalBoundResult:
     maximizers: tuple
     minimizers: tuple
 
-    @cached_property
+    @property
     def magnitude(self) -> Fraction:
-        """Bound on |expression| over all local models.
-
-        Cached: the noise root scan reads it at every noisy state it evaluates.
-        """
-        return max(abs(self.max), abs(self.min))
+        """Bound on |expression| over all local models: :func:`bound_magnitude`."""
+        return bound_magnitude(self.min, self.max)
 
 
 def local_bounds(

@@ -28,11 +28,13 @@ crossing is closed with four noisy states and any crossing still converges.
 A margin within the band of :func:`_margin_band` gives 0 by both routes and
 is not flagged as a violation: :func:`_margin` owns that zero-margin rule.
 
-Each public function sweeps the local polytope's vertices once and then
-runs one private step against the bounds it found: the closed form, or the
-root scan.  The ``noise`` and ``report`` commands call both steps with the
-one probability form, vertex sweep and quantum value they already hold, so
-each command sweeps once.
+Every number here needs only the local extremes (min, max), never the
+strategies that attain them, so each public function reads them once off the
+exact expansion grid (:func:`~bellkit.lhv.trivial_bounds`), not off the
+vertex sweep, and then runs one private step against them: the closed form,
+or the root scan.  The ``noise`` command does the same with both steps; the
+``report`` command, which lists the extremizers, passes its one sweep's
+(min, max) to both steps instead.
 """
 
 from __future__ import annotations
@@ -43,7 +45,7 @@ from fractions import Fraction
 from typing import Callable, Optional
 
 from .errors import NoRootError, NoViolationError
-from .lhv import DEFAULT_ENUMERATION_CAP, LocalBoundResult, local_bounds
+from .lhv import DEFAULT_ENUMERATION_CAP, bound_magnitude, trivial_bounds
 from .quantum import (
     MeasurementModel,
     PureState,
@@ -97,13 +99,12 @@ class ViolationReport:
     magnitude: bool
 
     @classmethod
-    def of(
-        cls, value: float, bounds: LocalBoundResult, magnitude: bool, band: float
-    ) -> "ViolationReport":
-        """Compare a signed quantum value with local bounds in the analyzed orientation;
-        ``band`` is the expression's :func:`_margin_band`."""
+    def of(cls, value: float, bounds: tuple, magnitude: bool, band: float) -> "ViolationReport":
+        """Compare a signed quantum value with the exact local (min, max) in the analyzed
+        orientation; ``band`` is the expression's :func:`_margin_band`."""
+        low, high = bounds
         quantum = abs(value) if magnitude else value
-        local = bounds.magnitude if magnitude else bounds.max
+        local = bound_magnitude(low, high) if magnitude else high
         factor = quantum / float(local) if local > 0 else None
         amount = quantum - float(local)
         return cls(quantum, local, factor, amount, amount > band, magnitude)
@@ -118,7 +119,7 @@ def violation_report(
 ) -> ViolationReport:
     probability_form = as_probability_form(expr)
     value = expression_value(expr, state, model).value
-    bounds = local_bounds(probability_form, cap)
+    bounds = trivial_bounds(probability_form, cap)
     return ViolationReport.of(value, bounds, magnitude, _margin_band(probability_form))
 
 
@@ -160,7 +161,8 @@ def _margin(violation: ViolationReport, band: float) -> float:
 
 
 def _closed_form(probability_form, value: float, bounds, magnitude: bool) -> NoiseReport:
-    """The closed form of :func:`white_noise_tolerance`, given the signed value and bounds."""
+    """The closed form of :func:`white_noise_tolerance`, given the signed value and the
+    exact local (min, max)."""
     band = _margin_band(probability_form)
     violation = ViolationReport.of(value, bounds, magnitude, band)
     margin = _margin(violation, band)
@@ -210,7 +212,7 @@ def white_noise_tolerance(
     """
     probability_form = as_probability_form(expr)
     value = expression_value(expr, state, model).value
-    return _closed_form(probability_form, value, local_bounds(probability_form, cap), magnitude)
+    return _closed_form(probability_form, value, trivial_bounds(probability_form, cap), magnitude)
 
 
 def _crossing(
@@ -248,8 +250,8 @@ def _crossing(
 
 
 def _root_scan(expr, state, model, bounds, band: float, magnitude: bool) -> tuple[float, int]:
-    """The scan of :func:`tolerance_by_root_scan`, against given bounds and band:
-    the crossing and the number of noisy states evaluated to find it."""
+    """The scan of :func:`tolerance_by_root_scan`, against a given local (min, max) and
+    band: the crossing and the number of noisy states evaluated to find it."""
     evaluations = 0
 
     def violation(p: float) -> ViolationReport:
@@ -286,6 +288,6 @@ def tolerance_by_root_scan(
     and one probe either side of the false-position guess) locate it.
     """
     probability_form = as_probability_form(expr)
-    bounds = local_bounds(probability_form, cap)
+    bounds = trivial_bounds(probability_form, cap)
     band = _margin_band(probability_form)
     return _root_scan(expr, state, model, bounds, band, magnitude)[0]

@@ -1,4 +1,6 @@
+import importlib
 import sys
+from collections import Counter
 from pathlib import Path
 
 import pytest
@@ -26,3 +28,37 @@ def ghz3():
 @pytest.fixture
 def xy_model():
     return paper_model()
+
+
+# module holding each counted function; every bellkit module that binds the
+# name gets the counting wrapper, as the benchmark's tracer does
+COUNTED = {
+    "local_bounds": "bellkit.lhv",
+    "correlator_to_probability": "bellkit.scenario",
+    "expression_value": "bellkit.quantum",
+    "trivial_bounds": "bellkit.lhv",
+    "evaluate_on_strategy": "bellkit.lhv",
+}
+
+
+def _counting(counts, name, original):
+    def counted(*args, **kwargs):
+        counts[name] += 1
+        return original(*args, **kwargs)
+
+    return counted
+
+
+@pytest.fixture
+def call_counts(monkeypatch):
+    counts = Counter()
+    wrappers = {}
+    for name, module in COUNTED.items():
+        original = getattr(importlib.import_module(module), name)
+        wrappers[id(original)] = _counting(counts, name, original)
+    for module_name, module in list(sys.modules.items()):
+        if module_name == "bellkit" or module_name.startswith("bellkit."):
+            for attribute, value in list(vars(module).items()):
+                if id(value) in wrappers:
+                    monkeypatch.setattr(module, attribute, wrappers[id(value)])
+    return counts

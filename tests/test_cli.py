@@ -1,9 +1,6 @@
-import importlib
 import json
 import math
-import sys
 import time
-from collections import Counter
 
 import pytest
 
@@ -350,59 +347,34 @@ class TestReport:
         }
 
 
-# module holding each counted function; every bellkit module that binds the
-# name gets the counting wrapper, as the benchmark's tracer does
-COUNTED = {
-    "local_bounds": "bellkit.lhv",
-    "correlator_to_probability": "bellkit.scenario",
-    "expression_value": "bellkit.quantum",
-}
-
-
-def _counting(counts, name, original):
-    def counted(*args, **kwargs):
-        counts[name] += 1
-        return original(*args, **kwargs)
-
-    return counted
-
-
-@pytest.fixture
-def call_counts(monkeypatch):
-    counts = Counter()
-    wrappers = {}
-    for name, module in COUNTED.items():
-        original = getattr(importlib.import_module(module), name)
-        wrappers[id(original)] = _counting(counts, name, original)
-    for module_name, module in list(sys.modules.items()):
-        if module_name == "bellkit" or module_name.startswith("bellkit."):
-            for attribute, value in list(vars(module).items()):
-                if id(value) in wrappers:
-                    monkeypatch.setattr(module, attribute, wrappers[id(value)])
-    return counts
-
-
 class TestWorkPerCommand:
     @pytest.mark.parametrize("name", ["g-paper", "mermin"])
-    def test_noise_and_report_sweep_once(self, capsys, call_counts, name):
-        values = {}
-        for command in ("noise", "report"):
+    def test_noise_and_report_compute_the_local_bounds_once(self, capsys, call_counts, name):
+        # noise needs only the local extremes and reads them off the expansion
+        # grid; report lists the extremizers, so it sweeps the vertices instead
+        routes = {"noise": "trivial_bounds", "report": "local_bounds"}
+        values, strategies = {}, {}
+        for command, route in routes.items():
             call_counts.clear()
             run_json(capsys, [command, "--builtin", name])
-            assert call_counts["local_bounds"] == 1, command
+            assert call_counts["trivial_bounds"] + call_counts["local_bounds"] == 1, command
+            assert call_counts[route] == 1, command
             assert call_counts["correlator_to_probability"] <= 1, command
             values[command] = call_counts["expression_value"]
+            strategies[command] = call_counts["evaluate_on_strategy"]
         # one quantum value each, plus the same root scan
         assert values["report"] == values["noise"]
+        assert strategies["noise"] == 0 < strategies["report"]
 
-    def test_report_checks_the_model_before_it_sweeps(self, capsys, call_counts, tmp_path):
+    @pytest.mark.parametrize("command", ["noise", "report"])
+    def test_the_model_is_checked_before_any_bound(self, capsys, call_counts, tmp_path, command):
         path = tmp_path / "ternary.bell"
         path.write_text("scenario 3 3 3\n+1 P(A2 B2 C2 | 2 2 2)\n")
         mismatch = "error: expression scenario does not match the measurement model\n"
         for cap in ([], ["--cap", "10"]):  # the mismatch outranks a cap too small
             call_counts.clear()
-            assert run(capsys, ["report", str(path), *cap]) == (1, "", mismatch)
-            assert call_counts["local_bounds"] == 0
+            assert run(capsys, [command, str(path), *cap]) == (1, "", mismatch)
+            assert call_counts["local_bounds"] == call_counts["trivial_bounds"] == 0
 
 
 class TestPlainFormat:

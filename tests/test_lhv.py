@@ -32,8 +32,8 @@ TRI = Scenario.uniform(3, 2, 2)
 
 
 @st.composite
-def small_expressions(draw):
-    """Random expressions over 1-4 parties, unequal settings and outcome counts."""
+def small_scenarios(draw):
+    """1-4 parties, unequal settings and outcome counts."""
     parties = draw(st.integers(1, 4))
     most_settings = 3 if parties <= 2 else 2
     settings_per_party = draw(
@@ -42,16 +42,44 @@ def small_expressions(draw):
     outcomes_per_setting = [
         draw(st.lists(st.integers(2, 3), min_size=n, max_size=n)) for n in settings_per_party
     ]
-    scenario = Scenario(parties, settings_per_party, outcomes_per_setting)
+    return Scenario(parties, settings_per_party, outcomes_per_setting)
+
+
+@st.composite
+def binary_scenarios(draw):
+    """2-4 parties with 1-3 binary settings each: the scenarios qubit models measure."""
+    parties = draw(st.integers(2, 4))
+    settings_per_party = draw(st.lists(st.integers(1, 3), min_size=parties, max_size=parties))
+    return Scenario(parties, settings_per_party, [(2,) * n for n in settings_per_party])
+
+
+coefficients = st.fractions(-9, 9, max_denominator=12)
+
+
+@st.composite
+def small_expressions(draw, scenarios=small_scenarios()):
+    """Random probability-form expressions of up to 12 terms."""
+    scenario = draw(scenarios)
     terms = []
     for _ in range(draw(st.integers(0, 12))):
-        settings = [draw(st.integers(0, n - 1)) for n in settings_per_party]
+        settings = [draw(st.integers(0, n - 1)) for n in scenario.settings_per_party]
         outcomes = [
-            draw(st.integers(0, outcomes_per_setting[p][s] - 1)) for p, s in enumerate(settings)
+            draw(st.integers(0, scenario.outcomes_per_setting[p][s] - 1))
+            for p, s in enumerate(settings)
         ]
-        coefficient = draw(st.fractions(-9, 9, max_denominator=12))
-        terms.append(MarginalTerm(settings, outcomes, coefficient))
+        terms.append(MarginalTerm(settings, outcomes, draw(coefficients)))
     return make_expression(scenario, terms)
+
+
+@st.composite
+def small_correlator_expressions(draw):
+    """Random correlator-form expressions of up to 12 terms."""
+    scenario = draw(binary_scenarios())
+    terms = [
+        ([draw(st.integers(0, n - 1)) for n in scenario.settings_per_party], draw(coefficients))
+        for _ in range(draw(st.integers(0, 12)))
+    ]
+    return make_correlator_expression(scenario, terms)
 
 
 def mermin_probability_form(parties):

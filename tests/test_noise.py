@@ -33,6 +33,7 @@ from bellkit import noise
 from bellkit.noise import MARGIN_TOL, SCAN_RESOLUTION, _crossing
 
 import oracles
+from test_lhv import binary_scenarios, small_correlator_expressions, small_expressions
 
 TRI = Scenario.uniform(3, 2, 2)
 XY = ((1.0, 0.0, 0.0), (0.0, 1.0, 0.0))
@@ -429,3 +430,49 @@ class TestZeroMargin:
         with pytest.raises(NoViolationError) as scanned:
             tolerance_by_root_scan(expr, ghz3, xy_model)
         assert str(scanned.value) == str(closed.value)
+
+
+class TestLocalBoundRoute:
+    """The noise layer reads the local extremes off the expansion grid, never the sweep."""
+
+    @pytest.mark.parametrize(
+        "function", [violation_report, white_noise_tolerance, tolerance_by_root_scan]
+    )
+    @pytest.mark.parametrize("name, magnitude", [("g-paper", False), ("mermin", True)])
+    def test_one_grid_read_and_no_sweep(
+        self, call_counts, ghz3, xy_model, function, name, magnitude
+    ):
+        function(builtin_expression(name), ghz3, xy_model, magnitude=magnitude)
+        assert call_counts["trivial_bounds"] == 1
+        assert call_counts["local_bounds"] == call_counts["evaluate_on_strategy"] == 0
+
+    @settings(max_examples=40, deadline=None)
+    @given(
+        expr=st.one_of(small_expressions(binary_scenarios()), small_correlator_expressions()),
+        ghz=st.booleans(),
+        magnitude=st.booleans(),
+        seed=st.integers(0, 2**32 - 1),
+    )
+    def test_local_bound_equals_the_sweep(self, expr, ghz, magnitude, seed):
+        rng = np.random.default_rng(seed)
+        scenario = expr.scenario
+        state = (
+            ghz_state(scenario.parties)
+            if ghz
+            else PureState(oracles.random_pure_amplitudes(rng, scenario.parties))
+        )
+        model = MeasurementModel(
+            tuple(
+                tuple(oracles.random_bloch(rng) for _ in range(n))
+                for n in scenario.settings_per_party
+            )
+        )
+        sweep = local_bounds(as_probability_form(expr))
+        expected = sweep.magnitude if magnitude else sweep.max
+        assert violation_report(expr, state, model, magnitude).local_max == expected
+        try:
+            report = white_noise_tolerance(expr, state, model, magnitude)
+        except NoViolationError as exc:  # the message names the bound it missed
+            assert f"does not reach the local bound {expected};" in str(exc)
+        else:
+            assert report.local_max == expected
