@@ -35,9 +35,8 @@ from .noise import (
     AGREEMENT_TOL,
     ViolationReport,
     _closed_form,
-    _margin_band,
+    _coefficient_pass,
     _root_scan,
-    coefficient_sum,
 )
 from .optimize import OptimizerConfig, optimize_measurements
 from .quantum import expression_value, ghz_state, paper_model, parse_model
@@ -162,10 +161,9 @@ def _violation_block(report) -> dict:
     }
 
 
-def _noise_block(expr, probability_form, state, model, value, bounds, magnitude) -> dict:
-    closed = _closed_form(probability_form, value, bounds, magnitude)
-    band = _margin_band(probability_form)
-    scanned, evaluations = _root_scan(expr, state, model, bounds, band, magnitude)
+def _noise_block(expr, coefficients, state, model, value, bounds, magnitude) -> dict:
+    closed = _closed_form(coefficients, expr.scenario.parties, value, bounds, magnitude)
+    scanned, evaluations = _root_scan(expr, state, model, bounds, coefficients.band, magnitude)
     term_count_value = closed.p_critical_term_count
     return {
         "quantum_value": _f12(closed.quantum_value),
@@ -271,7 +269,8 @@ def _cmd_noise(args) -> dict:
     probability_form = as_probability_form(expr)
     value = expression_value(expr, state, model).value
     bounds = trivial_bounds(probability_form, args.cap)
-    noise_block = _noise_block(expr, probability_form, state, model, value, bounds, magnitude)
+    coefficients = _coefficient_pass(probability_form)
+    noise_block = _noise_block(expr, coefficients, state, model, value, bounds, magnitude)
     inputs = {"expression": identity, "model": model_identity, "magnitude": magnitude}
     return _envelope("noise", inputs, {"noise": noise_block})
 
@@ -333,9 +332,8 @@ def _cmd_report(args) -> dict:
     valuation = expression_value(expr, state, model)  # checks the model before the sweep
     bounds = local_bounds(probability_form, args.cap)
     extremes = (bounds.min, bounds.max)  # the one sweep, which the extremizers need
-    violation = ViolationReport.of(
-        valuation.value, extremes, magnitude, _margin_band(probability_form)
-    )
+    coefficients = _coefficient_pass(probability_form)
+    violation = ViolationReport.of(valuation.value, extremes, magnitude, coefficients.band)
     expansion = expand_full_joint(probability_form, args.cap)
 
     diff_path = args.diff
@@ -344,7 +342,7 @@ def _cmd_report(args) -> dict:
 
     try:
         noise_block = _noise_block(
-            expr, probability_form, state, model, valuation.value, extremes, magnitude
+            expr, coefficients, state, model, valuation.value, extremes, magnitude
         )
         noise_block["defined"] = True
     except (NoViolationError, NoRootError) as exc:
@@ -360,7 +358,7 @@ def _cmd_report(args) -> dict:
         },
         "term_count": probability_form.term_count,
         "stored_term_count": expr.term_count,
-        "coefficient_sum": _rational(coefficient_sum(probability_form)),
+        "coefficient_sum": _rational(coefficients.total),
     }
 
     expansion_block = _expansion_block(expansion, list_terms=False)

@@ -14,17 +14,19 @@ lcm of the coefficient denominators, and results are divided back as
 ``Fraction(x, scale)``.  The vertex sweep reads each strategy off a lookup
 compiled once per expression (``BellExpression.strategy_lookup``): one dict
 lookup per distinct settings tuple.  The expansion route builds one integer
-array with an axis per slot, to which each term adds its coefficient on the
-slice it fixes; its dtype is int64 when the sum of the scaled coefficients'
-magnitudes stays below 2^62, so no entry can overflow, and Python ints
-otherwise.  The two routes share no code beyond the enumeration order: a
-defect in either one makes ``local_bounds`` and ``trivial_bounds`` disagree
-rather than repeat the same wrong number.
+array with an axis per slot.  A settings tuple whose outcome table is full
+(every converted correlator's is) adds the table in one broadcast add; any
+other term adds its coefficient on the slice it fixes.  The dtype is int64
+when the sum of the scaled coefficients' magnitudes stays below 2^62, so no
+entry can overflow, and Python ints otherwise.  The two routes share no code
+beyond the enumeration order: a defect in either one makes ``local_bounds``
+and ``trivial_bounds`` disagree rather than repeat the same wrong number.
 
-Callers that need only the extremes read ``trivial_bounds``, one slice-add per
-term: the noise layer and the ``noise`` command.  The sweep, one call per
-strategy, stays the route behind ``bound`` and ``report``, which list the tied
-extremizers, and the independent check on the grid.
+Callers that need only the extremes read ``trivial_bounds``, one array add per
+full settings table and one slice-add per other term: the noise layer and the
+``noise`` command.  The sweep, one call per strategy, stays the route behind
+``bound`` and ``report``, which list the tied extremizers, and the independent
+check on the grid.
 
 The canonical tripartite two-setting binary scenario has 2^6 = 64 strategies;
 a configurable cap guards against accidentally enormous enumerations.
@@ -33,9 +35,11 @@ a configurable cap guards against accidentally enormous enumerations.
 from __future__ import annotations
 
 import math
+from collections import Counter
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import product, repeat
+from operator import itemgetter
 from types import MappingProxyType
 from typing import Mapping, Sequence
 
@@ -157,22 +161,45 @@ def _expansion_grid(expr: BellExpression, cap: int) -> tuple:
     Axes follow Scenario.slots(), so the grid in C order lists assignments in
     enumeration order.  Every entry is a sum of some of the scaled
     coefficients, which bounds it by the sum of their magnitudes; int64 is
-    used only when that bound is below 2^62.
+    used only when that bound is below 2^62.  A settings tuple whose outcome
+    table is full is added as one table, broadcast along the slots it leaves
+    free; any other tuple adds each term on the slice it fixes.  Either way
+    each term touches its share of the grid once.
     """
     scenario = expr.scenario
     _check_cap(scenario, cap)
-    scale = math.lcm(*(c.denominator for c in expr.terms.values()))
-    scaled = [
-        (key, c.numerator * (scale // c.denominator)) for key, c in expr.terms.items()
-    ]
-    dtype = np.int64 if sum(abs(v) for _, v in scaled) < 2**62 else object
+    ratios = list(map(Fraction.as_integer_ratio, expr.terms.values()))
+    scale = math.lcm(*(d for _, d in ratios))
+    scaled = [n * (scale // d) for n, d in ratios]
+    dtype = np.int64 if sum(map(abs, scaled)) < 2**62 else object
     shape = tuple(n for row in scenario.outcomes_per_setting for n in row)
     grid = np.zeros(shape, dtype=dtype)
-    for (settings, outcomes), value in scaled:
-        index = [slice(None)] * len(shape)
-        for offset, s, o in zip(scenario.slot_offsets, settings, outcomes):
-            index[offset + s] = o
-        grid[tuple(index)] += value
+    offsets = scenario.slot_offsets
+    # each settings tuple whose outcome table is full, with an array to hold the
+    # table; no table is smaller than 2^parties, every setting having 2+ outcomes
+    tables = {
+        settings: np.zeros([shape[offset + s] for offset, s in zip(offsets, settings)], dtype)
+        for settings, count in Counter(map(itemgetter(0), expr.terms)).items()
+        if count >= 2**scenario.parties
+        and count == math.prod(shape[offset + s] for offset, s in zip(offsets, settings))
+    }
+    # indexing with the trailing Ellipsis gives a view even when every axis is
+    # fixed, so an add on the view lands in the grid
+    free = [slice(None)] * len(shape) + [Ellipsis]
+    for (settings, outcomes), value in zip(expr.terms, scaled):
+        if settings in tables:
+            tables[settings][outcomes] = value
+        else:
+            index = free.copy()
+            for offset, s, o in zip(offsets, settings, outcomes):
+                index[offset + s] = o
+            view = grid[tuple(index)]
+            view += value
+    for settings, table in tables.items():
+        broadcast = [1] * len(shape)
+        for offset, s, size in zip(offsets, settings, table.shape):
+            broadcast[offset + s] = size
+        grid += table.reshape(broadcast)
     return grid, scale
 
 

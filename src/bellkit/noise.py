@@ -30,11 +30,13 @@ is not flagged as a violation: :func:`_margin` owns that zero-margin rule.
 
 Every number here needs only the local extremes (min, max), never the
 strategies that attain them, so each public function reads them once off the
-exact expansion grid (:func:`~bellkit.lhv.trivial_bounds`), not off the
-vertex sweep, and then runs one private step against them: the closed form,
-or the root scan.  The ``noise`` command does the same with both steps; the
-``report`` command, which lists the extremizers, passes its one sweep's
-(min, max) to both steps instead.
+exact expansion grid (:func:`~bellkit.lhv.trivial_bounds`, one array add per
+full settings table), not off the vertex sweep.  S, the two term counts and
+the band come from one pass over the coefficients (:func:`_coefficient_pass`).
+Each public function makes that pass once and then runs one private step: the
+closed form, or the root scan.  The ``noise`` command does the same with both
+steps; the ``report`` command, which lists the extremizers, passes its one
+sweep's (min, max) to both steps instead.
 """
 
 from __future__ import annotations
@@ -42,7 +44,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Callable, Optional
+from typing import Callable, NamedTuple, Optional
 
 from .errors import NoRootError, NoViolationError
 from .lhv import DEFAULT_ENUMERATION_CAP, bound_magnitude, trivial_bounds
@@ -70,16 +72,36 @@ def coefficient_sum(expr: Expression) -> Fraction:
 
     Equals 2^parties times the expression value on the maximally mixed state.
     """
-    probability_form = as_probability_form(expr)
-    return sum(probability_form.terms.values(), Fraction(0))
+    return _coefficient_pass(as_probability_form(expr)).total
 
 
-def _margin_band(probability_form) -> float:
+def _margin_band(ratios) -> float:
     """Half-width of the zero-margin band: ``MARGIN_TOL`` times the sum of the
     coefficient magnitudes, which bounds the expression on every behaviour and
-    so sets the scale of the rounding error in a quantum value."""
-    coefficients = probability_form.terms.values()
-    return MARGIN_TOL * math.fsum(abs(c.numerator) / c.denominator for c in coefficients)
+    so sets the scale of the rounding error in a quantum value.  ``ratios``
+    holds each coefficient as a (numerator, denominator) pair."""
+    return MARGIN_TOL * math.fsum(abs(n) / d for n, d in ratios)
+
+
+class _Coefficients(NamedTuple):
+    """What the noise numbers read off a probability form's coefficients: their
+    exact sum, how many are positive and negative, and :func:`_margin_band`."""
+
+    total: Fraction
+    positive: int
+    negative: int
+    band: float
+
+
+def _coefficient_pass(probability_form) -> _Coefficients:
+    """:class:`_Coefficients` of a probability form.  The sum and the signs come
+    from the coefficients scaled to integers by the lcm of their denominators."""
+    ratios = list(map(Fraction.as_integer_ratio, probability_form.terms.values()))
+    scale = math.lcm(*(d for _, d in ratios))
+    scaled = [n * (scale // d) for n, d in ratios]
+    positive = sum(v > 0 for v in scaled)  # coefficients are never zero
+    total = Fraction(sum(scaled), scale)
+    return _Coefficients(total, positive, len(scaled) - positive, _margin_band(ratios))
 
 
 @dataclass(frozen=True)
@@ -120,7 +142,7 @@ def violation_report(
     probability_form = as_probability_form(expr)
     value = expression_value(expr, state, model).value
     bounds = trivial_bounds(probability_form, cap)
-    return ViolationReport.of(value, bounds, magnitude, _margin_band(probability_form))
+    return ViolationReport.of(value, bounds, magnitude, _coefficient_pass(probability_form).band)
 
 
 @dataclass(frozen=True)
@@ -160,17 +182,18 @@ def _margin(violation: ViolationReport, band: float) -> float:
     return amount if amount > band else 0.0
 
 
-def _closed_form(probability_form, value: float, bounds, magnitude: bool) -> NoiseReport:
-    """The closed form of :func:`white_noise_tolerance`, given the signed value and the
-    exact local (min, max)."""
-    band = _margin_band(probability_form)
+def _closed_form(
+    coefficients: _Coefficients, parties: int, value: float, bounds, magnitude: bool
+) -> NoiseReport:
+    """The closed form of :func:`white_noise_tolerance`, given the probability form's
+    :func:`_coefficient_pass`, its party count, the signed value and the exact
+    local (min, max)."""
+    band = coefficients.band
     violation = ViolationReport.of(value, bounds, magnitude, band)
     margin = _margin(violation, band)
     quantum, local = violation.quantum_value, violation.local_max
-    cells = 2**probability_form.scenario.parties
-    total = coefficient_sum(probability_form)
-    positive = sum(1 for c in probability_form.terms.values() if c > 0)
-    negative = sum(1 for c in probability_form.terms.values() if c < 0)
+    cells = 2**parties
+    total, positive, negative = coefficients.total, coefficients.positive, coefficients.negative
     if magnitude and value < 0:  # the analyzed orientation is the negated expression
         total, positive, negative = -total, negative, positive
     if margin > 0:
@@ -212,7 +235,9 @@ def white_noise_tolerance(
     """
     probability_form = as_probability_form(expr)
     value = expression_value(expr, state, model).value
-    return _closed_form(probability_form, value, trivial_bounds(probability_form, cap), magnitude)
+    bounds = trivial_bounds(probability_form, cap)
+    parties = probability_form.scenario.parties
+    return _closed_form(_coefficient_pass(probability_form), parties, value, bounds, magnitude)
 
 
 def _crossing(
@@ -289,5 +314,5 @@ def tolerance_by_root_scan(
     """
     probability_form = as_probability_form(expr)
     bounds = trivial_bounds(probability_form, cap)
-    band = _margin_band(probability_form)
+    band = _coefficient_pass(probability_form).band
     return _root_scan(expr, state, model, bounds, band, magnitude)[0]

@@ -258,6 +258,16 @@ class BellExpression(_LinearExpression):
                 validated[key] = coefficient
         object.__setattr__(self, "terms", MappingProxyType(validated))
 
+    @classmethod
+    def _from_valid_terms(cls, scenario: Scenario, terms: dict) -> "BellExpression":
+        """Wrap ``terms`` without re-checking them: every key must already be a
+        valid term key of ``scenario`` as a pair of int tuples, and every value a
+        nonzero Fraction.  For conversions whose keys are valid by construction."""
+        self = object.__new__(cls)
+        object.__setattr__(self, "scenario", scenario)
+        object.__setattr__(self, "terms", MappingProxyType(terms))
+        return self
+
     @cached_property
     def strategy_lookup(self) -> tuple:
         """(scale, pick, tables): the terms compiled for reading off a deterministic strategy.
@@ -350,19 +360,23 @@ def correlator_to_probability(expr: CorrelatorExpression) -> BellExpression:
     A term with coefficient c contributes c * (-1)^z at each outcome tuple,
     z being the number of outcome labels equal to 0.  Conversion is linear,
     and distinct settings tuples give distinct keys, so no two pieces merge.
+    The keys are valid by construction (validated settings, binary outcomes)
+    and every piece is c or -c with c nonzero, so the result skips the
+    public constructor's checks.
     """
     if not isinstance(expr, CorrelatorExpression):
         raise UnsupportedScenarioError("correlator_to_probability expects a correlator form")
-    signs = {
-        outcomes: math.prod(_OUTCOME_SIGNS[o] for o in outcomes)
+    # each outcome tuple with True where its sign is +1, to index the pair (-c, c)
+    signs = [
+        (outcomes, math.prod(_OUTCOME_SIGNS[o] for o in outcomes) > 0)
         for outcomes in product((0, 1), repeat=expr.scenario.parties)
-    }
+    ]
     terms = {
-        (settings, outcomes): sign * coefficient
-        for settings, coefficient in expr.terms.items()
-        for outcomes, sign in signs.items()
+        (settings, outcomes): pair[plus]
+        for settings, pair in ((settings, (-c, c)) for settings, c in expr.terms.items())
+        for outcomes, plus in signs
     }
-    return BellExpression(expr.scenario, terms)
+    return BellExpression._from_valid_terms(expr.scenario, terms)
 
 
 def as_probability_form(expr: Expression) -> BellExpression:

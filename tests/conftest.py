@@ -38,6 +38,7 @@ COUNTED = {
     "expression_value": "bellkit.quantum",
     "trivial_bounds": "bellkit.lhv",
     "evaluate_on_strategy": "bellkit.lhv",
+    "_coefficient_pass": "bellkit.noise",
 }
 
 

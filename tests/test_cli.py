@@ -360,6 +360,7 @@ class TestWorkPerCommand:
             assert call_counts["trivial_bounds"] + call_counts["local_bounds"] == 1, command
             assert call_counts[route] == 1, command
             assert call_counts["correlator_to_probability"] <= 1, command
+            assert call_counts["_coefficient_pass"] == 1, command
             values[command] = call_counts["expression_value"]
             strategies[command] = call_counts["evaluate_on_strategy"]
         # one quantum value each, plus the same root scan

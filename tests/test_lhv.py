@@ -82,6 +82,38 @@ def small_correlator_expressions(draw):
     return make_correlator_expression(scenario, terms)
 
 
+@st.composite
+def tabled_expressions(draw, sparse=True, huge=False):
+    """P-forms built table by table: each drawn settings tuple gets either its full
+    outcome table, shuffled, or (with ``sparse``) a proper subset of it.  With
+    ``huge`` one full table also carries a coefficient beyond 2^62."""
+    scenario = draw(small_scenarios().filter(lambda s: s.assignment_count <= 729))
+    nonzero = coefficients.filter(bool)
+    settings_tuples = draw(
+        st.lists(
+            st.tuples(*(st.integers(0, n - 1) for n in scenario.settings_per_party)),
+            min_size=1,
+            max_size=3,
+            unique=True,
+        )
+    )
+    terms = []
+    for index, settings in enumerate(settings_tuples):
+        table = list(
+            product(*(range(scenario.outcomes_per_setting[p][s]) for p, s in enumerate(settings)))
+        )
+        if huge and index == 0:  # the first table is full and holds the big coefficient
+            table = draw(st.permutations(table))
+            big = draw(st.integers(2**62, 2**70)) * draw(st.sampled_from([-1, 1]))
+            terms.append(MarginalTerm(settings, table.pop(), big))
+        elif sparse and draw(st.booleans()):
+            table = draw(st.lists(st.sampled_from(table), max_size=len(table) - 1, unique=True))
+        else:
+            table = draw(st.permutations(table))
+        terms += [MarginalTerm(settings, outcomes, draw(nonzero)) for outcomes in table]
+    return make_expression(scenario, terms)
+
+
 def mermin_probability_form(parties):
     """Re prod_k (A_k + i A'_k): m primed (setting 1) parties, m even, weigh (-1)^(m/2)."""
     terms = [
@@ -290,6 +322,12 @@ class TestLocalBounds:
     @given(expr=small_expressions())
     @example(expr=make_expression(TRI, []))
     @example(
+        # one setting per party: each term fixes every slot of the grid
+        expr=make_expression(
+            Scenario(2, (1, 1), ((2,), (3,))), [MarginalTerm((0, 0), (1, 2), Fraction(3, 2))]
+        )
+    )
+    @example(
         # the last party's settings differ in outcome count
         expr=make_expression(
             Scenario(2, (1, 2), ((2,), (2, 3))),
@@ -305,6 +343,32 @@ class TestLocalBounds:
         oracle = oracles.expansion_by_direct_evaluation(expr)
         expansion = expand_full_joint(expr)
         assert list(expansion.coefficients.items()) == list(oracle.items())
+        assert trivial_bounds(expr) == (min(oracle.values()), max(oracle.values()))
+
+    @settings(max_examples=40, deadline=None)
+    @given(
+        expr=st.one_of(
+            small_correlator_expressions()
+            .filter(lambda e: e.scenario.assignment_count <= 1024)
+            .map(as_probability_form),
+            tabled_expressions(sparse=False),
+            tabled_expressions(),
+        )
+    )
+    @example(expr=mermin_probability_form(4))
+    def test_full_settings_tables_match_the_brute_oracle(self, expr):
+        # converted correlators and full tables go through the grid's one
+        # broadcast add per settings tuple; mixes also take the per-term path
+        oracle = oracles.expansion_by_direct_evaluation(expr)
+        assert dict(expand_full_joint(expr).coefficients) == oracle
+        assert trivial_bounds(expr) == (min(oracle.values()), max(oracle.values()))
+
+    @settings(max_examples=25, deadline=None)
+    @given(expr=tabled_expressions(huge=True))
+    def test_full_tables_beyond_int64_match_the_brute_oracle(self, expr):
+        assert lhv._expansion_grid(expr, lhv.DEFAULT_ENUMERATION_CAP)[0].dtype == object
+        oracle = oracles.expansion_by_direct_evaluation(expr)
+        assert dict(expand_full_joint(expr).coefficients) == oracle
         assert trivial_bounds(expr) == (min(oracle.values()), max(oracle.values()))
 
     @pytest.mark.parametrize(

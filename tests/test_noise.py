@@ -59,6 +59,18 @@ class TestCoefficientSum:
     def test_empty_expression(self):
         assert coefficient_sum(make_expression(TRI, [])) == 0
 
+    @settings(max_examples=60, deadline=None)
+    @given(expr=st.one_of(small_expressions(), small_correlator_expressions()))
+    def test_one_pass_gives_the_exact_sum_the_signs_and_the_band(self, expr):
+        # the pass sums integers scaled by the lcm; the definitions sum Fractions
+        coefficients = as_probability_form(expr).terms.values()
+        scalars = noise._coefficient_pass(as_probability_form(expr))
+        assert scalars.total == coefficient_sum(expr) == sum(coefficients, Fraction(0))
+        assert scalars.positive == sum(1 for c in coefficients if c > 0)
+        assert scalars.negative == sum(1 for c in coefficients if c < 0)
+        magnitudes = math.fsum(abs(c.numerator) / c.denominator for c in coefficients)
+        assert scalars.band == MARGIN_TOL * magnitudes
+
 
 class TestClosedForm:
     def test_g_paper_tolerance(self, g_expr, ghz3, xy_model):
@@ -445,6 +457,7 @@ class TestLocalBoundRoute:
         function(builtin_expression(name), ghz3, xy_model, magnitude=magnitude)
         assert call_counts["trivial_bounds"] == 1
         assert call_counts["local_bounds"] == call_counts["evaluate_on_strategy"] == 0
+        assert call_counts["_coefficient_pass"] == 1
 
     @settings(max_examples=40, deadline=None)
     @given(

@@ -236,6 +236,48 @@ class TestCorrelatorConversion:
             expr, tables
         ) == oracles.evaluate_probability_expression(converted, tables)
 
+    @settings(max_examples=60, deadline=None)
+    @given(data=st.data())
+    def test_conversion_equals_the_validating_constructor(self, data):
+        # the conversion skips BellExpression's checks; the checked route must
+        # agree key for key, in the same order, with Fraction values throughout
+        parties = data.draw(st.integers(1, 6))
+        settings_per_party = data.draw(
+            st.lists(st.integers(1, 3), min_size=parties, max_size=parties)
+        )
+        scenario = Scenario(parties, settings_per_party, [(2,) * n for n in settings_per_party])
+        terms = data.draw(
+            st.lists(
+                st.tuples(
+                    st.tuples(*(st.integers(0, n - 1) for n in settings_per_party)),
+                    st.fractions(-9, 9, max_denominator=12),
+                ),
+                max_size=8,
+            )
+        )
+        expr = make_correlator_expression(scenario, terms)
+        converted = correlator_to_probability(expr)
+        checked = BellExpression(scenario, dict(converted.terms))
+        assert list(converted.terms.items()) == list(checked.terms.items())
+        assert converted == checked
+        assert converted.term_count == 2**parties * expr.term_count
+        for (settings, outcomes), coefficient in converted.terms.items():
+            assert type(coefficient) is Fraction and coefficient != 0
+            assert all(type(i) is int for i in settings + outcomes)
+            zeros = outcomes.count(0)
+            assert coefficient == (-1) ** zeros * expr.terms[settings]
+
+    def test_the_public_constructor_still_checks_every_key(self):
+        # that it drops zero coefficients is pinned by test_no_stored_zero_coefficients
+        with pytest.raises(ScenarioError, match="setting 2 out of range"):
+            BellExpression(TRI, {((0, 2, 0), (0, 0, 0)): Fraction(1)})
+        with pytest.raises(ScenarioError, match="outcome 2 out of range"):
+            BellExpression(TRI, {((0, 0, 0), (0, 0, 2)): Fraction(1)})
+        with pytest.raises(ScenarioError, match="one setting and one outcome"):
+            BellExpression(TRI, {((0, 0), (0, 0)): Fraction(1)})
+        with pytest.raises(ScenarioError, match="exact rationals"):
+            BellExpression(TRI, {((0, 0, 0), (0, 0, 0)): 0.5})
+
     def test_as_probability_form_dispatch(self, g_expr, mermin_expr):
         assert as_probability_form(g_expr) is g_expr
         assert as_probability_form(mermin_expr).term_count == 32
