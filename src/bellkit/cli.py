@@ -233,20 +233,14 @@ def _diff_block(expansion, fixture_path: str) -> dict:
 
 def _cmd_bound(args) -> dict:
     expr, identity, magnitude = _load_expression(args)
-    probability_form = as_probability_form(expr)
-    bounds = local_bounds(probability_form, args.cap)
+    bounds = local_bounds(expr, args.cap)
     inputs = {"expression": identity, "magnitude": magnitude}
-    return _envelope(
-        "bound",
-        inputs,
-        {"local": _local_block(bounds, probability_form.scenario)},
-    )
+    return _envelope("bound", inputs, {"local": _local_block(bounds, expr.scenario)})
 
 
 def _cmd_expand(args) -> dict:
     expr, identity, _ = _load_expression(args)
-    probability_form = as_probability_form(expr)
-    expansion = expand_full_joint(probability_form, args.cap)
+    expansion = expand_full_joint(expr, args.cap)
     payload = {"expansion": _expansion_block(expansion, list_terms=True)}
     inputs = {"expression": identity, "diff": args.diff}
     if args.diff is not None:
@@ -266,8 +260,8 @@ def _cmd_quantum(args) -> dict:
 def _cmd_noise(args) -> dict:
     expr, identity, magnitude = _load_expression(args)
     state, model, model_identity = _load_model(args.model)
-    probability_form = as_probability_form(expr)
     value = expression_value(expr, state, model).value
+    probability_form = as_probability_form(expr)
     bounds = trivial_bounds(probability_form, args.cap)
     coefficients = _coefficient_pass(probability_form)
     noise_block = _noise_block(expr, coefficients, state, model, value, bounds, magnitude)
@@ -328,8 +322,8 @@ def _cmd_optimize(args) -> dict:
 def _cmd_report(args) -> dict:
     expr, identity, magnitude = _load_expression(args)
     state, model, model_identity = _load_model(args.model)
-    probability_form = as_probability_form(expr)
     valuation = expression_value(expr, state, model)  # checks the model before the sweep
+    probability_form = as_probability_form(expr)
     bounds = local_bounds(probability_form, args.cap)
     extremes = (bounds.min, bounds.max)  # the one sweep, which the extremizers need
     coefficients = _coefficient_pass(probability_form)

@@ -133,23 +133,22 @@ def _parse_outcome_tokens(
 def _parse_assignment_digits(
     scenario: Scenario, digits: str, offset: int, line_no: int
 ) -> tuple:
-    slots = scenario.slots()
-    if len(digits) != len(slots):
+    slot_count = scenario.slot_offsets[-1]
+    if len(digits) != slot_count:
         raise ParseError(
-            f"expected {len(slots)} outcome digits, got {len(digits)}", line_no, offset + 1
+            f"expected {slot_count} outcome digits, got {len(digits)}", line_no, offset + 1
         )
-    flat = []
-    for i, ((party, setting), ch) in enumerate(zip(slots, digits)):
-        outcome = int(ch)
-        if outcome >= scenario.outcomes_per_setting[party][setting]:
+    flat = tuple(map(int, digits))
+    for i, (outcome, count) in enumerate(zip(flat, scenario.slot_outcomes)):
+        if outcome >= count:
+            party, setting = scenario.slots()[i]
             raise ParseError(
-                f"outcome digit {ch!r} out of range for party {_party_letter(party)} "
+                f"outcome digit {digits[i]!r} out of range for party {_party_letter(party)} "
                 f"setting {setting}",
                 line_no,
                 offset + i + 1,
             )
-        flat.append(outcome)
-    return scenario.split_slots(tuple(flat))
+    return scenario.split_slots(flat)
 
 
 def _assignment_digits(scenario: Scenario, assignment) -> str:
@@ -158,7 +157,7 @@ def _assignment_digits(scenario: Scenario, assignment) -> str:
     Refused for the whole scenario once any setting has more than 10 outcomes,
     whichever labels this assignment holds.
     """
-    if any(count > 10 for row in scenario.outcomes_per_setting for count in row):
+    if max(scenario.slot_outcomes) > 10:
         raise UnsupportedScenarioError("assignment digit keys need outcome labels 0-9")
     return "".join(str(outcome) for row in assignment for outcome in row)
 

@@ -19,8 +19,11 @@ array with an axis per slot.  A settings tuple whose outcome table is full
 other term adds its coefficient on the slice it fixes.  The dtype is int64
 when the sum of the scaled coefficients' magnitudes stays below 2^62, so no
 entry can overflow, and Python ints otherwise.  The two routes share no code
-beyond the enumeration order: a defect in either one makes ``local_bounds``
-and ``trivial_bounds`` disagree rather than repeat the same wrong number.
+beyond ``Scenario``'s slot layout and the enumeration order: a defect in
+either one makes ``local_bounds`` and ``trivial_bounds`` disagree rather than
+repeat the same wrong number.  Both take either expression form and meet a
+correlator form's probability terms only after the cap check: the grid
+converts it, the sweep reads the lookup of its probability form.
 
 Callers that need only the extremes read ``trivial_bounds``, one array add per
 full settings table and one slice-add per other term: the noise layer and the
@@ -46,7 +49,7 @@ from typing import Mapping, Sequence
 import numpy as np
 
 from .errors import EnumerationCapError, ScenarioMismatchError
-from .scenario import BellExpression, Scenario, _indices, as_fraction
+from .scenario import Expression, Scenario, _indices, as_fraction, as_probability_form
 
 DEFAULT_ENUMERATION_CAP = 10**7
 
@@ -57,9 +60,12 @@ DeterministicStrategy = tuple
 
 def _check_cap(scenario: Scenario, cap: int) -> int:
     # log10 of the size first: an exact size of 4300 digits or more is slow
-    # to multiply out and beyond Python's int-to-text limit
+    # to multiply out and beyond Python's int-to-text limit.  A row object
+    # shared by several parties is read once and counted once per party.
+    copies = Counter(map(id, scenario.outcomes_per_setting))
+    rows = {id(row): row for row in scenario.outcomes_per_setting}
     log_size = math.fsum(
-        row.count(n) * math.log10(n) for row in scenario.outcomes_per_setting for n in set(row)
+        copies[key] * row.count(n) * math.log10(n) for key, row in rows.items() for n in set(row)
     )
     if log_size >= 4299:
         raise EnumerationCapError(None, cap)
@@ -97,18 +103,16 @@ def enumerate_strategies(
 ) -> list:
     """All deterministic strategies, lexicographic in party-major slot order."""
     _check_cap(scenario, cap)
-    slot_ranges = [
-        range(scenario.outcomes_per_setting[p][s]) for p, s in scenario.slots()
-    ]
-    return list(map(scenario.split_slots, product(*slot_ranges)))
+    return list(map(scenario.split_slots, product(*map(range, scenario.slot_outcomes))))
 
 
-def evaluate_on_strategy(expr: BellExpression, strategy: Sequence) -> Fraction:
+def evaluate_on_strategy(expr: Expression, strategy: Sequence) -> Fraction:
     """Exact expression value when every measurement has a pre-assigned outcome.
 
     Under a deterministic strategy each joint probability is 0 or 1, so the
     value is the sum of coefficients of the terms the strategy hits: at most
-    one term per distinct settings tuple, found by one dict lookup.
+    one term per distinct settings tuple, found by one dict lookup.  A
+    correlator form reads the lookup of its probability form, built once.
     """
     strategy = validate_strategy(expr.scenario, strategy)
     scale, pick, tables = expr.strategy_lookup
@@ -155,7 +159,7 @@ class FullJointExpansion:
         return sum(self.coefficients.values(), Fraction(0))
 
 
-def _expansion_grid(expr: BellExpression, cap: int) -> tuple:
+def _expansion_grid(expr: Expression, cap: int) -> tuple:
     """(grid, scale): the full-joint expansion times scale, one axis per slot.
 
     Axes follow Scenario.slots(), so the grid in C order lists assignments in
@@ -168,21 +172,21 @@ def _expansion_grid(expr: BellExpression, cap: int) -> tuple:
     """
     scenario = expr.scenario
     _check_cap(scenario, cap)
+    expr = as_probability_form(expr)
     ratios = list(map(Fraction.as_integer_ratio, expr.terms.values()))
     scale = math.lcm(*(d for _, d in ratios))
     scaled = [n * (scale // d) for n, d in ratios]
     dtype = np.int64 if sum(map(abs, scaled)) < 2**62 else object
-    shape = tuple(n for row in scenario.outcomes_per_setting for n in row)
+    shape = scenario.slot_outcomes
     grid = np.zeros(shape, dtype=dtype)
-    offsets = scenario.slot_offsets
-    # each settings tuple whose outcome table is full, with an array to hold the
-    # table; no table is smaller than 2^parties, every setting having 2+ outcomes
-    tables = {
-        settings: np.zeros([shape[offset + s] for offset, s in zip(offsets, settings)], dtype)
-        for settings, count in Counter(map(itemgetter(0), expr.terms)).items()
-        if count >= 2**scenario.parties
-        and count == math.prod(shape[offset + s] for offset, s in zip(offsets, settings))
-    }
+    # the slots of each settings tuple, and an array for each full outcome table;
+    # no table is smaller than 2^parties, every setting having 2+ outcomes
+    axes = {}
+    tables = {}
+    for settings, count in Counter(map(itemgetter(0), expr.terms)).items():
+        axes[settings] = slots = scenario.setting_slots(settings)
+        if count >= 2**scenario.parties and count == math.prod(map(shape.__getitem__, slots)):
+            tables[settings] = np.zeros([shape[slot] for slot in slots], dtype)
     # indexing with the trailing Ellipsis gives a view even when every axis is
     # fixed, so an add on the view lands in the grid
     free = [slice(None)] * len(shape) + [Ellipsis]
@@ -191,20 +195,20 @@ def _expansion_grid(expr: BellExpression, cap: int) -> tuple:
             tables[settings][outcomes] = value
         else:
             index = free.copy()
-            for offset, s, o in zip(offsets, settings, outcomes):
-                index[offset + s] = o
+            for slot, o in zip(axes[settings], outcomes):
+                index[slot] = o
             view = grid[tuple(index)]
             view += value
     for settings, table in tables.items():
         broadcast = [1] * len(shape)
-        for offset, s, size in zip(offsets, settings, table.shape):
-            broadcast[offset + s] = size
+        for slot, size in zip(axes[settings], table.shape):
+            broadcast[slot] = size
         grid += table.reshape(broadcast)
     return grid, scale
 
 
 def expand_full_joint(
-    expr: BellExpression, cap: int = DEFAULT_ENUMERATION_CAP
+    expr: Expression, cap: int = DEFAULT_ENUMERATION_CAP
 ) -> FullJointExpansion:
     """Rewrite a marginal expression over complete assignments.
 
@@ -241,7 +245,7 @@ class LocalBoundResult:
 
 
 def local_bounds(
-    expr: BellExpression, cap: int = DEFAULT_ENUMERATION_CAP
+    expr: Expression, cap: int = DEFAULT_ENUMERATION_CAP
 ) -> LocalBoundResult:
     """Exact local extrema by exhaustive vertex enumeration.
 
@@ -269,7 +273,7 @@ def local_bounds(
 
 
 def trivial_bounds(
-    expr: BellExpression, cap: int = DEFAULT_ENUMERATION_CAP
+    expr: Expression, cap: int = DEFAULT_ENUMERATION_CAP
 ) -> tuple:
     """(lower, upper) from the extreme full-joint expansion coefficients.
 

@@ -6,7 +6,7 @@ decides: with ``magnitude`` set, |Q| against the larger of |local max| and
 |local min|, else the signed Q against the local maximum.  The violation
 factor is Q / L and the amount Q - L.
 
-Mixing a pure state with the maximally mixed state moves every joint
+Mixing a state, pure or mixed, with the maximally mixed state moves every joint
 probability affinely in the mixing fraction p, so the expression value is
 affine in p and the critical fraction has the closed form
 
@@ -48,13 +48,7 @@ from typing import Callable, NamedTuple, Optional
 
 from .errors import NoRootError, NoViolationError
 from .lhv import DEFAULT_ENUMERATION_CAP, bound_magnitude, trivial_bounds
-from .quantum import (
-    MeasurementModel,
-    PureState,
-    State,
-    expression_value,
-    mix_with_white_noise,
-)
+from .quantum import MeasurementModel, State, expression_value, mix_with_white_noise
 from .scenario import Expression, as_probability_form
 
 AGREEMENT_TOL = 1e-9
@@ -298,7 +292,7 @@ def _root_scan(expr, state, model, bounds, band: float, magnitude: bool) -> tupl
 
 def tolerance_by_root_scan(
     expr: Expression,
-    state: PureState,
+    state: State,
     model: MeasurementModel,
     magnitude: bool = False,
     cap: int = DEFAULT_ENUMERATION_CAP,

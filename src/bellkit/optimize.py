@@ -50,7 +50,7 @@ from .quantum import (
     _table,
     expression_value,
 )
-from .scenario import Expression, Scenario, as_probability_form
+from .scenario import Expression, as_probability_form
 
 
 @dataclass(frozen=True)
@@ -88,31 +88,10 @@ class AngleParameterization:
 
     __hash__ = None
 
-    @property
-    def settings_per_party(self) -> tuple:
-        return tuple(len(row) for row in self.angles)
-
     def to_model(self) -> MeasurementModel:
         return MeasurementModel(
             tuple(tuple(_bloch_from_angles(t, f) for t, f in row) for row in self.angles)
         )
-
-    def flatten(self) -> np.ndarray:
-        return np.array(
-            [x for row in self.angles for pair in row for x in pair], dtype=float
-        )
-
-    @classmethod
-    def from_flat(cls, values, settings_per_party) -> "AngleParameterization":
-        values = list(float(x) for x in values)
-        if len(values) != 2 * sum(settings_per_party):
-            raise ConfigError(
-                f"expected {2 * sum(settings_per_party)} angles, got {len(values)}"
-            )
-        qubits = Scenario(
-            len(settings_per_party), settings_per_party, [(2,) * n for n in settings_per_party]
-        )
-        return cls(qubits.split_slots(tuple(zip(values[0::2], values[1::2]))))
 
     @classmethod
     def xy_plane_start(cls, settings_per_party) -> "AngleParameterization":
@@ -217,8 +196,8 @@ def optimize_measurements(
         orientations.append(lambda bloch: -value_at(bloch))
 
     slots = sum(settings_per_party)
-    pinned = AngleParameterization.xy_plane_start(settings_per_party).flatten()
-    starts = [_bloch_from_angles(pinned[0::2], pinned[1::2])]
+    pinned = AngleParameterization.xy_plane_start(settings_per_party).angles
+    starts = [_bloch_from_angles(*np.array(sum(pinned, ())).T)]  # theta row, phi row
     for index in range(config.restarts):
         rng = np.random.default_rng([config.seed, index])
         theta = rng.uniform(0.0, math.pi, slots)  # every slot's theta, then its phi
@@ -239,8 +218,8 @@ def optimize_measurements(
                 best_score, best_bloch = score, bloch
 
     x, y, z = best_bloch
-    flat = np.column_stack((np.arccos(np.clip(z, -1.0, 1.0)), np.arctan2(y, x))).reshape(-1)
-    best_angles = AngleParameterization.from_flat(flat, settings_per_party)
+    theta, phi = np.arccos(np.clip(z, -1.0, 1.0)).tolist(), np.arctan2(y, x).tolist()
+    best_angles = AngleParameterization(scenario.split_slots(tuple(zip(theta, phi))))
     final = expression_value(expr, state, best_angles.to_model()).value
     best_value = abs(final) if magnitude else final
     return OptimizationResult(

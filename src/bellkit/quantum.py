@@ -134,6 +134,9 @@ class DensityMatrix:
     def parties(self) -> int:
         return int(round(math.log2(self.dim)))
 
+    def density(self) -> np.ndarray:
+        return self.matrix
+
 
 State = Union[PureState, DensityMatrix]
 
@@ -193,6 +196,7 @@ def ghz_state(parties: int) -> PureState:
     """Equal superposition of the all-up and all-down basis states."""
     if parties < 2:
         raise DimensionMismatchError("a GHZ state needs at least two parties")
+    _parties_from_dim(2**parties, "state")  # the size cap, before any amplitude exists
     amplitudes = np.zeros(2**parties, dtype=complex)
     amplitudes[0] = amplitudes[-1] = 1.0 / math.sqrt(2.0)
     return PureState(amplitudes)
@@ -234,8 +238,7 @@ def _paired_density(state: State, settings_per_party) -> np.ndarray:
             f"{largest} complex entries ({largest * 16 / 2**20:.0f} MiB); "
             f"the cap is {MAX_TABLE_ENTRIES}"
         )
-    rho = state.density() if isinstance(state, PureState) else state.matrix
-    shaped = rho.reshape((2,) * (2 * parties)).transpose(_interleaved(parties))
+    shaped = state.density().reshape((2,) * (2 * parties)).transpose(_interleaved(parties))
     return shaped.reshape(4, -1)
 
 
@@ -350,10 +353,8 @@ def expression_value(expr: Expression, state: State, model: MeasurementModel) ->
     return ExpressionValue(math.fsum(t.contribution for t in contributions), contributions)
 
 
-def mix_with_white_noise(state: PureState, p: float) -> DensityMatrix:
-    """(1-p) times the pure state plus p times the maximally mixed state."""
-    if isinstance(state, DensityMatrix):
-        raise DimensionMismatchError("white-noise mixing starts from a pure state")
+def mix_with_white_noise(state: State, p: float) -> DensityMatrix:
+    """(1-p) times the state plus p times the maximally mixed state."""
     p = float(p)
     if not 0.0 <= p <= 1.0:
         raise DimensionMismatchError(f"noise fraction must lie in [0, 1], got {p}")

@@ -20,10 +20,10 @@ import operator
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
-from itertools import accumulate, pairwise, product
+from itertools import accumulate, chain, pairwise, product
 from operator import itemgetter
 from types import MappingProxyType
-from typing import Iterable, Mapping, Sequence, Union
+from typing import Callable, Iterable, Mapping, Sequence, Union
 
 from .errors import ScenarioError, ScenarioMismatchError, UnsupportedScenarioError
 
@@ -65,6 +65,14 @@ def _indices(values: Iterable, error: type = ScenarioError) -> tuple:
         raise
 
 
+def _tuple_getter(indices: Sequence) -> Callable:
+    """``itemgetter(*indices)`` that always returns a tuple: itemgetter returns
+    the bare item when given one index and refuses none."""
+    if len(indices) > 1:
+        return itemgetter(*indices)
+    return lambda flat: tuple(flat[i] for i in indices)
+
+
 @dataclass(frozen=True)
 class Scenario:
     """Cardinalities of a finite measurement scenario.
@@ -82,17 +90,24 @@ class Scenario:
     def __post_init__(self):
         object.__setattr__(self, "parties", _indices([self.parties])[0])
         object.__setattr__(self, "settings_per_party", _indices(self.settings_per_party))
-        object.__setattr__(
-            self,
-            "outcomes_per_setting",
-            tuple(_indices(row) for row in self.outcomes_per_setting),
-        )
+        # each distinct row object is read once (``uniform`` repeats one), and
+        # tuples of exact ints, as a text header declares, are kept as they are
+        rows = tuple(self.outcomes_per_setting)
+        distinct = {id(row): row for row in rows}
+        if not (
+            set(map(type, distinct.values())) <= {tuple}
+            and set(map(type, chain.from_iterable(distinct.values()))) <= {int}
+        ):
+            distinct = {key: _indices(row) for key, row in distinct.items()}
+            rows = tuple(map(distinct.__getitem__, map(id, rows)))
+        object.__setattr__(self, "outcomes_per_setting", rows)
         if self.parties < 1:
             raise ScenarioError("a scenario needs at least one party")
         if len(self.settings_per_party) != self.parties:
             raise ScenarioError("settings_per_party must list one count per party")
         if len(self.outcomes_per_setting) != self.parties:
             raise ScenarioError("outcomes_per_setting must list one row per party")
+        previous = None
         for p, (n_settings, row) in enumerate(
             zip(self.settings_per_party, self.outcomes_per_setting)
         ):
@@ -102,9 +117,10 @@ class Scenario:
                 raise ScenarioError(
                     f"party {p}: expected {n_settings} outcome counts, got {len(row)}"
                 )
-            for s, n_outcomes in enumerate(row):
-                if n_outcomes < 2:
-                    raise ScenarioError(f"party {p} setting {s}: need at least two outcomes")
+            if row is not previous and min(row) < 2:  # a repeated row is read once
+                s = next(s for s, n_outcomes in enumerate(row) if n_outcomes < 2)
+                raise ScenarioError(f"party {p} setting {s}: need at least two outcomes")
+            previous = row
 
     @classmethod
     def uniform(cls, parties: int, settings: int, outcomes: int) -> "Scenario":
@@ -113,7 +129,7 @@ class Scenario:
 
     @property
     def is_binary(self) -> bool:
-        return all(o == 2 for row in self.outcomes_per_setting for o in row)
+        return all(row.count(2) == len(row) for row in self.outcomes_per_setting)
 
     def uniform_cardinalities(self) -> tuple | None:
         """(parties, settings, outcomes) when uniform, else None."""
@@ -127,11 +143,7 @@ class Scenario:
     @property
     def assignment_count(self) -> int:
         """Size of the complete-assignment (deterministic strategy) space."""
-        n = 1
-        for row in self.outcomes_per_setting:
-            for outcomes in row:
-                n *= outcomes
-        return n
+        return math.prod(self.slot_outcomes)
 
     def slots(self) -> tuple:
         """(party, setting) pairs in party-major, setting-minor order."""
@@ -145,16 +157,22 @@ class Scenario:
         return tuple(accumulate(self.settings_per_party, initial=0))
 
     @cached_property
+    def slot_outcomes(self) -> tuple:
+        """The outcome count of each slot, in ``slots()`` order."""
+        return tuple(chain.from_iterable(self.outcomes_per_setting))
+
+    def setting_slots(self, settings: Sequence[int]) -> tuple:
+        """The slot index, in ``slots()`` order, of each party's setting in ``settings``."""
+        return tuple(map(operator.add, self.slot_offsets, settings))
+
+    @cached_property
     def split_slots(self):
         """Callable splitting a flat tuple in ``slots()`` order into one row per party.
 
         An ``itemgetter`` over one slice per party, so a strategy sweep splits
         every flat tuple without a Python-level call.
         """
-        rows = [slice(lo, hi) for lo, hi in pairwise(self.slot_offsets)]
-        if len(rows) == 1:  # itemgetter returns the bare item when given one index
-            return lambda flat: (flat[rows[0]],)
-        return itemgetter(*rows)
+        return _tuple_getter([slice(lo, hi) for lo, hi in pairwise(self.slot_offsets)])
 
     def validate_term(self, settings: Sequence[int], outcomes: Sequence[int]) -> TermKey:
         """Range-check a term key against this scenario and return it as tuples."""
@@ -280,14 +298,12 @@ class BellExpression(_LinearExpression):
         and kept, since the expression is immutable.
         """
         scale = math.lcm(*(c.denominator for c in self.terms.values()))
-        offsets = self.scenario.slot_offsets
         tables: dict = {}
         for (settings, outcomes), coefficient in self.terms.items():
             values = tables.setdefault(settings, {})
             values[outcomes] = coefficient.numerator * (scale // coefficient.denominator)
-        slots = [offset + s for settings in tables for offset, s in zip(offsets, settings)]
-        # itemgetter returns a tuple only when given two or more indices
-        pick = itemgetter(*slots) if len(slots) > 1 else lambda flat: tuple(flat[i] for i in slots)
+        setting_slots = self.scenario.setting_slots
+        pick = _tuple_getter([slot for settings in tables for slot in setting_slots(settings)])
         return scale, pick, tuple(tables.values())
 
     def coefficient(self, settings: Sequence[int], outcomes: Sequence[int]) -> Fraction:
@@ -321,6 +337,11 @@ class CorrelatorExpression(_LinearExpression):
 
     def coefficient(self, settings: Sequence[int]) -> Fraction:
         return self.terms.get(self.scenario.validate_settings(settings), Fraction(0))
+
+    @cached_property
+    def strategy_lookup(self) -> tuple:
+        """The probability form's :attr:`BellExpression.strategy_lookup`, built on first use."""
+        return correlator_to_probability(self).strategy_lookup
 
 
 Expression = Union[BellExpression, CorrelatorExpression]

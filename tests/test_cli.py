@@ -1,8 +1,13 @@
+import contextlib
+import io
 import json
 import math
+import re
 import time
 
 import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
 
 from bellkit import (
     builtin_expression,
@@ -274,6 +279,22 @@ class TestOptimize:
         assert (code, out) == (1, "")
         assert err == "error: state spans 2 qubits but the expression has 3 parties\n"
 
+    @pytest.mark.parametrize("state", ["ghz", "file"])
+    @pytest.mark.parametrize("name", ["g-paper", "mermin"])
+    def test_the_emitted_model_reproduces_the_best_value(self, capsys, tmp_path, name, state):
+        if state == "file":
+            amplitudes = [[0.6, 0.0], [0, 0], [0, 0], [0, 0.48], [0, 0], [0, 0], [0, 0], [0.64, 0]]
+            state = tmp_path / "state.json"
+            state.write_text(json.dumps({"state": {"amplitudes": amplitudes}, "measurements": [
+                [{"bloch": [0, 0, 1]}] * 2] * 3}))
+        argv = ["optimize", "--builtin", name, "--state", str(state), "--restarts", "2"]
+        optimization = run_json(capsys, argv)["optimization"]
+        path = tmp_path / "best.json"
+        path.write_text(json.dumps(optimization["model"]))
+        quantum = run_json(capsys, ["quantum", "--builtin", name, "--model", str(path)])["quantum"]
+        key = "magnitude" if optimization["magnitude_convention"] else "value"
+        assert abs(quantum[key] - optimization["best_value"]) <= 1e-12
+
     def test_byte_identical_for_identical_seeds(self, capsys):
         argv = ["optimize", "--builtin", "g-paper", "--restarts", "2", "--seed", "3"]
         code1, out1, err1 = run(capsys, argv)
@@ -367,6 +388,14 @@ class TestWorkPerCommand:
         assert values["report"] == values["noise"]
         assert strategies["noise"] == 0 < strategies["report"]
 
+    @pytest.mark.parametrize(
+        "command", ["bound", "expand", "quantum", "noise", "report", "optimize"]
+    )
+    def test_a_correlator_form_is_converted_at_most_once(self, capsys, call_counts, command):
+        argv = [command, "--builtin", "mermin"]
+        run_json(capsys, argv + (["--restarts", "1"] if command == "optimize" else []))
+        assert call_counts["correlator_to_probability"] <= 1
+
     @pytest.mark.parametrize("command", ["noise", "report"])
     def test_the_model_is_checked_before_any_bound(self, capsys, call_counts, tmp_path, command):
         path = tmp_path / "ternary.bell"
@@ -387,6 +416,13 @@ class TestPlainFormat:
         lines = out.splitlines()
         assert "local.max.exact = \"1\"" in lines
         assert "schema_version = 1" in lines
+
+    def test_a_list_of_objects_is_indexed(self, capsys):
+        code, out, err = run(capsys, ["quantum", "--builtin", "g-paper", "--format", "plain"])
+        assert code == 0
+        lines = out.splitlines()
+        assert "quantum.breakdown[0].settings = [0, 0, 0]" in lines
+        assert "quantum.breakdown[19].coefficient.exact = \"-4\"" in lines
 
 
 class TestErrorPaths:
@@ -583,9 +619,12 @@ class TestErrorPaths:
         assert code == 1
         assert err == "error: the text format supports at most 26 parties (line 1, column 1)\n"
 
-    def test_huge_strategy_space_fails_fast(self, capsys, tmp_path):
+    @pytest.mark.parametrize(
+        "header", ["scenario 3 100000 2", "scenario 26 1000000 2", "scenario 3 3000000 2"]
+    )
+    def test_huge_strategy_space_fails_fast(self, capsys, tmp_path, header):
         path = tmp_path / "wide.bell"
-        path.write_text("scenario 3 100000 2\n")
+        path.write_text(header + "\n")
         start = time.perf_counter()
         code, out, err = run(capsys, ["bound", str(path)])
         assert time.perf_counter() - start < 1.0
@@ -594,3 +633,161 @@ class TestErrorPaths:
             "error: strategy space has too many elements to count, "
             "exceeding the cap of 10000000\n"
         )
+
+    @pytest.mark.parametrize("command", ["bound", "expand", "noise", "report", "optimize"])
+    def test_a_26_party_correlator_is_refused_before_it_is_expanded(
+        self, capsys, tmp_path, command
+    ):
+        # one correlator is 2^26 probability terms, and its GHZ state 2^26 amplitudes
+        path = tmp_path / "crowd.bell"
+        tokens = " ".join(f"{chr(ord('A') + p)}0" for p in range(26))
+        path.write_text(f"scenario 26 1 2\n+1 E({tokens})\n")
+        start = time.perf_counter()
+        code, out, err = run(capsys, [command, str(path)])
+        assert time.perf_counter() - start < 1.0
+        assert (code, out) == (1, "")
+        cap = "strategy space has 67108864 elements, exceeding the cap of 10000000"
+        mismatch = "expression scenario does not match the measurement model"
+        size = "state spans 26 qubits; dense algebra is capped at 10"
+        expected = {"bound": cap, "expand": cap, "optimize": size}.get(command, mismatch)
+        assert err == f"error: {expected}\n"
+
+
+_COEFFICIENTS = st.sampled_from(
+    ["1", "-1", "+2", "3/4", "-5/2", "0"] * 3 + ["1/0", "-7/0", "x", "1e3", "2/3/4", "9" * 400, ""]
+)
+_PARTY_TOKENS = st.sampled_from(["A0", "A1", "B0", "B1", "C2", "B", "Z0", "a0", "A-1", "AA0"])
+_OUTCOME_TOKENS = st.sampled_from(["0", "1", "2", "3", "x", "-1", "|"])
+_NUMBERS = st.one_of(
+    st.floats(width=64), st.integers(-2, 2), st.none(), st.just("x"), st.just([1])
+)
+
+
+@st.composite
+def _text_documents(draw):
+    """A header, then P/E/L lines and bad lines, valid and not; at most 729
+    strategies unless the header is one of the oversized ones."""
+    parties, settings, outcomes = draw(st.tuples(*map(st.integers, (1, 1, 2), (3, 2, 3))))
+    header = f"scenario {parties} {settings} {outcomes}"
+    bad_headers = ["scenario 0 2 2", "scenario 2 0 2", "scenario 2 2 1", "scenario 27 1 2"]
+    bad_headers += ["scenario 2 2", "scenario 2 40 2", ""]
+    lines = [draw(st.sampled_from([header] * 12 + bad_headers))]
+    letters = [chr(ord("A") + p) for p in range(parties)]
+    valid_settings = st.lists(st.integers(0, settings - 1), min_size=parties, max_size=parties)
+    valid_outcomes = st.lists(st.integers(0, outcomes - 1), min_size=parties, max_size=parties)
+    slots = parties * settings
+    valid_digits = st.lists(st.sampled_from("012"[:outcomes]), min_size=slots, max_size=slots)
+    for _ in range(draw(st.integers(0, 5))):
+        kind = draw(st.sampled_from("PPEELX"))
+        if kind == "X":
+            lines.append(draw(st.text(st.characters(blacklist_categories=("Cs",)), max_size=12)))
+            continue
+        if draw(st.integers(0, 3)):  # mostly well-formed keys
+            tokens = " ".join(map("{}{}".format, letters, draw(valid_settings)))
+            labels = " ".join(map(str, draw(valid_outcomes)))
+            digits = "".join(draw(valid_digits))
+        else:
+            tokens = " ".join(draw(st.lists(_PARTY_TOKENS, max_size=4)))
+            labels = " ".join(draw(st.lists(_OUTCOME_TOKENS, max_size=4)))
+            digits = draw(st.text("0123x", max_size=7))
+        body = {"P": f"{tokens} | {labels}", "E": tokens, "L": digits}[kind]
+        comment = draw(st.sampled_from(["", "  # note"]))
+        lines.append(f"{draw(_COEFFICIENTS)} {kind}({body}){comment}")
+    return "\n".join(lines) + "\n"
+
+
+@st.composite
+def _model_documents(draw):
+    """JSON model documents: valid angles and GHZ amplitudes among NaN, null,
+    wrong counts and empty lists."""
+    parties = draw(st.sampled_from([0, 1, 2, 3, 3, 3]))
+    settings = draw(st.sampled_from([0, 1, 2, 2, 2]))
+    finite = st.floats(-10, 10)
+    angles = st.builds(lambda t, f: {"angles": [t, f]}, finite, finite)
+    measurement = st.one_of(
+        *[angles] * 3,  # mostly valid
+        st.lists(_NUMBERS, max_size=4).map(lambda v: {"bloch": v}),
+        st.lists(_NUMBERS, max_size=3).map(lambda v: {"angles": v}),
+        st.sampled_from([{}, {"bloch": [0, 0, 1], "angles": [0, 0]}, {"spin": [0, 0, 1]}]),
+    )
+    ghz = [[0.5**0.5, 0]] + [[0, 0]] * (2**parties - 2) + [[0.5**0.5, 0]]
+    state = draw(
+        st.one_of(
+            st.just("ghz"),
+            st.just("ghz"),
+            st.just({"amplitudes": ghz}),
+            st.lists(st.lists(_NUMBERS, max_size=3), max_size=9).map(lambda a: {"amplitudes": a}),
+            st.sampled_from(["w", None, [], {}]),
+        )
+    )
+    rows = st.lists(measurement, min_size=settings, max_size=settings)
+    document = {
+        "state": state,
+        "measurements": draw(st.lists(rows, min_size=parties, max_size=parties)),
+    }
+    for key in draw(st.lists(st.sampled_from(["state", "measurements"]), max_size=1)):
+        del document[key]
+    return json.dumps(document)
+
+
+_ERROR = re.compile(r"(warning: [^\n]*\n)*error: ")
+
+
+class TestFuzz:
+    @settings(
+        max_examples=150,
+        deadline=None,
+        suppress_health_check=[HealthCheck.function_scoped_fixture, HealthCheck.too_slow],
+    )
+    @given(data=st.data())
+    def test_any_input_exits_0_or_1(self, tmp_path, data):
+        # run_command in-process on generated documents and flags: exit 2 means
+        # an input reached an internal failure instead of a clear message
+        draw = data.draw
+        commands = ["bound", "expand", "quantum", "noise", "report", "optimize"]
+        command = draw(st.sampled_from(commands))
+        expression = tmp_path / "expr.bell"
+        expression.write_text(draw(_text_documents()), encoding="utf-8")
+        model = tmp_path / "model.json"
+        model.write_text(draw(_model_documents()), encoding="utf-8")
+        source = draw(
+            st.sampled_from(
+                [[str(expression)]] * 8
+                + [["--builtin", "g-paper"], ["--builtin", "mermin"], ["--builtin", "nope"]]
+                + [[str(expression), "--builtin", "mermin"], [], [str(tmp_path / "absent")]]
+            )
+        )
+        argv = [command, *source]
+        flags = {
+            "--format": "plain",
+            "--magnitude": None,
+            "--no-magnitude": None,
+            "--cap": str(draw(st.sampled_from([-1, 0, 10, 64, 729]))),
+            "--diff": str(draw(st.sampled_from([expression, tmp_path / "absent"]))),
+            "--model": str(draw(st.sampled_from([model, model, "paper"]))),
+            "--state": str(draw(st.sampled_from([model, "ghz"]))),
+            "--restarts": str(draw(st.integers(-1, 2))),
+            "--seed": str(draw(st.integers(0, 3))),
+        }
+        read = {  # the flags each command reads; any other is a usage error
+            "bound": ["--magnitude", "--no-magnitude", "--cap"],
+            "expand": ["--cap", "--diff"],
+            "quantum": ["--magnitude", "--no-magnitude", "--model"],
+            "noise": ["--magnitude", "--no-magnitude", "--cap", "--model"],
+            "report": ["--magnitude", "--no-magnitude", "--cap", "--model", "--diff"],
+            "optimize": ["--magnitude", "--no-magnitude", "--state", "--restarts", "--seed"],
+        }[command] + ["--format"]
+        chosen = draw(st.lists(st.sampled_from(read), max_size=4, unique=True))
+        if draw(st.integers(0, 9)) == 0:
+            chosen.append(draw(st.sampled_from(sorted(flags))))
+        for flag in chosen:
+            argv += [flag] if flags[flag] is None else [flag, flags[flag]]
+        if command == "optimize":
+            argv += ["--max-evals", str(draw(st.integers(1, 80)))]
+        out, err = io.StringIO(), io.StringIO()
+        with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+            code = run_command(argv)
+        assert code in (0, 1), (argv, err.getvalue())
+        if code == 1:
+            assert out.getvalue() == "", argv
+            assert _ERROR.match(err.getvalue()), (argv, err.getvalue())

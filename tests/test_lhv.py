@@ -217,6 +217,20 @@ class TestExpansion:
                 g_expr, strategy
             )
 
+    @pytest.mark.parametrize(
+        "key",
+        [
+            ((0, 2), (0, 0), (0, 0)),
+            ((0, 0), (0, 0)),
+            ((0, 0, 0), (0, 0), (0, 0)),
+            ((0, 0.5), (0, 0), (0, 0)),
+        ],
+        ids=["outcome-out-of-range", "too-few-parties", "too-many-settings", "non-integer"],
+    )
+    def test_a_bad_assignment_key_is_a_scenario_mismatch(self, key):
+        with pytest.raises(ScenarioMismatchError):
+            FullJointExpansion(TRI, {key: 1})
+
     @pytest.mark.parametrize("seed", range(6))
     def test_expansion_matches_oracle_on_random_expressions(self, seed):
         rng = np.random.default_rng(seed)
@@ -275,6 +289,18 @@ class TestExpansion:
                     Fraction(0),
                 )
             assert marginal_total == 1
+
+
+class TestCorrelatorInput:
+    def test_the_exact_layer_converts_a_correlator_form(self, mermin_expr):
+        converted = as_probability_form(mermin_expr)
+        assert local_bounds(mermin_expr) == local_bounds(converted)
+        assert trivial_bounds(mermin_expr) == trivial_bounds(converted)
+        assert expand_full_joint(mermin_expr) == expand_full_joint(converted)
+        for strategy in enumerate_strategies(TRI):
+            assert evaluate_on_strategy(mermin_expr, strategy) == evaluate_on_strategy(
+                converted, strategy
+            )
 
 
 class TestLocalBounds:

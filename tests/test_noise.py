@@ -165,6 +165,14 @@ class TestRootScan:
         with pytest.raises(NoViolationError):
             tolerance_by_root_scan(expr, ghz3, xy_model)
 
+    def test_a_mixed_state_scans_like_the_closed_form(self, g_expr, ghz3, xy_model):
+        rho = mix_with_white_noise(ghz3, 0.1)  # 0.9 |GHZ_3><GHZ_3| + 0.1 I/8
+        closed = white_noise_tolerance(g_expr, rho, xy_model).p_critical
+        scanned = tolerance_by_root_scan(g_expr, rho, xy_model)
+        # Q = 0.9 * 3.5 + 0.1 * (-1.5) = 3, so p = (3 - 1) / (3 + 1.5) = 4/9
+        assert closed == pytest.approx(4 / 9, abs=1e-9)
+        assert scanned == pytest.approx(4 / 9, abs=1e-9)
+
     @pytest.mark.parametrize("seed", range(8))
     def test_randomized_violating_expressions_agree(self, seed, ghz3, xy_model):
         # perturb the violating builtin by small random terms; skip draws

@@ -309,6 +309,12 @@ class TestWhiteNoiseMixing:
         with pytest.raises(DimensionMismatchError):
             mix_with_white_noise(ghz3, -0.1)
 
+    def test_mixing_a_mixed_state_composes(self, ghz3):
+        # (1 - b)((1 - a) rho + a I/d) + b I/d mixes rho with 1 - (1 - a)(1 - b)
+        twice = mix_with_white_noise(mix_with_white_noise(ghz3, 0.2), 0.5)
+        once = mix_with_white_noise(ghz3, 0.6)
+        np.testing.assert_allclose(twice.matrix, once.matrix, atol=1e-15)
+
     def test_value_is_affine_in_p(self, g_expr, ghz3, xy_model):
         points = []
         for p in (0.1, 0.45, 0.8):

@@ -60,6 +60,30 @@ class TestScenario:
     def test_slot_order(self):
         assert TRI.slots() == ((0, 0), (0, 1), (1, 0), (1, 1), (2, 0), (2, 1))
 
+    def test_slot_layout(self):
+        s = Scenario(2, (1, 3), ((2,), (2, 3, 4)))
+        assert s.slot_outcomes == (2, 2, 3, 4)
+        assert s.setting_slots((0, 2)) == (0, 3)
+        assert [s.slots()[i] for i in s.setting_slots((0, 1))] == [(0, 0), (1, 1)]
+        assert s.split_slots(("a", "b", "c", "d")) == (("a",), ("b", "c", "d"))
+        assert Scenario.uniform(1, 2, 2).split_slots((0, 1)) == ((0, 1),)
+
+    def test_a_repeated_row_is_shared_not_copied(self):
+        s = Scenario.uniform(4, 3, 2)
+        assert all(row is s.outcomes_per_setting[0] for row in s.outcomes_per_setting)
+
+    @pytest.mark.parametrize(
+        "outcomes,message",
+        [
+            (((2, 2), (2, 2), (2, 1)), "party 2 setting 1"),
+            (((2, 0), (2, 0), (2, 0)), "party 0 setting 1"),
+            (((True, 2), (2, 2), (2, 2)), "party 0 setting 0"),
+        ],
+    )
+    def test_too_few_outcomes_are_located(self, outcomes, message):
+        with pytest.raises(ScenarioError, match=f"^{message}: need at least two outcomes$"):
+            Scenario(3, (2, 2, 2), outcomes)
+
     @pytest.mark.parametrize(
         "build",
         [
@@ -67,13 +91,14 @@ class TestScenario:
             lambda: Scenario(3, (2, 2.0, 2), ((2, 2),) * 3),
             lambda: Scenario.uniform(3, 2.5, 2),
             lambda: Scenario(3, (2, 2, 2), ((2, 2), (2, 2), (2, 2.5))),
+            lambda: Scenario(3, (2, 2, 2), ((2, 2.0),) * 3),
             lambda: BellExpression(TRI, {((0.5, 0, 0), (1, 1, 1)): 1}),
             lambda: BellExpression(TRI, {((0, 0, 0), (1, "1", 1)): 1}),
             lambda: CorrelatorExpression(TRI, {(1.0, 0, 0): 1}),
             lambda: MarginalTerm((0, 0, 0), (1, 1, 1.7), 1),
         ],
         ids=[
-            "parties", "settings", "uniform", "outcomes",
+            "parties", "settings", "uniform", "outcomes", "outcomes-equal-to-an-int",
             "term-setting", "term-outcome", "correlator", "marginal",
         ],
     )
@@ -88,6 +113,8 @@ class TestScenario:
         expr = BellExpression(Scenario.uniform(np.int64(3), 2, 2), {key: 1})
         assert list(expr.terms) == [((0, 1, 0), (1, 0, 1))]
         assert all(type(i) is int for i in expr.scenario.settings_per_party)
+        row = Scenario(1, (2,), ((2, np.int64(3)),)).outcomes_per_setting[0]
+        assert row == (2, 3) and all(type(n) is int for n in row)
 
 
 class TestMakeExpression:
