@@ -40,7 +40,7 @@ from .noise import (
 )
 from .optimize import OptimizerConfig, optimize_measurements
 from .quantum import expression_value, ghz_state, paper_model, parse_model
-from .scenario import BellExpression, as_probability_form
+from .scenario import BellExpression
 
 SCHEMA_VERSION = 1
 
@@ -261,9 +261,8 @@ def _cmd_noise(args) -> dict:
     expr, identity, magnitude = _load_expression(args)
     state, model, model_identity = _load_model(args.model)
     value = expression_value(expr, state, model).value
-    probability_form = as_probability_form(expr)
-    bounds = trivial_bounds(probability_form, args.cap)
-    coefficients = _coefficient_pass(probability_form)
+    bounds = trivial_bounds(expr, args.cap)
+    coefficients = _coefficient_pass(expr)
     noise_block = _noise_block(expr, coefficients, state, model, value, bounds, magnitude)
     inputs = {"expression": identity, "model": model_identity, "magnitude": magnitude}
     return _envelope("noise", inputs, {"noise": noise_block})
@@ -323,12 +322,11 @@ def _cmd_report(args) -> dict:
     expr, identity, magnitude = _load_expression(args)
     state, model, model_identity = _load_model(args.model)
     valuation = expression_value(expr, state, model)  # checks the model before the sweep
-    probability_form = as_probability_form(expr)
-    bounds = local_bounds(probability_form, args.cap)
+    bounds = local_bounds(expr, args.cap)
     extremes = (bounds.min, bounds.max)  # the one sweep, which the extremizers need
-    coefficients = _coefficient_pass(probability_form)
+    coefficients = _coefficient_pass(expr)
     violation = ViolationReport.of(valuation.value, extremes, magnitude, coefficients.band)
-    expansion = expand_full_joint(probability_form, args.cap)
+    expansion = expand_full_joint(expr, args.cap)
 
     diff_path = args.diff
     if diff_path is None and identity.get("builtin") == "g-paper":
@@ -350,7 +348,7 @@ def _cmd_report(args) -> dict:
             "settings_per_party": list(scenario.settings_per_party),
             "outcomes_per_setting": [list(row) for row in scenario.outcomes_per_setting],
         },
-        "term_count": probability_form.term_count,
+        "term_count": coefficients.positive + coefficients.negative,  # probability form
         "stored_term_count": expr.term_count,
         "coefficient_sum": _rational(coefficients.total),
     }
@@ -489,12 +487,20 @@ def _emit(report: dict, fmt: str) -> None:
         sys.stdout.write("\n".join(lines) + "\n")
 
 
-def _run_handler(args) -> dict:
-    """Run one command, writing each warning it raises to stderr as one line."""
+def _run_handler(args) -> tuple:
+    """Run one command: (exit code, report or None).  A failure writes its error
+    line to stderr first; then each warning the command raised follows as one
+    line."""
     with warnings.catch_warnings(record=True) as caught:
         warnings.simplefilter("always")
         try:
-            return _HANDLERS[args.command](args)
+            return 0, _HANDLERS[args.command](args)
+        except (_UsageError, BellkitError, OSError, ValueError, OverflowError) as exc:
+            sys.stderr.write(f"error: {exc}\n")
+            return 1, None
+        except Exception as exc:  # pragma: no cover - internal invariant failure
+            sys.stderr.write(f"internal error: {exc!r}\n")
+            return 2, None
         finally:
             for warning in caught:
                 sys.stderr.write(f"warning: {warning.message}\n")
@@ -514,19 +520,10 @@ def run_command(argv: Optional[Sequence[str]] = None) -> int:
     if args.command is None:
         sys.stderr.write(parser.format_usage())
         return 1
-    try:
-        report = _run_handler(args)
-    except _UsageError as exc:
-        sys.stderr.write(f"error: {exc}\n")
-        return 1
-    except (BellkitError, OSError, ValueError, OverflowError) as exc:
-        sys.stderr.write(f"error: {exc}\n")
-        return 1
-    except Exception as exc:  # pragma: no cover - internal invariant failure
-        sys.stderr.write(f"internal error: {exc!r}\n")
-        return 2
-    _emit(report, args.format)
-    return 0
+    code, report = _run_handler(args)
+    if report is not None:
+        _emit(report, args.format)
+    return code
 
 
 def main() -> None:

@@ -14,16 +14,17 @@ lcm of the coefficient denominators, and results are divided back as
 ``Fraction(x, scale)``.  The vertex sweep reads each strategy off a lookup
 compiled once per expression (``BellExpression.strategy_lookup``): one dict
 lookup per distinct settings tuple.  The expansion route builds one integer
-array with an axis per slot.  A settings tuple whose outcome table is full
-(every converted correlator's is) adds the table in one broadcast add; any
-other term adds its coefficient on the slice it fixes.  The dtype is int64
-when the sum of the scaled coefficients' magnitudes stays below 2^62, so no
-entry can overflow, and Python ints otherwise.  The two routes share no code
+array with an axis per slot.  A correlator adds its full outcome table, the
++/-1 parity table times its coefficient, in one broadcast add, and so does a
+probability form's settings tuple whose outcome table is full; any other
+term adds its coefficient on the slice it fixes.  The dtype is int64 when
+the sum of the scaled coefficients' magnitudes stays below 2^62, so no entry
+can overflow, and Python ints otherwise.  The two routes share no code
 beyond ``Scenario``'s slot layout and the enumeration order: a defect in
 either one makes ``local_bounds`` and ``trivial_bounds`` disagree rather than
-repeat the same wrong number.  Both take either expression form and meet a
-correlator form's probability terms only after the cap check: the grid
-converts it, the sweep reads the lookup of its probability form.
+repeat the same wrong number.  Both take either expression form after the
+cap check: the grid reads a correlator form's own terms and never builds its
+probability form; the sweep reads the lookup of that probability form.
 
 Callers that need only the extremes read ``trivial_bounds``, one array add per
 full settings table and one slice-add per other term: the noise layer and the
@@ -49,7 +50,15 @@ from typing import Mapping, Sequence
 import numpy as np
 
 from .errors import EnumerationCapError, ScenarioMismatchError
-from .scenario import Expression, Scenario, _indices, as_fraction, as_probability_form
+from .scenario import (
+    BellExpression,
+    CorrelatorExpression,
+    Expression,
+    Scenario,
+    _indices,
+    _parity_signs,
+    as_fraction,
+)
 
 DEFAULT_ENUMERATION_CAP = 10**7
 
@@ -164,21 +173,41 @@ def _expansion_grid(expr: Expression, cap: int) -> tuple:
 
     Axes follow Scenario.slots(), so the grid in C order lists assignments in
     enumeration order.  Every entry is a sum of some of the scaled
-    coefficients, which bounds it by the sum of their magnitudes; int64 is
-    used only when that bound is below 2^62.  A settings tuple whose outcome
-    table is full is added as one table, broadcast along the slots it leaves
-    free; any other tuple adds each term on the slice it fixes.  Either way
-    each term touches its share of the grid once.
+    coefficients, each with sign +1 or -1, which bounds it by the sum of their
+    magnitudes; int64 is used only when that bound is below 2^62.  A
+    correlator is added as its full outcome table, the parity table times its
+    scaled coefficient, broadcast along the slots it leaves free.  So is a
+    probability form's settings tuple whose outcome table is full; any other
+    tuple adds each term on the slice it fixes.  Either way each term touches
+    its share of the grid once.
     """
     scenario = expr.scenario
     _check_cap(scenario, cap)
-    expr = as_probability_form(expr)
     ratios = list(map(Fraction.as_integer_ratio, expr.terms.values()))
     scale = math.lcm(*(d for _, d in ratios))
     scaled = [n * (scale // d) for n, d in ratios]
     dtype = np.int64 if sum(map(abs, scaled)) < 2**62 else object
     shape = scenario.slot_outcomes
     grid = np.zeros(shape, dtype=dtype)
+    if isinstance(expr, CorrelatorExpression):
+        parity = _parity_signs(scenario.parties).astype(dtype, copy=False)
+        tables = {settings: parity * value for settings, value in zip(expr.terms, scaled)}
+    else:
+        tables = _probability_tables(expr, scaled, grid)
+    for settings, table in tables.items():
+        broadcast = [1] * len(shape)
+        for slot, size in zip(scenario.setting_slots(settings), table.shape):
+            broadcast[slot] = size
+        grid += table.reshape(broadcast)
+    return grid, scale
+
+
+def _probability_tables(expr: BellExpression, scaled: list, grid: np.ndarray) -> dict:
+    """Add each probability term whose settings tuple has a partial outcome
+    table to ``grid`` on the slice it fixes; return the full tables, one array
+    per settings tuple, for the caller to broadcast-add."""
+    scenario = expr.scenario
+    shape = grid.shape
     # the slots of each settings tuple, and an array for each full outcome table;
     # no table is smaller than 2^parties, every setting having 2+ outcomes
     axes = {}
@@ -186,7 +215,7 @@ def _expansion_grid(expr: Expression, cap: int) -> tuple:
     for settings, count in Counter(map(itemgetter(0), expr.terms)).items():
         axes[settings] = slots = scenario.setting_slots(settings)
         if count >= 2**scenario.parties and count == math.prod(map(shape.__getitem__, slots)):
-            tables[settings] = np.zeros([shape[slot] for slot in slots], dtype)
+            tables[settings] = np.zeros([shape[slot] for slot in slots], grid.dtype)
     # indexing with the trailing Ellipsis gives a view even when every axis is
     # fixed, so an add on the view lands in the grid
     free = [slice(None)] * len(shape) + [Ellipsis]
@@ -199,12 +228,7 @@ def _expansion_grid(expr: Expression, cap: int) -> tuple:
                 index[slot] = o
             view = grid[tuple(index)]
             view += value
-    for settings, table in tables.items():
-        broadcast = [1] * len(shape)
-        for slot, size in zip(axes[settings], table.shape):
-            broadcast[slot] = size
-        grid += table.reshape(broadcast)
-    return grid, scale
+    return tables
 
 
 def expand_full_joint(

@@ -32,7 +32,9 @@ Every number here needs only the local extremes (min, max), never the
 strategies that attain them, so each public function reads them once off the
 exact expansion grid (:func:`~bellkit.lhv.trivial_bounds`, one array add per
 full settings table), not off the vertex sweep.  S, the two term counts and
-the band come from one pass over the coefficients (:func:`_coefficient_pass`).
+the band come from one pass over the coefficients (:func:`_coefficient_pass`),
+which reads a correlator form's own terms: its S is 0 and its terms split
+evenly by sign.  No step here builds a correlator form's probability form.
 Each public function makes that pass once and then runs one private step: the
 closed form, or the root scan.  The ``noise`` command does the same with both
 steps; the ``report`` command, which lists the extremizers, passes its one
@@ -49,7 +51,7 @@ from typing import Callable, NamedTuple, Optional
 from .errors import NoRootError, NoViolationError
 from .lhv import DEFAULT_ENUMERATION_CAP, bound_magnitude, trivial_bounds
 from .quantum import MeasurementModel, State, expression_value, mix_with_white_noise
-from .scenario import Expression, as_probability_form
+from .scenario import CorrelatorExpression, Expression
 
 AGREEMENT_TOL = 1e-9
 
@@ -62,23 +64,25 @@ SCAN_RESOLUTION = 1e-12
 
 
 def coefficient_sum(expr: Expression) -> Fraction:
-    """Exact sum of probability-form coefficients (correlator input converts first).
+    """Exact sum of probability-form coefficients: 0 for every correlator form.
 
     Equals 2^parties times the expression value on the maximally mixed state.
     """
-    return _coefficient_pass(as_probability_form(expr)).total
+    return _coefficient_pass(expr).total
 
 
-def _margin_band(ratios) -> float:
+def _margin_band(ratios, log2_copies: int = 0) -> float:
     """Half-width of the zero-margin band: ``MARGIN_TOL`` times the sum of the
     coefficient magnitudes, which bounds the expression on every behaviour and
     so sets the scale of the rounding error in a quantum value.  ``ratios``
-    holds each coefficient as a (numerator, denominator) pair."""
-    return MARGIN_TOL * math.fsum(abs(n) / d for n, d in ratios)
+    holds each coefficient as a (numerator, denominator) pair, counted
+    2^``log2_copies`` times: scaling the sum by a power of two is exact, so
+    this equals the sum over that many copies, and overflows where it would."""
+    return MARGIN_TOL * math.ldexp(math.fsum(abs(n) / d for n, d in ratios), log2_copies)
 
 
 class _Coefficients(NamedTuple):
-    """What the noise numbers read off a probability form's coefficients: their
+    """What the noise numbers read off the probability-form coefficients: their
     exact sum, how many are positive and negative, and :func:`_margin_band`."""
 
     total: Fraction
@@ -87,10 +91,18 @@ class _Coefficients(NamedTuple):
     band: float
 
 
-def _coefficient_pass(probability_form) -> _Coefficients:
-    """:class:`_Coefficients` of a probability form.  The sum and the signs come
-    from the coefficients scaled to integers by the lcm of their denominators."""
-    ratios = list(map(Fraction.as_integer_ratio, probability_form.terms.values()))
+def _coefficient_pass(expr: Expression) -> _Coefficients:
+    """:class:`_Coefficients` of an expression's probability form, never built.
+
+    A correlator form's T terms over n parties expand to T * 2^(n-1) terms c
+    and as many terms -c, which sum to 0.  A probability form's sum and signs
+    come from its coefficients scaled to integers by the lcm of their
+    denominators."""
+    ratios = list(map(Fraction.as_integer_ratio, expr.terms.values()))
+    if isinstance(expr, CorrelatorExpression):
+        parties = expr.scenario.parties
+        half = len(ratios) * 2 ** (parties - 1)
+        return _Coefficients(Fraction(0), half, half, _margin_band(ratios, parties))
     scale = math.lcm(*(d for _, d in ratios))
     scaled = [n * (scale // d) for n, d in ratios]
     positive = sum(v > 0 for v in scaled)  # coefficients are never zero
@@ -133,10 +145,9 @@ def violation_report(
     magnitude: bool = False,
     cap: int = DEFAULT_ENUMERATION_CAP,
 ) -> ViolationReport:
-    probability_form = as_probability_form(expr)
     value = expression_value(expr, state, model).value
-    bounds = trivial_bounds(probability_form, cap)
-    return ViolationReport.of(value, bounds, magnitude, _coefficient_pass(probability_form).band)
+    bounds = trivial_bounds(expr, cap)
+    return ViolationReport.of(value, bounds, magnitude, _coefficient_pass(expr).band)
 
 
 @dataclass(frozen=True)
@@ -179,7 +190,7 @@ def _margin(violation: ViolationReport, band: float) -> float:
 def _closed_form(
     coefficients: _Coefficients, parties: int, value: float, bounds, magnitude: bool
 ) -> NoiseReport:
-    """The closed form of :func:`white_noise_tolerance`, given the probability form's
+    """The closed form of :func:`white_noise_tolerance`, given the expression's
     :func:`_coefficient_pass`, its party count, the signed value and the exact
     local (min, max)."""
     band = coefficients.band
@@ -227,11 +238,10 @@ def white_noise_tolerance(
     local bound.  Under :func:`_margin`'s zero-margin rule, margins within the
     band of :func:`_margin_band` give p = 0; lower ones raise NoViolationError.
     """
-    probability_form = as_probability_form(expr)
     value = expression_value(expr, state, model).value
-    bounds = trivial_bounds(probability_form, cap)
-    parties = probability_form.scenario.parties
-    return _closed_form(_coefficient_pass(probability_form), parties, value, bounds, magnitude)
+    bounds = trivial_bounds(expr, cap)
+    parties = expr.scenario.parties
+    return _closed_form(_coefficient_pass(expr), parties, value, bounds, magnitude)
 
 
 def _crossing(
@@ -306,7 +316,6 @@ def tolerance_by_root_scan(
     whenever the violation dies by p = 1, and four noisy states (both ends
     and one probe either side of the false-position guess) locate it.
     """
-    probability_form = as_probability_form(expr)
-    bounds = trivial_bounds(probability_form, cap)
-    band = _coefficient_pass(probability_form).band
+    bounds = trivial_bounds(expr, cap)
+    band = _coefficient_pass(expr).band
     return _root_scan(expr, state, model, bounds, band, magnitude)[0]

@@ -32,7 +32,6 @@ import json
 import math
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import cache, reduce
 from typing import Optional, Sequence, Union
 
 import numpy as np
@@ -42,7 +41,7 @@ from .errors import (
     ParseError,
     ScenarioMismatchError,
 )
-from .scenario import _OUTCOME_SIGNS, CorrelatorExpression, Expression, Scenario
+from .scenario import _OUTCOME_SIGNS, CorrelatorExpression, Expression, Scenario, _parity_signs
 
 MAX_PARTIES = 10
 # complex entries in the largest array the table contraction allocates (64 MiB);
@@ -126,6 +125,15 @@ class DensityMatrix:
         matrix.setflags(write=False)
         object.__setattr__(self, "matrix", matrix)
 
+    @classmethod
+    def _from_valid_matrix(cls, matrix: np.ndarray) -> "DensityMatrix":
+        """Wrap a complex ``matrix`` without re-checking it: it must already pass
+        every check of the public constructor.  For mixtures of valid states."""
+        matrix.setflags(write=False)
+        self = object.__new__(cls)
+        object.__setattr__(self, "matrix", matrix)
+        return self
+
     @property
     def dim(self) -> int:
         return self.matrix.shape[0]
@@ -175,6 +183,9 @@ class MeasurementModel:
         if len(rows) > MAX_PARTIES:
             raise DimensionMismatchError(f"models are capped at {MAX_PARTIES} parties")
         object.__setattr__(self, "bloch", tuple(rows))
+        settings = self.settings_per_party
+        scenario = Scenario(len(rows), settings, tuple((2,) * n for n in settings))
+        object.__setattr__(self, "_scenario", scenario)
 
     @property
     def parties(self) -> int:
@@ -185,11 +196,8 @@ class MeasurementModel:
         return tuple(len(row) for row in self.bloch)
 
     def scenario(self) -> Scenario:
-        """The binary scenario this model measures."""
-        settings = self.settings_per_party
-        return Scenario(
-            self.parties, settings, tuple((2,) * n for n in settings)
-        )
+        """The binary scenario this model measures, built once with the model."""
+        return self._scenario
 
 
 def ghz_state(parties: int) -> PureState:
@@ -280,15 +288,6 @@ def probability_table(state: State, model: MeasurementModel) -> np.ndarray:
     return np.clip(table.reshape(shape).transpose(order), 0.0, 1.0)
 
 
-@cache
-def _parity_signs(parties: int) -> np.ndarray:
-    """Outcome-tensor signs of a correlator, the product of each party's
-    outcome eigenvalue; built once per party count and read-only."""
-    signs = reduce(np.multiply.outer, [_SIGNS] * parties)
-    signs.flags.writeable = False
-    return signs
-
-
 def joint_probability(
     state: State, model: MeasurementModel, settings: Sequence[int], outcomes: Sequence[int]
 ) -> float:
@@ -297,11 +296,23 @@ def joint_probability(
     return float(probability_table(state, model)[settings + outcomes])
 
 
+def _correlators(table: np.ndarray, settings: list) -> np.ndarray:
+    """The correlator of each settings tuple in ``settings`` on a probability table.
+
+    Each tuple's outcome block of the table is multiplied by the parity signs
+    and summed as one contiguous row, all tuples in one array operation.
+    """
+    parties = table.ndim // 2
+    if not settings:
+        return np.zeros(0)
+    blocks = table[tuple(zip(*settings))] * _parity_signs(parties)
+    return np.ascontiguousarray(blocks).reshape(len(settings), -1).sum(axis=1)
+
+
 def correlator(state: State, model: MeasurementModel, settings: Sequence[int]) -> float:
     """Signed sum of joint probabilities: outcome 1 counts +1, outcome 0 counts -1."""
     settings = model.scenario().validate_settings(settings)
-    table = probability_table(state, model)
-    return float(np.sum(_parity_signs(model.parties) * table[settings]))
+    return float(_correlators(probability_table(state, model), [settings])[0])
 
 
 @dataclass(frozen=True)
@@ -339,14 +350,15 @@ def expression_value(expr: Expression, state: State, model: MeasurementModel) ->
     Terms are visited in the expression's stored order, so builtin
     expressions report their contributions in their declared term order.
     Probability terms are table lookups and correlator terms signed sums
-    over one setting tuple's slice of the table.
+    over one setting tuple's slice of the table, all taken by
+    :func:`_correlators` at once.
     """
     _check_parties(state, model.parties)
     _check_expression_model(expr, model)
     table = probability_table(state, model)
     if isinstance(expr, CorrelatorExpression):
-        signs = _parity_signs(model.parties)
-        terms = [(s, None, c, float(np.sum(signs * table[s]))) for s, c in expr.terms.items()]
+        values = _correlators(table, list(expr.terms)).tolist()
+        terms = [(s, None, c, v) for (s, c), v in zip(expr.terms.items(), values)]
     else:
         terms = [(s, o, c, float(table[s + o])) for (s, o), c in expr.terms.items()]
     contributions = tuple(TermContribution(s, o, c, v, float(c) * v) for s, o, c, v in terms)
@@ -354,13 +366,19 @@ def expression_value(expr: Expression, state: State, model: MeasurementModel) ->
 
 
 def mix_with_white_noise(state: State, p: float) -> DensityMatrix:
-    """(1-p) times the state plus p times the maximally mixed state."""
+    """(1-p) times the state plus p times the maximally mixed state.
+
+    A mixture of valid states is valid (Hermitian, unit trace, smallest
+    eigenvalue at least (1-p) times the state's), so the result skips the
+    constructor's checks, which cost more than the mixing on every noisy
+    state the root scan evaluates.
+    """
     p = float(p)
     if not 0.0 <= p <= 1.0:
         raise DimensionMismatchError(f"noise fraction must lie in [0, 1], got {p}")
     dim = state.dim
     matrix = (1.0 - p) * state.density() + (p / dim) * np.eye(dim, dtype=complex)
-    return DensityMatrix(matrix)
+    return DensityMatrix._from_valid_matrix(matrix)
 
 
 def _bloch_from_angles(theta, phi) -> np.ndarray:

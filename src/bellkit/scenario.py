@@ -19,11 +19,13 @@ import math
 import operator
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import cached_property
+from functools import cache, cached_property, reduce
 from itertools import accumulate, chain, pairwise, product
 from operator import itemgetter
 from types import MappingProxyType
 from typing import Callable, Iterable, Mapping, Sequence, Union
+
+import numpy as np
 
 from .errors import ScenarioError, ScenarioMismatchError, UnsupportedScenarioError
 
@@ -36,6 +38,16 @@ RationalInput = Union[Fraction, int, str]
 # eigenvalue of outcome 0 and of outcome 1 in a binary measurement: the one
 # statement of the correlator sign rule, which quantum.py reads as well
 _OUTCOME_SIGNS = (-1, 1)
+
+
+@cache
+def _parity_signs(parties: int) -> np.ndarray:
+    """A correlator's sign at each outcome tuple, the product of each party's
+    ``_OUTCOME_SIGNS`` entry: int64, shape (2,) * parties, built once per party
+    count and read-only.  The expansion grid and the quantum correlators read it."""
+    signs = reduce(np.multiply.outer, [np.array(_OUTCOME_SIGNS, np.int64)] * parties)
+    signs.flags.writeable = False
+    return signs
 
 
 def as_fraction(value: RationalInput) -> Fraction:

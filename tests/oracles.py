@@ -105,6 +105,16 @@ def kron_expression_value(expr, density, model):
     return total
 
 
+def correlator_values_by_loop(expr, table):
+    """Each correlator term's value on a probability table, one term at a time:
+    the sum of its outcome block times the signs, outcome 1 counting +1."""
+    parties = expr.scenario.parties
+    signs = np.empty((2,) * parties)
+    for outcomes in product((0, 1), repeat=parties):
+        signs[outcomes] = -1.0 if outcomes.count(0) % 2 else 1.0
+    return [float(np.sum(signs * table[settings])) for settings in expr.terms]
+
+
 def bisection_root_scan(expr, amplitudes, model, magnitude=False, resolution=1e-12):
     """Critical white-noise fraction by plain bisection on [0, 1].
 

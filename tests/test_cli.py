@@ -4,6 +4,7 @@ import json
 import math
 import re
 import time
+from pathlib import Path
 
 import pytest
 from hypothesis import HealthCheck, given, settings
@@ -19,6 +20,8 @@ from bellkit import (
 from bellkit.cli import _f12, _rational, run_command
 from bellkit.fixtures import g_paper_expansion_fixture_path
 from bellkit.noise import MARGIN_TOL
+
+DATA = Path(__file__).parent / "data"
 
 
 def run(capsys, argv):
@@ -389,6 +392,18 @@ class TestWorkPerCommand:
         assert strategies["noise"] == 0 < strategies["report"]
 
     @pytest.mark.parametrize(
+        "source",
+        [
+            ["--builtin", "mermin"],
+            [str(DATA / "mermin4.bell"), "--model", str(DATA / "ghz4-xy.json")],
+        ],
+    )
+    def test_noise_never_converts_a_correlator_form(self, capsys, call_counts, source):
+        run_json(capsys, ["noise", *source, "--magnitude"])
+        assert call_counts["correlator_to_probability"] == 0
+        assert call_counts["trivial_bounds"] == call_counts["_coefficient_pass"] == 1
+
+    @pytest.mark.parametrize(
         "command", ["bound", "expand", "quantum", "noise", "report", "optimize"]
     )
     def test_a_correlator_form_is_converted_at_most_once(self, capsys, call_counts, command):
@@ -426,6 +441,16 @@ class TestPlainFormat:
 
 
 class TestErrorPaths:
+    def test_a_failure_writes_its_error_line_before_its_warnings(self, capsys, tmp_path):
+        path = tmp_path / "dup.bell"
+        path.write_text("scenario 2 2 2\n+1 P(A0 B0 | 1 1)\n+2 P(A0 B0 | 1 1)\n")
+        code, out, err = run(capsys, ["quantum", str(path)])
+        assert (code, out) == (1, "")
+        assert err.splitlines() == [
+            "error: expression scenario does not match the measurement model",
+            "warning: duplicate term at line 3 merges with line 2",
+        ]
+
     def test_unknown_builtin(self, capsys):
         code, out, err = run(capsys, ["bound", "--builtin", "nope"])
         assert code == 1
@@ -730,7 +755,7 @@ def _model_documents(draw):
     return json.dumps(document)
 
 
-_ERROR = re.compile(r"(warning: [^\n]*\n)*error: ")
+_ERROR = re.compile(r"error: ")  # the first stderr line, before any warning
 
 
 class TestFuzz:

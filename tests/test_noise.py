@@ -467,6 +467,15 @@ class TestLocalBoundRoute:
         assert call_counts["local_bounds"] == call_counts["evaluate_on_strategy"] == 0
         assert call_counts["_coefficient_pass"] == 1
 
+    @pytest.mark.parametrize(
+        "function", [violation_report, white_noise_tolerance, tolerance_by_root_scan]
+    )
+    @pytest.mark.parametrize("parties", [3, 5])
+    def test_a_correlator_form_is_never_converted(self, call_counts, function, parties):
+        model = MeasurementModel((XY,) * parties)
+        function(mermin_expression(parties), ghz_state(parties), model, magnitude=True)
+        assert call_counts["correlator_to_probability"] == 0
+
     @settings(max_examples=40, deadline=None)
     @given(
         expr=st.one_of(small_expressions(binary_scenarios()), small_correlator_expressions()),

@@ -30,7 +30,7 @@ from bellkit import (
     probability_table,
     violation_report,
 )
-from bellkit.quantum import _parity_signs
+from bellkit.scenario import _parity_signs
 
 import oracles
 
@@ -104,6 +104,7 @@ class TestModel:
 
     def test_scenario_derivation(self, xy_model):
         assert xy_model.scenario() == TRI
+        assert xy_model.scenario() is xy_model.scenario()  # built once, with the model
 
 
 class TestJointProbability:
@@ -308,6 +309,24 @@ class TestWhiteNoiseMixing:
             mix_with_white_noise(ghz3, 1.5)
         with pytest.raises(DimensionMismatchError):
             mix_with_white_noise(ghz3, -0.1)
+
+    @settings(max_examples=40, deadline=None)
+    @given(
+        parties=st.integers(1, 4),
+        rank=st.integers(0, 4),
+        p=st.floats(0.0, 1.0),
+        seed=st.integers(0, 2**32 - 1),
+    )
+    def test_a_mixture_passes_every_state_check(self, parties, rank, p, seed):
+        # the mixture skips the constructor's checks; rank 0 mixes a pure state
+        rng = np.random.default_rng(seed)
+        if rank:
+            state = DensityMatrix(oracles.random_density_matrix(rng, parties, rank))
+        else:
+            state = PureState(oracles.random_pure_amplitudes(rng, parties))
+        mixed = mix_with_white_noise(state, p)
+        assert not mixed.matrix.flags.writeable
+        np.testing.assert_array_equal(DensityMatrix(mixed.matrix).matrix, mixed.matrix)
 
     def test_mixing_a_mixed_state_composes(self, ghz3):
         # (1 - b)((1 - a) rho + a I/d) + b I/d mixes rho with 1 - (1 - a)(1 - b)
