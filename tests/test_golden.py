@@ -1,10 +1,13 @@
 """CLI reports pinned byte for byte against checked-in JSON stdout.
 
-Each case runs one ``noise`` or ``report`` command in process, from inside
-``tests/data`` so that expression and model paths read as given.  A command
-that succeeds is compared by its stdout with ``tests/data/golden/<case>.json``;
-one that exits 1, as ``noise`` does where there is no violation, by its
-stderr with ``<case>.stderr``.  The packaged g-paper
+Each case runs one command in process, from inside ``tests/data`` so that
+expression and model paths read as given: ``noise`` and ``report`` on the
+builtins and the 4-party files, and ``bound``, ``expand`` and ``expand --diff``
+on the edge-case text documents under ``tests/data/parse``.  A command that
+succeeds is compared by its stdout with ``tests/data/golden/<case>.json``, and
+by its stderr with ``<case>.stderr`` when that holds warnings; one that exits
+1, as ``noise`` does where there is no violation, by its stderr alone.  The
+packaged g-paper
 fixture path, which ``report`` names and which depends on where the package
 lives, is replaced by ``FIXTURE_PLACEHOLDER`` before the comparison.
 
@@ -39,11 +42,30 @@ CASES = {
     for source, source_args in SOURCES.items()
     for convention, magnitude_args in MAGNITUDES.items()
 }
+PARSE = DATA / "parse"
+CASES.update(
+    {
+        f"{command}-parse-{path.stem}": [command, f"parse/{path.name}"]
+        for command in ("bound", "expand")
+        for path in PARSE.glob("*.bell")
+    }
+)
+CASES.update(
+    {
+        f"expand-diff-{path.stem}": ["expand", "--builtin", "g-paper", "--diff", f"parse/{path.name}"]
+        for path in PARSE.glob("*.fixture")
+    }
+)
+# warnings from the expression document come before those from the fixture
+CASES["expand-diff-duplicates-in-both"] = [
+    "expand", "parse/duplicates.bell", "--diff", "parse/duplicates.fixture"
+]
 
 
-def golden_output(argv: list) -> tuple:
-    """(file name suffix, text) of one command run in ``tests/data``: its stdout
-    as ``.json`` when it succeeds, its stderr as ``.stderr`` when it exits 1."""
+def golden_output(argv: list) -> dict:
+    """The golden texts of one command run in ``tests/data``, by file name
+    suffix: when it succeeds, its stdout as ``.json`` and any stderr as
+    ``.stderr``; when it exits 1, its stderr as ``.stderr``."""
     out, err = io.StringIO(), io.StringIO()
     cwd = os.getcwd()
     os.chdir(DATA)
@@ -54,23 +76,31 @@ def golden_output(argv: list) -> tuple:
         os.chdir(cwd)
     if code == 0:
         text = out.getvalue().replace(str(g_paper_expansion_fixture_path()), FIXTURE_PLACEHOLDER)
-        return ".json", text
+        return {".json": text, **({".stderr": err.getvalue()} if err.getvalue() else {})}
     assert code == 1 and not out.getvalue(), argv
-    return ".stderr", err.getvalue()
+    return {".stderr": err.getvalue()}
+
+
+def golden_files(case: str) -> list:
+    return sorted(path.name for path in GOLDEN.glob(f"{case}.*"))
 
 
 @pytest.mark.parametrize("case", sorted(CASES))
 def test_output_matches_the_golden_file(case):
-    suffix, text = golden_output(CASES[case])
-    assert text == (GOLDEN / f"{case}{suffix}").read_text(encoding="utf-8")
+    outputs = golden_output(CASES[case])
+    assert golden_files(case) == sorted(f"{case}{suffix}" for suffix in outputs)
+    for suffix, text in outputs.items():
+        assert text == (GOLDEN / f"{case}{suffix}").read_text(encoding="utf-8")
 
 
 def test_every_golden_file_has_a_case():
-    assert sorted(path.stem for path in GOLDEN.iterdir()) == sorted(CASES)
+    assert sorted({path.stem for path in GOLDEN.iterdir()}) == sorted(CASES)
 
 
 if __name__ == "__main__":
     GOLDEN.mkdir(exist_ok=True)
     for case, argv in CASES.items():
-        suffix, text = golden_output(argv)
-        (GOLDEN / f"{case}{suffix}").write_text(text, encoding="utf-8")
+        for name in golden_files(case):
+            (GOLDEN / name).unlink()
+        for suffix, text in golden_output(argv).items():
+            (GOLDEN / f"{case}{suffix}").write_text(text, encoding="utf-8")
