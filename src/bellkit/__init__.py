@@ -9,6 +9,8 @@ from .builtins import (
     builtin_expression,
     builtin_magnitude,
     builtin_names,
+    g_paper_expansion_fixture,
+    g_paper_expansion_fixture_path,
 )
 from .errors import (
     BellkitError,
@@ -25,22 +27,14 @@ from .errors import (
 )
 from .exprformat import (
     DuplicateTermWarning,
-    ExpressionDocument,
-    parse_document,
     parse_expansion,
     parse_expression,
     serialize_expansion,
     serialize_expression,
 )
-from .fixtures import (
-    g_paper_expansion_fixture,
-    g_paper_expansion_fixture_path,
-    g_paper_expansion_fixture_text,
-)
 from .lhv import (
     DEFAULT_ENUMERATION_CAP,
     DiffEntry,
-    DiffReport,
     FullJointExpansion,
     LocalBoundResult,
     diff_expansion,
@@ -88,5 +82,4 @@ from .scenario import (
     correlator_to_probability,
     make_correlator_expression,
     make_expression,
-    term_count,
 )

@@ -1,8 +1,13 @@
-"""Named Bell expressions shipped with the toolkit."""
+"""Named Bell expressions shipped with the toolkit, and g-paper's expansion table."""
 
 from __future__ import annotations
 
+from importlib.resources import files
+from pathlib import Path
+
 from .errors import UnknownBuiltinError
+from .exprformat import parse_expansion
+from .lhv import FullJointExpansion
 from .scenario import (
     BellExpression,
     CorrelatorExpression,
@@ -56,6 +61,20 @@ def _mermin() -> CorrelatorExpression:
         TRIPARTITE_BINARY,
         [((0, 1, 1), 1), ((1, 0, 1), 1), ((1, 1, 0), 1), ((0, 0, 0), -1)],
     )
+
+
+_G_PAPER_FIXTURE = "data/g_paper_expansion.fixture"
+
+
+def g_paper_expansion_fixture() -> FullJointExpansion:
+    """The shipped g-paper expansion table, parsed."""
+    text = files(__package__).joinpath(_G_PAPER_FIXTURE).read_text(encoding="utf-8")
+    return parse_expansion(text)
+
+
+def g_paper_expansion_fixture_path() -> Path:
+    """Filesystem path of the shipped table (packages installed from a directory)."""
+    return Path(str(files(__package__).joinpath(_G_PAPER_FIXTURE)))
 
 
 # name -> (factory, whether analyses report the expression by |value|)

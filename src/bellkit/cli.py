@@ -20,10 +20,14 @@ from pathlib import Path
 from typing import Optional, Sequence
 
 from . import __version__
-from .builtins import builtin_expression, builtin_magnitude, builtin_names
+from .builtins import (
+    builtin_expression,
+    builtin_magnitude,
+    builtin_names,
+    g_paper_expansion_fixture_path,
+)
 from .errors import BellkitError, NoRootError, NoViolationError
 from .exprformat import _assignment_digits, parse_expansion, parse_expression
-from .fixtures import g_paper_expansion_fixture_path
 from .lhv import (
     DEFAULT_ENUMERATION_CAP,
     diff_expansion,
@@ -215,18 +219,18 @@ def _expansion_block(expansion, list_terms: bool) -> dict:
 def _diff_block(expansion, fixture_path: str) -> dict:
     text = Path(fixture_path).read_text(encoding="utf-8")
     fixture = parse_expansion(text)
-    report = diff_expansion(expansion, fixture)
+    entries = diff_expansion(expansion, fixture)
     return {
         "fixture": str(fixture_path),
         "fixture_sha256": _sha256(text),
-        "mismatches": len(report),
+        "mismatches": len(entries),
         "entries": [
             {
                 "assignment": _assignment_digits(expansion.scenario, entry.assignment),
                 "computed": _rational(entry.computed),
                 "fixture": _rational(entry.fixture),
             }
-            for entry in report
+            for entry in entries
         ],
     }
 

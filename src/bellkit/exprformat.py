@@ -20,8 +20,14 @@ a setting index; in a ``P(...)`` line the fields after ``|`` list one outcome
 label per party.  An ``L(...)`` key lists one outcome digit per
 (party, setting) slot in party-major, setting-minor order, so the tripartite
 two-setting case reads ``L(<a><a'><b><b'><c><c'>)``; this compact form
-requires single-digit outcome labels.  Duplicate keys merge by rational
-addition and emit a :class:`DuplicateTermWarning`.
+requires single-digit outcome labels.
+
+``parse_expression`` and ``parse_expansion`` read a document in one pass,
+straight to the term map their types store: each line is matched, range
+checked and merged as it is read, and the first bad line is the error.
+Duplicate keys merge by rational addition; each emits a
+:class:`DuplicateTermWarning`, in line order, but only once the whole
+document has parsed, so a document that fails warns about nothing.
 
 Serialization is canonical: terms sorted by key, coefficients in lowest terms
 with an explicit sign.  ``parse_expression(serialize_expression(e))``
@@ -34,7 +40,6 @@ from __future__ import annotations
 import re
 import sys
 import warnings
-from dataclasses import dataclass
 from fractions import Fraction
 
 from .errors import ParseError, ScenarioError, UnsupportedScenarioError
@@ -49,29 +54,6 @@ class DuplicateTermWarning(UserWarning):
 _HEADER_RE = re.compile(r"^scenario\s+(\d+)\s+(\d+)\s+(\d+)\s*$")
 _TERM_RE = re.compile(r"^([+-]?\d+(?:/\d+)?)\s+([PEL])\(([^()]*)\)\s*$")
 _TOKEN_RE = re.compile(r"\S+")
-
-
-@dataclass(frozen=True)
-class DocumentTerm:
-    """One parsed term line, keyed as its expression or expansion stores it."""
-
-    line: int
-    kind: str  # "P", "E", or "L"
-    coefficient: Fraction
-    key: tuple  # (settings, outcomes) for P, settings for E, the assignment for L
-
-
-@dataclass(frozen=True)
-class ExpressionDocument:
-    """Parsed document: declared scenario, term records, and comment text."""
-
-    scenario: Scenario
-    terms: tuple
-    comments: tuple
-
-    @property
-    def kind(self) -> str:
-        return self.terms[0].kind if self.terms else "P"
 
 
 def _party_letter(party: int) -> str:
@@ -162,22 +144,22 @@ def _assignment_digits(scenario: Scenario, assignment) -> str:
     return "".join(str(outcome) for row in assignment for outcome in row)
 
 
-def parse_document(text: str) -> ExpressionDocument:
-    """Parse a document into its header scenario and raw term records.
+def _parse(text: str, kinds: str) -> tuple:
+    """(scenario, term kind or None, merged term map) of a document, in one pass.
 
     Every rejection carries a 1-based line number (and a column where one is
-    meaningful); term kinds must not mix within one document.
+    meaningful); the first bad line is the error, and term kinds must not mix.
+    Only once the whole document has parsed is a kind outside ``kinds`` refused,
+    at its first term line, and then each repeated key warned about.
     """
     scenario = None
-    terms: list = []
-    comments: list = []
     kind = None
+    merged: dict = {}
+    first_line: dict = {}
+    duplicates: list = []
     magnitude = Fraction(0)
     for line_no, raw in enumerate(text.splitlines(), start=1):
-        line = raw.rstrip("\r")
-        if "#" in line:
-            comments.append(line[line.index("#") + 1 :].strip())
-            line = line[: line.index("#")]
+        line = raw.rstrip("\r").partition("#")[0]
         if not line.strip():
             continue
         if scenario is None:
@@ -218,7 +200,7 @@ def parse_document(text: str) -> ExpressionDocument:
         body = match.group(3)
         body_offset = match.start(3)
         if kind is None:
-            kind = term_kind
+            kind, kind_line = term_kind, line_no
         elif term_kind != kind:
             raise ParseError(
                 f"cannot mix {kind}(...) and {term_kind}(...) terms in one document",
@@ -257,51 +239,40 @@ def parse_document(text: str) -> ExpressionDocument:
             key = _parse_assignment_digits(
                 scenario, digits, body_offset + body.index(digits), line_no
             )
-        terms.append(DocumentTerm(line_no, term_kind, coefficient, key))
+        if key in merged:
+            merged[key] += coefficient
+            duplicates.append((line_no, first_line[key]))
+        else:
+            merged[key] = coefficient
+            first_line[key] = line_no
     if scenario is None:
         raise ParseError("document has no scenario header", 1, 1)
-    return ExpressionDocument(scenario, tuple(terms), tuple(comments))
-
-
-def _merge(document: ExpressionDocument) -> dict:
-    merged: dict = {}
-    first_line: dict = {}
-    for term in document.terms:
-        key = term.key
-        if key in merged:
-            warnings.warn(
-                f"duplicate term at line {term.line} merges with line {first_line[key]}",
-                DuplicateTermWarning,
-                stacklevel=3,
+    if kind is not None and kind not in kinds:
+        if kind == "L":
+            raise ParseError(
+                "document holds full-joint L(...) terms; use parse_expansion", kind_line
             )
-            merged[key] = merged[key] + term.coefficient
-        else:
-            merged[key] = term.coefficient
-            first_line[key] = term.line
-    return merged
+        raise ParseError("document holds expression terms; use parse_expression", kind_line)
+    for line_no, first in duplicates:
+        warnings.warn(
+            f"duplicate term at line {line_no} merges with line {first}",
+            DuplicateTermWarning,
+            stacklevel=3,
+        )
+    return scenario, kind, merged
 
 
 def parse_expression(text: str) -> Expression:
     """Parse a P- or E-document; empty documents yield an empty probability form."""
-    document = parse_document(text)
-    if document.kind == "L":
-        raise ParseError(
-            "document holds full-joint L(...) terms; use parse_expansion",
-            document.terms[0].line,
-        )
-    form = CorrelatorExpression if document.kind == "E" else BellExpression
-    return form(document.scenario, _merge(document))
+    scenario, kind, terms = _parse(text, "PE")
+    form = CorrelatorExpression if kind == "E" else BellExpression
+    return form(scenario, terms)
 
 
 def parse_expansion(text: str) -> FullJointExpansion:
     """Parse an L-document into a complete (zero-filled) expansion."""
-    document = parse_document(text)
-    if document.terms and document.kind != "L":
-        raise ParseError(
-            "document holds expression terms; use parse_expression",
-            document.terms[0].line,
-        )
-    return FullJointExpansion(document.scenario, _merge(document))
+    scenario, _, terms = _parse(text, "L")
+    return FullJointExpansion(scenario, terms)
 
 
 def _format_coefficient(value: Fraction) -> str:

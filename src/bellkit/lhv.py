@@ -317,30 +317,13 @@ class DiffEntry:
     fixture: Fraction
 
 
-@dataclass(frozen=True)
-class DiffReport:
-    """Assignment-by-assignment mismatches between two expansions."""
-
-    entries: tuple
-
-    @property
-    def is_empty(self) -> bool:
-        return not self.entries
-
-    def __len__(self) -> int:
-        return len(self.entries)
-
-    def __iter__(self):
-        return iter(self.entries)
-
-
-def diff_expansion(computed: FullJointExpansion, fixture: FullJointExpansion) -> DiffReport:
-    """List every assignment where the two expansions disagree, with both values."""
+def diff_expansion(computed: FullJointExpansion, fixture: FullJointExpansion) -> tuple:
+    """Every :class:`DiffEntry` where the two expansions disagree, with both
+    values, in the computed expansion's assignment order."""
     if computed.scenario != fixture.scenario:
         raise ScenarioMismatchError("expansions cover different scenarios")
-    entries = []
-    for assignment, value in computed.coefficients.items():
-        other = fixture.coefficients[assignment]
-        if value != other:
-            entries.append(DiffEntry(assignment, value, other))
-    return DiffReport(tuple(entries))
+    return tuple(
+        DiffEntry(assignment, value, fixture.coefficients[assignment])
+        for assignment, value in computed.coefficients.items()
+        if value != fixture.coefficients[assignment]
+    )

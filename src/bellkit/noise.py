@@ -50,7 +50,14 @@ from typing import Callable, NamedTuple, Optional
 
 from .errors import NoRootError, NoViolationError
 from .lhv import DEFAULT_ENUMERATION_CAP, bound_magnitude, trivial_bounds
-from .quantum import MeasurementModel, State, expression_value, mix_with_white_noise
+from .quantum import (
+    MeasurementModel,
+    State,
+    _check_expression_model,
+    _check_parties,
+    expression_value,
+    mix_with_white_noise,
+)
 from .scenario import CorrelatorExpression, Expression
 
 AGREEMENT_TOL = 1e-9
@@ -76,9 +83,9 @@ def _margin_band(ratios, log2_copies: int = 0) -> float:
     coefficient magnitudes, which bounds the expression on every behaviour and
     so sets the scale of the rounding error in a quantum value.  ``ratios``
     holds each coefficient as a (numerator, denominator) pair, counted
-    2^``log2_copies`` times: scaling the sum by a power of two is exact, so
-    this equals the sum over that many copies, and overflows where it would."""
-    return MARGIN_TOL * math.ldexp(math.fsum(abs(n) / d for n, d in ratios), log2_copies)
+    2^``log2_copies`` times: scaling the band by a power of two is exact, so it
+    equals the band over that many copies, even where their sum overflows."""
+    return math.ldexp(MARGIN_TOL * math.fsum(abs(n) / d for n, d in ratios), log2_copies)
 
 
 class _Coefficients(NamedTuple):
@@ -316,6 +323,8 @@ def tolerance_by_root_scan(
     whenever the violation dies by p = 1, and four noisy states (both ends
     and one probe either side of the false-position guess) locate it.
     """
+    _check_parties(state, model.parties)  # as expression_value would, before the grid
+    _check_expression_model(expr, model)
     bounds = trivial_bounds(expr, cap)
     band = _coefficient_pass(expr).band
     return _root_scan(expr, state, model, bounds, band, magnitude)[0]

@@ -419,8 +419,3 @@ def as_probability_form(expr: Expression) -> BellExpression:
     if isinstance(expr, CorrelatorExpression):
         return correlator_to_probability(expr)
     raise TypeError(f"not a Bell expression: {type(expr).__name__}")
-
-
-def term_count(expr: Expression) -> int:
-    """Number of stored (merged, nonzero) terms."""
-    return expr.term_count

@@ -3,6 +3,7 @@ import io
 import json
 import math
 import re
+import sys
 import time
 from pathlib import Path
 
@@ -12,13 +13,13 @@ from hypothesis import strategies as st
 
 from bellkit import (
     builtin_expression,
+    g_paper_expansion_fixture_path,
     ghz_state,
     paper_model,
     serialize_expression,
     violation_report,
 )
 from bellkit.cli import _f12, _rational, run_command
-from bellkit.fixtures import g_paper_expansion_fixture_path
 from bellkit.noise import MARGIN_TOL
 
 DATA = Path(__file__).parent / "data"
@@ -227,6 +228,18 @@ class TestZeroMargin:
         violation = run_json(capsys, ["report", str(path), "--magnitude"])["violation"]
         assert violation["amount"] == 2e-10
         assert violation["violated"] is True
+
+    def test_correlator_band_past_the_largest_float(self, capsys, tmp_path):
+        # the correlators' magnitudes fit a float; their probability form's, 2^3 times as
+        # large, do not, and the band is scaled after MARGIN_TOL so it stays finite
+        path = tmp_path / "huge.bell"
+        huge = int(sys.float_info.max) // 2
+        path.write_text(f"scenario 3 2 2\n+{huge} E(A0 B0 C0)\n-1 E(A1 B1 C0)\n")
+        noise = run_json(capsys, ["noise", str(path)])["noise"]
+        assert noise["p_critical"]["value"] == 0.0  # a margin of 1 in 9e307 is zero
+        report = run_json(capsys, ["report", str(path)])
+        assert report["violation"]["violated"] is False
+        assert report["noise"]["defined"] is True
 
     def test_empty_expression_report(self, capsys, tmp_path):
         path = tmp_path / "empty.bell"

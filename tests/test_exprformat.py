@@ -1,3 +1,4 @@
+import warnings
 from fractions import Fraction
 
 import pytest
@@ -14,7 +15,6 @@ from bellkit import (
     UnsupportedScenarioError,
     builtin_expression,
     make_expression,
-    parse_document,
     parse_expansion,
     parse_expression,
     serialize_expansion,
@@ -92,8 +92,9 @@ class TestParseExpression:
         ],
     )
     def test_malformed_documents_are_located(self, line, match, column):
+        parse = parse_expansion if "L(" in line else parse_expression
         with pytest.raises(ParseError, match=match) as excinfo:
-            parse_document(f"scenario 3 2 2\n{line}\n")
+            parse(f"scenario 3 2 2\n{line}\n")
         assert (excinfo.value.line, excinfo.value.column) == (2, column)
 
     def test_wrong_party_letter(self):
@@ -105,6 +106,25 @@ class TestParseExpression:
         with pytest.warns(DuplicateTermWarning, match="line 3"):
             expr = parse_expression(text)
         assert expr.coefficient((0, 0, 0), (0, 0, 0)) == 3
+
+    @pytest.mark.parametrize(
+        "term,bad_line,parse,match,line",
+        [
+            ("+1 E(A0 B0 C0)", "+1 E(A0 B0)", parse_expression, "3 party tokens", 4),
+            ("+1 L(000000)", "+1 L(0000)", parse_expansion, "6 outcome digits", 4),
+            # the bad line wins over the wrong kind, which the whole document shows
+            ("+1 L(000000)", "+1 L(0000)", parse_expression, "6 outcome digits", 4),
+            ("+1 L(000000)", "", parse_expression, "use parse_expansion", 2),
+        ],
+    )
+    def test_a_failing_document_warns_of_no_duplicate(self, term, bad_line, parse, match, line):
+        text = f"scenario 3 2 2\n{term}\n{term}\n{bad_line}\n"
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            with pytest.raises(ParseError, match=match) as excinfo:
+                parse(text)
+        assert excinfo.value.line == line
+        assert not [w for w in caught if issubclass(w.category, DuplicateTermWarning)]
 
     def test_expansion_document_is_rejected(self):
         with pytest.raises(ParseError, match="parse_expansion"):
@@ -124,8 +144,12 @@ class TestParseExpression:
         ],
     )
     def test_each_term_carries_the_key_its_form_stores(self, line, key):
-        (term,) = parse_document(f"scenario 3 2 2\n{line}\n").terms
-        assert term.key == key
+        text = f"scenario 3 2 2\n{line}\n"
+        if "L(" in line:
+            terms = parse_expansion(text).coefficients
+        else:
+            terms = parse_expression(text).terms
+        assert [k for k, c in terms.items() if c] == [key]
 
     def test_more_than_26_parties_refused_at_the_header(self):
         with pytest.raises(ParseError, match=r"at most 26 parties \(line 2, column 1\)"):
@@ -133,14 +157,9 @@ class TestParseExpression:
 
     def test_coefficient_magnitudes_summing_past_the_largest_float(self):
         big = "1" + "0" * 308
-        assert parse_document(f"scenario 1 2 2\n+{big} P(A0 | 0)\n")
+        assert parse_expression(f"scenario 1 2 2\n+{big} P(A0 | 0)\n")
         with pytest.raises(ParseError, match=r"largest float \(line 3, column 1\)"):
-            parse_document(f"scenario 1 2 2\n+{big} P(A0 | 0)\n-{big} P(A0 | 1)\n")
-
-    def test_document_records_comments(self):
-        doc = parse_document("scenario 3 2 2\n# a note\n+1 E(A1 B0 C1)\n")
-        assert doc.comments == ("a note",)
-        assert doc.kind == "E"
+            parse_expression(f"scenario 1 2 2\n+{big} P(A0 | 0)\n-{big} P(A0 | 1)\n")
 
 
 class TestSerializeExpression:

@@ -22,8 +22,8 @@ from pathlib import Path
 
 import pytest
 
+from bellkit import g_paper_expansion_fixture_path
 from bellkit.cli import run_command
-from bellkit.fixtures import g_paper_expansion_fixture_path
 
 DATA = Path(__file__).parent / "data"
 GOLDEN = DATA / "golden"
@@ -52,7 +52,9 @@ CASES.update(
 )
 CASES.update(
     {
-        f"expand-diff-{path.stem}": ["expand", "--builtin", "g-paper", "--diff", f"parse/{path.name}"]
+        f"expand-diff-{path.stem}": [
+            "expand", "--builtin", "g-paper", "--diff", f"parse/{path.name}"
+        ]
         for path in PARSE.glob("*.fixture")
     }
 )

@@ -9,11 +9,13 @@ from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from bellkit import (
+    DimensionMismatchError,
     MarginalTerm,
     MeasurementModel,
     NoViolationError,
     PureState,
     Scenario,
+    ScenarioMismatchError,
     as_probability_form,
     builtin_expression,
     coefficient_sum,
@@ -475,6 +477,20 @@ class TestLocalBoundRoute:
         model = MeasurementModel((XY,) * parties)
         function(mermin_expression(parties), ghz_state(parties), model, magnitude=True)
         assert call_counts["correlator_to_probability"] == 0
+
+    @pytest.mark.parametrize(
+        "function", [violation_report, white_noise_tolerance, tolerance_by_root_scan]
+    )
+    @pytest.mark.parametrize(
+        "parties, error", [(3, ScenarioMismatchError), (2, DimensionMismatchError)]
+    )
+    def test_the_state_and_model_are_checked_before_the_grid(self, function, parties, error):
+        # 3^9 strategies exceed the cap, but the (3,2,2) model is refused first
+        expr = make_expression(
+            Scenario.uniform(3, 3, 3), [MarginalTerm((2, 2, 2), (2, 2, 2), 1)]
+        )
+        with pytest.raises(error):
+            function(expr, ghz_state(parties), paper_model(), cap=10)
 
     @settings(max_examples=40, deadline=None)
     @given(

@@ -21,7 +21,6 @@ from bellkit import (
     correlator_to_probability,
     make_correlator_expression,
     make_expression,
-    term_count,
 )
 
 import oracles
@@ -219,7 +218,6 @@ class TestCorrelatorConversion:
     def test_mermin_converts_to_32_terms(self, mermin_expr):
         converted = correlator_to_probability(mermin_expr)
         assert converted.term_count == 32
-        assert term_count(converted) == 32
         assert sum(converted.terms.values()) == 0
         # settings in stored order, each with its outcome tuples in product order
         assert list(converted.terms) == [
@@ -314,5 +312,5 @@ class TestCorrelatorConversion:
 
 class TestTermCount:
     def test_counts(self, g_expr):
-        assert term_count(g_expr) == 20
-        assert term_count(make_expression(TRI, [])) == 0
+        assert g_expr.term_count == 20
+        assert make_expression(TRI, []).term_count == 0
