@@ -1,4 +1,4 @@
-"""CLI reports pinned byte for byte against checked-in JSON stdout.
+"""CLI output pinned byte for byte against checked-in files.
 
 Each case runs one command in process, from inside ``tests/data`` so that
 expression and model paths read as given: ``noise`` and ``report`` on the
@@ -7,9 +7,9 @@ on the edge-case text documents under ``tests/data/parse``.  A command that
 succeeds is compared by its stdout with ``tests/data/golden/<case>.json``, and
 by its stderr with ``<case>.stderr`` when that holds warnings; one that exits
 1, as ``noise`` does where there is no violation, by its stderr alone.  The
-packaged g-paper
-fixture path, which ``report`` names and which depends on where the package
-lives, is replaced by ``FIXTURE_PLACEHOLDER`` before the comparison.
+packaged g-paper fixture path, which ``report`` names and which depends on
+where the package lives, is replaced by ``FIXTURE_PLACEHOLDER`` before the
+comparison.
 
 Running this file as a script rewrites the golden files from the ``bellkit``
 on the import path; do that only for an intended change of the reports.
@@ -78,7 +78,10 @@ def golden_output(argv: list) -> dict:
         os.chdir(cwd)
     if code == 0:
         text = out.getvalue().replace(str(g_paper_expansion_fixture_path()), FIXTURE_PLACEHOLDER)
-        return {".json": text, **({".stderr": err.getvalue()} if err.getvalue() else {})}
+        outputs = {".json": text}
+        if err.getvalue():  # duplicate-term warnings
+            outputs[".stderr"] = err.getvalue()
+        return outputs
     assert code == 1 and not out.getvalue(), argv
     return {".stderr": err.getvalue()}
 

@@ -485,7 +485,7 @@ class TestLocalBoundRoute:
         "parties, error", [(3, ScenarioMismatchError), (2, DimensionMismatchError)]
     )
     def test_the_state_and_model_are_checked_before_the_grid(self, function, parties, error):
-        # 3^9 strategies exceed the cap, but the (3,2,2) model is refused first
+        # 3^9 strategies exceed the cap, but the state and the (3,2,2) model are checked first
         expr = make_expression(
             Scenario.uniform(3, 3, 3), [MarginalTerm((2, 2, 2), (2, 2, 2), 1)]
         )
