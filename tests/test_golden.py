@@ -1,9 +1,10 @@
 """CLI output pinned byte for byte against checked-in files.
 
 Each case runs one command in process, from inside ``tests/data`` so that
-expression and model paths read as given: ``noise`` and ``report`` on the
-builtins and the 4-party files, and ``bound``, ``expand`` and ``expand --diff``
-on the edge-case text documents under ``tests/data/parse``.  A command that
+expression and model paths read as given: ``quantum``, ``noise`` and
+``report`` on the builtins and the 4-party files, ``optimize`` on the same
+expressions with a short seeded run, and ``bound``, ``expand`` and
+``expand --diff`` on the edge-case text documents under ``tests/data/parse``.  A command that
 succeeds is compared by its stdout with ``tests/data/golden/<case>.json``, and
 by its stderr with ``<case>.stderr`` when that holds warnings; one that exits
 1, as ``noise`` does where there is no violation, by its stderr alone.  The
@@ -38,10 +39,21 @@ SOURCES = {
 MAGNITUDES = {"default": [], "magnitude": ["--magnitude"], "signed": ["--no-magnitude"]}
 CASES = {
     f"{command}-{source}-{convention}": [command, *source_args, *magnitude_args]
-    for command in ("noise", "report")
+    for command in ("quantum", "noise", "report")
     for source, source_args in SOURCES.items()
     for convention, magnitude_args in MAGNITUDES.items()
 }
+SHORT_RUN = ["--restarts", "3", "--seed", "0"]
+CASES.update(
+    {
+        f"optimize-{name}-{convention}": [
+            "optimize", "--builtin", name, *MAGNITUDES[convention], *SHORT_RUN
+        ]
+        for name in ("g-paper", "mermin")
+        for convention in ("signed", "magnitude")
+    }
+)
+CASES["optimize-mermin4"] = ["optimize", "mermin4.bell", "--state", "ghz4-xy.json", *SHORT_RUN]
 PARSE = DATA / "parse"
 CASES.update(
     {
