@@ -53,7 +53,6 @@ from .noise import (
     white_noise_tolerance,
 )
 from .optimize import (
-    AngleParameterization,
     OptimizationResult,
     OptimizerConfig,
     optimize_measurements,
@@ -63,7 +62,6 @@ from .quantum import (
     ExpressionValue,
     MeasurementModel,
     PureState,
-    TermContribution,
     correlator,
     expression_value,
     ghz_state,

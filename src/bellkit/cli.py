@@ -16,6 +16,7 @@ import json
 import sys
 import warnings
 from fractions import Fraction
+from itertools import repeat
 from pathlib import Path
 from typing import Optional, Sequence
 
@@ -30,6 +31,7 @@ from .errors import BellkitError, NoRootError, NoViolationError
 from .exprformat import _assignment_digits, parse_expansion, parse_expression
 from .lhv import (
     DEFAULT_ENUMERATION_CAP,
+    _check_same_scenario,
     diff_expansion,
     expand_full_joint,
     local_bounds,
@@ -135,7 +137,9 @@ def _local_block(bounds, scenario) -> dict:
     }
 
 
-def _quantum_block(valuation, magnitude: bool) -> dict:
+def _quantum_block(expr, valuation, magnitude: bool) -> dict:
+    keys = expr.terms if isinstance(expr, BellExpression) else zip(expr.terms, repeat(None))
+    terms = zip(keys, expr.terms.values(), valuation.term_values, valuation.breakdown)
     return {
         "method": "projector expectation values",
         "value": _f12(valuation.value),
@@ -143,13 +147,13 @@ def _quantum_block(valuation, magnitude: bool) -> dict:
         "magnitude_convention": magnitude,
         "breakdown": [
             {
-                "settings": list(term.settings),
-                "outcomes": None if term.outcomes is None else list(term.outcomes),
-                "coefficient": _rational(term.coefficient),
-                "term_value": _f12(term.term_value),
-                "contribution": _f12(term.contribution),
+                "settings": list(settings),
+                "outcomes": None if outcomes is None else list(outcomes),
+                "coefficient": _rational(coefficient),
+                "term_value": _f12(term_value),
+                "contribution": _f12(contribution),
             }
-            for term in valuation.terms
+            for (settings, outcomes), coefficient, term_value, contribution in terms
         ],
     }
 
@@ -216,13 +220,19 @@ def _expansion_block(expansion, list_terms: bool) -> dict:
     return block
 
 
-def _diff_block(expansion, fixture_path: str) -> dict:
-    text = Path(fixture_path).read_text(encoding="utf-8")
+def _load_fixture(path: str, scenario) -> tuple:
+    """The fixture at ``path``, refused unless it covers ``scenario``, and the
+    keys that name it in its diff block."""
+    text = Path(path).read_text(encoding="utf-8")
     fixture = parse_expansion(text)
+    _check_same_scenario(scenario, fixture.scenario, path)
+    return fixture, {"fixture": path, "fixture_sha256": _sha256(text)}
+
+
+def _diff_block(expansion, fixture, named: dict) -> dict:
     entries = diff_expansion(expansion, fixture)
     return {
-        "fixture": str(fixture_path),
-        "fixture_sha256": _sha256(text),
+        **named,
         "mismatches": len(entries),
         "entries": [
             {
@@ -244,12 +254,13 @@ def _cmd_bound(args) -> dict:
 
 def _cmd_expand(args) -> dict:
     expr, identity, _ = _load_expression(args)
+    fixture = None if args.diff is None else _load_fixture(args.diff, expr.scenario)
     expansion = expand_full_joint(expr, args.cap)
     payload = {"expansion": _expansion_block(expansion, list_terms=True)}
     inputs = {"expression": identity, "diff": args.diff}
-    if args.diff is not None:
+    if fixture is not None:
         # mismatches are findings, not failures; exit stays 0
-        payload["diff"] = _diff_block(expansion, args.diff)
+        payload["diff"] = _diff_block(expansion, *fixture)
     return _envelope("expand", inputs, payload)
 
 
@@ -258,7 +269,7 @@ def _cmd_quantum(args) -> dict:
     state, model, model_identity = _load_model(args.model)
     valuation = expression_value(expr, state, model)
     inputs = {"expression": identity, "model": model_identity, "magnitude": magnitude}
-    return _envelope("quantum", inputs, {"quantum": _quantum_block(valuation, magnitude)})
+    return _envelope("quantum", inputs, {"quantum": _quantum_block(expr, valuation, magnitude)})
 
 
 def _cmd_noise(args) -> dict:
@@ -292,7 +303,7 @@ def _cmd_optimize(args) -> dict:
         "state": state_document,
         "measurements": [
             [{"angles": [theta, phi]} for theta, phi in row]
-            for row in result.best_angles.angles
+            for row in result.best_angles
         ],
     }
     inputs = {
@@ -325,16 +336,16 @@ def _cmd_optimize(args) -> dict:
 def _cmd_report(args) -> dict:
     expr, identity, magnitude = _load_expression(args)
     state, model, model_identity = _load_model(args.model)
+    diff_path = args.diff
+    if diff_path is None and identity.get("builtin") == "g-paper":
+        diff_path = str(g_paper_expansion_fixture_path())
+    fixture = None if diff_path is None else _load_fixture(diff_path, expr.scenario)
     valuation = expression_value(expr, state, model)  # checks the model before the sweep
+    expansion = expand_full_joint(expr, args.cap)  # its cap, at most 10^7, before the sweep
     bounds = local_bounds(expr, args.cap)
     extremes = (bounds.min, bounds.max)  # the one sweep, which the extremizers need
     coefficients = _coefficient_pass(expr)
     violation = ViolationReport.of(valuation.value, extremes, magnitude, coefficients.band)
-    expansion = expand_full_joint(expr, args.cap)
-
-    diff_path = args.diff
-    if diff_path is None and identity.get("builtin") == "g-paper":
-        diff_path = str(g_paper_expansion_fixture_path())
 
     try:
         noise_block = _noise_block(
@@ -358,8 +369,8 @@ def _cmd_report(args) -> dict:
     }
 
     expansion_block = _expansion_block(expansion, list_terms=False)
-    if diff_path is not None:
-        expansion_block["diff"] = _diff_block(expansion, diff_path)
+    if fixture is not None:
+        expansion_block["diff"] = _diff_block(expansion, *fixture)
 
     inputs = {
         "expression": identity,
@@ -373,7 +384,7 @@ def _cmd_report(args) -> dict:
         {
             "expression": expression_block,
             "local": _local_block(bounds, scenario),
-            "quantum": _quantum_block(valuation, magnitude),
+            "quantum": _quantum_block(expr, valuation, magnitude),
             "violation": _violation_block(violation),
             "noise": noise_block,
             "expansion": expansion_block,

@@ -44,7 +44,7 @@ from fractions import Fraction
 
 from .errors import ParseError, ScenarioError, UnsupportedScenarioError
 from .lhv import FullJointExpansion
-from .scenario import BellExpression, CorrelatorExpression, Expression, Scenario
+from .scenario import BellExpression, CorrelatorExpression, Expression, Scenario, _scenario_text
 
 
 class DuplicateTermWarning(UserWarning):
@@ -281,13 +281,10 @@ def _format_coefficient(value: Fraction) -> str:
 
 
 def _header_line(scenario: Scenario) -> str:
-    cardinalities = scenario.uniform_cardinalities()
-    if cardinalities is None:
-        raise UnsupportedScenarioError(
-            "the text format only covers uniform scenarios"
-        )
+    if scenario.uniform_cardinalities() is None:
+        raise UnsupportedScenarioError("the text format only covers uniform scenarios")
     _party_letter(scenario.parties - 1)  # the 26-party limit
-    return "scenario {} {} {}".format(*cardinalities)
+    return _scenario_text(scenario)
 
 
 def serialize_expression(expr: Expression) -> str:

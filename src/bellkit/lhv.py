@@ -57,6 +57,7 @@ from .scenario import (
     Scenario,
     _indices,
     _parity_signs,
+    _scenario_text,
     as_fraction,
 )
 
@@ -168,6 +169,14 @@ class FullJointExpansion:
         return sum(self.coefficients.values(), Fraction(0))
 
 
+def _scaled_coefficients(expr: Expression) -> tuple:
+    """(ratios, scale, scaled): the coefficients as (numerator, denominator) pairs,
+    the lcm of the denominators, and the coefficients times it as exact integers."""
+    ratios = list(map(Fraction.as_integer_ratio, expr.terms.values()))
+    scale = math.lcm(*(d for _, d in ratios))
+    return ratios, scale, [n * (scale // d) for n, d in ratios]
+
+
 def _expansion_grid(expr: Expression, cap: int) -> tuple:
     """(grid, scale): the full-joint expansion times scale, one axis per slot.
 
@@ -183,9 +192,7 @@ def _expansion_grid(expr: Expression, cap: int) -> tuple:
     """
     scenario = expr.scenario
     _check_cap(scenario, cap)
-    ratios = list(map(Fraction.as_integer_ratio, expr.terms.values()))
-    scale = math.lcm(*(d for _, d in ratios))
-    scaled = [n * (scale // d) for n, d in ratios]
+    _, scale, scaled = _scaled_coefficients(expr)
     dtype = np.int64 if sum(map(abs, scaled)) < 2**62 else object
     shape = scenario.slot_outcomes
     grid = np.zeros(shape, dtype=dtype)
@@ -238,9 +245,10 @@ def expand_full_joint(
 
     Each term distributes its coefficient over every completion of the slots
     it does not measure (marginalization run in reverse), so the coefficient
-    at assignment t equals evaluate_on_strategy(expr, t).
+    at assignment t equals evaluate_on_strategy(expr, t).  The result lists every
+    assignment, so the space is capped at the smaller of ``cap`` and the default.
     """
-    grid, scale = _expansion_grid(expr, cap)
+    grid, scale = _expansion_grid(expr, min(cap, DEFAULT_ENUMERATION_CAP))
     index = np.nonzero(grid)  # FullJointExpansion fills in the zeros
     values = grid[index].tolist()
     exact = {v: Fraction(v, scale) for v in set(values)}
@@ -317,11 +325,19 @@ class DiffEntry:
     fixture: Fraction
 
 
+def _check_same_scenario(computed: Scenario, fixture: Scenario, source="the fixture") -> None:
+    """Refuse expansions over different scenarios, naming both and the fixture's source."""
+    if computed != fixture:
+        raise ScenarioMismatchError(
+            f"expansions cover different scenarios: {_scenario_text(computed)} computed, "
+            f"{_scenario_text(fixture)} in {source}"
+        )
+
+
 def diff_expansion(computed: FullJointExpansion, fixture: FullJointExpansion) -> tuple:
     """Every :class:`DiffEntry` where the two expansions disagree, with both
     values, in the computed expansion's assignment order."""
-    if computed.scenario != fixture.scenario:
-        raise ScenarioMismatchError("expansions cover different scenarios")
+    _check_same_scenario(computed.scenario, fixture.scenario)
     return tuple(
         DiffEntry(assignment, value, fixture.coefficients[assignment])
         for assignment, value in computed.coefficients.items()

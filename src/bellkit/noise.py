@@ -49,7 +49,7 @@ from fractions import Fraction
 from typing import Callable, NamedTuple, Optional
 
 from .errors import NoRootError, NoViolationError
-from .lhv import DEFAULT_ENUMERATION_CAP, bound_magnitude, trivial_bounds
+from .lhv import DEFAULT_ENUMERATION_CAP, _scaled_coefficients, bound_magnitude, trivial_bounds
 from .quantum import (
     MeasurementModel,
     State,
@@ -105,13 +105,11 @@ def _coefficient_pass(expr: Expression) -> _Coefficients:
     and as many terms -c, which sum to 0.  A probability form's sum and signs
     come from its coefficients scaled to integers by the lcm of their
     denominators."""
-    ratios = list(map(Fraction.as_integer_ratio, expr.terms.values()))
+    ratios, scale, scaled = _scaled_coefficients(expr)
     if isinstance(expr, CorrelatorExpression):
         parties = expr.scenario.parties
         half = len(ratios) * 2 ** (parties - 1)
         return _Coefficients(Fraction(0), half, half, _margin_band(ratios, parties))
-    scale = math.lcm(*(d for _, d in ratios))
-    scaled = [n * (scale // d) for n, d in ratios]
     positive = sum(v > 0 for v in scaled)  # coefficients are never zero
     total = Fraction(sum(scaled), scale)
     return _Coefficients(total, positive, len(scaled) - positive, _margin_band(ratios))

@@ -21,9 +21,10 @@ start.  Ties go to the earliest ascent.
 
 Each table evaluation is the probability-table engine of
 :mod:`bellkit.quantum` called directly, with the density matrix and the
-expression's weight tensor prepared once per run.  The best directions are
-returned as polar angles and the best value is re-evaluated through
-:func:`bellkit.quantum.expression_value` at those angles.
+expression's weight tensor prepared once per run.  The result holds the best
+directions as polar angles, per party one (theta, phi) pair per setting, and
+the model at those angles, on which :func:`bellkit.quantum.expression_value`
+re-evaluates the best value.
 
 No qubit convention is re-derived here: angles become Bloch vectors in
 ``quantum._bloch_from_angles``, party counts are checked by
@@ -34,7 +35,7 @@ form, whose correlator signs :func:`bellkit.scenario.correlator_to_probability` 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from typing import Callable, Optional
 
 import numpy as np
@@ -72,50 +73,17 @@ class OptimizerConfig:
 
 
 @dataclass(frozen=True)
-class AngleParameterization:
-    """(theta, phi) per party per setting; Bloch vectors are unit by construction."""
-
-    angles: tuple
-
-    def __post_init__(self):
-        object.__setattr__(
-            self,
-            "angles",
-            tuple(
-                tuple((float(t), float(f)) for t, f in row) for row in self.angles
-            ),
-        )
-
-    __hash__ = None
-
-    def to_model(self) -> MeasurementModel:
-        return MeasurementModel(
-            tuple(tuple(_bloch_from_angles(t, f) for t, f in row) for row in self.angles)
-        )
-
-    @classmethod
-    def xy_plane_start(cls, settings_per_party) -> "AngleParameterization":
-        """Equatorial angles: setting s points at azimuth s * pi/2 (X, then Y)."""
-        return cls(
-            tuple(
-                tuple((math.pi / 2, s * math.pi / 2) for s in range(n))
-                for n in settings_per_party
-            )
-        )
-
-
-@dataclass(frozen=True)
 class OptimizationResult:
-    """Best value found (a lower bound on the quantum supremum), and how."""
+    """Best value found (a lower bound on the quantum supremum), and how.  Equality
+    ignores ``best_model``, which ``best_angles`` determine."""
 
     best_value: float
-    best_angles: AngleParameterization
+    best_angles: tuple  # per party, one (theta, phi) pair per setting
+    best_model: MeasurementModel = field(compare=False)  # at best_angles, which gave best_value
     restarts: int
     evaluations: int  # table evaluations over all ascents
     seed: int
     converged_starts: int  # ascents stopped by tolerance, not by budget
-
-    __hash__ = None
 
 
 def _expression_weights(expr: Expression) -> np.ndarray:
@@ -189,15 +157,14 @@ def optimize_measurements(
     if not scenario.is_binary:
         raise UnsupportedScenarioError("angle optimization needs binary outcomes")
     _check_parties(state, scenario.parties, holder="expression")
-    settings_per_party = scenario.settings_per_party
     value_at = _objective(expr, state)
     orientations = [value_at]
     if magnitude:
         orientations.append(lambda bloch: -value_at(bloch))
 
-    slots = sum(settings_per_party)
-    pinned = AngleParameterization.xy_plane_start(settings_per_party).angles
-    starts = [_bloch_from_angles(*np.array(sum(pinned, ())).T)]  # theta row, phi row
+    slots = scenario.slot_offsets[-1]
+    pinned_phi = [s * math.pi / 2 for _, s in scenario.slots()]  # X, then Y, in the plane
+    starts = [_bloch_from_angles(np.full(slots, math.pi / 2), np.array(pinned_phi))]
     for index in range(config.restarts):
         rng = np.random.default_rng([config.seed, index])
         theta = rng.uniform(0.0, math.pi, slots)  # every slot's theta, then its phi
@@ -219,12 +186,16 @@ def optimize_measurements(
 
     x, y, z = best_bloch
     theta, phi = np.arccos(np.clip(z, -1.0, 1.0)).tolist(), np.arctan2(y, x).tolist()
-    best_angles = AngleParameterization(scenario.split_slots(tuple(zip(theta, phi))))
-    final = expression_value(expr, state, best_angles.to_model()).value
+    best_angles = scenario.split_slots(tuple(zip(theta, phi)))
+    best_model = MeasurementModel(
+        tuple(tuple(_bloch_from_angles(t, f) for t, f in row) for row in best_angles)
+    )
+    final = expression_value(expr, state, best_model).value
     best_value = abs(final) if magnitude else final
     return OptimizationResult(
         best_value=best_value,
         best_angles=best_angles,
+        best_model=best_model,
         restarts=config.restarts,
         evaluations=evaluations,
         seed=config.seed,

@@ -19,8 +19,9 @@ of the parties' projectors, contracted one party at a time so that no
 2^n x 2^n operator is built.  Pure states enter as ``|psi><psi|``, so pure
 and mixed states share one path.  Joint probabilities, correlators,
 expression values and the optimizer objective are lookups or signed sums on
-that table.  Local bounds play no part here: comparing a quantum value with
-one is the job of :mod:`bellkit.noise`.
+that table.  An :class:`ExpressionValue` holds numbers only; each term's key
+and coefficient stay on the expression.  Local bounds play no part here:
+comparing a quantum value with one is the job of :mod:`bellkit.noise`.
 
 Dense complex algebra only; dimensions are capped at 2^10 and the table's
 largest intermediate at ``MAX_TABLE_ENTRIES``.
@@ -31,8 +32,7 @@ from __future__ import annotations
 import json
 import math
 from dataclasses import dataclass
-from fractions import Fraction
-from typing import Optional, Sequence, Union
+from typing import Sequence, Union
 
 import numpy as np
 
@@ -316,25 +316,13 @@ def correlator(state: State, model: MeasurementModel, settings: Sequence[int]) -
 
 
 @dataclass(frozen=True)
-class TermContribution:
-    """One expression term evaluated on a state: term value and weighted share."""
-
-    settings: tuple
-    outcomes: Optional[tuple]  # None for correlator terms
-    coefficient: Fraction
-    term_value: float  # probability, or correlator for E terms
-    contribution: float
-
-
-@dataclass(frozen=True)
 class ExpressionValue:
-    value: float
-    terms: tuple
+    """An expression's value on a state and, in its term order, each term's value
+    (a probability, or a correlator for E terms) and that times its coefficient."""
 
-    @property
-    def breakdown(self) -> tuple:
-        """Per-term contributions, in the expression's term order."""
-        return tuple(t.contribution for t in self.terms)
+    value: float
+    term_values: tuple
+    breakdown: tuple
 
 
 def _check_expression_model(expr: Expression, model: MeasurementModel) -> None:
@@ -357,12 +345,11 @@ def expression_value(expr: Expression, state: State, model: MeasurementModel) ->
     _check_expression_model(expr, model)
     table = probability_table(state, model)
     if isinstance(expr, CorrelatorExpression):
-        values = _correlators(table, list(expr.terms)).tolist()
-        terms = [(s, None, c, v) for (s, c), v in zip(expr.terms.items(), values)]
+        term_values = tuple(_correlators(table, list(expr.terms)).tolist())
     else:
-        terms = [(s, o, c, float(table[s + o])) for (s, o), c in expr.terms.items()]
-    contributions = tuple(TermContribution(s, o, c, v, float(c) * v) for s, o, c, v in terms)
-    return ExpressionValue(math.fsum(t.contribution for t in contributions), contributions)
+        term_values = tuple(float(table[s + o]) for s, o in expr.terms)
+    breakdown = tuple(float(c) * v for c, v in zip(expr.terms.values(), term_values))
+    return ExpressionValue(math.fsum(breakdown), term_values, breakdown)
 
 
 def mix_with_white_noise(state: State, p: float) -> DensityMatrix:

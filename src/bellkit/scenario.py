@@ -50,6 +50,12 @@ def _parity_signs(parties: int) -> np.ndarray:
     return signs
 
 
+def _scenario_text(scenario: "Scenario") -> str:
+    """The text format's header line of a uniform scenario, else its repr."""
+    uniform = scenario.uniform_cardinalities()
+    return repr(scenario) if uniform is None else "scenario {} {} {}".format(*uniform)
+
+
 def as_fraction(value: RationalInput) -> Fraction:
     """Coerce to an exact rational; floats and bools are rejected outright."""
     if isinstance(value, (float, bool)):
@@ -400,10 +406,9 @@ def correlator_to_probability(expr: CorrelatorExpression) -> BellExpression:
     if not isinstance(expr, CorrelatorExpression):
         raise UnsupportedScenarioError("correlator_to_probability expects a correlator form")
     # each outcome tuple with True where its sign is +1, to index the pair (-c, c)
-    signs = [
-        (outcomes, math.prod(_OUTCOME_SIGNS[o] for o in outcomes) > 0)
-        for outcomes in product((0, 1), repeat=expr.scenario.parties)
-    ]
+    parties = expr.scenario.parties
+    positive = (_parity_signs(parties) > 0).reshape(-1).tolist()
+    signs = list(zip(product((0, 1), repeat=parties), positive))
     terms = {
         (settings, outcomes): pair[plus]
         for settings, pair in ((settings, (-c, c)) for settings, c in expr.terms.items())

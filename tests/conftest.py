@@ -37,6 +37,7 @@ COUNTED = {
     "correlator_to_probability": "bellkit.scenario",
     "expression_value": "bellkit.quantum",
     "trivial_bounds": "bellkit.lhv",
+    "expand_full_joint": "bellkit.lhv",
     "evaluate_on_strategy": "bellkit.lhv",
     "_coefficient_pass": "bellkit.noise",
 }

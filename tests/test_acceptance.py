@@ -253,7 +253,7 @@ def test_criterion_10_optimizer_reproduces_and_is_deterministic():
 
         again = optimize_measurements(g_expr, ghz, config)
         assert again == g_run
-        assert repr(again.best_angles.angles) == repr(g_run.best_angles.angles)
+        assert repr(again.best_angles) == repr(g_run.best_angles)
         assert json.dumps(g_run.best_value) == json.dumps(again.best_value)
         assert time.perf_counter() - start < 30.0
 

@@ -434,6 +434,58 @@ class TestWorkPerCommand:
             assert run(capsys, [command, str(path), *cap]) == (1, "", mismatch)
             assert call_counts["local_bounds"] == call_counts["trivial_bounds"] == 0
 
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["expand", "wide.bell", "--diff", "missing.fixture"],
+            ["report", "--builtin", "g-paper", "--diff", "missing.fixture"],
+        ],
+        ids=["expand", "report"],
+    )
+    def test_a_missing_fixture_fails_before_any_expansion(
+        self, capsys, call_counts, tmp_path, monkeypatch, argv
+    ):
+        # 531 441 assignments: the expansion alone takes a good part of a second
+        (tmp_path / "wide.bell").write_text(
+            "scenario 4 3 3\n+1 P(A0 B0 C0 D0 | 0 0 0 0)\n-1 P(A2 B2 C2 D2 | 2 2 2 2)\n"
+        )
+        monkeypatch.chdir(tmp_path)
+        code, out, err = run(capsys, argv)
+        assert (code, out) == (1, "")
+        assert err == "error: [Errno 2] No such file or directory: 'missing.fixture'\n"
+        assert call_counts["expand_full_joint"] == call_counts["local_bounds"] == 0
+
+    def test_a_fixture_over_another_scenario_fails_before_any_expansion(
+        self, capsys, call_counts
+    ):
+        path = DATA / "parse" / "other-scenario.fixture"
+        code, out, err = run(capsys, ["expand", "--builtin", "g-paper", "--diff", str(path)])
+        assert (code, out) == (1, "")
+        assert err == (
+            "error: expansions cover different scenarios: scenario 3 2 2 computed, "
+            f"scenario 2 2 2 in {path}\n"
+        )
+        assert call_counts["expand_full_joint"] == 0
+
+    @pytest.mark.parametrize("command", ["expand", "report"])
+    def test_a_cap_past_the_listing_limit_fails_before_any_work(
+        self, capsys, call_counts, tmp_path, command
+    ):
+        # 2^24 assignments pass --cap 20000000 but not the 10^7 an expansion
+        # lists at most, so neither the grid nor report's sweep runs
+        path = tmp_path / "long.bell"
+        path.write_text("scenario 2 12 2\n+1 P(A0 B0 | 0 0)\n")
+        model = tmp_path / "model.json"
+        z_axis = [{"bloch": [0, 0, 1]}] * 12
+        model.write_text(json.dumps({"state": "ghz", "measurements": [z_axis, z_axis]}))
+        model_args = ["--model", str(model)] if command == "report" else []
+        start = time.perf_counter()
+        code, out, err = run(capsys, [command, str(path), "--cap", "20000000", *model_args])
+        assert time.perf_counter() - start < 1.0
+        assert (code, out) == (1, "")
+        assert err == "error: strategy space has 16777216 elements, exceeding the cap of 10000000\n"
+        assert call_counts["local_bounds"] == 0
+
 
 class TestPlainFormat:
     def test_plain_lines(self, capsys):

@@ -87,5 +87,5 @@ def test_quantum_values_match_the_term_loop(expr, seed, rank):
     )
     expected = oracles.correlator_values_by_loop(expr, probability_table(state, model))
     valuation = expression_value(expr, state, model)
-    assert [term.term_value for term in valuation.terms] == expected
+    assert list(valuation.term_values) == expected
     assert [correlator(state, model, settings) for settings in expr.terms] == expected

@@ -159,6 +159,15 @@ class TestEnumeration:
         assert excinfo.value.size == 64
         assert excinfo.value.cap == 10
 
+    def test_an_expansion_lists_at_most_the_default_cap(self):
+        # a larger cap does not lift the limit of the listing; the space is
+        # refused before its grid is built
+        expr = make_expression(Scenario.uniform(2, 12, 2), [MarginalTerm((0, 0), (0, 0), 1)])
+        with pytest.raises(EnumerationCapError, match="cap of 10000000") as excinfo:
+            expand_full_joint(expr, cap=20_000_000)
+        assert excinfo.value.size == 2**24
+        assert excinfo.value.cap == 10**7
+
     def test_cap_error_on_a_space_too_large_to_count(self):
         # 2^300000 strategies: refused from logarithms, without the exact size
         with pytest.raises(EnumerationCapError, match="too many elements to count") as excinfo:
@@ -463,7 +472,8 @@ class TestDiff:
 
     def test_scenario_mismatch(self, g_expr):
         other = FullJointExpansion(Scenario.uniform(2, 2, 2), {})
-        with pytest.raises(ScenarioMismatchError):
+        both = "scenario 3 2 2 computed, scenario 2 2 2 in the fixture"
+        with pytest.raises(ScenarioMismatchError, match=both):
             diff_expansion(expand_full_joint(g_expr), other)
 
     def test_shipped_fixture_agrees_with_the_computed_expansion(self, g_expr):

@@ -12,7 +12,6 @@ import bellkit
 import bellkit.optimize
 
 from bellkit import (
-    AngleParameterization,
     ConfigError,
     DimensionMismatchError,
     MeasurementModel,
@@ -26,13 +25,27 @@ from bellkit import (
     paper_model,
 )
 
+from bellkit.quantum import _bloch_from_angles
+
 import oracles
+
+# the optimizer's pinned start: setting 0 along X, setting 1 along Y
+XY_ANGLES = (((math.pi / 2, 0.0), (math.pi / 2, math.pi / 2)),) * 3
 
 
 def angles_from_flat(flat):
-    """(2, 2, 2) angles from a flat [theta_0, phi_0, theta_1, phi_1, ..] vector."""
-    pairs = tuple(zip(flat[0::2], flat[1::2]))
-    return AngleParameterization((pairs[0:2], pairs[2:4], pairs[4:6]))
+    """(2, 2, 2) (theta, phi) rows from a flat [theta_0, phi_0, theta_1, phi_1, ..] vector."""
+    pairs = tuple(zip(flat[0::2].tolist(), flat[1::2].tolist()))
+    return (pairs[0:2], pairs[2:4], pairs[4:6])
+
+
+def model_at(angles):
+    """The model of a document listing ``angles`` as its measurements."""
+    document = {
+        "state": "ghz",
+        "measurements": [[{"angles": [theta, phi]} for theta, phi in row] for row in angles],
+    }
+    return bellkit.parse_model(json.dumps(document))[1]
 
 
 def random_flats(rng, count):
@@ -73,37 +86,34 @@ class TestConfig:
         assert config.tolerance == 1e-9
 
 
-class TestAngleParameterization:
-    def test_xy_start_reproduces_the_paper_model(self):
-        start = AngleParameterization.xy_plane_start((2, 2, 2))
-        model = start.to_model()
+class TestAngleConvention:
+    def test_the_pinned_start_is_the_paper_model(self, g_expr, ghz3):
+        # one evaluation budget: the pinned start is returned as it was
+        config = OptimizerConfig(restarts=0, max_evals=1)
+        result = optimize_measurements(g_expr, ghz3, config)
+        assert result.best_angles == XY_ANGLES
         reference = paper_model()
         for party in range(3):
             for setting in range(2):
-                got = model.bloch[party][setting]
+                got = result.best_model.bloch[party][setting]
                 expected = reference.bloch[party][setting]
                 assert all(
                     abs(g - e) < 1e-15 for g, e in zip(got, expected)
                 ), (party, setting)
 
-    def test_model_documents_and_to_model_share_one_angle_convention(self):
-        rng = np.random.default_rng(3)
-        angles = angles_from_flat(rng.uniform(-9, 9, 12))
-        document = {
-            "state": "ghz",
-            "measurements": [
-                [{"angles": [theta, phi]} for theta, phi in row] for row in angles.angles
-            ],
-        }
-        _, model = bellkit.parse_model(json.dumps(document))
-        assert model.bloch == angles.to_model().bloch
+    @pytest.mark.parametrize("seed", [0, 3])
+    def test_model_documents_and_the_optimizer_share_one_angle_convention(
+        self, g_expr, ghz3, seed
+    ):
+        # the optimize command prints best_angles as a model document
+        result = optimize_measurements(g_expr, ghz3, OptimizerConfig(restarts=2, seed=seed))
+        assert model_at(result.best_angles).bloch == result.best_model.bloch
 
     def test_bloch_vectors_are_unit_norm_for_any_angles(self):
         rng = np.random.default_rng(0)
-        angles = angles_from_flat(rng.uniform(-9, 9, 12))
-        for row in angles.to_model().bloch:
-            for vector in row:
-                assert math.isclose(sum(x * x for x in vector), 1.0, abs_tol=1e-12)
+        vectors = _bloch_from_angles(rng.uniform(-9, 9, 12), rng.uniform(-9, 9, 12))
+        assert vectors.shape == (3, 12)
+        assert np.allclose(np.sum(vectors**2, axis=0), 1.0, rtol=0.0, atol=1e-12)
 
 
 class TestTableEvaluator:
@@ -113,7 +123,7 @@ class TestTableEvaluator:
         expr = builtin_expression(name)
         state, density = state_and_density(kind)
         for flat in random_flats(np.random.default_rng(9), 25):
-            model = angles_from_flat(flat).to_model()
+            model = model_at(angles_from_flat(flat))
             reference = oracles.kron_expression_value(expr, density, model)
             assert expression_value(expr, state, model).value == pytest.approx(
                 reference, abs=1e-12
@@ -179,13 +189,11 @@ class TestOptimization:
         assert result.converged_starts == 0
         assert result.evaluations == 3
         # the pinned start is returned as it was
-        assert result.best_angles == AngleParameterization.xy_plane_start((2, 2, 2))
+        assert result.best_angles == XY_ANGLES
 
     def test_best_value_is_the_reevaluated_value(self, g_expr, ghz3):
         result = optimize_measurements(g_expr, ghz3, OptimizerConfig(restarts=1))
-        recomputed = expression_value(
-            g_expr, ghz3, result.best_angles.to_model()
-        ).value
+        recomputed = expression_value(g_expr, ghz3, result.best_model).value
         assert result.best_value == recomputed
 
     def test_mermin_magnitude_from_paper_start(self, mermin_expr, ghz3):
@@ -193,9 +201,7 @@ class TestOptimization:
             mermin_expr, ghz3, OptimizerConfig(restarts=0), magnitude=True
         )
         assert result.best_value == pytest.approx(4.0, abs=1e-9)
-        recomputed = expression_value(
-            mermin_expr, ghz3, result.best_angles.to_model()
-        ).value
+        recomputed = expression_value(mermin_expr, ghz3, result.best_model).value
         assert result.best_value == abs(recomputed)
 
     def test_correlator_and_probability_forms_optimize_alike(self, mermin_expr, ghz3):
@@ -217,7 +223,7 @@ class TestOptimization:
         second = optimize_measurements(g_expr, ghz3, config)
         assert first == second
         assert first.best_value == second.best_value
-        assert first.best_angles.angles == second.best_angles.angles
+        assert first.best_angles == second.best_angles
 
     def test_best_value_never_exceeds_the_algebraic_ceiling(self, g_expr, ghz3):
         # the sum of positive coefficients (24) loosely caps any quantum value
@@ -243,7 +249,5 @@ class TestOptimization:
         result = optimize_measurements(g_expr, noisy, OptimizerConfig(restarts=0))
         # the pinned start alone already reaches (1-p)*3.5 + p*(-1.5)
         assert result.best_value >= 2.5 - 1e-9
-        recomputed = expression_value(
-            g_expr, noisy, result.best_angles.to_model()
-        ).value
+        recomputed = expression_value(g_expr, noisy, result.best_model).value
         assert result.best_value == recomputed
