@@ -2,7 +2,8 @@
 
 Each case runs one command in process, from inside ``tests/data`` so that
 expression and model paths read as given: ``quantum``, ``noise`` and
-``report`` on the builtins and the 4-party files, ``optimize`` on the same
+``report`` on the builtins and the 4-party files, ``quantum`` and ``noise``
+on a 5-party Mermin document, ``optimize`` on the same
 expressions with a short seeded run, and ``bound``, ``expand`` and
 ``expand --diff`` on the edge-case text documents under ``tests/data/parse``.  A command that
 succeeds is compared by its stdout with ``tests/data/golden/<case>.json``, and
@@ -43,6 +44,18 @@ CASES = {
     for source, source_args in SOURCES.items()
     for convention, magnitude_args in MAGNITUDES.items()
 }
+# past four parties: quantum on a GHZ_5 model with random Bloch vectors, drawn
+# once from a seeded generator, and noise on the X/Y model, which violates
+FIVE_PARTY_MODELS = {"quantum": "ghz5-random.json", "noise": "ghz5-xy.json"}
+CASES.update(
+    {
+        f"{command}-mermin5-{convention}": [
+            command, "mermin5.bell", "--model", model, *magnitude_args
+        ]
+        for command, model in FIVE_PARTY_MODELS.items()
+        for convention, magnitude_args in MAGNITUDES.items()
+    }
+)
 SHORT_RUN = ["--restarts", "3", "--seed", "0"]
 CASES.update(
     {
