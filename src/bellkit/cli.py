@@ -28,7 +28,7 @@ from .builtins import (
     g_paper_expansion_fixture_path,
 )
 from .errors import BellkitError, NoRootError, NoViolationError
-from .exprformat import _assignment_digits, parse_expansion, parse_expression
+from .exprformat import _assignment_keys, parse_expansion, parse_expression
 from .lhv import (
     DEFAULT_ENUMERATION_CAP,
     _check_same_scenario,
@@ -132,8 +132,8 @@ def _local_block(bounds, scenario) -> dict:
         "max": _rational(bounds.max),
         "min": _rational(bounds.min),
         "magnitude": _rational(bounds.magnitude),
-        "maximizers": [_assignment_digits(scenario, s) for s in bounds.maximizers],
-        "minimizers": [_assignment_digits(scenario, s) for s in bounds.minimizers],
+        "maximizers": _assignment_keys(scenario, bounds.maximizers),
+        "minimizers": _assignment_keys(scenario, bounds.minimizers),
     }
 
 
@@ -210,12 +210,10 @@ def _expansion_block(expansion, list_terms: bool) -> dict:
         "max": _rational(max(values)),
     }
     if list_terms:
+        keys = _assignment_keys(expansion.scenario, expansion.coefficients)
         block["terms"] = [
-            {
-                "assignment": _assignment_digits(expansion.scenario, key),
-                "coefficient": _rational(coefficient),
-            }
-            for key, coefficient in expansion.coefficients.items()
+            {"assignment": key, "coefficient": _rational(coefficient)}
+            for key, coefficient in zip(keys, values)
         ]
     return block
 
@@ -231,16 +229,17 @@ def _load_fixture(path: str, scenario) -> tuple:
 
 def _diff_block(expansion, fixture, named: dict) -> dict:
     entries = diff_expansion(expansion, fixture)
+    keys = _assignment_keys(expansion.scenario, [entry.assignment for entry in entries])
     return {
         **named,
         "mismatches": len(entries),
         "entries": [
             {
-                "assignment": _assignment_digits(expansion.scenario, entry.assignment),
+                "assignment": key,
                 "computed": _rational(entry.computed),
                 "fixture": _rational(entry.fixture),
             }
-            for entry in entries
+            for key, entry in zip(keys, entries)
         ],
     }
 

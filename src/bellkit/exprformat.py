@@ -41,6 +41,7 @@ import re
 import sys
 import warnings
 from fractions import Fraction
+from itertools import chain
 
 from .errors import ParseError, ScenarioError, UnsupportedScenarioError
 from .lhv import FullJointExpansion
@@ -133,15 +134,21 @@ def _parse_assignment_digits(
     return scenario.split_slots(flat)
 
 
-def _assignment_digits(scenario: Scenario, assignment) -> str:
-    """The ``L(...)`` key of an assignment, which reports use too: one digit per slot.
+def _assignment_keys(scenario: Scenario, assignments) -> list:
+    """The ``L(...)`` key of each assignment, which reports use too: one digit per slot.
 
     Refused for the whole scenario once any setting has more than 10 outcomes,
-    whichever labels this assignment holds.
+    whichever labels the assignments hold, when there is any to list.  The
+    check runs once per listing, not once per key.
     """
-    if max(scenario.slot_outcomes) > 10:
+    if assignments and max(scenario.slot_outcomes) > 10:
         raise UnsupportedScenarioError("assignment digit keys need outcome labels 0-9")
-    return "".join(str(outcome) for row in assignment for outcome in row)
+    return ["".join(map(str, chain.from_iterable(assignment))) for assignment in assignments]
+
+
+def _assignment_digits(scenario: Scenario, assignment) -> str:
+    """The ``L(...)`` key of one assignment: :func:`_assignment_keys` of it alone."""
+    return _assignment_keys(scenario, [assignment])[0]
 
 
 def _parse(text: str, kinds: str) -> tuple:
@@ -304,12 +311,9 @@ def serialize_expansion(
     expansion: FullJointExpansion, include_zeros: bool = False
 ) -> str:
     """Canonical text for an expansion, sorted by assignment."""
-    scenario = expansion.scenario
-    lines = [_header_line(scenario)]
-    for assignment in sorted(expansion.coefficients):
-        coefficient = expansion.coefficients[assignment]
-        if coefficient == 0 and not include_zeros:
-            continue
-        key = _assignment_digits(scenario, assignment)
-        lines.append(f"{_format_coefficient(coefficient)} L({key})")
+    coefficients = expansion.coefficients
+    lines = [_header_line(expansion.scenario)]
+    listed = [a for a in sorted(coefficients) if include_zeros or coefficients[a] != 0]
+    for assignment, key in zip(listed, _assignment_keys(expansion.scenario, listed)):
+        lines.append(f"{_format_coefficient(coefficients[assignment])} L({key})")
     return "\n".join(lines) + "\n"

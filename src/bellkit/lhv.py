@@ -28,9 +28,11 @@ probability form; the sweep reads the lookup of that probability form.
 
 Callers that need only the extremes read ``trivial_bounds``, one array add per
 full settings table and one slice-add per other term: the noise layer and the
-``noise`` command.  The sweep, one call per strategy, stays the route behind
+``noise`` command.  It builds an expression's grid on the first call and
+keeps the exact extremes on the immutable expression, so later calls only
+check the cap.  The sweep, one call per strategy, stays the route behind
 ``bound`` and ``report``, which list the tied extremizers, and the independent
-check on the grid.
+check on the grid; ``local_bounds`` keeps nothing between calls.
 
 The canonical tripartite two-setting binary scenario has 2^6 = 64 strategies;
 a configurable cap guards against accidentally enormous enumerations.
@@ -62,6 +64,8 @@ from .scenario import (
 )
 
 DEFAULT_ENUMERATION_CAP = 10**7
+# the instance-dict key under which trivial_bounds keeps an expression's extremes
+_EXTREMES = "_expansion_extremes"
 
 # One outcome per (party, setting): tuple of per-party tuples, e.g. the
 # tripartite strategy ((a, a'), (b, b'), (c, c')).
@@ -313,9 +317,17 @@ def trivial_bounds(
     so these equal local_bounds exactly.  They are read straight off the
     integer expansion grid, never from the vertex sweep or its compiled
     lookup, so the two routes stay independent and each checks the other.
+    The grid is built on an expression's first call only: its extremes are
+    kept on the immutable expression, as ``functools.cached_property`` keeps
+    ``strategy_lookup``.  ``cap`` is checked on every call.
     """
-    grid, scale = _expansion_grid(expr, cap)
-    return (Fraction(int(grid.min()), scale), Fraction(int(grid.max()), scale))
+    kept = vars(expr)
+    if _EXTREMES in kept:
+        _check_cap(expr.scenario, cap)
+    else:
+        grid, scale = _expansion_grid(expr, cap)
+        kept[_EXTREMES] = (Fraction(int(grid.min()), scale), Fraction(int(grid.max()), scale))
+    return kept[_EXTREMES]
 
 
 @dataclass(frozen=True)

@@ -29,10 +29,15 @@ A margin within the band of :func:`_margin_band` gives 0 by both routes and
 is not flagged as a violation: :func:`_margin` owns that zero-margin rule.
 
 Every number here needs only the local extremes (min, max), never the
-strategies that attain them, so each public function reads them once off the
-exact expansion grid (:func:`~bellkit.lhv.trivial_bounds`, one array add per
-full settings table), not off the vertex sweep.  S, the two term counts and
-the band come from one pass over the coefficients (:func:`_coefficient_pass`),
+strategies that attain them, so each public function reads them once from
+:func:`~bellkit.lhv.trivial_bounds`, not off the vertex sweep.  That builds
+the exact expansion grid (one array add per full settings table) on an
+expression's first call and keeps the extremes on the expression, so the
+closed form and the root scan on one expression, in either order, build one
+grid between them.  Every quantum value reads the table entries the
+expression compiled once (:func:`~bellkit.quantum.expression_value`), so the
+root scan's noisy states cost one table each.  S, the two term counts and the
+band come from one pass over the coefficients (:func:`_coefficient_pass`),
 which reads a correlator form's own terms: its S is 0 and its terms split
 evenly by sign.  No step here builds a correlator form's probability form.
 Each public function makes that pass once and then runs one private step: the

@@ -13,14 +13,19 @@ Conventions, fixed so that amplitude-level fixtures are reproducible:
   :func:`_check_parties` own these two; model documents and the optimizer
   call them.
 
-Every quantum number comes from one engine, :func:`probability_table`:
-``P[s_0..s_{n-1}, o_0..o_{n-1}] = Tr(rho Pi)`` with ``Pi`` the tensor product
-of the parties' projectors, contracted one party at a time so that no
-2^n x 2^n operator is built.  Pure states enter as ``|psi><psi|``, so pure
-and mixed states share one path.  Joint probabilities, correlators,
-expression values and the optimizer objective are lookups or signed sums on
-that table.  An :class:`ExpressionValue` holds numbers only; each term's key
-and coefficient stay on the expression.  Local bounds play no part here:
+Every quantum number comes from one engine, :func:`_table`:
+``Tr(rho Pi)`` for every setting and outcome tuple, with ``Pi`` the tensor
+product of the parties' projectors, contracted one party at a time so that
+no 2^n x 2^n operator is built.  Pure states enter as ``|psi><psi|``, so pure
+and mixed states share one path.  :func:`_flat_table` runs it for a model and
+yields the table flat in ``(s_0, o_0, s_1, o_1, ..)`` order;
+:func:`probability_table` reorders and clamps the whole of it, for joint
+probabilities and callers that want every entry.  Expression values and
+correlators gather from the flat table only the entries their terms read, at
+positions each expression compiles once and keeps (``table_lookup``), and
+clamp just those.  The optimizer objective is a dot product with the flat
+table.  An :class:`ExpressionValue` holds numbers only; each term's key and
+coefficient stay on the expression.  Local bounds play no part here:
 comparing a quantum value with one is the job of :mod:`bellkit.noise`.
 
 Dense complex algebra only; dimensions are capped at 2^10 and the table's
@@ -31,6 +36,7 @@ from __future__ import annotations
 
 import json
 import math
+import operator
 from dataclasses import dataclass
 from typing import Sequence, Union
 
@@ -41,7 +47,7 @@ from .errors import (
     ParseError,
     ScenarioMismatchError,
 )
-from .scenario import _OUTCOME_SIGNS, CorrelatorExpression, Expression, Scenario, _parity_signs
+from .scenario import _OUTCOME_SIGNS, CorrelatorExpression, Expression, Scenario
 
 MAX_PARTIES = 10
 # complex entries in the largest array the table contraction allocates (64 MiB);
@@ -272,6 +278,16 @@ def _table(paired: np.ndarray, bloch: np.ndarray, settings_per_party) -> np.ndar
     return table.real.reshape(-1)
 
 
+def _flat_table(state: State, model: MeasurementModel) -> np.ndarray:
+    """The model's unclamped :func:`_table` on the state, flat in
+    ``(s_0, o_0, s_1, o_1, ..)`` order: what :func:`probability_table` reshapes
+    and an expression's ``table_lookup`` indexes.  The caller checks the
+    party count."""
+    settings = model.settings_per_party
+    bloch = np.array([vector for row in model.bloch for vector in row]).T
+    return _table(_paired_density(state, settings), bloch, settings)
+
+
 def probability_table(state: State, model: MeasurementModel) -> np.ndarray:
     """Born probabilities of every outcome tuple under every setting tuple.
 
@@ -281,11 +297,9 @@ def probability_table(state: State, model: MeasurementModel) -> np.ndarray:
     """
     _check_parties(state, model.parties)
     settings = model.settings_per_party
-    bloch = np.array([vector for row in model.bloch for vector in row]).T
-    table = _table(_paired_density(state, settings), bloch, settings)
     shape = [dim for count in settings for dim in (count, 2)]
     order = [*range(0, 2 * model.parties, 2), *range(1, 2 * model.parties, 2)]
-    return np.clip(table.reshape(shape).transpose(order), 0.0, 1.0)
+    return np.clip(_flat_table(state, model).reshape(shape).transpose(order), 0.0, 1.0)
 
 
 def joint_probability(
@@ -296,23 +310,27 @@ def joint_probability(
     return float(probability_table(state, model)[settings + outcomes])
 
 
-def _correlators(table: np.ndarray, settings: list) -> np.ndarray:
-    """The correlator of each settings tuple in ``settings`` on a probability table.
+def _term_values(expr: Expression, state: State, model: MeasurementModel) -> np.ndarray:
+    """Each term's value, in term order: its joint probability, or for a
+    correlator its outcome tuples' probabilities times their signs, summed.
 
-    Each tuple's outcome block of the table is multiplied by the parity signs
-    and summed as one contiguous row, all tuples in one array operation.
+    The expression's ``table_lookup`` gathers just the entries its terms read
+    from the flat table, clamped as :func:`probability_table` clamps them; a
+    correlator's row is contiguous, so its sum adds in the same order as a
+    sum over that block of the probability table.
     """
-    parties = table.ndim // 2
-    if not settings:
-        return np.zeros(0)
-    blocks = table[tuple(zip(*settings))] * _parity_signs(parties)
-    return np.ascontiguousarray(blocks).reshape(len(settings), -1).sum(axis=1)
+    index, signs, _ = expr.table_lookup
+    values = np.clip(_flat_table(state, model)[index], 0.0, 1.0)
+    return values if signs is None else (values * signs).sum(axis=1)
 
 
 def correlator(state: State, model: MeasurementModel, settings: Sequence[int]) -> float:
     """Signed sum of joint probabilities: outcome 1 counts +1, outcome 0 counts -1."""
-    settings = model.scenario().validate_settings(settings)
-    return float(_correlators(probability_table(state, model), [settings])[0])
+    scenario = model.scenario()
+    settings = scenario.validate_settings(settings)
+    _check_parties(state, model.parties)
+    unit = CorrelatorExpression(scenario, {settings: 1})
+    return float(_term_values(unit, state, model)[0])
 
 
 @dataclass(frozen=True)
@@ -337,18 +355,14 @@ def expression_value(expr: Expression, state: State, model: MeasurementModel) ->
 
     Terms are visited in the expression's stored order, so builtin
     expressions report their contributions in their declared term order.
-    Probability terms are table lookups and correlator terms signed sums
-    over one setting tuple's slice of the table, all taken by
-    :func:`_correlators` at once.
+    :func:`_term_values` gathers every term's value at once, and each is
+    multiplied by its coefficient as a float, both read off the expression's
+    ``table_lookup``, which is compiled on the first evaluation and kept.
     """
     _check_parties(state, model.parties)
     _check_expression_model(expr, model)
-    table = probability_table(state, model)
-    if isinstance(expr, CorrelatorExpression):
-        term_values = tuple(_correlators(table, list(expr.terms)).tolist())
-    else:
-        term_values = tuple(float(table[s + o]) for s, o in expr.terms)
-    breakdown = tuple(float(c) * v for c, v in zip(expr.terms.values(), term_values))
+    term_values = tuple(_term_values(expr, state, model).tolist())
+    breakdown = tuple(map(operator.mul, expr.table_lookup[2], term_values))
     return ExpressionValue(math.fsum(breakdown), term_values, breakdown)
 
 

@@ -10,7 +10,9 @@ form, as a signed sum of full correlators E(settings).
 Everything in this module is exact: coefficients are `fractions.Fraction`
 and no float arithmetic is performed, so polytope bounds computed downstream
 are exact rationals rather than approximations.  Floats are rejected as
-coefficient inputs instead of being silently converted.
+coefficient inputs instead of being silently converted.  The one float an
+expression holds is the copy of each coefficient in its ``table_lookup``,
+which the quantum engine multiplies its float term values by.
 """
 
 from __future__ import annotations
@@ -48,6 +50,25 @@ def _parity_signs(parties: int) -> np.ndarray:
     signs = reduce(np.multiply.outer, [np.array(_OUTCOME_SIGNS, np.int64)] * parties)
     signs.flags.writeable = False
     return signs
+
+
+def _pair_strides(scenario: "Scenario") -> tuple:
+    """(setting strides, outcome strides): how far one step in each party's
+    setting and in its outcome moves in a table flattened in
+    ``(s_0, o_0, s_1, o_1, ..)`` order, each party's outcome axis as long as its
+    largest outcome count; the layout of the quantum engine's table."""
+    dims = [
+        dim
+        for count, row in zip(scenario.settings_per_party, scenario.outcomes_per_setting)
+        for dim in (count, max(row))
+    ]
+    strides = np.cumprod([1, *dims[:0:-1]])[::-1]
+    return strides[0::2], strides[1::2]
+
+
+def _read_only(array: np.ndarray) -> np.ndarray:
+    array.flags.writeable = False
+    return array
 
 
 def _scenario_text(scenario: "Scenario") -> str:
@@ -324,6 +345,20 @@ class BellExpression(_LinearExpression):
         pick = _tuple_getter([slot for settings in tables for slot in setting_slots(settings)])
         return scale, pick, tuple(tables.values())
 
+    @cached_property
+    def table_lookup(self) -> tuple:
+        """(index, None, coefficients): the terms compiled for reading off a table
+        of joint probabilities laid out as :func:`_pair_strides` says.
+
+        ``index`` holds each term's flat position in the table, in term order,
+        and ``coefficients`` each coefficient as a float.  The ``None`` stands
+        where a correlator form keeps its signs.  Built on first use and kept.
+        """
+        keys = np.array(list(self.terms), dtype=np.intp).reshape(-1, 2, self.scenario.parties)
+        setting_strides, outcome_strides = _pair_strides(self.scenario)
+        index = keys[:, 0] @ setting_strides + keys[:, 1] @ outcome_strides
+        return _read_only(index), None, tuple(map(float, self.terms.values()))
+
     def coefficient(self, settings: Sequence[int], outcomes: Sequence[int]) -> Fraction:
         """Stored coefficient of a term key, or 0 when absent."""
         return self.terms.get(self.scenario.validate_term(settings, outcomes), Fraction(0))
@@ -360,6 +395,25 @@ class CorrelatorExpression(_LinearExpression):
     def strategy_lookup(self) -> tuple:
         """The probability form's :attr:`BellExpression.strategy_lookup`, built on first use."""
         return correlator_to_probability(self).strategy_lookup
+
+    @cached_property
+    def table_lookup(self) -> tuple:
+        """(index, signs, coefficients): the terms compiled for reading off a table
+        of joint probabilities laid out as :func:`_pair_strides` says.
+
+        Row t of ``index`` holds the flat positions of term t's outcome tuples,
+        in C order; ``signs`` holds the ``_parity_signs`` of those tuples as
+        floats, so a correlator is its row of the table times ``signs``, summed.
+        ``coefficients`` holds each coefficient as a float.  Built on first use
+        and kept.
+        """
+        parties = self.scenario.parties
+        settings = np.array(list(self.terms), dtype=np.intp).reshape(-1, parties)
+        outcomes = np.array(list(product((0, 1), repeat=parties)), dtype=np.intp)
+        setting_strides, outcome_strides = _pair_strides(self.scenario)
+        index = (settings @ setting_strides)[:, None] + outcomes @ outcome_strides
+        signs = _parity_signs(parties).reshape(-1).astype(float)
+        return _read_only(index), _read_only(signs), tuple(map(float, self.terms.values()))
 
 
 Expression = Union[BellExpression, CorrelatorExpression]

@@ -7,6 +7,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from bellkit import (
+    BellExpression,
     EnumerationCapError,
     FullJointExpansion,
     MarginalTerm,
@@ -452,6 +453,49 @@ class TestLocalBounds:
                 (Fraction(w, total) * v for w, v in zip(raw, values)), Fraction(0)
             )
             assert bounds.min <= mixture_value <= bounds.max
+
+
+class TestKeptExtremes:
+    """trivial_bounds builds an expression's grid once and keeps its extremes."""
+
+    def test_the_cap_is_checked_on_a_warm_expression(self, g_expr):
+        assert trivial_bounds(g_expr) == (-4, 1)
+        with pytest.raises(EnumerationCapError, match="64"):
+            trivial_bounds(g_expr, cap=1)
+        assert trivial_bounds(g_expr, cap=64) == (-4, 1)
+
+    def test_one_grid_per_expression_object(self, monkeypatch, g_expr):
+        builds = []
+        grid = lhv._expansion_grid
+
+        def counted(*args):
+            builds.append(args)
+            return grid(*args)
+
+        monkeypatch.setattr(lhv, "_expansion_grid", counted)
+        for _ in range(3):
+            assert trivial_bounds(g_expr) == (-4, 1)
+        assert len(builds) == 1
+        assert trivial_bounds(builtin_expression("g-paper")) == (-4, 1)  # equal, not the same
+        assert len(builds) == 2
+
+    @settings(max_examples=40, deadline=None)
+    @given(
+        expr=st.one_of(small_expressions(), small_correlator_expressions()),
+        data=st.data(),
+    )
+    def test_derived_expressions_get_their_own_bounds(self, expr, data):
+        low, high = trivial_bounds(expr)  # keeps expr's extremes
+        assert trivial_bounds(expr.scale(2)) == (2 * low, 2 * high)
+        assert trivial_bounds(-expr) == (-high, -low)
+        if isinstance(expr, BellExpression):
+            other = data.draw(small_expressions(st.just(expr.scenario)))
+        else:
+            other = make_correlator_expression(expr.scenario, [((0,) * expr.scenario.parties, 1)])
+        total = expr + other
+        sweep = local_bounds(total)
+        assert trivial_bounds(total) == (sweep.min, sweep.max)
+        assert trivial_bounds(expr) == (low, high)
 
 
 class TestDiff:

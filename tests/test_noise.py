@@ -522,3 +522,33 @@ class TestLocalBoundRoute:
             assert f"does not reach the local bound {expected};" in str(exc)
         else:
             assert report.local_max == expected
+
+
+class TestKeptExtremes:
+    """The noise pair reads one expression's kept extremes in either order."""
+
+    @pytest.mark.parametrize(
+        "make, parties, magnitude",
+        [
+            (lambda: builtin_expression("g-paper"), 3, False),
+            (lambda: mermin_expression(3), 3, True),
+            (lambda: mermin_expression(5), 5, True),
+        ],
+    )
+    def test_either_call_order_matches_a_fresh_expression(self, make, parties, magnitude):
+        state = ghz_state(parties)
+        model = MeasurementModel((XY,) * parties)
+
+        def closed(expr):
+            return white_noise_tolerance(expr, state, model, magnitude)
+
+        def scanned(expr):
+            return tolerance_by_root_scan(expr, state, model, magnitude)
+
+        expected = (closed(make()), scanned(make()))
+        closed_first = make()
+        assert (closed(closed_first), scanned(closed_first)) == expected
+        scanned_first = make()
+        p_scanned = scanned(scanned_first)
+        assert (closed(scanned_first), p_scanned) == expected
+        assert (closed(closed_first), scanned(scanned_first)) == expected  # warm

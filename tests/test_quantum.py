@@ -4,7 +4,7 @@ from itertools import product
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from bellkit import (
@@ -31,6 +31,8 @@ from bellkit import (
     violation_report,
 )
 from bellkit.scenario import _parity_signs
+
+from bellkit import quantum
 
 import oracles
 
@@ -472,3 +474,104 @@ class TestModelDocuments:
     def test_malformed_documents(self, document, match):
         with pytest.raises(ParseError, match=match):
             parse_model(document)
+
+
+rationals = st.fractions(-9, 9, max_denominator=12)
+
+
+@st.composite
+def binary_expressions(draw, correlator=False, scenario=None):
+    """Up to 8 rational terms, in probability form or, with ``correlator``, in
+    correlator form, over ``scenario`` or over 1-5 parties with 2-3 binary
+    settings each."""
+    if scenario is None:
+        parties = draw(st.integers(1, 5))
+        settings_per_party = draw(st.lists(st.integers(2, 3), min_size=parties, max_size=parties))
+        scenario = Scenario(parties, settings_per_party, [(2,) * n for n in settings_per_party])
+    parties = scenario.parties
+    settings_tuples = st.tuples(*(st.integers(0, n - 1) for n in scenario.settings_per_party))
+    if correlator:
+        terms = draw(st.lists(st.tuples(settings_tuples, rationals), max_size=8))
+        return make_correlator_expression(scenario, terms)
+    outcome_tuples = st.tuples(*(st.integers(0, 1) for _ in range(parties)))
+    terms = draw(st.lists(st.tuples(settings_tuples, outcome_tuples, rationals), max_size=8))
+    return make_expression(scenario, [MarginalTerm(*term) for term in terms])
+
+
+@st.composite
+def expression_pairs(draw):
+    """Two expressions of one form over one scenario."""
+    correlator = draw(st.booleans())
+    expr = draw(binary_expressions(correlator))
+    return expr, draw(binary_expressions(correlator, expr.scenario))
+
+
+def random_state_and_model(scenario, seed, rank):
+    """A random state, pure for rank 0 and mixed of that rank otherwise, and a
+    random model over the scenario's settings."""
+    rng = np.random.default_rng(seed)
+    if rank:
+        state = DensityMatrix(oracles.random_density_matrix(rng, scenario.parties, rank))
+    else:
+        state = PureState(oracles.random_pure_amplitudes(rng, scenario.parties))
+    model = MeasurementModel(
+        tuple(tuple(oracles.random_bloch(rng) for _ in range(n)) for n in scenario.settings_per_party)
+    )
+    return state, model
+
+
+EMPTY = make_expression(TRI, [])
+
+
+@settings(max_examples=60, deadline=None)
+@given(expr=binary_expressions(), seed=st.integers(0, 2**32 - 1), rank=st.integers(0, 3))
+@example(expr=EMPTY, seed=0, rank=0)
+def test_probability_values_match_the_table(expr, seed, rank):
+    state, model = random_state_and_model(expr.scenario, seed, rank)
+    table = probability_table(state, model)
+    expected = [float(table[settings + outcomes]) for settings, outcomes in expr.terms]
+    valuation = expression_value(expr, state, model)
+    assert list(valuation.term_values) == expected
+    assert [joint_probability(state, model, *key) for key in expr.terms] == expected
+    products = [float(c) * v for c, v in zip(expr.terms.values(), expected)]
+    assert list(valuation.breakdown) == products
+    assert valuation.value == math.fsum(products)
+
+
+class TestKeptTableLookup:
+    """An expression compiles its table reads on first evaluation and keeps them."""
+
+    def test_values_are_gathered_without_the_probability_table(
+        self, monkeypatch, g_expr, mermin_expr, ghz3, xy_model
+    ):
+        expected = [expression_value(e, ghz3, xy_model) for e in (g_expr, mermin_expr)]
+
+        def refuse(*args):
+            raise AssertionError("probability_table called")
+
+        monkeypatch.setattr(quantum, "probability_table", refuse)
+        assert [expression_value(e, ghz3, xy_model) for e in (g_expr, mermin_expr)] == expected
+        assert correlator(ghz3, xy_model, (0, 1, 1)) == expected[1].term_values[0]
+
+    @settings(max_examples=40, deadline=None)
+    @given(
+        pair=expression_pairs(),
+        seed=st.integers(0, 2**32 - 1),
+        rank=st.integers(0, 3),
+    )
+    def test_derived_expressions_get_their_own_values(self, pair, seed, rank):
+        expr, other = pair
+        state, model = random_state_and_model(expr.scenario, seed, rank)
+        value = expression_value(expr, state, model)  # compiles and keeps expr's lookup
+        doubled = expression_value(expr.scale(2), state, model)
+        assert doubled.term_values == value.term_values
+        assert doubled.breakdown == tuple(2 * b for b in value.breakdown)
+        assert doubled.value == 2 * value.value
+        negated = expression_value(-expr, state, model)
+        assert negated.breakdown == tuple(-b for b in value.breakdown)
+        assert negated.value == -value.value
+        total = expr + other
+        summed = expression_value(total, state, model)
+        by_key = dict(zip(expr.terms, value.term_values))
+        by_key.update(zip(other.terms, expression_value(other, state, model).term_values))
+        assert list(summed.term_values) == [by_key[key] for key in total.terms]
