@@ -246,6 +246,21 @@ class TestExpansionFormat:
         text = serialize_expansion(expansion)
         assert parse_expansion(text) == expansion
 
+    @pytest.mark.parametrize(
+        "text",
+        [
+            # 2^61 on 64 of 256 entries: the entries' magnitudes sum past 2^62
+            # once parsed, though the one term's does not when computed
+            "scenario 2 4 2\n+2305843009213693952 P(A0 B0 | 0 0)\n",
+            # halves that add to integers on every assignment
+            "scenario 1 2 2\n+1/2 E(A0)\n+1/2 E(A1)\n",
+        ],
+        ids=["past-int64-once-parsed", "integers-from-halves"],
+    )
+    def test_round_trip_across_representations(self, text):
+        expansion = expand_full_joint(parse_expression(text))
+        assert parse_expansion(serialize_expansion(expansion)) == expansion
+
     def test_l_line_parsing(self):
         expansion = parse_expansion("scenario 3 2 2\n-4 L(010000)\n")
         assert expansion.coefficient(((0, 1), (0, 0), (0, 0))) == -4

@@ -263,6 +263,12 @@ class TestExpansion:
         assert len(expand_full_joint(g_expr).coefficients) == 64
         assert len(calls) == 1
 
+    def test_coefficient_sum_is_exact_beyond_int64(self):
+        # 64 of the 256 entries hold 2^61, so the sum is 2^67: past int64,
+        # though every entry and their magnitude bound for the grid fit
+        expr = make_expression(Scenario.uniform(2, 4, 2), [MarginalTerm((0, 0), (0, 0), 2**61)])
+        assert expand_full_joint(expr).coefficient_sum == 64 * 2**61
+
     def test_expansion_is_linear(self, g_expr):
         rng = np.random.default_rng(7)
         other = oracles.random_expression(rng, TRI)
@@ -513,6 +519,14 @@ class TestDiff:
         (entry,) = report
         assert entry.assignment == target
         assert entry.fixture == entry.computed + 1
+
+    def test_expansions_at_different_scales_compare_exactly(self, g_expr):
+        whole = expand_full_joint(g_expr)
+        thirds = expand_full_joint(g_expr.scale(Fraction(1, 3)))
+        assert whole != thirds
+        report = diff_expansion(whole, thirds)
+        assert len(report) == 64
+        assert all(entry.fixture == entry.computed / 3 for entry in report)
 
     def test_scenario_mismatch(self, g_expr):
         other = FullJointExpansion(Scenario.uniform(2, 2, 2), {})
