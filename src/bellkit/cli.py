@@ -201,16 +201,17 @@ def _noise_block(expr, coefficients, state, model, value, bounds, magnitude) -> 
 
 
 def _expansion_block(expansion, list_terms: bool) -> dict:
-    values = expansion.coefficients.values()
+    grid, scale = expansion.grid, expansion.scale
     block = {
         "method": "per-term completion of unmeasured slots",
-        "assignment_count": len(expansion.coefficients),
+        "assignment_count": grid.size,
         "coefficient_sum": _rational(expansion.coefficient_sum),
-        "min": _rational(min(values)),
-        "max": _rational(max(values)),
+        "min": _rational(Fraction(int(grid.min()), scale)),
+        "max": _rational(Fraction(int(grid.max()), scale)),
     }
     if list_terms:
-        keys = _assignment_keys(expansion.scenario, expansion.coefficients)
+        assignments, values = zip(*expansion.items())
+        keys = _assignment_keys(expansion.scenario, assignments)
         block["terms"] = [
             {"assignment": key, "coefficient": _rational(coefficient)}
             for key, coefficient in zip(keys, values)

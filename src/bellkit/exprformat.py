@@ -23,8 +23,9 @@ two-setting case reads ``L(<a><a'><b><b'><c><c'>)``; this compact form
 requires single-digit outcome labels.
 
 ``parse_expression`` and ``parse_expansion`` read a document in one pass,
-straight to the term map their types store: each line is matched, range
-checked and merged as it is read, and the first bad line is the error.
+straight to an expression's term map or an expansion's grid: each line is
+matched, range checked and merged as it is read, and the first bad line is
+the error.
 Duplicate keys merge by rational addition; each emits a
 :class:`DuplicateTermWarning`, in line order, but only once the whole
 document has parsed, so a document that fails warns about nothing.
@@ -44,7 +45,7 @@ from fractions import Fraction
 from itertools import chain
 
 from .errors import ParseError, ScenarioError, UnsupportedScenarioError
-from .lhv import FullJointExpansion
+from .lhv import DEFAULT_ENUMERATION_CAP, FullJointExpansion, _zero_grid
 from .scenario import BellExpression, CorrelatorExpression, Expression, Scenario, _scenario_text
 
 
@@ -131,7 +132,7 @@ def _parse_assignment_digits(
                 line_no,
                 offset + i + 1,
             )
-    return scenario.split_slots(flat)
+    return flat
 
 
 def _assignment_keys(scenario: Scenario, assignments) -> list:
@@ -144,11 +145,6 @@ def _assignment_keys(scenario: Scenario, assignments) -> list:
     if assignments and max(scenario.slot_outcomes) > 10:
         raise UnsupportedScenarioError("assignment digit keys need outcome labels 0-9")
     return ["".join(map(str, chain.from_iterable(assignment))) for assignment in assignments]
-
-
-def _assignment_digits(scenario: Scenario, assignment) -> str:
-    """The ``L(...)`` key of one assignment: :func:`_assignment_keys` of it alone."""
-    return _assignment_keys(scenario, [assignment])[0]
 
 
 def _parse(text: str, kinds: str) -> tuple:
@@ -277,9 +273,14 @@ def parse_expression(text: str) -> Expression:
 
 
 def parse_expansion(text: str) -> FullJointExpansion:
-    """Parse an L-document into a complete (zero-filled) expansion."""
+    """Parse an L-document into a complete (zero-filled) expansion, capped as
+    ``expand_full_joint`` caps its listing."""
     scenario, _, terms = _parse(text, "L")
-    return FullJointExpansion(scenario, terms)
+    grid, scale, scaled = _zero_grid(scenario, terms.values(), DEFAULT_ENUMERATION_CAP)
+    for flat, value in zip(terms, scaled):
+        grid[flat] = value
+    grid.flags.writeable = False  # so the expansion keeps it without a copy
+    return FullJointExpansion(scenario, grid, scale)
 
 
 def _format_coefficient(value: Fraction) -> str:
@@ -311,9 +312,9 @@ def serialize_expansion(
     expansion: FullJointExpansion, include_zeros: bool = False
 ) -> str:
     """Canonical text for an expansion, sorted by assignment."""
-    coefficients = expansion.coefficients
     lines = [_header_line(expansion.scenario)]
-    listed = [a for a in sorted(coefficients) if include_zeros or coefficients[a] != 0]
-    for assignment, key in zip(listed, _assignment_keys(expansion.scenario, listed)):
-        lines.append(f"{_format_coefficient(coefficients[assignment])} L({key})")
+    listed = [(a, c) for a, c in expansion.items() if include_zeros or c != 0]
+    keys = _assignment_keys(expansion.scenario, [a for a, _ in listed])
+    for key, (_, coefficient) in zip(keys, listed):
+        lines.append(f"{_format_coefficient(coefficient)} L({key})")
     return "\n".join(lines) + "\n"

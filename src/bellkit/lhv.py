@@ -14,16 +14,12 @@ lcm of the coefficient denominators, and results are divided back as
 ``Fraction(x, scale)``.  The vertex sweep reads each strategy off a lookup
 compiled once per expression (``BellExpression.strategy_lookup``): one dict
 lookup per distinct settings tuple.  The expansion route builds one integer
-array with an axis per slot.  A correlator adds its full outcome table, the
-+/-1 parity table times its coefficient, in one broadcast add, and so does a
-probability form's settings tuple whose outcome table is full; any other
-term adds its coefficient on the slice it fixes.  The dtype is int64 when
-the sum of the scaled coefficients' magnitudes stays below 2^62, so no entry
-can overflow, and Python ints otherwise.  The two routes share no code
-beyond ``Scenario``'s slot layout and the enumeration order: a defect in
-either one makes ``local_bounds`` and ``trivial_bounds`` disagree rather than
-repeat the same wrong number.  Both take either expression form after the
-cap check: the grid reads a correlator form's own terms and never builds its
+array with an axis per slot; a ``FullJointExpansion`` is that grid and its
+scale, with no per-assignment map.  The two routes share no code beyond
+``Scenario``'s slot layout and the enumeration order: a defect in either one
+makes ``local_bounds`` and ``trivial_bounds`` disagree rather than repeat the
+same wrong number.  Both take either expression form after the cap check:
+the grid reads a correlator form's own terms and never builds its
 probability form; the sweep reads the lookup of that probability form.
 
 Callers that need only the extremes read ``trivial_bounds``, one array add per
@@ -46,12 +42,11 @@ from dataclasses import dataclass
 from fractions import Fraction
 from itertools import product, repeat
 from operator import itemgetter
-from types import MappingProxyType
-from typing import Mapping, Sequence
+from typing import Sequence
 
 import numpy as np
 
-from .errors import EnumerationCapError, ScenarioMismatchError
+from .errors import EnumerationCapError, ScenarioError, ScenarioMismatchError
 from .scenario import (
     BellExpression,
     CorrelatorExpression,
@@ -59,8 +54,8 @@ from .scenario import (
     Scenario,
     _indices,
     _parity_signs,
+    _read_only,
     _scenario_text,
-    as_fraction,
 )
 
 DEFAULT_ENUMERATION_CAP = 10**7
@@ -139,78 +134,91 @@ def evaluate_on_strategy(expr: Expression, strategy: Sequence) -> Fraction:
 class FullJointExpansion:
     """Coefficients of an expression in the complete-assignment basis.
 
-    The map always covers the whole assignment space (zeros included) in
-    enumeration order, so two expansions over one scenario are directly
-    comparable key by key.
+    ``grid`` holds them times ``scale`` as exact integers, one axis per slot, so
+    in C order it covers the whole space, zeros included, in enumeration order.
+    Two expansions compare by exact value, whatever their scales and dtypes.
     """
 
     scenario: Scenario
-    coefficients: Mapping
+    grid: np.ndarray  # int64, or Python ints past int64; stored read-only
+    scale: int
 
     def __post_init__(self):
-        complete = dict.fromkeys(enumerate_strategies(self.scenario), Fraction(0))
-        for assignment, coefficient in dict(self.coefficients).items():
-            # a key equal to an enumerated strategy is valid as it stands
-            if assignment not in complete:
-                assignment = validate_strategy(self.scenario, assignment)
-            complete[assignment] = as_fraction(coefficient)
-        object.__setattr__(self, "coefficients", MappingProxyType(complete))
+        grid = np.asarray(self.grid)
+        if grid.shape != self.scenario.slot_outcomes:
+            needs = f"{_scenario_text(self.scenario)} needs {self.scenario.slot_outcomes}"
+            raise ScenarioMismatchError(f"expansion grid has shape {grid.shape}, {needs}")
+        if isinstance(self.scale, bool) or not isinstance(self.scale, int) or self.scale < 1:
+            raise ScenarioError(f"expansion scale must be a positive int, got {self.scale!r}")
+        if grid.flags.writeable:
+            grid = _read_only(grid.copy())
+        object.__setattr__(self, "grid", grid)
 
     def __eq__(self, other):
         if not isinstance(other, FullJointExpansion):
             return NotImplemented
-        return self.scenario == other.scenario and dict(self.coefficients) == dict(
-            other.coefficients
-        )
+        return self.scenario == other.scenario and not diff_expansion(self, other)
 
     __hash__ = None
 
     def coefficient(self, assignment: Sequence) -> Fraction:
-        return self.coefficients[validate_strategy(self.scenario, assignment)]
+        flat = sum(validate_strategy(self.scenario, assignment), ())
+        return Fraction(int(self.grid[flat]), self.scale)
+
+    def items(self):
+        """(assignment, coefficient) over the whole space in enumeration order,
+        one ``Fraction`` per distinct value."""
+        values = self.grid.reshape(-1).tolist()
+        exact = {value: Fraction(value, self.scale) for value in set(values)}
+        assignments = product(*map(range, self.scenario.slot_outcomes))
+        return zip(map(self.scenario.split_slots, assignments), map(exact.__getitem__, values))
 
     @property
     def coefficient_sum(self) -> Fraction:
-        return sum(self.coefficients.values(), Fraction(0))
+        return Fraction(int(self.grid.sum(dtype=object)), self.scale)
 
 
-def _scaled_coefficients(expr: Expression) -> tuple:
-    """(ratios, scale, scaled): the coefficients as (numerator, denominator) pairs,
-    the lcm of the denominators, and the coefficients times it as exact integers."""
-    ratios = list(map(Fraction.as_integer_ratio, expr.terms.values()))
+def _scaled_coefficients(values) -> tuple:
+    """(ratios, scale, scaled): ``values`` as (numerator, denominator) pairs, the
+    lcm of the denominators, and the values times it as exact integers."""
+    ratios = list(map(Fraction.as_integer_ratio, values))
     scale = math.lcm(*(d for _, d in ratios))
     return ratios, scale, [n * (scale // d) for n, d in ratios]
 
 
+def _zero_grid(scenario: Scenario, values, cap: int) -> tuple:
+    """(zeros, scale, scaled): a grid with one axis per slot, once the cap allows
+    it, for sums of the ``values`` times ``scale`` with signs +/-1; int64 only
+    while the scaled magnitudes, which bound every such sum, sum below 2^62."""
+    _check_cap(scenario, cap)
+    _, scale, scaled = _scaled_coefficients(values)
+    dtype = np.int64 if sum(map(abs, scaled)) < 2**62 else object
+    return np.zeros(scenario.slot_outcomes, dtype=dtype), scale, scaled
+
+
 def _expansion_grid(expr: Expression, cap: int) -> tuple:
-    """(grid, scale): the full-joint expansion times scale, one axis per slot.
+    """(grid, scale): the full-joint expansion times scale, read-only, one axis per slot.
 
     Axes follow Scenario.slots(), so the grid in C order lists assignments in
-    enumeration order.  Every entry is a sum of some of the scaled
-    coefficients, each with sign +1 or -1, which bounds it by the sum of their
-    magnitudes; int64 is used only when that bound is below 2^62.  A
-    correlator is added as its full outcome table, the parity table times its
-    scaled coefficient, broadcast along the slots it leaves free.  So is a
-    probability form's settings tuple whose outcome table is full; any other
-    tuple adds each term on the slice it fixes.  Either way each term touches
-    its share of the grid once.
+    enumeration order.  A correlator adds its full outcome table, the parity
+    table times its scaled coefficient, broadcast along the slots it leaves
+    free; so does a probability form's settings tuple whose outcome table is
+    full, and any other tuple adds each term on the slice it fixes.  Each term
+    touches its share of the grid once.
     """
     scenario = expr.scenario
-    _check_cap(scenario, cap)
-    _, scale, scaled = _scaled_coefficients(expr)
-    dtype = np.int64 if sum(map(abs, scaled)) < 2**62 else object
-    shape = scenario.slot_outcomes
-    grid = np.zeros(shape, dtype=dtype)
+    grid, scale, scaled = _zero_grid(scenario, expr.terms.values(), cap)
     if isinstance(expr, CorrelatorExpression):
-        parity = _parity_signs(scenario.parties).astype(dtype, copy=False)
+        parity = _parity_signs(scenario.parties).astype(grid.dtype, copy=False)
         tables = {settings: parity * value for settings, value in zip(expr.terms, scaled)}
     else:
         tables = _probability_tables(expr, scaled, grid)
     for settings, table in tables.items():
-        broadcast = [1] * len(shape)
+        broadcast = [1] * grid.ndim
         for slot, size in zip(scenario.setting_slots(settings), table.shape):
             broadcast[slot] = size
         grid += table.reshape(broadcast)
-    return grid, scale
+    return _read_only(grid), scale
 
 
 def _probability_tables(expr: BellExpression, scaled: list, grid: np.ndarray) -> dict:
@@ -253,11 +261,7 @@ def expand_full_joint(
     assignment, so the space is capped at the smaller of ``cap`` and the default.
     """
     grid, scale = _expansion_grid(expr, min(cap, DEFAULT_ENUMERATION_CAP))
-    index = np.nonzero(grid)  # FullJointExpansion fills in the zeros
-    values = grid[index].tolist()
-    exact = {v: Fraction(v, scale) for v in set(values)}
-    assignments = map(expr.scenario.split_slots, zip(*(axis.tolist() for axis in index)))
-    return FullJointExpansion(expr.scenario, dict(zip(assignments, map(exact.__getitem__, values))))
+    return FullJointExpansion(expr.scenario, grid, scale)
 
 
 def bound_magnitude(low: Fraction, high: Fraction) -> Fraction:
@@ -348,10 +352,10 @@ def _check_same_scenario(computed: Scenario, fixture: Scenario, source="the fixt
 
 def diff_expansion(computed: FullJointExpansion, fixture: FullJointExpansion) -> tuple:
     """Every :class:`DiffEntry` where the two expansions disagree, with both
-    values, in the computed expansion's assignment order."""
+    values, in assignment order; exact whatever the two scales."""
     _check_same_scenario(computed.scenario, fixture.scenario)
     return tuple(
-        DiffEntry(assignment, value, fixture.coefficients[assignment])
-        for assignment, value in computed.coefficients.items()
-        if value != fixture.coefficients[assignment]
+        DiffEntry(assignment, value, other)
+        for (assignment, value), (_, other) in zip(computed.items(), fixture.items())
+        if value != other
     )

@@ -110,7 +110,7 @@ def _coefficient_pass(expr: Expression) -> _Coefficients:
     and as many terms -c, which sum to 0.  A probability form's sum and signs
     come from its coefficients scaled to integers by the lcm of their
     denominators."""
-    ratios, scale, scaled = _scaled_coefficients(expr)
+    ratios, scale, scaled = _scaled_coefficients(expr.terms.values())
     if isinstance(expr, CorrelatorExpression):
         parties = expr.scenario.parties
         half = len(ratios) * 2 ** (parties - 1)

@@ -21,15 +21,15 @@ start.  Ties go to the earliest ascent.
 
 Each table evaluation is the probability-table engine of
 :mod:`bellkit.quantum` called directly, with the density matrix and the
-expression's weight tensor prepared once per run.  The result holds the best
+expression's weight vector prepared once per run.  The result holds the best
 directions as polar angles, per party one (theta, phi) pair per setting, and
 the model at those angles, on which :func:`bellkit.quantum.expression_value`
 re-evaluates the best value.
 
 No qubit convention is re-derived here: angles become Bloch vectors in
 ``quantum._bloch_from_angles``, party counts are checked by
-``quantum._check_parties``, and the weight tensor reads the probability
-form, whose correlator signs :func:`bellkit.scenario.correlator_to_probability` owns.
+``quantum._check_parties``, and the weights are placed by the expression's
+``table_lookup``, whose correlator signs ``scenario._parity_signs`` owns.
 """
 
 from __future__ import annotations
@@ -46,12 +46,11 @@ from .quantum import (
     State,
     _bloch_from_angles,
     _check_parties,
-    _interleaved,
     _paired_density,
     _table,
     expression_value,
 )
-from .scenario import Expression, as_probability_form
+from .scenario import Expression
 
 
 @dataclass(frozen=True)
@@ -87,11 +86,12 @@ class OptimizationResult:
 
 
 def _expression_weights(expr: Expression) -> np.ndarray:
-    """weights[s_0, .., s_k, o_0, .., o_k]: the coefficient of P(outcomes | settings)."""
-    scenario = expr.scenario
-    weights = np.zeros(scenario.settings_per_party + (2,) * scenario.parties)
-    for (settings, outcomes), coefficient in as_probability_form(expr).terms.items():
-        weights[settings + outcomes] = float(coefficient)
+    """Each entry's weight in the engine's flat ``(s_0, o_0, s_1, o_1, ..)`` table,
+    placed by ``table_lookup``: a term's coefficient, times its sign in a correlator."""
+    index, signs, coefficients = expr.table_lookup
+    weights = np.zeros(math.prod(expr.scenario.settings_per_party) * 2**expr.scenario.parties)
+    coefficients = np.array(coefficients)
+    weights[index] = coefficients if signs is None else coefficients[:, None] * signs
     return weights
 
 
@@ -100,9 +100,7 @@ def _objective(expr: Expression, state: State) -> Callable[[np.ndarray], float]:
     one column per (party, setting) slot, party-major."""
     settings_per_party = expr.scenario.settings_per_party
     paired = _paired_density(state, settings_per_party)
-    # in the engine's flat (s_0, o_0, s_1, o_1, ..) order
-    weights = _expression_weights(expr).transpose(_interleaved(expr.scenario.parties))
-    weights = weights.reshape(-1)
+    weights = _expression_weights(expr)
     return lambda bloch: float(np.dot(weights, _table(paired, bloch, settings_per_party)))
 
 

@@ -229,11 +229,6 @@ def _check_parties(state: State, parties: int, holder: str = "model") -> None:
         )
 
 
-def _interleaved(parties: int) -> list:
-    """Axis order (0, n, 1, n + 1, ..) that puts each party's two indices side by side."""
-    return [axis for party in range(parties) for axis in (party, parties + party)]
-
-
 def _paired_density(state: State, settings_per_party) -> np.ndarray:
     """The density matrix with each party's row and column index side by side.
 
@@ -252,7 +247,8 @@ def _paired_density(state: State, settings_per_party) -> np.ndarray:
             f"{largest} complex entries ({largest * 16 / 2**20:.0f} MiB); "
             f"the cap is {MAX_TABLE_ENTRIES}"
         )
-    shaped = state.density().reshape((2,) * (2 * parties)).transpose(_interleaved(parties))
+    paired_axes = [axis for party in range(parties) for axis in (party, parties + party)]
+    shaped = state.density().reshape((2,) * (2 * parties)).transpose(paired_axes)
     return shaped.reshape(4, -1)
 
 

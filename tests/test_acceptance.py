@@ -156,9 +156,9 @@ def test_criterion_08_fixture_diff_completes_and_localizes():
         assert fixture.coefficient(all_up) == oracle[all_up] == 1
         assert fixture.coefficient(flipped) == oracle[flipped] == -4
         # localization: a single injected fault is pinned to its assignment
-        perturbed = dict(fixture.coefficients)
-        perturbed[flipped] += 1
-        fault_report = diff_expansion(expansion, FullJointExpansion(TRI, perturbed))
+        perturbed = fixture.grid.copy()
+        perturbed[sum(flipped, ())] += fixture.scale
+        fault_report = diff_expansion(expansion, FullJointExpansion(TRI, perturbed, fixture.scale))
         assert len(fault_report) == 1
         assert fault_report[0].assignment == flipped
 
@@ -270,8 +270,8 @@ def test_criterion_12_g_paper_is_rescaled_mermin():
     with criterion(12, claim):
         g_expr = builtin_expression("g-paper")
         mermin = builtin_expression("mermin")
-        g_expansion = expand_full_joint(g_expr).coefficients
-        m_expansion = expand_full_joint(as_probability_form(mermin)).coefficients
+        g_expansion = dict(expand_full_joint(g_expr).items())
+        m_expansion = dict(expand_full_joint(as_probability_form(mermin)).items())
         assert len(g_expansion) == 64
         for assignment, value in g_expansion.items():
             assert value == Fraction(-5, 4) * m_expansion[assignment] - Fraction(3, 2)

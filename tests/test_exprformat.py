@@ -21,7 +21,7 @@ from bellkit import (
     serialize_expression,
     expand_full_joint,
 )
-from bellkit.exprformat import _assignment_digits
+from bellkit.exprformat import _assignment_keys
 
 TRI = Scenario.uniform(3, 2, 2)
 
@@ -146,7 +146,7 @@ class TestParseExpression:
     def test_each_term_carries_the_key_its_form_stores(self, line, key):
         text = f"scenario 3 2 2\n{line}\n"
         if "L(" in line:
-            terms = parse_expansion(text).coefficients
+            terms = dict(parse_expansion(text).items())
         else:
             terms = parse_expression(text).terms
         assert [k for k, c in terms.items() if c] == [key]
@@ -259,14 +259,16 @@ class TestExpansionFormat:
     )
     def test_round_trip_across_representations(self, text):
         expansion = expand_full_joint(parse_expression(text))
-        assert parse_expansion(serialize_expansion(expansion)) == expansion
+        parsed = parse_expansion(serialize_expansion(expansion))
+        assert (parsed.grid.dtype, parsed.scale) != (expansion.grid.dtype, expansion.scale)
+        assert parsed == expansion
 
     def test_l_line_parsing(self):
         expansion = parse_expansion("scenario 3 2 2\n-4 L(010000)\n")
         assert expansion.coefficient(((0, 1), (0, 0), (0, 0))) == -4
         # unlisted assignments are zero-filled
         assert expansion.coefficient(((0, 0), (0, 0), (0, 0))) == 0
-        assert len(expansion.coefficients) == 64
+        assert expansion.grid.size == 64
 
     def test_l_digit_count_checked(self):
         with pytest.raises(ParseError, match="expected 6 outcome digits"):
@@ -285,10 +287,10 @@ class TestExpansionFormat:
         with pytest.raises(UnsupportedScenarioError, match="labels 0-9"):
             serialize_expansion(expand_full_joint(expr))
         ten = Scenario.uniform(1, 2, 10)
-        assert _assignment_digits(ten, ((9, 3),)) == "93"
+        assert _assignment_keys(ten, [((9, 3),)]) == ["93"]
         # refused from the scenario, whichever labels the assignment holds
         with pytest.raises(UnsupportedScenarioError):
-            _assignment_digits(Scenario.uniform(1, 2, 11), ((1, 3),))
+            _assignment_keys(Scenario.uniform(1, 2, 11), [((1, 3),)])
 
     def test_include_zeros_lists_every_assignment(self):
         expansion = parse_expansion("scenario 3 2 2\n+1 L(000000)\n")

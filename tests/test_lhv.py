@@ -12,6 +12,7 @@ from bellkit import (
     FullJointExpansion,
     MarginalTerm,
     Scenario,
+    ScenarioError,
     ScenarioMismatchError,
     as_probability_form,
     builtin_expression,
@@ -206,14 +207,14 @@ class TestExpansion:
     def test_g_paper_expansion_matches_direct_evaluation_oracle(self, g_expr):
         oracle = oracles.expansion_by_direct_evaluation(g_expr)
         expansion = expand_full_joint(g_expr)
-        assert len(expansion.coefficients) == 64
+        assert expansion.grid.size == 64
         for assignment, expected in oracle.items():
             assert expansion.coefficient(assignment) == expected
 
     def test_g_paper_expansion_headline_numbers(self, g_expr):
         # frozen from the direct-evaluation oracle
         expansion = expand_full_joint(g_expr)
-        values = list(expansion.coefficients.values())
+        values = [value for _, value in expansion.items()]
         assert expansion.coefficient_sum == -96
         assert sum(1 for v in values if v == 1) == 32
         assert sum(1 for v in values if v == -4) == 32
@@ -237,9 +238,33 @@ class TestExpansion:
         ],
         ids=["outcome-out-of-range", "too-few-parties", "too-many-settings", "non-integer"],
     )
-    def test_a_bad_assignment_key_is_a_scenario_mismatch(self, key):
+    def test_a_bad_assignment_key_is_a_scenario_mismatch(self, key, g_expr):
+        expansion = expand_full_joint(g_expr)
         with pytest.raises(ScenarioMismatchError):
-            FullJointExpansion(TRI, {key: 1})
+            expansion.coefficient(key)
+
+    def test_the_constructor_checks_the_grid_shape(self):
+        with pytest.raises(ScenarioMismatchError, match=r"\(2, 2, 2\).*\(2, 2, 2, 2, 2, 2\)"):
+            FullJointExpansion(TRI, np.zeros((2, 2, 2), np.int64), 1)
+
+    @pytest.mark.parametrize("scale", [0, -1, 1.0, True, Fraction(1), "1"])
+    def test_the_constructor_wants_a_positive_int_scale(self, scale):
+        with pytest.raises(ScenarioError, match="positive int"):
+            FullJointExpansion(TRI, np.zeros(TRI.slot_outcomes, np.int64), scale)
+
+    def test_the_grid_is_stored_read_only(self, g_expr):
+        grid = np.zeros(TRI.slot_outcomes, np.int64)
+        expansion = FullJointExpansion(TRI, grid, 1)
+        grid[0, 0, 0, 0, 0, 0] = 5  # the caller's array, not the expansion's
+        assert expansion.coefficient(((0, 0), (0, 0), (0, 0))) == 0
+        for stored in (expansion.grid, expand_full_joint(g_expr).grid):
+            with pytest.raises(ValueError, match="read-only"):
+                stored[0, 0, 0, 0, 0, 0] = 5
+
+    def test_one_fraction_per_distinct_value(self, g_expr):
+        values = [value for _, value in expand_full_joint(g_expr).items()]
+        assert len(values) == 64
+        assert len(set(map(id, values))) == 2  # 1 and -4
 
     @pytest.mark.parametrize("seed", range(6))
     def test_expansion_matches_oracle_on_random_expressions(self, seed):
@@ -250,9 +275,9 @@ class TestExpansion:
         expr = oracles.random_expression(rng, scenario)
         oracle = oracles.expansion_by_direct_evaluation(expr)
         expansion = expand_full_joint(expr)
-        assert dict(expansion.coefficients) == oracle
+        assert dict(expansion.items()) == oracle
 
-    def test_expansion_enumerates_the_strategy_space_once(self, g_expr, monkeypatch):
+    def test_expansion_never_enumerates_the_strategy_space(self, g_expr, monkeypatch):
         calls = []
 
         def counted(*args, **kwargs):
@@ -260,8 +285,10 @@ class TestExpansion:
             return enumerate_strategies(*args, **kwargs)
 
         monkeypatch.setattr(lhv, "enumerate_strategies", counted)
-        assert len(expand_full_joint(g_expr).coefficients) == 64
-        assert len(calls) == 1
+        expansion = expand_full_joint(g_expr)
+        assert len(list(expansion.items())) == 64
+        assert expansion == expand_full_joint(g_expr)
+        assert calls == []
 
     def test_coefficient_sum_is_exact_beyond_int64(self):
         # 64 of the 256 entries hold 2^61, so the sum is 2^67: past int64,
@@ -276,7 +303,7 @@ class TestExpansion:
         combined = expand_full_joint(g_expr + other.scale(factor))
         left = expand_full_joint(g_expr)
         right = expand_full_joint(other)
-        for assignment, value in combined.coefficients.items():
+        for assignment, value in combined.items():
             assert value == left.coefficient(assignment) + factor * right.coefficient(
                 assignment
             )
@@ -384,7 +411,7 @@ class TestLocalBounds:
         assert local_bounds(expr) == oracles.vertex_local_bounds(expr)
         oracle = oracles.expansion_by_direct_evaluation(expr)
         expansion = expand_full_joint(expr)
-        assert list(expansion.coefficients.items()) == list(oracle.items())
+        assert list(expansion.items()) == list(oracle.items())
         assert trivial_bounds(expr) == (min(oracle.values()), max(oracle.values()))
 
     @settings(max_examples=40, deadline=None)
@@ -402,7 +429,7 @@ class TestLocalBounds:
         # converted correlators and full tables go through the grid's one
         # broadcast add per settings tuple; mixes also take the per-term path
         oracle = oracles.expansion_by_direct_evaluation(expr)
-        assert dict(expand_full_joint(expr).coefficients) == oracle
+        assert dict(expand_full_joint(expr).items()) == oracle
         assert trivial_bounds(expr) == (min(oracle.values()), max(oracle.values()))
 
     @settings(max_examples=25, deadline=None)
@@ -410,7 +437,7 @@ class TestLocalBounds:
     def test_full_tables_beyond_int64_match_the_brute_oracle(self, expr):
         assert lhv._expansion_grid(expr, lhv.DEFAULT_ENUMERATION_CAP)[0].dtype == object
         oracle = oracles.expansion_by_direct_evaluation(expr)
-        assert dict(expand_full_joint(expr).coefficients) == oracle
+        assert dict(expand_full_joint(expr).items()) == oracle
         assert trivial_bounds(expr) == (min(oracle.values()), max(oracle.values()))
 
     @pytest.mark.parametrize(
@@ -438,7 +465,7 @@ class TestLocalBounds:
         oracle = oracles.expansion_by_direct_evaluation(expr)
         assert local_bounds(expr) == oracles.vertex_local_bounds(expr)
         assert trivial_bounds(expr) == (min(oracle.values()), max(oracle.values()))
-        assert dict(expand_full_joint(expr).coefficients) == oracle
+        assert dict(expand_full_joint(expr).items()) == oracle
 
     @pytest.mark.parametrize("parties", [3, 4, 5, 6])
     def test_mermin_magnitude_is_two_to_half_the_parties(self, parties):
@@ -511,10 +538,10 @@ class TestDiff:
 
     def test_single_perturbation_is_localized(self, g_expr):
         expansion = expand_full_joint(g_expr)
-        perturbed = dict(expansion.coefficients)
+        perturbed = expansion.grid.copy()
         target = ((0, 1), (1, 0), (1, 1))
-        perturbed[target] = perturbed[target] + 1
-        report = diff_expansion(expansion, FullJointExpansion(TRI, perturbed))
+        perturbed[sum(target, ())] += expansion.scale
+        report = diff_expansion(expansion, FullJointExpansion(TRI, perturbed, expansion.scale))
         assert len(report) == 1
         (entry,) = report
         assert entry.assignment == target
@@ -529,7 +556,7 @@ class TestDiff:
         assert all(entry.fixture == entry.computed / 3 for entry in report)
 
     def test_scenario_mismatch(self, g_expr):
-        other = FullJointExpansion(Scenario.uniform(2, 2, 2), {})
+        other = FullJointExpansion(Scenario.uniform(2, 2, 2), np.zeros((2,) * 4, np.int64), 1)
         both = "scenario 3 2 2 computed, scenario 2 2 2 in the fixture"
         with pytest.raises(ScenarioMismatchError, match=both):
             diff_expansion(expand_full_joint(g_expr), other)
