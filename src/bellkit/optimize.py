@@ -87,11 +87,10 @@ class OptimizationResult:
 
 def _expression_weights(expr: Expression) -> np.ndarray:
     """Each entry's weight in the engine's flat ``(s_0, o_0, s_1, o_1, ..)`` table,
-    placed by ``table_lookup``: a term's coefficient, times its sign in a correlator."""
+    placed by ``table_lookup``: a term's coefficient times each entry's sign."""
     index, signs, coefficients = expr.table_lookup
     weights = np.zeros(math.prod(expr.scenario.settings_per_party) * 2**expr.scenario.parties)
-    coefficients = np.array(coefficients)
-    weights[index] = coefficients if signs is None else coefficients[:, None] * signs
+    weights[index] = np.array(coefficients)[:, None] * signs
     return weights
 
 

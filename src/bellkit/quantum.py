@@ -307,8 +307,8 @@ def joint_probability(
 
 
 def _term_values(expr: Expression, state: State, model: MeasurementModel) -> np.ndarray:
-    """Each term's value, in term order: its joint probability, or for a
-    correlator its outcome tuples' probabilities times their signs, summed.
+    """Each term's value, in term order: its row of entries times their signs,
+    summed, which is a joint probability or a correlator.
 
     The expression's ``table_lookup`` gathers just the entries its terms read
     from the flat table, clamped as :func:`probability_table` clamps them; a
@@ -316,8 +316,7 @@ def _term_values(expr: Expression, state: State, model: MeasurementModel) -> np.
     sum over that block of the probability table.
     """
     index, signs, _ = expr.table_lookup
-    values = np.clip(_flat_table(state, model)[index], 0.0, 1.0)
-    return values if signs is None else (values * signs).sum(axis=1)
+    return (np.clip(_flat_table(state, model)[index], 0.0, 1.0) * signs).sum(axis=1)
 
 
 def correlator(state: State, model: MeasurementModel, settings: Sequence[int]) -> float:

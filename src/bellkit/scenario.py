@@ -267,6 +267,15 @@ class _LinearExpression:
     scenario: Scenario
     terms: Mapping
 
+    def __post_init__(self):
+        validated = {}
+        for key, coefficient in dict(self.terms).items():
+            key = self._valid_key(key)
+            coefficient = as_fraction(coefficient)
+            if coefficient != 0:
+                validated[key] = coefficient
+        object.__setattr__(self, "terms", MappingProxyType(validated))
+
     def __eq__(self, other):
         if not isinstance(other, type(self)):
             return NotImplemented
@@ -295,6 +304,43 @@ class _LinearExpression:
     def __neg__(self):
         return self.scale(-1)
 
+    @cached_property
+    def strategy_lookup(self) -> tuple:
+        """(scale, pick, tables): the terms compiled for reading off a deterministic strategy.
+
+        ``scale`` is the lcm of the coefficient denominators.  ``tables`` holds
+        one dict per distinct settings tuple of the probability form, mapping an
+        outcome tuple to its coefficient times ``scale``, an exact integer.
+        ``pick`` reads every table's outcome labels, table after table and party
+        by party, off a strategy flattened in ``Scenario.slots()`` order.  Built
+        on first use and kept, since the expression is immutable.
+        """
+        terms = as_probability_form(self).terms
+        scale = math.lcm(*(c.denominator for c in terms.values()))
+        tables: dict = {}
+        for (settings, outcomes), coefficient in terms.items():
+            values = tables.setdefault(settings, {})
+            values[outcomes] = coefficient.numerator * (scale // coefficient.denominator)
+        setting_slots = self.scenario.setting_slots
+        pick = _tuple_getter([slot for settings in tables for slot in setting_slots(settings)])
+        return scale, pick, tuple(tables.values())
+
+    @cached_property
+    def table_lookup(self) -> tuple:
+        """(index, signs, coefficients): the terms compiled for reading off a table
+        of joint probabilities laid out as :func:`_pair_strides` says.
+
+        Row t of ``index`` holds the flat positions of the entries term t reads and
+        ``signs`` each entry's float sign, so a term is its row times ``signs``,
+        summed: one entry with sign 1.0 for a probability term, the outcome tuples
+        in C order with their ``_parity_signs`` for a correlator.  ``coefficients``
+        holds each coefficient as a float.  Built on first use and kept.
+        """
+        settings, outcomes, signs = self._table_rows()
+        setting_strides, outcome_strides = _pair_strides(self.scenario)
+        index = (settings @ setting_strides)[:, None] + outcomes @ outcome_strides
+        return _read_only(index), _read_only(signs), tuple(map(float, self.terms.values()))
+
 
 @dataclass(frozen=True, eq=False)
 class BellExpression(_LinearExpression):
@@ -305,15 +351,9 @@ class BellExpression(_LinearExpression):
     order.  Instances are immutable and safe to share across threads.
     """
 
-    def __post_init__(self):
-        validated = {}
-        for key, coefficient in dict(self.terms).items():
-            settings, outcomes = key
-            key = self.scenario.validate_term(settings, outcomes)
-            coefficient = as_fraction(coefficient)
-            if coefficient != 0:
-                validated[key] = coefficient
-        object.__setattr__(self, "terms", MappingProxyType(validated))
+    def _valid_key(self, key) -> TermKey:
+        settings, outcomes = key
+        return self.scenario.validate_term(settings, outcomes)
 
     @classmethod
     def _from_valid_terms(cls, scenario: Scenario, terms: dict) -> "BellExpression":
@@ -325,39 +365,10 @@ class BellExpression(_LinearExpression):
         object.__setattr__(self, "terms", MappingProxyType(terms))
         return self
 
-    @cached_property
-    def strategy_lookup(self) -> tuple:
-        """(scale, pick, tables): the terms compiled for reading off a deterministic strategy.
-
-        ``scale`` is the lcm of the coefficient denominators.  ``tables`` holds
-        one dict per distinct settings tuple, mapping an outcome tuple to its
-        coefficient times ``scale``, an exact integer.  ``pick`` reads every
-        table's outcome labels, table after table and party by party, off a
-        strategy flattened in ``Scenario.slots()`` order.  Built on first use
-        and kept, since the expression is immutable.
-        """
-        scale = math.lcm(*(c.denominator for c in self.terms.values()))
-        tables: dict = {}
-        for (settings, outcomes), coefficient in self.terms.items():
-            values = tables.setdefault(settings, {})
-            values[outcomes] = coefficient.numerator * (scale // coefficient.denominator)
-        setting_slots = self.scenario.setting_slots
-        pick = _tuple_getter([slot for settings in tables for slot in setting_slots(settings)])
-        return scale, pick, tuple(tables.values())
-
-    @cached_property
-    def table_lookup(self) -> tuple:
-        """(index, None, coefficients): the terms compiled for reading off a table
-        of joint probabilities laid out as :func:`_pair_strides` says.
-
-        ``index`` holds each term's flat position in the table, in term order,
-        and ``coefficients`` each coefficient as a float.  The ``None`` stands
-        where a correlator form keeps its signs.  Built on first use and kept.
-        """
-        keys = np.array(list(self.terms), dtype=np.intp).reshape(-1, 2, self.scenario.parties)
-        setting_strides, outcome_strides = _pair_strides(self.scenario)
-        index = keys[:, 0] @ setting_strides + keys[:, 1] @ outcome_strides
-        return _read_only(index), None, tuple(map(float, self.terms.values()))
+    def _table_rows(self) -> tuple:
+        """(settings, outcomes, signs) for :attr:`table_lookup`: each term's one entry."""
+        keys = np.array(list(self.terms), dtype=np.intp).reshape(-1, 2, 1, self.scenario.parties)
+        return keys[:, 0, 0], keys[:, 1], np.ones(1)
 
     def coefficient(self, settings: Sequence[int], outcomes: Sequence[int]) -> Fraction:
         """Stored coefficient of a term key, or 0 when absent."""
@@ -380,40 +391,21 @@ class CorrelatorExpression(_LinearExpression):
             raise UnsupportedScenarioError(
                 "correlator expressions require two outcomes for every measurement"
             )
-        validated = {}
-        for settings, coefficient in dict(self.terms).items():
-            settings = self.scenario.validate_settings(settings)
-            coefficient = as_fraction(coefficient)
-            if coefficient != 0:
-                validated[settings] = coefficient
-        object.__setattr__(self, "terms", MappingProxyType(validated))
+        super().__post_init__()
+
+    def _valid_key(self, settings) -> SettingsKey:
+        return self.scenario.validate_settings(settings)
 
     def coefficient(self, settings: Sequence[int]) -> Fraction:
         return self.terms.get(self.scenario.validate_settings(settings), Fraction(0))
 
-    @cached_property
-    def strategy_lookup(self) -> tuple:
-        """The probability form's :attr:`BellExpression.strategy_lookup`, built on first use."""
-        return correlator_to_probability(self).strategy_lookup
-
-    @cached_property
-    def table_lookup(self) -> tuple:
-        """(index, signs, coefficients): the terms compiled for reading off a table
-        of joint probabilities laid out as :func:`_pair_strides` says.
-
-        Row t of ``index`` holds the flat positions of term t's outcome tuples,
-        in C order; ``signs`` holds the ``_parity_signs`` of those tuples as
-        floats, so a correlator is its row of the table times ``signs``, summed.
-        ``coefficients`` holds each coefficient as a float.  Built on first use
-        and kept.
-        """
+    def _table_rows(self) -> tuple:
+        """(settings, outcomes, signs) for :attr:`table_lookup`: each term's
+        outcome tuples, in C order, with their ``_parity_signs``."""
         parties = self.scenario.parties
         settings = np.array(list(self.terms), dtype=np.intp).reshape(-1, parties)
         outcomes = np.array(list(product((0, 1), repeat=parties)), dtype=np.intp)
-        setting_strides, outcome_strides = _pair_strides(self.scenario)
-        index = (settings @ setting_strides)[:, None] + outcomes @ outcome_strides
-        signs = _parity_signs(parties).reshape(-1).astype(float)
-        return _read_only(index), _read_only(signs), tuple(map(float, self.terms.values()))
+        return settings, outcomes, _parity_signs(parties).reshape(-1).astype(float)
 
 
 Expression = Union[BellExpression, CorrelatorExpression]
