@@ -28,7 +28,12 @@ from .builtins import (
     g_paper_expansion_fixture_path,
 )
 from .errors import BellkitError, NoRootError, NoViolationError
-from .exprformat import _assignment_keys, parse_expansion, parse_expression
+from .exprformat import (
+    _assignment_keys,
+    _check_assignment_digits,
+    parse_expansion,
+    parse_expression,
+)
 from .lhv import (
     DEFAULT_ENUMERATION_CAP,
     _check_same_scenario,
@@ -247,6 +252,7 @@ def _diff_block(expansion, fixture, named: dict) -> dict:
 
 def _cmd_bound(args) -> dict:
     expr, identity, magnitude = _load_expression(args)
+    _check_assignment_digits(expr.scenario)  # the report lists extremizers by key
     bounds = local_bounds(expr, args.cap)
     inputs = {"expression": identity, "magnitude": magnitude}
     return _envelope("bound", inputs, {"local": _local_block(bounds, expr.scenario)})
@@ -255,6 +261,7 @@ def _cmd_bound(args) -> dict:
 def _cmd_expand(args) -> dict:
     expr, identity, _ = _load_expression(args)
     fixture = None if args.diff is None else _load_fixture(args.diff, expr.scenario)
+    _check_assignment_digits(expr.scenario)  # the report lists every assignment by key
     expansion = expand_full_joint(expr, args.cap)
     payload = {"expansion": _expansion_block(expansion, list_terms=True)}
     inputs = {"expression": identity, "diff": args.diff}

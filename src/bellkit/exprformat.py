@@ -135,15 +135,24 @@ def _parse_assignment_digits(
     return flat
 
 
+def _check_assignment_digits(scenario: Scenario) -> None:
+    """Refuse a scenario whose assignments have no ``L(...)`` key: one with a
+    setting of more than 10 outcomes.  Each distinct row object is read once,
+    so a header's one repeated row costs one pass, however many parties."""
+    rows = {id(row): row for row in scenario.outcomes_per_setting}
+    if max(map(max, rows.values())) > 10:
+        raise UnsupportedScenarioError("assignment digit keys need outcome labels 0-9")
+
+
 def _assignment_keys(scenario: Scenario, assignments) -> list:
     """The ``L(...)`` key of each assignment, which reports use too: one digit per slot.
 
-    Refused for the whole scenario once any setting has more than 10 outcomes,
+    Refused for the whole scenario by :func:`_check_assignment_digits`,
     whichever labels the assignments hold, when there is any to list.  The
     check runs once per listing, not once per key.
     """
-    if assignments and max(scenario.slot_outcomes) > 10:
-        raise UnsupportedScenarioError("assignment digit keys need outcome labels 0-9")
+    if assignments:
+        _check_assignment_digits(scenario)
     return ["".join(map(str, chain.from_iterable(assignment))) for assignment in assignments]
 
 

@@ -12,10 +12,12 @@ coefficients reproduce the enumerated bounds.
 Both routes work in exact integers: every coefficient is multiplied by the
 lcm of the coefficient denominators, and results are divided back as
 ``Fraction(x, scale)``.  The vertex sweep reads each strategy off a lookup
-compiled once per expression (``BellExpression.strategy_lookup``): one dict
-lookup per distinct settings tuple.  The expansion route builds one integer
-array with an axis per slot; a ``FullJointExpansion`` is that grid and its
-scale, with no per-assignment map.  The two routes share no code beyond
+compiled once per expression (``strategy_lookup``): one dict lookup per
+distinct settings tuple.  It streams the strategies from ``_assignments``,
+the one owner of the enumeration order, which ``enumerate_strategies``
+lists and an expansion's ``items()`` follows.  The expansion route builds
+one integer array with an axis per slot; a ``FullJointExpansion`` is that
+grid and its scale, with no per-assignment map.  The two routes share no code beyond
 ``Scenario``'s slot layout and the enumeration order: a defect in either one
 makes ``local_bounds`` and ``trivial_bounds`` disagree rather than repeat the
 same wrong number.  Both take either expression form after the cap check:
@@ -107,12 +109,18 @@ def validate_strategy(scenario: Scenario, strategy: Sequence) -> DeterministicSt
     return tuple(normalized)
 
 
+def _assignments(scenario: Scenario):
+    """Every deterministic strategy, lazily, in enumeration order: lexicographic
+    in party-major slot order.  Unchecked against the cap."""
+    return map(scenario.split_slots, product(*map(range, scenario.slot_outcomes)))
+
+
 def enumerate_strategies(
     scenario: Scenario, cap: int = DEFAULT_ENUMERATION_CAP
 ) -> list:
     """All deterministic strategies, lexicographic in party-major slot order."""
     _check_cap(scenario, cap)
-    return list(map(scenario.split_slots, product(*map(range, scenario.slot_outcomes))))
+    return list(_assignments(scenario))
 
 
 def evaluate_on_strategy(expr: Expression, strategy: Sequence) -> Fraction:
@@ -148,6 +156,11 @@ class FullJointExpansion:
         if grid.shape != self.scenario.slot_outcomes:
             needs = f"{_scenario_text(self.scenario)} needs {self.scenario.slot_outcomes}"
             raise ScenarioMismatchError(f"expansion grid has shape {grid.shape}, {needs}")
+        # a signed-integer dtype, or Python ints held as objects past int64
+        if not np.issubdtype(grid.dtype, np.signedinteger) and not (
+            grid.dtype == object and all(type(value) is int for value in grid.flat)
+        ):
+            raise ScenarioError(f"expansion grid must hold integers, got dtype {grid.dtype}")
         if isinstance(self.scale, bool) or not isinstance(self.scale, int) or self.scale < 1:
             raise ScenarioError(f"expansion scale must be a positive int, got {self.scale!r}")
         if grid.flags.writeable:
@@ -170,8 +183,7 @@ class FullJointExpansion:
         one ``Fraction`` per distinct value."""
         values = self.grid.reshape(-1).tolist()
         exact = {value: Fraction(value, self.scale) for value in set(values)}
-        assignments = product(*map(range, self.scenario.slot_outcomes))
-        return zip(map(self.scenario.split_slots, assignments), map(exact.__getitem__, values))
+        return zip(_assignments(self.scenario), map(exact.__getitem__, values))
 
     @property
     def coefficient_sum(self) -> Fraction:
@@ -291,13 +303,15 @@ def local_bounds(
 
     Convex mixtures of strategies cover every local model, so the vertex
     extrema bound them all.  Tied extremizers are reported in enumeration
-    order rather than picking an arbitrary winner.
+    order rather than picking an arbitrary winner.  Strategies are streamed,
+    never listed, so memory grows with the extremizers only.
     """
+    _check_cap(expr.scenario, cap)
     best_max = None
     best_min = None
     maximizers: list = []
     minimizers: list = []
-    for strategy in enumerate_strategies(expr.scenario, cap):
+    for strategy in _assignments(expr.scenario):
         value = evaluate_on_strategy(expr, strategy)
         if best_max is None or value > best_max:
             best_max = value

@@ -28,8 +28,9 @@ re-evaluates the best value.
 
 No qubit convention is re-derived here: angles become Bloch vectors in
 ``quantum._bloch_from_angles``, party counts are checked by
-``quantum._check_parties``, and the weights are placed by the expression's
-``table_lookup``, whose correlator signs ``scenario._parity_signs`` owns.
+``quantum._check_parties``, and each weight is a coefficient times an
+entry's sign, both placed by the expression's ``table_lookup``, which reads
+every form alike and takes its correlator signs from ``scenario._parity_signs``.
 """
 
 from __future__ import annotations

@@ -5,7 +5,11 @@ how many outcomes each setting produces.  A Bell expression is a finite
 linear combination of joint-probability terms; each term names one setting
 and one outcome per party and carries an exact rational coefficient.  When
 every measurement is binary the same functional can be written in correlator
-form, as a signed sum of full correlators E(settings).
+form, as a signed sum of full correlators E(settings).  Both forms share one
+base, which owns their algebra, the validation loop over term keys and the
+two compiled lookups: ``strategy_lookup`` for the vertex sweep and
+``table_lookup`` for the quantum engine and the optimizer.  A form supplies
+only its key check and its table rows.
 
 Everything in this module is exact: coefficients are `fractions.Fraction`
 and no float arithmetic is performed, so polytope bounds computed downstream

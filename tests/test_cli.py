@@ -2,7 +2,9 @@ import contextlib
 import io
 import json
 import math
+import os
 import re
+import subprocess
 import sys
 import time
 from pathlib import Path
@@ -11,6 +13,7 @@ import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
+import bellkit
 from bellkit import (
     builtin_expression,
     g_paper_expansion_fixture_path,
@@ -505,6 +508,28 @@ class TestPlainFormat:
         assert "quantum.breakdown[19].coefficient.exact = \"-4\"" in lines
 
 
+def test_every_command_runs_without_scipy_or_sympy():
+    # numpy is the only dependency: scipy and sympy are installed, and a fresh
+    # interpreter that runs every command must still not have loaded them
+    source_root = str(Path(bellkit.__file__).resolve().parents[1])
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [source_root, env.get("PYTHONPATH")]))
+    probe = """
+import contextlib, io, sys
+from bellkit.cli import run_command
+runs = [[command, "--builtin", name] for command in ("bound", "expand", "quantum", "noise",
+        "report") for name in ("g-paper", "mermin")]
+runs.append(["optimize", "--builtin", "g-paper", "--restarts", "1"])
+with contextlib.redirect_stdout(io.StringIO()):
+    codes = [run_command(argv) for argv in runs]
+print(codes.count(0), len(codes), sorted({"scipy", "sympy"} & set(sys.modules)))
+"""
+    result = subprocess.run(
+        [sys.executable, "-c", probe], capture_output=True, text=True, env=env, check=True
+    )
+    assert result.stdout == "11 11 []\n", result.stderr
+
+
 class TestErrorPaths:
     def test_a_failure_writes_its_error_line_before_its_warnings(self, capsys, tmp_path):
         path = tmp_path / "dup.bell"
@@ -655,9 +680,13 @@ class TestErrorPaths:
             "scenario 1 2 12\n+1 P(A0 | 11)\n-1 P(A1 | 3)\n",
             # every extremizer has single-digit labels: the scenario decides
             "scenario 1 1 12\n+1 P(A0 | 3)\n-1 P(A0 | 4)\n",
+            # 11^6 strategies, under the cap: refused before the sweep or the grid
+            "scenario 3 2 11\n+1 P(A0 B0 C0 | 0 0 0)\n",
         ],
     )
-    def test_two_digit_outcome_labels_have_no_assignment_key(self, capsys, tmp_path, text):
+    def test_two_digit_outcome_labels_have_no_assignment_key(
+        self, capsys, tmp_path, text, call_counts
+    ):
         path = tmp_path / "twelve.bell"
         path.write_text(text)
         for command in ("bound", "expand"):
@@ -665,6 +694,7 @@ class TestErrorPaths:
             assert code == 1, command
             assert err == "error: assignment digit keys need outcome labels 0-9\n"
             assert out == ""
+        assert call_counts["evaluate_on_strategy"] == call_counts["expand_full_joint"] == 0
 
     def test_single_digit_labels_keep_their_keys(self, capsys, tmp_path):
         path = tmp_path / "ten.bell"

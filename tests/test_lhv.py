@@ -252,6 +252,15 @@ class TestExpansion:
         with pytest.raises(ScenarioError, match="positive int"):
             FullJointExpansion(TRI, np.zeros(TRI.slot_outcomes, np.int64), scale)
 
+    @pytest.mark.parametrize(
+        "grid, dtype",
+        [(np.array([0.5, 1.0]), "float64"), (np.array([Fraction(1, 2), 1], object), "object")],
+        ids=["float", "object-with-fraction"],
+    )
+    def test_the_constructor_wants_an_integer_grid(self, grid, dtype):
+        with pytest.raises(ScenarioError, match=f"must hold integers, got dtype {dtype}"):
+            FullJointExpansion(Scenario.uniform(1, 1, 2), grid, 1)
+
     def test_the_grid_is_stored_read_only(self, g_expr):
         grid = np.zeros(TRI.slot_outcomes, np.int64)
         expansion = FullJointExpansion(TRI, grid, 1)
