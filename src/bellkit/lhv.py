@@ -17,10 +17,10 @@ distinct settings tuple.  It streams the strategies from ``_assignments``,
 the one owner of the enumeration order, which ``enumerate_strategies``
 lists and an expansion's ``items()`` follows.  The expansion route builds
 one integer array with an axis per slot; a ``FullJointExpansion`` is that
-grid and its scale, with no per-assignment map.  The two routes share no code beyond
-``Scenario``'s slot layout and the enumeration order: a defect in either one
-makes ``local_bounds`` and ``trivial_bounds`` disagree rather than repeat the
-same wrong number.  Both take either expression form after the cap check:
+grid and its scale, with no per-assignment map.  The two routes share no
+code beyond ``Scenario``'s slot layout and the enumeration order: a defect
+in either one makes ``local_bounds`` and ``trivial_bounds`` disagree rather
+than repeat the same wrong number.  Both take either expression form after the cap check:
 the grid reads a correlator form's own terms and never builds its
 probability form; the sweep reads the lookup of that probability form.
 
