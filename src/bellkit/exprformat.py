@@ -139,8 +139,7 @@ def _check_assignment_digits(scenario: Scenario) -> None:
     """Refuse a scenario whose assignments have no ``L(...)`` key: one with a
     setting of more than 10 outcomes.  Each distinct row object is read once,
     so a header's one repeated row costs one pass, however many parties."""
-    rows = {id(row): row for row in scenario.outcomes_per_setting}
-    if max(map(max, rows.values())) > 10:
+    if max(max(row) for row, _ in scenario.distinct_rows) > 10:
         raise UnsupportedScenarioError("assignment digit keys need outcome labels 0-9")
 
 

@@ -73,10 +73,10 @@ def _check_cap(scenario: Scenario, cap: int) -> int:
     # log10 of the size first: an exact size of 4300 digits or more is slow
     # to multiply out and beyond Python's int-to-text limit.  A row object
     # shared by several parties is read once and counted once per party.
-    copies = Counter(map(id, scenario.outcomes_per_setting))
-    rows = {id(row): row for row in scenario.outcomes_per_setting}
     log_size = math.fsum(
-        copies[key] * row.count(n) * math.log10(n) for key, row in rows.items() for n in set(row)
+        copies * row.count(n) * math.log10(n)
+        for row, copies in scenario.distinct_rows
+        for n in set(row)
     )
     if log_size >= 4299:
         raise EnumerationCapError(None, cap)

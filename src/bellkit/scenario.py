@@ -23,6 +23,7 @@ from __future__ import annotations
 
 import math
 import operator
+from collections import Counter
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cache, cached_property, reduce
@@ -198,6 +199,17 @@ class Scenario:
     def slot_offsets(self) -> tuple:
         """Index of each party's first slot in ``slots()`` order, then the slot count."""
         return tuple(accumulate(self.settings_per_party, initial=0))
+
+    @cached_property
+    def distinct_rows(self) -> tuple:
+        """(row, copies) for each distinct row object of ``outcomes_per_setting``.
+
+        ``uniform`` and a text header repeat one row for every party, so a
+        check over these reads that row once, however many parties share it.
+        """
+        copies = Counter(map(id, self.outcomes_per_setting))
+        rows = {id(row): row for row in self.outcomes_per_setting}
+        return tuple((row, copies[key]) for key, row in rows.items())
 
     @cached_property
     def slot_outcomes(self) -> tuple:

@@ -1,5 +1,9 @@
 import json
 import math
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -143,6 +147,23 @@ class TestTableEvaluator:
             model = MeasurementModel(tuple(tuple(vectors[i : i + 2]) for i in (0, 2, 4)))
             reference = oracles.kron_expression_value(expr, density, model)
             assert a + b @ bloch[:, slot] == pytest.approx(reference, abs=1e-12)
+
+
+def test_import_leaves_scipy_unloaded():
+    # nothing in bellkit loads scipy, including a full optimizer run
+    source_root = str(Path(bellkit.__file__).resolve().parents[1])
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [source_root, env.get("PYTHONPATH")]))
+    probe = (
+        "import sys, bellkit; "
+        "bellkit.optimize_measurements(bellkit.builtin_expression('g-paper'), "
+        "bellkit.ghz_state(3), bellkit.OptimizerConfig(restarts=1)); "
+        "print('scipy' in sys.modules)"
+    )
+    result = subprocess.run(
+        [sys.executable, "-c", probe], capture_output=True, text=True, env=env, check=True
+    )
+    assert result.stdout.strip() == "False"
 
 
 class TestOptimization:

@@ -70,6 +70,11 @@ class TestScenario:
     def test_a_repeated_row_is_shared_not_copied(self):
         s = Scenario.uniform(4, 3, 2)
         assert all(row is s.outcomes_per_setting[0] for row in s.outcomes_per_setting)
+        assert s.distinct_rows == (((2, 2, 2), 4),)
+        row, equal = (2, 3), tuple([2, 3])  # equal rows, two objects
+        mixed = Scenario(3, (2, 2, 2), (row, equal, row))
+        assert mixed.distinct_rows == ((row, 2), (equal, 1))
+        assert mixed.distinct_rows[0][0] is mixed.outcomes_per_setting[0]
 
     @pytest.mark.parametrize(
         "outcomes,message",
