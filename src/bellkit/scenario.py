@@ -202,11 +202,9 @@ class Scenario:
 
     @cached_property
     def distinct_rows(self) -> tuple:
-        """(row, copies) for each distinct row object of ``outcomes_per_setting``.
-
-        ``uniform`` and a text header repeat one row for every party, so a
-        check over these reads that row once, however many parties share it.
-        """
+        """(row, copies) for each distinct row object of ``outcomes_per_setting``:
+        a check over these reads a row that parties share (``uniform`` and a
+        text header repeat one) once, however many parties share it."""
         copies = Counter(map(id, self.outcomes_per_setting))
         rows = {id(row): row for row in self.outcomes_per_setting}
         return tuple((row, copies[key]) for key, row in rows.items())
