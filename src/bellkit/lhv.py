@@ -13,7 +13,11 @@ Both routes work in exact integers: every coefficient is multiplied by the
 lcm of the coefficient denominators, and results are divided back as
 ``Fraction(x, scale)``.  The vertex sweep reads each strategy off a lookup
 compiled once per expression (``strategy_lookup``): one dict lookup per
-distinct settings tuple.  It streams the strategies from ``_assignments``,
+distinct settings tuple, after a one-pass check of the strategy in C-level
+calls, which falls back to ``validate_strategy``'s loop only to raise its
+error.  It keeps one public ``evaluate_on_strategy`` call per strategy and
+tracks the extremes and their ties on the exact integer value times the
+lookup's scale.  It streams the strategies from ``_assignments``,
 the one owner of the enumeration order, which ``enumerate_strategies``
 lists and an expansion's ``items()`` follows.  The expansion route builds
 one integer array with an axis per slot; a ``FullJointExpansion`` is that
@@ -39,10 +43,11 @@ a configurable cap guards against accidentally enormous enumerations.
 from __future__ import annotations
 
 import math
+import operator
 from collections import Counter
 from dataclasses import dataclass
 from fractions import Fraction
-from itertools import product, repeat
+from itertools import chain, product, repeat
 from operator import itemgetter
 from typing import Sequence
 
@@ -109,6 +114,28 @@ def validate_strategy(scenario: Scenario, strategy: Sequence) -> DeterministicSt
     return tuple(normalized)
 
 
+def _strategy_slots(scenario: Scenario, strategy: Sequence) -> tuple:
+    """``sum(validate_strategy(scenario, strategy), ())`` by a one-pass check: the
+    labels as ints, flat in ``Scenario.slots()`` order.
+
+    Row lengths are matched against ``settings_per_party``, each label goes
+    through ``operator.index`` and the flat tuple is range-checked against
+    ``slot_outcomes``, all in C-level calls.  Whatever fails, a row without a
+    length (a generator) included, goes to ``validate_strategy``, which
+    raises its exact error.  ``len(strategy)`` comes first, so a generator
+    strategy is refused before anything consumes it.
+    """
+    if len(strategy) == scenario.parties:
+        try:
+            if tuple(map(len, strategy)) == scenario.settings_per_party:
+                flat = tuple(map(operator.index, chain.from_iterable(strategy)))
+                if min(flat) >= 0 and all(map(operator.lt, flat, scenario.slot_outcomes)):
+                    return flat
+        except TypeError:
+            pass
+    return sum(validate_strategy(scenario, strategy), ())
+
+
 def _assignments(scenario: Scenario):
     """Every deterministic strategy, lazily, in enumeration order: lexicographic
     in party-major slot order.  Unchecked against the cap."""
@@ -130,10 +157,13 @@ def evaluate_on_strategy(expr: Expression, strategy: Sequence) -> Fraction:
     value is the sum of coefficients of the terms the strategy hits: at most
     one term per distinct settings tuple, found by one dict lookup.  A
     correlator form reads the lookup of its probability form, built once.
+    The strategy is checked and flattened in one pass (``_strategy_slots``)
+    and the lookup reads that flat tuple; an invalid strategy raises what
+    :func:`validate_strategy` raises.
     """
-    strategy = validate_strategy(expr.scenario, strategy)
+    flat = _strategy_slots(expr.scenario, strategy)
     scale, pick, tables = expr.strategy_lookup
-    labels = iter(pick(sum(strategy, ())))
+    labels = iter(pick(flat))
     keys = zip(*[labels] * expr.scenario.parties)  # one outcome tuple per table
     return Fraction(sum(map(dict.get, tables, keys, repeat(0))), scale)
 
@@ -175,7 +205,7 @@ class FullJointExpansion:
     __hash__ = None
 
     def coefficient(self, assignment: Sequence) -> Fraction:
-        flat = sum(validate_strategy(self.scenario, assignment), ())
+        flat = _strategy_slots(self.scenario, assignment)
         return Fraction(int(self.grid[flat]), self.scale)
 
     def items(self):
@@ -304,26 +334,32 @@ def local_bounds(
     Convex mixtures of strategies cover every local model, so the vertex
     extrema bound them all.  Tied extremizers are reported in enumeration
     order rather than picking an arbitrary winner.  Strategies are streamed,
-    never listed, so memory grows with the extremizers only.
+    never listed, so memory grows with the extremizers only.  Each strategy
+    goes through one public :func:`evaluate_on_strategy` call, and the
+    extremes and ties are tracked on the exact integer value times the
+    lookup's ``scale``, not by comparing ``Fraction``s.
     """
     _check_cap(expr.scenario, cap)
-    best_max = None
-    best_min = None
+    scale = expr.strategy_lookup[0]
+    high = low = None
     maximizers: list = []
     minimizers: list = []
     for strategy in _assignments(expr.scenario):
         value = evaluate_on_strategy(expr, strategy)
-        if best_max is None or value > best_max:
-            best_max = value
+        scaled = value.numerator * (scale // value.denominator)
+        if high is None or scaled > high:
+            high = scaled
             maximizers = [strategy]
-        elif value == best_max:
+        elif scaled == high:
             maximizers.append(strategy)
-        if best_min is None or value < best_min:
-            best_min = value
+        if low is None or scaled < low:
+            low = scaled
             minimizers = [strategy]
-        elif value == best_min:
+        elif scaled == low:
             minimizers.append(strategy)
-    return LocalBoundResult(best_max, best_min, tuple(maximizers), tuple(minimizers))
+    return LocalBoundResult(
+        Fraction(high, scale), Fraction(low, scale), tuple(maximizers), tuple(minimizers)
+    )
 
 
 def trivial_bounds(

@@ -189,6 +189,11 @@ class MeasurementModel:
         if len(rows) > MAX_PARTIES:
             raise DimensionMismatchError(f"models are capped at {MAX_PARTIES} parties")
         object.__setattr__(self, "bloch", tuple(rows))
+        # the (3, slots) Bloch columns, one per slot in party-major order, that
+        # every evaluation reads: built once here, read-only
+        columns = np.array([vector for row in rows for vector in row]).T
+        columns.flags.writeable = False
+        object.__setattr__(self, "_columns", columns)
         settings = self.settings_per_party
         scenario = Scenario(len(rows), settings, tuple((2,) * n for n in settings))
         object.__setattr__(self, "_scenario", scenario)
@@ -277,11 +282,10 @@ def _table(paired: np.ndarray, bloch: np.ndarray, settings_per_party) -> np.ndar
 def _flat_table(state: State, model: MeasurementModel) -> np.ndarray:
     """The model's unclamped :func:`_table` on the state, flat in
     ``(s_0, o_0, s_1, o_1, ..)`` order: what :func:`probability_table` reshapes
-    and an expression's ``table_lookup`` indexes.  The caller checks the
-    party count."""
+    and an expression's ``table_lookup`` indexes, from the Bloch columns the
+    model built once.  The caller checks the party count."""
     settings = model.settings_per_party
-    bloch = np.array([vector for row in model.bloch for vector in row]).T
-    return _table(_paired_density(state, settings), bloch, settings)
+    return _table(_paired_density(state, settings), model._columns, settings)
 
 
 def probability_table(state: State, model: MeasurementModel) -> np.ndarray:

@@ -116,6 +116,81 @@ def tabled_expressions(draw, sparse=True, huge=False):
     return make_expression(scenario, terms)
 
 
+# ways to spoil a valid strategy, applied one after another
+STRATEGY_FAULTS = (
+    "outcome-too-big",
+    "negative-outcome",
+    "extra-party",
+    "missing-party",
+    "extra-setting",
+    "missing-setting",
+    "bool-label",
+    "numpy-label",
+    "float-label",
+)
+# what holds the rows, and what holds each row's labels; a generator has no len()
+STRATEGY_CONTAINERS = (tuple, list, "generator")
+ROW_CONTAINERS = (*STRATEGY_CONTAINERS, np.array)
+
+
+def _contained(kind, items):
+    return (item for item in items) if kind == "generator" else kind(items)
+
+
+@st.composite
+def candidate_strategies(draw):
+    """(scenario, build): ``build()`` makes a fresh candidate strategy on each call,
+    so a generator in it is unconsumed.  It starts valid, takes up to three
+    faults and comes in drawn containers."""
+    scenario = draw(small_scenarios())
+    rows = [
+        [draw(st.integers(0, n - 1)) for n in counts] for counts in scenario.outcomes_per_setting
+    ]
+    for fault in draw(st.lists(st.sampled_from(STRATEGY_FAULTS), max_size=3)):
+        if not rows:
+            break
+        p = draw(st.integers(0, len(rows) - 1))
+        if fault == "extra-party":
+            rows.insert(p, list(rows[p]))
+        elif fault == "missing-party":
+            del rows[p]
+        elif fault == "extra-setting":
+            rows[p].insert(draw(st.integers(0, len(rows[p]))), 0)
+        elif rows[p]:
+            s = draw(st.integers(0, len(rows[p]) - 1))
+            counts = scenario.outcomes_per_setting
+            n = counts[p][s] if p < len(counts) and s < len(counts[p]) else 2
+            if fault == "missing-setting":
+                del rows[p][s]
+            elif fault == "outcome-too-big":
+                rows[p][s] = draw(st.integers(n, n + 2))
+            elif fault == "negative-outcome":
+                rows[p][s] = draw(st.integers(-2, -1))
+            elif fault == "bool-label":
+                rows[p][s] = draw(st.booleans())
+            elif fault == "numpy-label":
+                integer = draw(st.sampled_from((np.int8, np.int64, np.uint16)))
+                rows[p][s] = integer(rows[p][s] % n)
+            else:  # float-label
+                rows[p][s] = rows[p][s] + draw(st.sampled_from((0.0, 0.5)))
+    outer = draw(st.sampled_from(STRATEGY_CONTAINERS))
+    inner = [draw(st.sampled_from(ROW_CONTAINERS)) for _ in rows]
+
+    def build():
+        return _contained(outer, [_contained(kind, row) for kind, row in zip(inner, rows)])
+
+    return scenario, build
+
+
+def _result(check, scenario, strategy):
+    """The flat ints ``check`` returns with their types, or its error's type and message."""
+    try:
+        flat = check(scenario, strategy)
+    except Exception as exc:
+        return type(exc), str(exc)
+    return flat, tuple(map(type, flat))
+
+
 def mermin_probability_form(parties):
     """Re prod_k (A_k + i A'_k): m primed (setting 1) parties, m even, weigh (-1)^(m/2)."""
     terms = [
@@ -201,6 +276,20 @@ class TestEvaluateOnStrategy:
     def test_non_integer_outcomes_are_rejected_not_truncated(self, g_expr):
         with pytest.raises(ScenarioMismatchError, match="index 1.7 is not an integer"):
             evaluate_on_strategy(g_expr, ((1.7, 0), (0, 0), (1, 0)))
+
+    @settings(max_examples=300, deadline=None)
+    @given(candidate=candidate_strategies())
+    @example(candidate=(TRI, lambda: ((0, 2), (0, 0), (0, 0))))
+    @example(candidate=(TRI, lambda: ((0, -1), (0, 0), (0, 0))))
+    @example(candidate=(TRI, lambda: (row for row in ((0, 0), (0, 0), (0, 0)))))
+    @example(candidate=(TRI, lambda: ((0, 0), (x for x in (0, 1.5)), (0, 0))))
+    def test_the_one_pass_check_agrees_with_validate_strategy(self, candidate):
+        # the same flat ints, or the same error type and message
+        scenario, build = candidate
+        expected = _result(
+            lambda sc, strategy: sum(lhv.validate_strategy(sc, strategy), ()), scenario, build()
+        )
+        assert _result(lhv._strategy_slots, scenario, build()) == expected
 
 
 class TestExpansion:
@@ -475,6 +564,23 @@ class TestLocalBounds:
         assert local_bounds(expr) == oracles.vertex_local_bounds(expr)
         assert trivial_bounds(expr) == (min(oracle.values()), max(oracle.values()))
         assert dict(expand_full_joint(expr).items()) == oracle
+
+    def test_ties_across_denominators_match_the_oracle(self):
+        # strategy values 1/2, 1/3, 0, -1/3, -1/2 and -5/6 reduce to different
+        # denominators; the max 1/2 shares its numerator with 1/3, and both
+        # extremes are tied
+        expr = make_expression(
+            Scenario.uniform(2, 2, 2),
+            [
+                MarginalTerm((0, 1), (0, 0), Fraction(1, 2)),
+                MarginalTerm((0, 1), (0, 1), Fraction(1, 3)),
+                MarginalTerm((1, 0), (0, 1), Fraction(-5, 6)),
+            ],
+        )
+        bounds = local_bounds(expr)
+        assert bounds == oracles.vertex_local_bounds(expr)
+        assert (bounds.max, bounds.min) == (Fraction(1, 2), Fraction(-5, 6))
+        assert (len(bounds.maximizers), len(bounds.minimizers)) == (3, 2)
 
     @pytest.mark.parametrize("parties", [3, 4, 5, 6])
     def test_mermin_magnitude_is_two_to_half_the_parties(self, parties):

@@ -108,6 +108,14 @@ class TestModel:
         assert xy_model.scenario() == TRI
         assert xy_model.scenario() is xy_model.scenario()  # built once, with the model
 
+    def test_the_model_keeps_its_bloch_columns_read_only(self):
+        model = MeasurementModel(
+            (((1.0, 0.0, 0.0), (0.0, 1.0, 0.0)), ((0.0, 0.0, 1.0),), ((0.6, 0.8, 0.0),))
+        )
+        columns = model._columns
+        assert columns.shape == (3, 4) and not columns.flags.writeable
+        assert columns.T.tolist() == [list(v) for row in model.bloch for v in row]
+
 
 class TestJointProbability:
     def test_xxx_all_ones(self, ghz3, xy_model):
