@@ -103,20 +103,24 @@ def _load_expression(args):
     return expr, identity, magnitude
 
 
+def _read_model(path: str) -> tuple:
+    """(state, model, identity) of the model document at ``path``."""
+    text = Path(path).read_text(encoding="utf-8")
+    state, model = parse_model(text)
+    return state, model, {"path": path, "sha256": _sha256(text)}
+
+
 def _load_model(spec: str):
     if spec == "paper":
         return ghz_state(3), paper_model(), "paper"
-    text = Path(spec).read_text(encoding="utf-8")
-    state, model = parse_model(text)
-    return state, model, {"path": spec, "sha256": _sha256(text)}
+    return _read_model(spec)
 
 
 def _load_state(spec: str, parties: int):
     if spec == "ghz":
         return ghz_state(parties), "ghz"
-    text = Path(spec).read_text(encoding="utf-8")
-    state, _ = parse_model(text)
-    return state, {"path": spec, "sha256": _sha256(text)}
+    state, _, identity = _read_model(spec)
+    return state, identity
 
 
 def _envelope(command: str, inputs: dict, payload: dict) -> dict:

@@ -13,18 +13,18 @@ Both routes work in exact integers: every coefficient is multiplied by the
 lcm of the coefficient denominators, and results are divided back as
 ``Fraction(x, scale)``.  The vertex sweep reads each strategy off a lookup
 compiled once per expression (``strategy_lookup``): one dict lookup per
-distinct settings tuple, after a one-pass check of the strategy in C-level
-calls, which falls back to ``validate_strategy``'s loop only to raise its
-error.  It keeps one public ``evaluate_on_strategy`` call per strategy and
-tracks the extremes and their ties on the exact integer value times the
-lookup's scale.  It streams the strategies from ``_assignments``,
-the one owner of the enumeration order, which ``enumerate_strategies``
-lists and an expansion's ``items()`` follows.  The expansion route builds
-one integer array with an axis per slot; a ``FullJointExpansion`` is that
-grid and its scale, with no per-assignment map.  The two routes share no
-code beyond ``Scenario``'s slot layout and the enumeration order: a defect
-in either one makes ``local_bounds`` and ``trivial_bounds`` disagree rather
-than repeat the same wrong number.  Both take either expression form after the cap check:
+distinct settings tuple, after ``Scenario._strategy_slots`` checks the
+strategy in one pass; this module checks no labels itself.  It keeps one
+public ``evaluate_on_strategy`` call per strategy and tracks the extremes
+and their ties on the exact integer value times the lookup's scale.  It
+streams the strategies from ``_assignments``, the one owner of the
+enumeration order, which ``enumerate_strategies`` lists and an expansion's
+``items()`` follows.  The expansion route builds one integer array with an
+axis per slot; a ``FullJointExpansion`` is that grid and its scale, with no
+per-assignment map.  The two routes share no code beyond ``Scenario``'s
+slot layout and the enumeration order: a defect in either one makes
+``local_bounds`` and ``trivial_bounds`` disagree rather than repeat the
+same wrong number.  Both take either expression form after the cap check:
 the grid reads a correlator form's own terms and never builds its
 probability form; the sweep reads the lookup of that probability form.
 
@@ -43,11 +43,10 @@ a configurable cap guards against accidentally enormous enumerations.
 from __future__ import annotations
 
 import math
-import operator
 from collections import Counter
 from dataclasses import dataclass
 from fractions import Fraction
-from itertools import chain, product, repeat
+from itertools import product, repeat
 from operator import itemgetter
 from typing import Sequence
 
@@ -59,7 +58,6 @@ from .scenario import (
     CorrelatorExpression,
     Expression,
     Scenario,
-    _indices,
     _parity_signs,
     _read_only,
     _scenario_text,
@@ -91,51 +89,6 @@ def _check_cap(scenario: Scenario, cap: int) -> int:
     return size
 
 
-def validate_strategy(scenario: Scenario, strategy: Sequence) -> DeterministicStrategy:
-    """Shape- and range-check a strategy against a scenario."""
-    if len(strategy) != scenario.parties:
-        raise ScenarioMismatchError(
-            f"strategy lists {len(strategy)} parties, scenario has {scenario.parties}"
-        )
-    normalized = []
-    for p, row in enumerate(strategy):
-        row = _indices(row, ScenarioMismatchError)
-        if len(row) != scenario.settings_per_party[p]:
-            raise ScenarioMismatchError(
-                f"party {p}: strategy lists {len(row)} settings, "
-                f"scenario has {scenario.settings_per_party[p]}"
-            )
-        for s, o in enumerate(row):
-            if not 0 <= o < scenario.outcomes_per_setting[p][s]:
-                raise ScenarioMismatchError(
-                    f"party {p} setting {s}: outcome {o} out of range"
-                )
-        normalized.append(row)
-    return tuple(normalized)
-
-
-def _strategy_slots(scenario: Scenario, strategy: Sequence) -> tuple:
-    """``sum(validate_strategy(scenario, strategy), ())`` by a one-pass check: the
-    labels as ints, flat in ``Scenario.slots()`` order.
-
-    Row lengths are matched against ``settings_per_party``, each label goes
-    through ``operator.index`` and the flat tuple is range-checked against
-    ``slot_outcomes``, all in C-level calls.  Whatever fails, a row without a
-    length (a generator) included, goes to ``validate_strategy``, which
-    raises its exact error.  ``len(strategy)`` comes first, so a generator
-    strategy is refused before anything consumes it.
-    """
-    if len(strategy) == scenario.parties:
-        try:
-            if tuple(map(len, strategy)) == scenario.settings_per_party:
-                flat = tuple(map(operator.index, chain.from_iterable(strategy)))
-                if min(flat) >= 0 and all(map(operator.lt, flat, scenario.slot_outcomes)):
-                    return flat
-        except TypeError:
-            pass
-    return sum(validate_strategy(scenario, strategy), ())
-
-
 def _assignments(scenario: Scenario):
     """Every deterministic strategy, lazily, in enumeration order: lexicographic
     in party-major slot order.  Unchecked against the cap."""
@@ -157,11 +110,11 @@ def evaluate_on_strategy(expr: Expression, strategy: Sequence) -> Fraction:
     value is the sum of coefficients of the terms the strategy hits: at most
     one term per distinct settings tuple, found by one dict lookup.  A
     correlator form reads the lookup of its probability form, built once.
-    The strategy is checked and flattened in one pass (``_strategy_slots``)
-    and the lookup reads that flat tuple; an invalid strategy raises what
-    :func:`validate_strategy` raises.
+    The scenario checks and flattens the strategy in one pass
+    (``Scenario._strategy_slots``) and the lookup reads that flat tuple; an
+    invalid strategy raises what ``Scenario.validate_strategy`` raises.
     """
-    flat = _strategy_slots(expr.scenario, strategy)
+    flat = expr.scenario._strategy_slots(strategy)
     scale, pick, tables = expr.strategy_lookup
     labels = iter(pick(flat))
     keys = zip(*[labels] * expr.scenario.parties)  # one outcome tuple per table
@@ -205,7 +158,7 @@ class FullJointExpansion:
     __hash__ = None
 
     def coefficient(self, assignment: Sequence) -> Fraction:
-        flat = _strategy_slots(self.scenario, assignment)
+        flat = self.scenario._strategy_slots(assignment)
         return Fraction(int(self.grid[flat]), self.scale)
 
     def items(self):

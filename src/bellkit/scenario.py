@@ -1,15 +1,18 @@
 """Measurement scenarios and Bell expressions with exact rational coefficients.
 
 A scenario fixes, for every party, how many measurement settings it has and
-how many outcomes each setting produces.  A Bell expression is a finite
-linear combination of joint-probability terms; each term names one setting
-and one outcome per party and carries an exact rational coefficient.  When
-every measurement is binary the same functional can be written in correlator
-form, as a signed sum of full correlators E(settings).  Both forms share one
-base, which owns their algebra, the validation loop over term keys and the
-two compiled lookups: ``strategy_lookup`` for the vertex sweep and
-``table_lookup`` for the quantum engine and the optimizer.  A form supplies
-only its key check and its table rows.
+how many outcomes each setting produces.  It owns every label check: term
+keys, settings keys and deterministic strategies, each coerced by
+``_indices``; and it reads each distinct outcome row object once, however
+many parties share it.  A Bell expression is a finite linear combination of
+joint-probability terms; each term names one setting and one outcome per
+party and carries an exact rational coefficient.  When every measurement is
+binary the same functional can be written in correlator form, as a signed
+sum of full correlators E(settings).  Both forms share one base, which owns
+their algebra, the validation loop over term keys and the two compiled
+lookups: ``strategy_lookup`` for the vertex sweep and ``table_lookup`` for
+the quantum engine and the optimizer.  A form supplies only its key check
+and its table rows.
 
 Everything in this module is exact: coefficients are `fractions.Fraction`
 and no float arithmetic is performed, so polytope bounds computed downstream
@@ -23,8 +26,7 @@ from __future__ import annotations
 
 import math
 import operator
-from collections import Counter
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import cache, cached_property, reduce
 from itertools import accumulate, chain, pairwise, product
@@ -97,7 +99,12 @@ def _indices(values: Iterable, error: type = ScenarioError) -> tuple:
 
     Python and numpy integers pass; a float, string or other non-integer
     raises ``error`` naming the value, where ``int()`` would truncate it.
+    ``values`` is read once, so a generator gets that error too, and a tuple
+    of exact ints comes back as it is, without a copy.
     """
+    values = tuple(values)  # an exact tuple is returned as itself
+    if set(map(type, values)) <= {int}:
+        return values
     try:
         return tuple(map(operator.index, values))
     except TypeError:
@@ -130,20 +137,20 @@ class Scenario:
     parties: int
     settings_per_party: tuple
     outcomes_per_setting: tuple
+    # (row, copies) per distinct row object of ``outcomes_per_setting``, each
+    # coerced and checked once: ``uniform`` and a text header repeat one row
+    distinct_rows: tuple = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         object.__setattr__(self, "parties", _indices([self.parties])[0])
         object.__setattr__(self, "settings_per_party", _indices(self.settings_per_party))
-        # each distinct row object is read once (``uniform`` repeats one), and
-        # tuples of exact ints, as a text header declares, are kept as they are
         rows = tuple(self.outcomes_per_setting)
-        distinct = {id(row): row for row in rows}
-        if not (
-            set(map(type, distinct.values())) <= {tuple}
-            and set(map(type, chain.from_iterable(distinct.values()))) <= {int}
-        ):
-            distinct = {key: _indices(row) for key, row in distinct.items()}
-            rows = tuple(map(distinct.__getitem__, map(id, rows)))
+        distinct = {}  # id of each distinct row object: (its ints, copies)
+        for row in rows:
+            coerced, copies = distinct.get(id(row)) or (_indices(row), 0)
+            distinct[id(row)] = (coerced, copies + 1)
+        object.__setattr__(self, "distinct_rows", tuple(distinct.values()))
+        rows = tuple(distinct[id(row)][0] for row in rows)
         object.__setattr__(self, "outcomes_per_setting", rows)
         if self.parties < 1:
             raise ScenarioError("a scenario needs at least one party")
@@ -151,7 +158,7 @@ class Scenario:
             raise ScenarioError("settings_per_party must list one count per party")
         if len(self.outcomes_per_setting) != self.parties:
             raise ScenarioError("outcomes_per_setting must list one row per party")
-        previous = None
+        short = {id(row) for row, _ in self.distinct_rows if min(row, default=2) < 2}
         for p, (n_settings, row) in enumerate(
             zip(self.settings_per_party, self.outcomes_per_setting)
         ):
@@ -161,26 +168,25 @@ class Scenario:
                 raise ScenarioError(
                     f"party {p}: expected {n_settings} outcome counts, got {len(row)}"
                 )
-            if row is not previous and min(row) < 2:  # a repeated row is read once
+            if id(row) in short:
                 s = next(s for s, n_outcomes in enumerate(row) if n_outcomes < 2)
                 raise ScenarioError(f"party {p} setting {s}: need at least two outcomes")
-            previous = row
 
     @classmethod
     def uniform(cls, parties: int, settings: int, outcomes: int) -> "Scenario":
         parties, settings, outcomes = _indices((parties, settings, outcomes))
         return cls(parties, (settings,) * parties, ((outcomes,) * settings,) * parties)
 
-    @property
+    @cached_property
     def is_binary(self) -> bool:
-        return all(row.count(2) == len(row) for row in self.outcomes_per_setting)
+        return all(row.count(2) == len(row) for row, _ in self.distinct_rows)
 
     def uniform_cardinalities(self) -> tuple | None:
         """(parties, settings, outcomes) when uniform, else None."""
         settings = self.settings_per_party[0]
         outcomes = self.outcomes_per_setting[0][0]
-        uniform = all(s == settings for s in self.settings_per_party) and all(
-            o == outcomes for row in self.outcomes_per_setting for o in row
+        uniform = self.settings_per_party.count(settings) == self.parties and all(
+            row.count(outcomes) == len(row) for row, _ in self.distinct_rows
         )
         return (self.parties, settings, outcomes) if uniform else None
 
@@ -199,15 +205,6 @@ class Scenario:
     def slot_offsets(self) -> tuple:
         """Index of each party's first slot in ``slots()`` order, then the slot count."""
         return tuple(accumulate(self.settings_per_party, initial=0))
-
-    @cached_property
-    def distinct_rows(self) -> tuple:
-        """(row, copies) for each distinct row object of ``outcomes_per_setting``:
-        a check over these reads a row that parties share (``uniform`` and a
-        text header repeat one) once, however many parties share it."""
-        copies = Counter(map(id, self.outcomes_per_setting))
-        rows = {id(row): row for row in self.outcomes_per_setting}
-        return tuple((row, copies[key]) for key, row in rows.items())
 
     @cached_property
     def slot_outcomes(self) -> tuple:
@@ -251,6 +248,50 @@ class Scenario:
             if not 0 <= s < self.settings_per_party[p]:
                 raise ScenarioError(f"party {p}: setting {s} out of range")
         return settings
+
+    def validate_strategy(self, strategy: Sequence) -> tuple:
+        """Shape- and range-check a deterministic strategy, one row of outcomes
+        per party, and return it as a tuple of int rows."""
+        if len(strategy) != self.parties:
+            raise ScenarioMismatchError(
+                f"strategy lists {len(strategy)} parties, scenario has {self.parties}"
+            )
+        normalized = []
+        for p, row in enumerate(strategy):
+            row = _indices(row, ScenarioMismatchError)
+            if len(row) != self.settings_per_party[p]:
+                raise ScenarioMismatchError(
+                    f"party {p}: strategy lists {len(row)} settings, "
+                    f"scenario has {self.settings_per_party[p]}"
+                )
+            for s, o in enumerate(row):
+                if not 0 <= o < self.outcomes_per_setting[p][s]:
+                    raise ScenarioMismatchError(
+                        f"party {p} setting {s}: outcome {o} out of range"
+                    )
+            normalized.append(row)
+        return tuple(normalized)
+
+    def _strategy_slots(self, strategy: Sequence) -> tuple:
+        """``sum(self.validate_strategy(strategy), ())`` by a one-pass check: the
+        labels as ints, flat in ``slots()`` order.
+
+        Row lengths are matched against ``settings_per_party``, each label goes
+        through ``operator.index`` and the flat tuple is range-checked against
+        ``slot_outcomes``, all in C-level calls.  Whatever fails, a row without a
+        length (a generator) included, goes to ``validate_strategy``, which
+        raises its exact error.  ``len(strategy)`` comes first, so a generator
+        strategy is refused before anything consumes it.
+        """
+        if len(strategy) == self.parties:
+            try:
+                if tuple(map(len, strategy)) == self.settings_per_party:
+                    flat = tuple(map(operator.index, chain.from_iterable(strategy)))
+                    if min(flat) >= 0 and all(map(operator.lt, flat, self.slot_outcomes)):
+                        return flat
+            except TypeError:
+                pass
+        return sum(self.validate_strategy(strategy), ())
 
 
 @dataclass(frozen=True)

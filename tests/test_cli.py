@@ -754,6 +754,20 @@ class TestErrorPaths:
             "exceeding the cap of 10000000\n"
         )
 
+    def test_a_huge_header_against_a_fixture_fails_fast(self, capsys, tmp_path):
+        # the mismatch error names both scenarios without a pass over 26 * 10^6 counts
+        path = tmp_path / "wide.bell"
+        path.write_text("scenario 26 1000000 2\n")
+        fixture = str(g_paper_expansion_fixture_path())
+        start = time.perf_counter()
+        code, out, err = run(capsys, ["expand", str(path), "--diff", fixture])
+        assert time.perf_counter() - start < 1.0
+        assert (code, out) == (1, "")
+        assert err == (
+            "error: expansions cover different scenarios: scenario 26 1000000 2 computed, "
+            f"scenario 3 2 2 in {fixture}\n"
+        )
+
     @pytest.mark.parametrize("command", ["bound", "expand", "noise", "report", "optimize"])
     def test_a_26_party_correlator_is_refused_before_it_is_expanded(
         self, capsys, tmp_path, command

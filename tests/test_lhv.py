@@ -287,9 +287,9 @@ class TestEvaluateOnStrategy:
         # the same flat ints, or the same error type and message
         scenario, build = candidate
         expected = _result(
-            lambda sc, strategy: sum(lhv.validate_strategy(sc, strategy), ()), scenario, build()
+            lambda sc, strategy: sum(sc.validate_strategy(strategy), ()), scenario, build()
         )
-        assert _result(lhv._strategy_slots, scenario, build()) == expected
+        assert _result(Scenario._strategy_slots, scenario, build()) == expected
 
 
 class TestExpansion:

@@ -100,15 +100,28 @@ class TestScenario:
             lambda: BellExpression(TRI, {((0, 0, 0), (1, "1", 1)): 1}),
             lambda: CorrelatorExpression(TRI, {(1.0, 0, 0): 1}),
             lambda: MarginalTerm((0, 0, 0), (1, 1, 1.7), 1),
+            # one-shot iterables are read once, so they get the same named error
+            lambda: Scenario(3, (x for x in (2, 2.0, 2)), ((2, 2),) * 3),
+            lambda: Scenario(3, (2, 2, 2), ((2, 2), (2, 2), (x for x in (2, 2.5)))),
+            lambda: TRI.validate_settings(x for x in (0, 0.5, 1)),
+            lambda: TRI.validate_term((x for x in (0, 0.5, 0)), (1, 1, 1)),
+            lambda: TRI.validate_term((0, 0, 0), (x for x in (1, 1.5, 1))),
+            lambda: MarginalTerm((x for x in (0, 0.5, 0)), (1, 1, 1), 1),
         ],
         ids=[
             "parties", "settings", "uniform", "outcomes", "outcomes-equal-to-an-int",
             "term-setting", "term-outcome", "correlator", "marginal",
+            "generator-settings", "generator-outcomes", "generator-settings-key",
+            "generator-term-setting", "generator-term-outcome", "generator-marginal",
         ],
     )
     def test_non_integer_indices_are_rejected_not_truncated(self, build):
         with pytest.raises(ScenarioError, match="is not an integer"):
             build()
+
+    def test_a_generator_strategy_row_gets_the_named_error(self):
+        with pytest.raises(ScenarioMismatchError, match=r"^index 1\.5 is not an integer$"):
+            TRI.validate_strategy(((0, 0), (x for x in (0, 1.5)), (0, 0)))
 
     def test_numpy_integer_indices_are_accepted(self):
         import numpy as np
