@@ -27,7 +27,7 @@ from .builtins import (
     builtin_names,
     g_paper_expansion_fixture_path,
 )
-from .errors import BellkitError, NoRootError, NoViolationError
+from .errors import BellkitError, NoRootError, NoViolationError, ParseError
 from .exprformat import (
     _assignment_keys,
     _check_assignment_digits,
@@ -50,7 +50,7 @@ from .noise import (
     _root_scan,
 )
 from .optimize import OptimizerConfig, optimize_measurements
-from .quantum import expression_value, ghz_state, paper_model, parse_model
+from .quantum import _model_document, expression_value, ghz_state, paper_model, parse_model
 from .scenario import BellExpression
 
 SCHEMA_VERSION = 1
@@ -77,8 +77,15 @@ def _rational(value: Fraction) -> dict:
     return {"exact": str(value), "value": _f12(float(value))}
 
 
-def _sha256(text: str) -> str:
-    return hashlib.sha256(text.encode("utf-8")).hexdigest()
+def _read(path: str, parse) -> tuple:
+    """(parse(text), digest) of the file at ``path``, read once: the SHA-256 of its
+    bytes, and those bytes as UTF-8 text with CRLF and CR line ends read as LF."""
+    data = Path(path).read_bytes()
+    try:
+        text = data.decode("utf-8").replace("\r\n", "\n").replace("\r", "\n")
+    except UnicodeDecodeError as exc:
+        raise ParseError(f"{path} is not UTF-8 text: {exc.reason} at byte {exc.start}") from None
+    return parse(text), hashlib.sha256(data).hexdigest()
 
 
 def _load_expression(args):
@@ -89,9 +96,8 @@ def _load_expression(args):
         identity = {"builtin": args.builtin}
         default_magnitude = builtin_magnitude(args.builtin)
     elif args.expr is not None:
-        text = Path(args.expr).read_text(encoding="utf-8")
-        expr = parse_expression(text)
-        identity = {"path": args.expr, "sha256": _sha256(text)}
+        expr, digest = _read(args.expr, parse_expression)
+        identity = {"path": args.expr, "sha256": digest}
         default_magnitude = False
     else:
         raise _UsageError(
@@ -103,24 +109,18 @@ def _load_expression(args):
     return expr, identity, magnitude
 
 
-def _read_model(path: str) -> tuple:
-    """(state, model, identity) of the model document at ``path``."""
-    text = Path(path).read_text(encoding="utf-8")
-    state, model = parse_model(text)
-    return state, model, {"path": path, "sha256": _sha256(text)}
-
-
 def _load_model(spec: str):
     if spec == "paper":
         return ghz_state(3), paper_model(), "paper"
-    return _read_model(spec)
+    (state, model), digest = _read(spec, parse_model)
+    return state, model, {"path": spec, "sha256": digest}
 
 
 def _load_state(spec: str, parties: int):
     if spec == "ghz":
         return ghz_state(parties), "ghz"
-    state, _, identity = _read_model(spec)
-    return state, identity
+    (state, _), digest = _read(spec, parse_model)
+    return state, {"path": spec, "sha256": digest}
 
 
 def _envelope(command: str, inputs: dict, payload: dict) -> dict:
@@ -231,10 +231,9 @@ def _expansion_block(expansion, list_terms: bool) -> dict:
 def _load_fixture(path: str, scenario) -> tuple:
     """The fixture at ``path``, refused unless it covers ``scenario``, and the
     keys that name it in its diff block."""
-    text = Path(path).read_text(encoding="utf-8")
-    fixture = parse_expansion(text)
+    fixture, digest = _read(path, parse_expansion)
     _check_same_scenario(scenario, fixture.scenario, path)
-    return fixture, {"fixture": path, "fixture_sha256": _sha256(text)}
+    return fixture, {"fixture": path, "fixture_sha256": digest}
 
 
 def _diff_block(expansion, fixture, named: dict) -> dict:
@@ -304,19 +303,6 @@ def _cmd_optimize(args) -> dict:
         max_evals=args.max_evals,
     )
     result = optimize_measurements(expr, state, config, magnitude=magnitude)
-    if args.state == "ghz":
-        state_document = "ghz"
-    else:
-        state_document = {
-            "amplitudes": [[a.real, a.imag] for a in state.amplitudes]
-        }
-    model_document = {
-        "state": state_document,
-        "measurements": [
-            [{"angles": [theta, phi]} for theta, phi in row]
-            for row in result.best_angles
-        ],
-    }
     inputs = {
         "expression": identity,
         "state": state_identity,
@@ -338,7 +324,9 @@ def _cmd_optimize(args) -> dict:
                 "restarts": result.restarts,
                 "seed": result.seed,
                 "magnitude_convention": magnitude,
-                "model": model_document,
+                "model": _model_document(
+                    result.best_angles, None if args.state == "ghz" else state
+                ),
             }
         },
     )

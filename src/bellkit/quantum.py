@@ -476,3 +476,13 @@ def parse_model(text: str) -> tuple:
     else:
         raise ParseError("'state' must be \"ghz\" or {'amplitudes': [[re, im], ...]}")
     return state, model
+
+
+def _model_document(angles, state: PureState | None = None) -> dict:
+    """The model document that :func:`parse_model` reads back: each party's
+    (theta, phi) ``angles``, on ``state``, or on the GHZ state when it is None."""
+    rows = [[{"angles": [theta, phi]} for theta, phi in row] for row in angles]
+    if state is None:
+        return {"state": "ghz", "measurements": rows}
+    amplitudes = [[a.real, a.imag] for a in state.amplitudes]
+    return {"state": {"amplitudes": amplitudes}, "measurements": rows}

@@ -1,4 +1,5 @@
 import contextlib
+import hashlib
 import io
 import json
 import math
@@ -22,7 +23,7 @@ from bellkit import (
     serialize_expression,
     violation_report,
 )
-from bellkit.cli import _f12, _rational, run_command
+from bellkit.cli import _f12, _rational, _read, run_command
 from bellkit.noise import MARGIN_TOL
 
 DATA = Path(__file__).parent / "data"
@@ -506,6 +507,65 @@ class TestPlainFormat:
         lines = out.splitlines()
         assert "quantum.breakdown[0].settings = [0, 0, 0]" in lines
         assert "quantum.breakdown[19].coefficient.exact = \"-4\"" in lines
+
+
+class TestInputFiles:
+    """Expression files, model and state documents and fixtures share one reader."""
+
+    @staticmethod
+    def _write(tmp_path, newline):
+        """A g-paper expression, the paper's model and its expansion fixture, each
+        written with ``newline`` line ends."""
+        model = {"state": "ghz", "measurements": [[{"bloch": [1, 0, 0]}, {"bloch": [0, 1, 0]}]] * 3}
+        texts = {
+            "g.bell": serialize_expression(builtin_expression("g-paper")),
+            "model.json": json.dumps(model, indent=1),
+            "g.fixture": g_paper_expansion_fixture_path().read_text(encoding="utf-8"),
+        }
+        paths = []
+        for name, text in texts.items():
+            paths.append(tmp_path / name)
+            paths[-1].write_bytes(text.replace("\n", newline).encode("utf-8"))
+        return paths
+
+    @pytest.mark.parametrize("newline", ["\n", "\r\n", "\r"], ids=["lf", "crlf", "cr"])
+    def test_each_digest_is_that_of_the_file_bytes(self, capsys, tmp_path, newline):
+        paths = expression, model, fixture = self._write(tmp_path, newline)
+        argv = ["report", str(expression), "--model", str(model), "--diff", str(fixture)]
+        report = run_json(capsys, argv)
+        digests = [
+            report["inputs"]["expression"]["sha256"],
+            report["inputs"]["model"]["sha256"],
+            report["expansion"]["diff"]["fixture_sha256"],
+        ]
+        assert digests == [hashlib.sha256(path.read_bytes()).hexdigest() for path in paths]
+        assert report["quantum"]["value"] == 3.5 and report["expansion"]["diff"]["mismatches"] == 0
+        argv = ["optimize", str(expression), "--state", str(model), "--restarts", "0"]
+        assert run_json(capsys, argv)["inputs"]["state"]["sha256"] == digests[1]
+
+    @pytest.mark.parametrize(
+        "argv",
+        [["bound"], ["quantum", "--builtin", "g-paper", "--model"],
+         ["optimize", "--builtin", "g-paper", "--state"], ["expand", "--builtin", "g-paper", "--diff"]],
+        ids=["expression", "model", "state", "fixture"],
+    )
+    def test_bytes_that_are_not_utf8_are_an_error_naming_the_file(self, capsys, tmp_path, argv):
+        path = tmp_path / "bad.txt"
+        path.write_bytes(b"scenario 3 2 2\r\n\xff\n")
+        code, out, err = run(capsys, [*argv, str(path)])
+        assert (code, out) == (1, "")
+        assert err == f"error: {path} is not UTF-8 text: invalid start byte at byte 16\n"
+
+    @settings(
+        max_examples=100, deadline=None, suppress_health_check=[HealthCheck.function_scoped_fixture]
+    )
+    @given(pieces=st.lists(st.sampled_from(["\r", "\n", "\r\n", "a", "\u00e9", "\ufeff", " "])))
+    def test_the_reader_decodes_as_read_text_does(self, tmp_path, pieces):
+        path = tmp_path / "document"
+        path.write_bytes("".join(pieces).encode("utf-8"))
+        text, digest = _read(str(path), lambda text: text)
+        assert text == path.read_text(encoding="utf-8")
+        assert digest == hashlib.sha256(path.read_bytes()).hexdigest()
 
 
 def test_every_command_runs_without_scipy_or_sympy():

@@ -422,6 +422,18 @@ class TestModelDocuments:
         assert state.parties == 2
         assert model.parties == 2
 
+    @pytest.mark.parametrize("seed", [None, 0, 1])
+    def test_the_written_document_reads_back(self, seed):
+        # what optimize emits: angles per party and setting, on GHZ or on a state
+        rng = np.random.default_rng(seed)
+        angles = ((tuple(rng.uniform(0, 3, 2)),) * 2, (tuple(rng.uniform(0, 3, 2)),) * 3)
+        state = None if seed is None else PureState(oracles.random_pure_amplitudes(rng, 2))
+        read_state, model = parse_model(json.dumps(quantum._model_document(angles, state)))
+        expected = [[tuple(quantum._bloch_from_angles(*pair)) for pair in row] for row in angles]
+        assert [list(row) for row in model.bloch] == expected
+        amplitudes = (ghz_state(2) if state is None else state).amplitudes
+        assert np.array_equal(read_state.amplitudes, amplitudes)
+
     @pytest.mark.parametrize(
         "document,match",
         [
