@@ -64,6 +64,20 @@ def _party_letter(party: int) -> str:
     return chr(ord("A") + party)
 
 
+def _located_int(digits: str, line_no: int, column: int) -> int:
+    """``int(digits)``, refused at its line and column past the interpreter's
+    limit on the digits of an integer read from text."""
+    try:
+        return int(digits)
+    except ValueError:
+        raise ParseError(
+            f"number too long: {len(digits.lstrip('+-'))} digits, "
+            f"more than {sys.get_int_max_str_digits()}",
+            line_no,
+            column,
+        ) from None
+
+
 def _located_tokens(part: str, offset: int, line_no: int, count: int, what: str) -> list:
     """The whitespace-separated tokens of a field with their 1-based columns,
     exactly ``count`` of them; ``offset`` is the field's start in the line."""
@@ -85,7 +99,7 @@ def _parse_party_tokens(
             raise ParseError(
                 f"expected token {expected}<setting>, got {token!r}", line_no, column
             )
-        setting = int(token[1:])
+        setting = _located_int(token[1:], line_no, column + 1)
         if setting >= scenario.settings_per_party[party]:
             raise ParseError(
                 f"setting {setting} out of range in token {token!r}", line_no, column
@@ -102,7 +116,7 @@ def _parse_outcome_tokens(
     for party, (token, column) in enumerate(tokens):
         if not token.isdecimal():
             raise ParseError(f"outcome label must be an integer, got {token!r}", line_no, column)
-        outcome = int(token)
+        outcome = _located_int(token, line_no, column)
         if outcome >= scenario.outcomes_per_setting[party][settings[party]]:
             raise ParseError(
                 f"outcome {token!r} out of range for party {_party_letter(party)} "
@@ -179,7 +193,9 @@ def _parse(text: str, kinds: str) -> tuple:
                 raise ParseError(
                     "expected header 'scenario <parties> <settings> <outcomes>'", line_no, 1
                 )
-            parties, settings, outcomes = (int(g) for g in header.groups())
+            parties, settings, outcomes = (
+                _located_int(header.group(i), line_no, header.start(i) + 1) for i in (1, 2, 3)
+            )
             try:
                 _party_letter(parties - 1)  # the 26-party limit
                 scenario = Scenario.uniform(parties, settings, outcomes)
@@ -195,8 +211,13 @@ def _parse(text: str, kinds: str) -> tuple:
                 line_no,
                 1,
             )
+        numerator, _, denominator = match.group(1).partition("/")
+        column = match.start(1) + 1
         try:
-            coefficient = Fraction(match.group(1))
+            coefficient = Fraction(
+                _located_int(numerator, line_no, column),
+                _located_int(denominator or "1", line_no, column + len(numerator) + 1),
+            )
         except ZeroDivisionError:
             raise ParseError(
                 f"coefficient {match.group(1)!r} has a zero denominator",

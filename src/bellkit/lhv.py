@@ -60,6 +60,7 @@ from .scenario import (
     Scenario,
     _parity_signs,
     _read_only,
+    _scaled_coefficients,
     _scenario_text,
 )
 
@@ -171,14 +172,6 @@ class FullJointExpansion:
     @property
     def coefficient_sum(self) -> Fraction:
         return Fraction(int(self.grid.sum(dtype=object)), self.scale)
-
-
-def _scaled_coefficients(values) -> tuple:
-    """(ratios, scale, scaled): ``values`` as (numerator, denominator) pairs, the
-    lcm of the denominators, and the values times it as exact integers."""
-    ratios = list(map(Fraction.as_integer_ratio, values))
-    scale = math.lcm(*(d for _, d in ratios))
-    return ratios, scale, [n * (scale // d) for n, d in ratios]
 
 
 def _zero_grid(scenario: Scenario, values, cap: int) -> tuple:

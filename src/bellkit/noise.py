@@ -54,7 +54,7 @@ from fractions import Fraction
 from typing import Callable, NamedTuple, Optional
 
 from .errors import NoRootError, NoViolationError
-from .lhv import DEFAULT_ENUMERATION_CAP, _scaled_coefficients, bound_magnitude, trivial_bounds
+from .lhv import DEFAULT_ENUMERATION_CAP, bound_magnitude, trivial_bounds
 from .quantum import (
     MeasurementModel,
     State,
@@ -63,7 +63,7 @@ from .quantum import (
     expression_value,
     mix_with_white_noise,
 )
-from .scenario import CorrelatorExpression, Expression
+from .scenario import CorrelatorExpression, Expression, _scaled_coefficients
 
 AGREEMENT_TOL = 1e-9
 

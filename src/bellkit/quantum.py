@@ -11,7 +11,8 @@ Conventions, fixed so that amplitude-level fixtures are reproducible:
 * polar angles (theta, phi) mean ``n = (sin t cos f, sin t sin f, cos t)``,
   and a state has one qubit per party.  :func:`_bloch_from_angles` and
   :func:`_check_parties` own these two; model documents and the optimizer
-  call them.
+  call them.  A model document has one reader, :func:`parse_model`, and one
+  writer, :func:`_model_document`; its numbers must be JSON numbers.
 
 Every quantum number comes from one engine, :func:`_table`:
 ``Tr(rho Pi)`` for every setting and outcome tuple, with ``Pi`` the tensor
@@ -37,6 +38,7 @@ from __future__ import annotations
 import json
 import math
 import operator
+import sys
 from dataclasses import dataclass
 from typing import Sequence, Union
 
@@ -387,11 +389,19 @@ def _bloch_from_angles(theta, phi) -> np.ndarray:
     return np.array((sin_theta * np.cos(phi), sin_theta * np.sin(phi), np.cos(theta)))
 
 
+def _json_numbers(values) -> tuple:
+    """A list of JSON numbers as floats.  Anything else, booleans and strings
+    included, raises TypeError, and a number past the float range OverflowError."""
+    if not isinstance(values, list) or not all(type(x) in (int, float) for x in values):
+        raise TypeError(f"expected a list of numbers, got {values!r}")
+    return tuple(map(float, values))
+
+
 def _setting_numbers(entry: dict, key: str, count: int, party: int, setting: int) -> tuple:
     values = entry[key]
     try:
-        numbers = tuple(float(x) for x in values)
-    except (TypeError, ValueError, OverflowError):
+        numbers = _json_numbers(values)
+    except (TypeError, OverflowError):
         numbers = ()
     if len(numbers) != count or not all(math.isfinite(x) for x in numbers):
         raise ParseError(
@@ -421,6 +431,13 @@ def parse_model(text: str) -> tuple:
         document = json.loads(text)
     except json.JSONDecodeError as exc:
         raise ParseError(f"model document is not valid JSON: {exc.msg}", exc.lineno, exc.colno)
+    except RecursionError:
+        raise ParseError("model document is nested too deeply") from None
+    except ValueError:  # an integer past the interpreter's digit limit
+        raise ParseError(
+            f"model document holds a number too long: more than {sys.get_int_max_str_digits()} "
+            "digits"
+        ) from None
     if not isinstance(document, dict):
         raise ParseError("model document must be a JSON object")
     try:
@@ -464,7 +481,7 @@ def parse_model(text: str) -> tuple:
         pairs = state_spec["amplitudes"]
         try:
             amplitudes = np.array(
-                [complex(float(re), float(im)) for re, im in pairs], dtype=complex
+                [complex(re, im) for re, im in map(_json_numbers, pairs)], dtype=complex
             )
         except (TypeError, ValueError, OverflowError) as exc:
             raise ParseError(f"bad amplitude list: {exc}") from None

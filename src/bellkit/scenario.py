@@ -94,6 +94,16 @@ def as_fraction(value: RationalInput) -> Fraction:
         raise ScenarioError(f"not a rational coefficient: {value!r}") from exc
 
 
+def _scaled_coefficients(values) -> tuple:
+    """(ratios, scale, scaled): ``values`` as (numerator, denominator) pairs, the
+    lcm of the denominators, and the values times it as exact integers.  The one
+    scaling of coefficients to integers: ``strategy_lookup``'s tables, the
+    expansion grid and the noise module's coefficient pass read it."""
+    ratios = list(map(Fraction.as_integer_ratio, values))
+    scale = math.lcm(*(d for _, d in ratios))
+    return ratios, scale, [n * (scale // d) for n, d in ratios]
+
+
 def _indices(values: Iterable, error: type = ScenarioError) -> tuple:
     """Indices and counts as a tuple of ints, through ``operator.index``.
 
@@ -371,11 +381,10 @@ class _LinearExpression:
         on first use and kept, since the expression is immutable.
         """
         terms = as_probability_form(self).terms
-        scale = math.lcm(*(c.denominator for c in terms.values()))
+        _, scale, scaled = _scaled_coefficients(terms.values())
         tables: dict = {}
-        for (settings, outcomes), coefficient in terms.items():
-            values = tables.setdefault(settings, {})
-            values[outcomes] = coefficient.numerator * (scale // coefficient.denominator)
+        for (settings, outcomes), value in zip(terms, scaled):
+            tables.setdefault(settings, {})[outcomes] = value
         setting_slots = self.scenario.setting_slots
         pick = _tuple_getter([slot for settings in tables for slot in setting_slots(settings)])
         return scale, pick, tuple(tables.values())

@@ -23,7 +23,7 @@ from bellkit import (
     serialize_expression,
     violation_report,
 )
-from bellkit.cli import _f12, _rational, _read, run_command
+from bellkit.cli import _f12, _plain_lines, _rational, _read, run_command
 from bellkit.noise import MARGIN_TOL
 
 DATA = Path(__file__).parent / "data"
@@ -695,6 +695,9 @@ class TestErrorPaths:
                 "'angles' must be 2 finite numbers",
                 id="angles-too-large-for-a-float",
             ),
+            ('{"bloch": [true, false, false]}', "'bloch' must be 3 finite numbers, got [True,"),
+            ('{"bloch": ["0", "1", "0"]}', "'bloch' must be 3 finite numbers, got ['0', '1',"),
+            ('{"angles": [false, 0]}', "'angles' must be 2 finite numbers, got [False, 0]"),
         ],
     )
     def test_non_finite_or_missing_model_numbers_are_input_errors(
@@ -723,6 +726,54 @@ class TestErrorPaths:
         assert code == 1
         assert err.startswith("error: bad amplitude list: ")
         assert out == ""
+
+    def test_amplitudes_must_be_json_numbers(self, capsys, tmp_path):
+        path = tmp_path / "model.json"
+        amplitudes = [["0.7071067811865476", False]] + [[0, 0]] * 6 + [[0.7071067811865476, 0]]
+        path.write_text(
+            json.dumps({"state": {"amplitudes": amplitudes},
+                        "measurements": [[{"bloch": [1, 0, 0]}, {"bloch": [0, 1, 0]}]] * 3})
+        )
+        code, out, err = run(capsys, ["quantum", "--builtin", "g-paper", "--model", str(path)])
+        assert (code, out) == (1, "")
+        assert err == (
+            "error: bad amplitude list: expected a list of numbers, "
+            "got ['0.7071067811865476', False]\n"
+        )
+
+    @pytest.mark.parametrize("flag", ["--model", "--state"])
+    def test_a_deeply_nested_model_document_is_an_input_error(self, capsys, tmp_path, flag):
+        path = tmp_path / "deep.json"
+        path.write_text("[" * 200000 + "]" * 200000)
+        command = "quantum" if flag == "--model" else "optimize"
+        code, out, err = run(capsys, [command, "--builtin", "g-paper", flag, str(path)])
+        assert (code, out) == (1, "")
+        assert err == "error: model document is nested too deeply\n"
+
+    @pytest.mark.parametrize(
+        "text,location",
+        [
+            ("scenario 3 {} 2\n", "line 1, column 12"),
+            ("scenario 3 2 2\n+{} P(A0 B0 C0 | 0 0 0)\n", "line 2, column 1"),
+            ("scenario 3 2 2\n+1/{} P(A0 B0 C0 | 0 0 0)\n", "line 2, column 4"),
+            ("scenario 3 2 2\n+1 E(A0 B{} C0)\n", "line 2, column 10"),
+            ("scenario 3 2 2\n+1 P(A0 B0 C0 | 0 0 {})\n", "line 2, column 21"),
+        ],
+        ids=["header-count", "numerator", "denominator", "setting", "outcome"],
+    )
+    def test_numbers_past_the_digit_limit_are_located(self, capsys, tmp_path, text, location):
+        path = tmp_path / "long.bell"
+        path.write_text(text.format("1" * 5000))
+        code, out, err = run(capsys, ["bound", str(path)])
+        assert (code, out) == (1, "")
+        assert err == f"error: number too long: 5000 digits, more than 4300 ({location})\n"
+
+    def test_a_model_number_past_the_digit_limit_is_an_input_error(self, capsys, tmp_path):
+        path = tmp_path / "long.json"
+        path.write_text('{"state": "ghz", "measurements": [[{"bloch": [1%s, 0, 0]}]]}' % ("0" * 5000))
+        code, out, err = run(capsys, ["quantum", "--builtin", "g-paper", "--model", str(path)])
+        assert (code, out) == (1, "")
+        assert err == "error: model document holds a number too long: more than 4300 digits\n"
 
     def test_oversized_probability_table_is_an_input_error(self, capsys, tmp_path):
         expr_path = tmp_path / "wide.bell"
@@ -921,7 +972,36 @@ def _model_documents(draw):
     }
     for key in draw(st.lists(st.sampled_from(["state", "measurements"]), max_size=1)):
         del document[key]
-    return json.dumps(document)
+    return json.dumps(document, indent=draw(st.sampled_from([None, 1]))) + "\n"
+
+
+@st.composite
+def _document_bytes(draw, text):
+    """``text`` as UTF-8 with LF line ends, mostly; else with CRLF line ends,
+    with a stray 0xff byte, or, for a model, as an array nested 10^5 deep."""
+    data = text.encode("utf-8")
+    variant = draw(st.sampled_from(["lf"] * 5 + ["crlf", "0xff", "deep"]))
+    if variant == "crlf":
+        return data.replace(b"\n", b"\r\n")
+    if variant == "0xff":
+        at = draw(st.integers(0, len(data)))
+        return data[:at] + b"\xff" + data[at:]
+    if variant == "deep" and text.startswith("{"):
+        return b"[" * 10**5 + b"]" * 10**5
+    return data
+
+
+def _digests_match_the_files(lines):
+    """Whether every ``sha256`` and ``fixture_sha256`` in a report's plain
+    ``key = value`` lines is the digest of the bytes of the file named beside it."""
+    values = dict(line.split(" = ", 1) for line in lines)
+    for key, value in values.items():
+        if key.endswith("sha256"):
+            named = key[: -len("_sha256")] if key.endswith("_sha256") else key[:-6] + "path"
+            path = Path(json.loads(values[named]))
+            if json.loads(value) != hashlib.sha256(path.read_bytes()).hexdigest():
+                return False
+    return True
 
 
 _ERROR = re.compile(r"error: ")  # the first stderr line, before any warning
@@ -941,9 +1021,9 @@ class TestFuzz:
         commands = ["bound", "expand", "quantum", "noise", "report", "optimize"]
         command = draw(st.sampled_from(commands))
         expression = tmp_path / "expr.bell"
-        expression.write_text(draw(_text_documents()), encoding="utf-8")
+        expression.write_bytes(draw(_document_bytes(draw(_text_documents()))))
         model = tmp_path / "model.json"
-        model.write_text(draw(_model_documents()), encoding="utf-8")
+        model.write_bytes(draw(_document_bytes(draw(_model_documents()))))
         source = draw(
             st.sampled_from(
                 [[str(expression)]] * 8
@@ -985,3 +1065,9 @@ class TestFuzz:
         if code == 1:
             assert out.getvalue() == "", argv
             assert _ERROR.match(err.getvalue()), (argv, err.getvalue())
+        else:
+            lines = out.getvalue().splitlines()
+            if "plain" not in argv:
+                lines = []
+                _plain_lines(json.loads(out.getvalue()), "", lines)
+            assert _digests_match_the_files(lines), argv

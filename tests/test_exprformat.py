@@ -89,6 +89,15 @@ class TestParseExpression:
             ("+1 P(A\u00b2 B0 C0 | 0 0 0)", "expected token A<setting>", 6),
             ("+1 P(A0 B0 C0 | \u00b2 0 0)", "outcome label must be an integer", 17),
             ("+1 L(\u00b200000)", "L\\(...\\) expects a run of outcome digits", 6),
+            # past Python's 4300-digit limit on reading an integer from text
+            ("+1%s P(A0 B0 C0 | 0 0 0)" % ("0" * 4999), "number too long: 5000 digits", 1),
+            ("-1/1%s P(A0 B0 C0 | 0 0 0)" % ("0" * 4999), "number too long: 5000 digits", 4),
+            ("+1 P(A%s B0 C0 | 0 0 0)" % ("0" * 5000), "number too long: 5000 digits", 7),
+            ("+1 P(A0 B0 C0 | %s 0 0)" % ("0" * 5000), "number too long: 5000 digits", 17),
+        ],
+        ids=[
+            "zero-denominator", "setting-digit", "outcome-digit", "assignment-digit",
+            "long-numerator", "long-denominator", "long-setting", "long-outcome",
         ],
     )
     def test_malformed_documents_are_located(self, line, match, column):
@@ -154,6 +163,10 @@ class TestParseExpression:
     def test_more_than_26_parties_refused_at_the_header(self):
         with pytest.raises(ParseError, match=r"at most 26 parties \(line 2, column 1\)"):
             parse_expression("# wide\nscenario 27 2 2\n")
+
+    def test_a_header_count_past_the_digit_limit_is_located(self):
+        with pytest.raises(ParseError, match=r"5000 digits, more than 4300 \(line 1, column 12\)"):
+            parse_expression("scenario 3 1%s 2\n" % ("0" * 4999))
 
     def test_coefficient_magnitudes_summing_past_the_largest_float(self):
         big = "1" + "0" * 308

@@ -74,6 +74,8 @@ class TestStates:
             DensityMatrix(np.eye(2, dtype=complex))
         with pytest.raises(DimensionMismatchError, match="eigenvalue"):
             DensityMatrix(np.diag([1.5, -0.5]).astype(complex))
+        with pytest.raises(DimensionMismatchError, match=r"must be square, got \(2, 4\)"):
+            DensityMatrix(np.zeros((2, 4), dtype=complex))
 
     @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
     def test_non_finite_entries_rejected(self, bad):
@@ -99,6 +101,19 @@ class TestModel:
         for row in xy_model.bloch:
             for vector in row:
                 assert math.isclose(sum(x * x for x in vector), 1.0, abs_tol=1e-15)
+
+    @pytest.mark.parametrize(
+        "bloch,match",
+        [
+            ((((1.0, 0.0),),), "party 0 setting 0: Bloch vector needs 3 components"),
+            ((((1.0, 0.0, 0.0),), ()), "party 1 has no settings"),
+            ((), "model has no parties"),
+            ((((1.0, 0.0, 0.0),),) * 11, "models are capped at 10 parties"),
+        ],
+    )
+    def test_malformed_models(self, bloch, match):
+        with pytest.raises(DimensionMismatchError, match=f"^{match}$"):
+            MeasurementModel(bloch)
 
     def test_bloch_norm_checked(self):
         with pytest.raises(DimensionMismatchError, match="norm"):
@@ -488,6 +503,54 @@ class TestModelDocuments:
                 '"measurements": [[{"bloch": [1, 0, 0]}]]}' % ("0" * 400),
                 "bad amplitude list",
                 id="amplitude-too-large-for-a-float",
+            ),
+            pytest.param("[" * 200000 + "]" * 200000, "nested too deeply", id="nested"),
+            pytest.param(
+                '{"state": "ghz", "measurements": [[{"bloch": [1%s, 0, 0]}]]}' % ("0" * 5000),
+                "number too long: more than 4300 digits",
+                id="integer-past-the-digit-limit",
+            ),
+            # numbers must be JSON numbers: no booleans, no strings
+            pytest.param(
+                '{"state": "ghz", "measurements": [[{"bloch": [true, false, false]}]]}',
+                r"'bloch' must be 3 finite numbers, got \[True, False, False\]",
+                id="bloch-booleans",
+            ),
+            pytest.param(
+                '{"state": "ghz", "measurements": [[{"bloch": ["0", "1", "0"]}]]}',
+                r"'bloch' must be 3 finite numbers, got \['0', '1', '0'\]",
+                id="bloch-strings",
+            ),
+            pytest.param(
+                '{"state": "ghz", "measurements": [[{"angles": [true, "0"]}]]}',
+                "'angles' must be 2 finite numbers",
+                id="angles-boolean-and-string",
+            ),
+            pytest.param(
+                '{"state": {"amplitudes": [["0.7071067811865476", false], '
+                '[0.7071067811865476, 0]]}, "measurements": [[{"bloch": [1, 0, 0]}]]}',
+                "bad amplitude list: expected a list of numbers",
+                id="amplitude-string-and-boolean",
+            ),
+            ('{"state": "ghz", "measurements": []}', "'measurements' must be a non-empty list"),
+            ('{"state": "ghz", "measurements": {}}', "'measurements' must be a non-empty list"),
+            ('{"state": "ghz", "measurements": [[]]}', "party 0: expected a non-empty list"),
+            (
+                '{"state": "ghz", "measurements": [[{"bloch": [1, 0, 0]}], 5]}',
+                "party 1: expected a non-empty list",
+            ),
+            (
+                '{"state": "ghz", "measurements": [[{"bloch": [1, 0, 0], "angles": [0, 0]}]]}',
+                r"party 0 setting 0: expected \{'bloch'",
+            ),
+            ('{"state": "ghz", "measurements": [[[1, 0, 0]]]}', r"party 0 setting 0: expected"),
+            (
+                '{"state": "ghz", "measurements": [[{"bloch": [2, 0, 0]}]]}',
+                "party 0 setting 0: Bloch norm 2.0 is not 1",
+            ),
+            (
+                '{"state": "ghz", "measurements": %s}' % json.dumps([[{"bloch": [0, 0, 1]}]] * 11),
+                "models are capped at 10 parties",
             ),
         ],
     )
