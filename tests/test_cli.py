@@ -996,11 +996,15 @@ def _digests_match_the_files(lines):
     ``key = value`` lines is the digest of the bytes of the file named beside it."""
     values = dict(line.split(" = ", 1) for line in lines)
     for key, value in values.items():
-        if key.endswith("sha256"):
-            named = key[: -len("_sha256")] if key.endswith("_sha256") else key[:-6] + "path"
-            path = Path(json.loads(values[named]))
-            if json.loads(value) != hashlib.sha256(path.read_bytes()).hexdigest():
-                return False
+        if key.endswith(".sha256"):
+            named = key.removesuffix("sha256") + "path"
+        elif key.endswith("_sha256"):
+            named = key.removesuffix("_sha256")
+        else:
+            continue
+        path = Path(json.loads(values[named]))
+        if json.loads(value) != hashlib.sha256(path.read_bytes()).hexdigest():
+            return False
     return True
 
 

@@ -90,14 +90,15 @@ class TestParseExpression:
             ("+1 P(A0 B0 C0 | \u00b2 0 0)", "outcome label must be an integer", 17),
             ("+1 L(\u00b200000)", "L\\(...\\) expects a run of outcome digits", 6),
             # past Python's 4300-digit limit on reading an integer from text
-            ("+1%s P(A0 B0 C0 | 0 0 0)" % ("0" * 4999), "number too long: 5000 digits", 1),
-            ("-1/1%s P(A0 B0 C0 | 0 0 0)" % ("0" * 4999), "number too long: 5000 digits", 4),
-            ("+1 P(A%s B0 C0 | 0 0 0)" % ("0" * 5000), "number too long: 5000 digits", 7),
-            ("+1 P(A0 B0 C0 | %s 0 0)" % ("0" * 5000), "number too long: 5000 digits", 17),
-        ],
-        ids=[
-            "zero-denominator", "setting-digit", "outcome-digit", "assignment-digit",
-            "long-numerator", "long-denominator", "long-setting", "long-outcome",
+            *(
+                pytest.param(line % ("0" * 5000), "number too long: 5001 digits", column, id=name)
+                for line, column, name in [
+                    ("+1%s P(A0 B0 C0 | 0 0 0)", 1, "long-numerator"),
+                    ("-1/1%s P(A0 B0 C0 | 0 0 0)", 4, "long-denominator"),
+                    ("+1 P(A0%s B0 C0 | 0 0 0)", 7, "long-setting"),
+                    ("+1 P(A0 B0 C0 | 0%s 0 0)", 17, "long-outcome"),
+                ]
+            ),
         ],
     )
     def test_malformed_documents_are_located(self, line, match, column):

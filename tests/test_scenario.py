@@ -133,6 +133,47 @@ class TestScenario:
         row = Scenario(1, (2,), ((2, np.int64(3)),)).outcomes_per_setting[0]
         assert row == (2, 3) and all(type(n) is int for n in row)
 
+    @pytest.mark.parametrize(
+        "build,error,message",
+        [
+            (
+                lambda: Scenario(2, (1, 1), ((2,),)),
+                ScenarioError,
+                "outcomes_per_setting must list one row per party",
+            ),
+            (
+                lambda: TRI.validate_settings((0, 0)),
+                ScenarioError,
+                r"expected 3 setting indices, got \(0, 0\)",
+            ),
+            (
+                lambda: TRI.validate_settings((0, 2, 0)),
+                ScenarioError,
+                "party 1: setting 2 out of range",
+            ),
+            (
+                lambda: MarginalTerm((0, 0, 0), (0, 0, 0), "one half"),
+                ScenarioError,
+                "not a rational coefficient: 'one half'",
+            ),
+            (
+                lambda: MarginalTerm((0, 0), (0, 0, 0), 1),
+                ScenarioError,
+                "settings and outcomes must have one entry per party",
+            ),
+            (
+                lambda: correlator_to_probability(builtin_expression("g-paper")),
+                UnsupportedScenarioError,
+                "correlator_to_probability expects a correlator form",
+            ),
+        ],
+        ids=["scenario-rows", "settings-length", "settings-range", "coefficient", "marginal",
+             "conversion-of-a-probability-form"],
+    )
+    def test_each_check_names_what_it_refuses(self, build, error, message):
+        with pytest.raises(error, match=f"^{message}$"):
+            build()
+
 
 class TestMakeExpression:
     def test_duplicate_keys_merge_by_addition(self):
@@ -320,47 +361,6 @@ class TestCorrelatorConversion:
             BellExpression(TRI, {((0, 0), (0, 0)): Fraction(1)})
         with pytest.raises(ScenarioError, match="exact rationals"):
             BellExpression(TRI, {((0, 0, 0), (0, 0, 0)): 0.5})
-
-    @pytest.mark.parametrize(
-        "build,error,message",
-        [
-            (
-                lambda: Scenario(2, (1, 1), ((2,),)),
-                ScenarioError,
-                "outcomes_per_setting must list one row per party",
-            ),
-            (
-                lambda: TRI.validate_settings((0, 0)),
-                ScenarioError,
-                r"expected 3 setting indices, got \(0, 0\)",
-            ),
-            (
-                lambda: TRI.validate_settings((0, 2, 0)),
-                ScenarioError,
-                "party 1: setting 2 out of range",
-            ),
-            (
-                lambda: MarginalTerm((0, 0, 0), (0, 0, 0), "one half"),
-                ScenarioError,
-                "not a rational coefficient: 'one half'",
-            ),
-            (
-                lambda: MarginalTerm((0, 0), (0, 0, 0), 1),
-                ScenarioError,
-                "settings and outcomes must have one entry per party",
-            ),
-            (
-                lambda: correlator_to_probability(builtin_expression("g-paper")),
-                UnsupportedScenarioError,
-                "correlator_to_probability expects a correlator form",
-            ),
-        ],
-        ids=["scenario-rows", "settings-length", "settings-range", "coefficient", "marginal",
-             "conversion-of-a-probability-form"],
-    )
-    def test_each_check_names_what_it_refuses(self, build, error, message):
-        with pytest.raises(error, match=f"^{message}$"):
-            build()
 
     def test_as_probability_form_dispatch(self, g_expr, mermin_expr):
         assert as_probability_form(g_expr) is g_expr
