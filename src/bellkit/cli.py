@@ -73,8 +73,17 @@ def _f12(value: Optional[float]) -> Optional[float]:
     return float(f"{value:.12g}")
 
 
-def _rational(value: Fraction) -> dict:
-    return {"exact": str(value), "value": _f12(float(value))}
+def _rational(value: Fraction, field: str) -> dict:
+    """An exact value as report field ``field``: its text and its rounded float.
+    The text of an integer past the interpreter's digit limit is refused."""
+    try:
+        exact = str(value)
+    except ValueError:
+        raise BellkitError(
+            f"report field {field!r} holds an exact value with more than "
+            f"{sys.get_int_max_str_digits()} digits, past the limit for writing an integer"
+        ) from None
+    return {"exact": exact, "value": _f12(float(value))}
 
 
 def _read(path: str, parse) -> tuple:
@@ -138,9 +147,9 @@ def _local_block(bounds, scenario) -> dict:
     return {
         "method": "exhaustive enumeration of deterministic strategies",
         "strategy_count": scenario.assignment_count,
-        "max": _rational(bounds.max),
-        "min": _rational(bounds.min),
-        "magnitude": _rational(bounds.magnitude),
+        "max": _rational(bounds.max, "max"),
+        "min": _rational(bounds.min, "min"),
+        "magnitude": _rational(bounds.magnitude, "magnitude"),
         "maximizers": _assignment_keys(scenario, bounds.maximizers),
         "minimizers": _assignment_keys(scenario, bounds.minimizers),
     }
@@ -158,7 +167,7 @@ def _quantum_block(expr, valuation, magnitude: bool) -> dict:
             {
                 "settings": list(settings),
                 "outcomes": None if outcomes is None else list(outcomes),
-                "coefficient": _rational(coefficient),
+                "coefficient": _rational(coefficient, "coefficient"),
                 "term_value": _f12(term_value),
                 "contribution": _f12(contribution),
             }
@@ -170,7 +179,7 @@ def _quantum_block(expr, valuation, magnitude: bool) -> dict:
 def _violation_block(report) -> dict:
     return {
         "quantum_value": _f12(report.quantum_value),
-        "local_bound": _rational(report.local_max),
+        "local_bound": _rational(report.local_max, "local_bound"),
         "factor": _f12(report.violation_factor),
         "amount": _f12(report.violation_amount),
         "violated": report.violated,
@@ -184,9 +193,9 @@ def _noise_block(expr, coefficients, state, model, value, bounds, magnitude) -> 
     term_count_value = closed.p_critical_term_count
     return {
         "quantum_value": _f12(closed.quantum_value),
-        "local_bound": _rational(closed.local_max),
+        "local_bound": _rational(closed.local_max, "local_bound"),
         "outcome_cells": closed.outcome_cells,
-        "coefficient_sum": _rational(closed.coefficient_sum),
+        "coefficient_sum": _rational(closed.coefficient_sum, "coefficient_sum"),
         "positive_terms": closed.positive_terms,
         "negative_terms": closed.negative_terms,
         "magnitude_convention": closed.magnitude,
@@ -214,15 +223,15 @@ def _expansion_block(expansion, list_terms: bool) -> dict:
     block = {
         "method": "per-term completion of unmeasured slots",
         "assignment_count": grid.size,
-        "coefficient_sum": _rational(expansion.coefficient_sum),
-        "min": _rational(Fraction(int(grid.min()), scale)),
-        "max": _rational(Fraction(int(grid.max()), scale)),
+        "coefficient_sum": _rational(expansion.coefficient_sum, "coefficient_sum"),
+        "min": _rational(Fraction(int(grid.min()), scale), "min"),
+        "max": _rational(Fraction(int(grid.max()), scale), "max"),
     }
     if list_terms:
         assignments, values = zip(*expansion.items())
         keys = _assignment_keys(expansion.scenario, assignments)
         block["terms"] = [
-            {"assignment": key, "coefficient": _rational(coefficient)}
+            {"assignment": key, "coefficient": _rational(coefficient, "coefficient")}
             for key, coefficient in zip(keys, values)
         ]
     return block
@@ -245,8 +254,8 @@ def _diff_block(expansion, fixture, named: dict) -> dict:
         "entries": [
             {
                 "assignment": key,
-                "computed": _rational(entry.computed),
-                "fixture": _rational(entry.fixture),
+                "computed": _rational(entry.computed, "computed"),
+                "fixture": _rational(entry.fixture, "fixture"),
             }
             for key, entry in zip(keys, entries)
         ],
@@ -364,7 +373,7 @@ def _cmd_report(args) -> dict:
         },
         "term_count": coefficients.positive + coefficients.negative,  # probability form
         "stored_term_count": expr.term_count,
-        "coefficient_sum": _rational(coefficients.total),
+        "coefficient_sum": _rational(coefficients.total, "coefficient_sum"),
     }
 
     expansion_block = _expansion_block(expansion, list_terms=False)

@@ -74,15 +74,9 @@ DeterministicStrategy = tuple
 
 
 def _check_cap(scenario: Scenario, cap: int) -> int:
-    # log10 of the size first: an exact size of 4300 digits or more is slow
-    # to multiply out and beyond Python's int-to-text limit.  A row object
-    # shared by several parties is read once and counted once per party.
-    log_size = math.fsum(
-        copies * row.count(n) * math.log10(n)
-        for row, copies in scenario.distinct_rows
-        for n in set(row)
-    )
-    if log_size >= 4299:
+    # the log-size first: an exact size of 4300 digits or more is slow to
+    # multiply out and beyond Python's int-to-text limit
+    if scenario._log10_assignment_count >= 4299:
         raise EnumerationCapError(None, cap)
     size = scenario.assignment_count
     if size > cap:

@@ -27,6 +27,10 @@ falls back to bisection when that does not halve the bracket, so the affine
 crossing is closed with four noisy states and any crossing still converges.
 A margin within the band of :func:`_margin_band` gives 0 by both routes and
 is not flagged as a violation: :func:`_margin` owns that zero-margin rule.
+The scan runs :meth:`ViolationReport.of` once, on the state mixed at p = 0,
+for that rule and the orientation; every later margin is the oriented noisy
+value minus the float local bound that report holds, the subtraction the
+report makes.  All its noisy states mix one density matrix, built once.
 
 Every number here needs only the local extremes (min, max), never the
 strategies that attain them, so each public function reads them once from
@@ -56,6 +60,7 @@ from typing import Callable, NamedTuple, Optional
 from .errors import NoRootError, NoViolationError
 from .lhv import DEFAULT_ENUMERATION_CAP, bound_magnitude, trivial_bounds
 from .quantum import (
+    DensityMatrix,
     MeasurementModel,
     State,
     _check_expression_model,
@@ -73,6 +78,7 @@ MARGIN_TOL = 1e-9
 # the root scan narrows its bracket on the mixing fraction to this width; its
 # probes sit a quarter of it either side of each false-position guess
 SCAN_RESOLUTION = 1e-12
+_ZERO = Fraction(0)  # a correlator form's coefficient sum
 
 
 def coefficient_sum(expr: Expression) -> Fraction:
@@ -107,14 +113,16 @@ def _coefficient_pass(expr: Expression) -> _Coefficients:
     """:class:`_Coefficients` of an expression's probability form, never built.
 
     A correlator form's T terms over n parties expand to T * 2^(n-1) terms c
-    and as many terms -c, which sum to 0.  A probability form's sum and signs
-    come from its coefficients scaled to integers by the lcm of their
-    denominators."""
-    ratios, scale, scaled = _scaled_coefficients(expr.terms.values())
+    and as many terms -c, which sum to 0, so only its band reads the
+    coefficients, unscaled.  A probability form's sum and signs come from its
+    coefficients scaled to integers by the lcm of their denominators."""
+    values = expr.terms.values()
     if isinstance(expr, CorrelatorExpression):
         parties = expr.scenario.parties
+        ratios = list(map(Fraction.as_integer_ratio, values))
         half = len(ratios) * 2 ** (parties - 1)
-        return _Coefficients(Fraction(0), half, half, _margin_band(ratios, parties))
+        return _Coefficients(_ZERO, half, half, _margin_band(ratios, parties))
+    ratios, scale, scaled = _scaled_coefficients(values)
     positive = sum(v > 0 for v in scaled)  # coefficients are never zero
     total = Fraction(sum(scaled), scale)
     return _Coefficients(total, positive, len(scaled) - positive, _margin_band(ratios))
@@ -143,8 +151,9 @@ class ViolationReport:
         low, high = bounds
         quantum = abs(value) if magnitude else value
         local = bound_magnitude(low, high) if magnitude else high
-        factor = quantum / float(local) if local > 0 else None
-        amount = quantum - float(local)
+        local_value = float(local)
+        factor = quantum / local_value if local_value > 0 else None
+        amount = quantum - local_value
         return cls(quantum, local, factor, amount, amount > band, magnitude)
 
 
@@ -290,24 +299,33 @@ def _crossing(
 
 def _root_scan(expr, state, model, bounds, band: float, magnitude: bool) -> tuple[float, int]:
     """The scan of :func:`tolerance_by_root_scan`, against a given local (min, max) and
-    band: the crossing and the number of noisy states evaluated to find it."""
-    evaluations = 0
+    band: the crossing and the number of noisy states evaluated to find it.
 
-    def violation(p: float) -> ViolationReport:
+    Every probe mixes one density matrix, built here.  :meth:`ViolationReport.of`
+    runs once, at p = 0; every later probe subtracts the float local bound it
+    reported, as it would."""
+    evaluations = 0
+    density = DensityMatrix._from_valid_matrix(state.density(), state.parties)
+
+    def value_at(p: float) -> float:
         nonlocal evaluations
         evaluations += 1
-        noisy = mix_with_white_noise(state, p)
-        value = expression_value(expr, noisy, model).value
-        return ViolationReport.of(value, bounds, magnitude, band)
+        return expression_value(expr, mix_with_white_noise(density, p), model).value
 
-    margin = _margin(violation(0.0), band)
+    start = ViolationReport.of(value_at(0.0), bounds, magnitude, band)
+    margin = _margin(start, band)
     if margin == 0.0:
         return 0.0, evaluations  # zero-margin violation: the crossing sits at the start
-    end = violation(1.0).violation_amount
+    local = float(start.local_max)
+
+    def amount(p: float) -> float:
+        value = value_at(p)
+        return (abs(value) if magnitude else value) - local
+
+    end = amount(1.0)
     if end > 0:
         raise NoRootError("the violation survives the whole interval; no root in [0, 1]")
-    p = _crossing(lambda p: violation(p).violation_amount, 0.0, 1.0, margin, end)
-    return p, evaluations
+    return _crossing(amount, 0.0, 1.0, margin, end), evaluations
 
 
 def tolerance_by_root_scan(

@@ -48,6 +48,7 @@ from .quantum import (
     _bloch_from_angles,
     _check_parties,
     _paired_density,
+    _projector_blocks,
     _table,
     expression_value,
 )
@@ -101,7 +102,9 @@ def _objective(expr: Expression, state: State) -> Callable[[np.ndarray], float]:
     settings_per_party = expr.scenario.settings_per_party
     paired = _paired_density(state, settings_per_party)
     weights = _expression_weights(expr)
-    return lambda bloch: float(np.dot(weights, _table(paired, bloch, settings_per_party)))
+    return lambda bloch: float(
+        np.dot(weights, _table(paired, _projector_blocks(bloch, settings_per_party)))
+    )
 
 
 def _affine(value_at, bloch: np.ndarray, slot: int) -> tuple:

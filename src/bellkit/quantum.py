@@ -17,9 +17,16 @@ Conventions, fixed so that amplitude-level fixtures are reproducible:
 Every quantum number comes from one engine, :func:`_table`:
 ``Tr(rho Pi)`` for every setting and outcome tuple, with ``Pi`` the tensor
 product of the parties' projectors, contracted one party at a time so that
-no 2^n x 2^n operator is built.  Pure states enter as ``|psi><psi|``, so pure
-and mixed states share one path.  :func:`_flat_table` runs it for a model and
-yields the table flat in ``(s_0, o_0, s_1, o_1, ..)`` order;
+no 2^n x 2^n operator is built.  Each state type supplies its density
+matrix: a pure state's is one broadcast product of its amplitudes and their
+conjugates, which it keeps from construction, with no ``np.outer``.  One
+gather through a permutation built once per party count (:func:`_pair_order`)
+then sets each party's row and column index side by side, so pure and mixed
+states share one path.  Each state keeps its party count, and each model its
+per-party projector blocks (:func:`_projector_blocks`), built with it; the
+optimizer builds blocks for each trial the same way.  :func:`_flat_table`
+runs the engine for a model and yields the table flat in
+``(s_0, o_0, s_1, o_1, ..)`` order;
 :func:`probability_table` reorders and clamps the whole of it, for joint
 probabilities and callers that want every entry.  Expression values and
 correlators gather from the flat table only the entries their terms read, at
@@ -39,7 +46,9 @@ import json
 import math
 import operator
 import sys
-from dataclasses import dataclass
+from dataclasses import dataclass, field
+from functools import cache
+from itertools import accumulate, pairwise
 from typing import Sequence, Union
 
 import numpy as np
@@ -78,46 +87,62 @@ def _parties_from_dim(dim: int, what: str) -> int:
     return parties
 
 
+@cache
+def _pair_order(parties: int) -> np.ndarray:
+    """Flat positions in a 2^n x 2^n matrix, read in the order
+    ``(a_0, b_0, a_1, b_1, ..)`` of each party's row and column index: one
+    gather through it puts a matrix in :func:`_paired_density`'s layout, the
+    same entries a transposed copy holds at less cost.  Built once per party
+    count and read-only: 4^n indices, 8 MiB at the cap of 10 parties."""
+    axes = [axis for party in range(parties) for axis in (party, parties + party)]
+    order = np.arange(4**parties).reshape((2,) * (2 * parties)).transpose(axes).reshape(-1)
+    order.flags.writeable = False
+    return order
+
+
 @dataclass(frozen=True, eq=False)
 class PureState:
     """Complex amplitudes over the computational product basis, unit norm."""
 
     amplitudes: np.ndarray
+    parties: int = field(init=False, repr=False)
 
     def __post_init__(self):
         amplitudes = np.array(self.amplitudes, dtype=complex).reshape(-1)
-        _parties_from_dim(amplitudes.size, "state")
+        parties = _parties_from_dim(amplitudes.size, "state")
         if not np.all(np.isfinite(amplitudes)):
             raise DimensionMismatchError("state amplitudes must be finite")
         norm = float(np.linalg.norm(amplitudes))
         if abs(norm - 1.0) > STATE_ATOL:
             raise DimensionMismatchError(f"state norm {norm!r} is not 1 within {STATE_ATOL}")
         amplitudes.setflags(write=False)
+        conjugate = amplitudes.conj()
+        conjugate.setflags(write=False)
         object.__setattr__(self, "amplitudes", amplitudes)
+        object.__setattr__(self, "parties", parties)
+        object.__setattr__(self, "_conjugate", conjugate)
 
     @property
     def dim(self) -> int:
         return self.amplitudes.size
 
-    @property
-    def parties(self) -> int:
-        return int(round(math.log2(self.dim)))
-
     def density(self) -> np.ndarray:
-        return np.outer(self.amplitudes, self.amplitudes.conj())
+        return self.amplitudes[:, None] * self._conjugate
 
 
 @dataclass(frozen=True, eq=False)
 class DensityMatrix:
-    """Hermitian, unit-trace, positive-semidefinite matrix on qubits."""
+    """Hermitian, unit-trace, positive-semidefinite matrix on qubits, kept
+    C-ordered and read-only."""
 
     matrix: np.ndarray
+    parties: int = field(init=False, repr=False)
 
     def __post_init__(self):
-        matrix = np.array(self.matrix, dtype=complex)
+        matrix = np.array(self.matrix, dtype=complex, order="C")
         if matrix.ndim != 2 or matrix.shape[0] != matrix.shape[1]:
             raise DimensionMismatchError(f"density matrix must be square, got {matrix.shape}")
-        _parties_from_dim(matrix.shape[0], "density matrix")
+        parties = _parties_from_dim(matrix.shape[0], "density matrix")
         if not np.all(np.isfinite(matrix)):
             raise DimensionMismatchError("density matrix entries must be finite")
         if float(np.max(np.abs(matrix - matrix.conj().T))) > STATE_ATOL:
@@ -132,23 +157,22 @@ class DensityMatrix:
             )
         matrix.setflags(write=False)
         object.__setattr__(self, "matrix", matrix)
+        object.__setattr__(self, "parties", parties)
 
     @classmethod
-    def _from_valid_matrix(cls, matrix: np.ndarray) -> "DensityMatrix":
-        """Wrap a complex ``matrix`` without re-checking it: it must already pass
-        every check of the public constructor.  For mixtures of valid states."""
+    def _from_valid_matrix(cls, matrix: np.ndarray, parties: int) -> "DensityMatrix":
+        """Wrap a complex ``matrix`` on ``parties`` qubits without re-checking it:
+        it must already pass every check of the public constructor.  For
+        mixtures of valid states."""
         matrix.setflags(write=False)
         self = object.__new__(cls)
         object.__setattr__(self, "matrix", matrix)
+        object.__setattr__(self, "parties", parties)
         return self
 
     @property
     def dim(self) -> int:
         return self.matrix.shape[0]
-
-    @property
-    def parties(self) -> int:
-        return int(round(math.log2(self.dim)))
 
     def density(self) -> np.ndarray:
         return self.matrix
@@ -162,6 +186,7 @@ class MeasurementModel:
     """Per party, per setting, the Bloch vector of a binary +/-1 observable."""
 
     bloch: tuple
+    settings_per_party: tuple = field(init=False, repr=False)
 
     def __post_init__(self):
         rows = []
@@ -191,22 +216,17 @@ class MeasurementModel:
         if len(rows) > MAX_PARTIES:
             raise DimensionMismatchError(f"models are capped at {MAX_PARTIES} parties")
         object.__setattr__(self, "bloch", tuple(rows))
-        # the (3, slots) Bloch columns, one per slot in party-major order, that
-        # every evaluation reads: built once here, read-only
+        settings = tuple(len(row) for row in rows)
+        object.__setattr__(self, "settings_per_party", settings)
+        # every evaluation reads the same projector blocks: built once here
         columns = np.array([vector for row in rows for vector in row]).T
-        columns.flags.writeable = False
-        object.__setattr__(self, "_columns", columns)
-        settings = self.settings_per_party
+        object.__setattr__(self, "_blocks", _projector_blocks(columns, settings))
         scenario = Scenario(len(rows), settings, tuple((2,) * n for n in settings))
         object.__setattr__(self, "_scenario", scenario)
 
     @property
     def parties(self) -> int:
         return len(self.bloch)
-
-    @property
-    def settings_per_party(self) -> tuple:
-        return tuple(len(row) for row in self.bloch)
 
     def scenario(self) -> Scenario:
         """The binary scenario this model measures, built once with the model."""
@@ -240,11 +260,11 @@ def _paired_density(state: State, settings_per_party) -> np.ndarray:
     """The density matrix with each party's row and column index side by side.
 
     Entry ``rho[a, b]`` sits at multi-index ``(a_0, b_0, a_1, b_1, ..)``,
-    flattened to shape (4, 4^(n-1)) so that party 0's pair leads.  The size
-    guard for the whole contraction runs here, before anything is allocated.
+    flattened to shape (4, 4^(n-1)) so that party 0's pair leads: one gather
+    through :func:`_pair_order`.  The size guard for the whole contraction
+    runs here, before anything is allocated.
     """
-    parties = len(settings_per_party)
-    size = largest = 4**parties
+    size = largest = 4 ** len(settings_per_party)
     for count in settings_per_party:
         size = size // 4 * 2 * count  # one party's (a, b) pair becomes (s, o)
         largest = max(largest, size)
@@ -254,40 +274,46 @@ def _paired_density(state: State, settings_per_party) -> np.ndarray:
             f"{largest} complex entries ({largest * 16 / 2**20:.0f} MiB); "
             f"the cap is {MAX_TABLE_ENTRIES}"
         )
-    paired_axes = [axis for party in range(parties) for axis in (party, parties + party)]
-    shaped = state.density().reshape((2,) * (2 * parties)).transpose(paired_axes)
-    return shaped.reshape(4, -1)
+    return state.density().reshape(-1)[_pair_order(state.parties)].reshape(4, -1)
 
 
-def _table(paired: np.ndarray, bloch: np.ndarray, settings_per_party) -> np.ndarray:
-    """Unclamped Tr(rho Pi) for every setting and outcome tuple, flat in
-    ``(s_0, o_0, s_1, o_1, ..)`` order, for Bloch vectors ``bloch`` of shape
-    (3, slots), one per (party, setting) slot, party-major.
+def _projector_blocks(bloch: np.ndarray, settings_per_party) -> tuple:
+    """Per party, the projectors that :func:`_table` contracts with, for Bloch
+    vectors ``bloch`` of shape (3, slots), one per (party, setting) slot,
+    party-major: read-only views of one array, each of shape (4, 2 * settings).
 
-    Column ``2k + o`` of ``projectors`` is slot k's outcome-o projector
-    ``Pi = (I + (2o - 1) n.sigma) / 2`` read as ``Pi[b, a]`` at row ``2a + b``,
-    so each matrix product applies one party's share of
-    ``Tr(rho Pi) = sum rho[a, b] Pi[b, a]``: it consumes the leading (a, b)
-    pair and appends that party's (s, o) pair at the end.
+    Column ``2s + o`` of a party's block is its setting s's outcome-o projector
+    ``Pi = (I + (2o - 1) n.sigma) / 2`` read as ``Pi[b, a]`` at row ``2a + b``.
     """
     half_observables = _HALF_PAULI_AB @ bloch
     projectors = _HALF_IDENTITY_AB[:, None, None] + half_observables[:, :, None] * _SIGNS
     projectors = projectors.reshape(4, -1)
+    projectors.flags.writeable = False
+    bounds = accumulate((2 * count for count in settings_per_party), initial=0)
+    return tuple(projectors[:, start:stop] for start, stop in pairwise(bounds))
+
+
+def _table(paired: np.ndarray, blocks: tuple) -> np.ndarray:
+    """Unclamped Tr(rho Pi) for every setting and outcome tuple, flat in
+    ``(s_0, o_0, s_1, o_1, ..)`` order, from :func:`_paired_density` and
+    :func:`_projector_blocks`.
+
+    Each matrix product applies one party's share of
+    ``Tr(rho Pi) = sum rho[a, b] Pi[b, a]``: it consumes the leading (a, b)
+    pair and appends that party's (s, o) pair at the end.
+    """
     table = paired
-    start = 0
-    for count in settings_per_party:
-        table = table.reshape(4, -1).T @ projectors[:, start : start + 2 * count]
-        start += 2 * count
+    for block in blocks:
+        table = table.reshape(4, -1).T @ block
     return table.real.reshape(-1)
 
 
 def _flat_table(state: State, model: MeasurementModel) -> np.ndarray:
     """The model's unclamped :func:`_table` on the state, flat in
     ``(s_0, o_0, s_1, o_1, ..)`` order: what :func:`probability_table` reshapes
-    and an expression's ``table_lookup`` indexes, from the Bloch columns the
-    model built once.  The caller checks the party count."""
-    settings = model.settings_per_party
-    return _table(_paired_density(state, settings), model._columns, settings)
+    and an expression's ``table_lookup`` indexes, from the projector blocks
+    the model built once.  The caller checks the party count."""
+    return _table(_paired_density(state, model.settings_per_party), model._blocks)
 
 
 def probability_table(state: State, model: MeasurementModel) -> np.ndarray:
@@ -322,7 +348,8 @@ def _term_values(expr: Expression, state: State, model: MeasurementModel) -> np.
     sum over that block of the probability table.
     """
     index, signs, _ = expr.table_lookup
-    return (np.clip(_flat_table(state, model)[index], 0.0, 1.0) * signs).sum(axis=1)
+    # np.add.reduce is the sum that ndarray.sum runs, without its Python wrapper
+    return np.add.reduce(_flat_table(state, model)[index].clip(0.0, 1.0) * signs, axis=1)
 
 
 def correlator(state: State, model: MeasurementModel, settings: Sequence[int]) -> float:
@@ -373,14 +400,20 @@ def mix_with_white_noise(state: State, p: float) -> DensityMatrix:
     A mixture of valid states is valid (Hermitian, unit trace, smallest
     eigenvalue at least (1-p) times the state's), so the result skips the
     constructor's checks, which cost more than the mixing on every noisy
-    state the root scan evaluates.
+    state the root scan evaluates.  The noise term is added on the diagonal
+    alone, through a flat view of the C-ordered product; the pass adding 0.0
+    then turns every -0.0 into +0.0, as adding ``(p / dim) * I`` would, so the
+    bytes match that formula's.
     """
     p = float(p)
     if not 0.0 <= p <= 1.0:
         raise DimensionMismatchError(f"noise fraction must lie in [0, 1], got {p}")
     dim = state.dim
-    matrix = (1.0 - p) * state.density() + (p / dim) * np.eye(dim, dtype=complex)
-    return DensityMatrix._from_valid_matrix(matrix)
+    matrix = (1.0 - p) * state.density()
+    diagonal = matrix.reshape(-1)[:: dim + 1]
+    diagonal += p / dim
+    matrix += 0.0
+    return DensityMatrix._from_valid_matrix(matrix, state.parties)
 
 
 def _bloch_from_angles(theta, phi) -> np.ndarray:

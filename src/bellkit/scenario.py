@@ -26,6 +26,7 @@ from __future__ import annotations
 
 import math
 import operator
+import sys
 from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import cache, cached_property, reduce
@@ -126,6 +127,17 @@ def _indices(values: Iterable, error: type = ScenarioError) -> tuple:
         raise
 
 
+def _counts(values: Iterable, kind: str) -> tuple:
+    """``_indices(values)`` for cardinalities: a count past the machine's index
+    size, which no tuple, range or array can hold, raises a ScenarioError
+    naming it."""
+    values = _indices(values)
+    for value in values:
+        if value > sys.maxsize:
+            raise ScenarioError(f"{kind} count {value} is past the index size {sys.maxsize}")
+    return values
+
+
 def _tuple_getter(indices: Sequence) -> Callable:
     """``itemgetter(*indices)`` that always returns a tuple: itemgetter returns
     the bare item when given one index and refuses none."""
@@ -152,12 +164,14 @@ class Scenario:
     distinct_rows: tuple = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
-        object.__setattr__(self, "parties", _indices([self.parties])[0])
-        object.__setattr__(self, "settings_per_party", _indices(self.settings_per_party))
+        object.__setattr__(self, "parties", _counts([self.parties], "party")[0])
+        object.__setattr__(
+            self, "settings_per_party", _counts(self.settings_per_party, "settings")
+        )
         rows = tuple(self.outcomes_per_setting)
         distinct = {}  # id of each distinct row object: (its ints, copies)
         for row in rows:
-            coerced, copies = distinct.get(id(row)) or (_indices(row), 0)
+            coerced, copies = distinct.get(id(row)) or (_counts(row, "outcome"), 0)
             distinct[id(row)] = (coerced, copies + 1)
         object.__setattr__(self, "distinct_rows", tuple(distinct.values()))
         rows = tuple(distinct[id(row)][0] for row in rows)
@@ -184,7 +198,9 @@ class Scenario:
 
     @classmethod
     def uniform(cls, parties: int, settings: int, outcomes: int) -> "Scenario":
-        parties, settings, outcomes = _indices((parties, settings, outcomes))
+        parties, = _counts([parties], "party")
+        settings, = _counts([settings], "settings")
+        outcomes, = _counts([outcomes], "outcome")
         return cls(parties, (settings,) * parties, ((outcomes,) * settings,) * parties)
 
     @cached_property
@@ -200,10 +216,20 @@ class Scenario:
         )
         return (self.parties, settings, outcomes) if uniform else None
 
-    @property
+    @cached_property
     def assignment_count(self) -> int:
         """Size of the complete-assignment (deterministic strategy) space."""
         return math.prod(self.slot_outcomes)
+
+    @cached_property
+    def _log10_assignment_count(self) -> float:
+        """log10 of ``assignment_count``, without multiplying it out.  A row object
+        shared by several parties is read once and counted once per party."""
+        return math.fsum(
+            copies * row.count(n) * math.log10(n)
+            for row, copies in self.distinct_rows
+            for n in set(row)
+        )
 
     def slots(self) -> tuple:
         """(party, setting) pairs in party-major, setting-minor order."""

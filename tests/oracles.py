@@ -151,6 +151,45 @@ def bisection_root_scan(expr, amplitudes, model, magnitude=False, resolution=1e-
     return (lo + hi) / 2
 
 
+# The quantum engine's inputs as each evaluation once rebuilt them: the density
+# matrix by np.outer and a transposed copy, white noise by adding (p/dim) I, and
+# the projector stack from the model's Bloch columns.  The engine now builds
+# them where states and models are built; these references pin its bytes.
+
+
+def pure_density_by_outer(amplitudes):
+    return np.outer(amplitudes, np.conj(amplitudes))
+
+
+def paired_density_by_transpose(density):
+    """rho[a, b] at (a_0, b_0, a_1, b_1, ..), flattened to (4, 4^(n-1))."""
+    parties = len(density).bit_length() - 1
+    axes = [axis for party in range(parties) for axis in (party, parties + party)]
+    return np.asarray(density).reshape((2,) * (2 * parties)).transpose(axes).reshape(4, -1)
+
+
+def white_noise_by_identity(density, p):
+    """(1 - p) rho + (p / dim) I."""
+    dim = len(density)
+    return (1.0 - p) * np.asarray(density) + (p / dim) * np.eye(dim, dtype=complex)
+
+
+def projectors_from_bloch_columns(bloch, settings_per_party):
+    """Each party's (4, 2 * settings) slice of one projector stack built from Bloch
+    columns of shape (3, slots): column 2k + o holds slot k's outcome-o projector
+    (I + (2o - 1) n.sigma) / 2 read as Pi[b, a] at row 2a + b."""
+    half_identity = np.eye(2).reshape(4) / 2.0
+    half_pauli = np.array([PAULI_X, PAULI_Y, PAULI_Z]).transpose(2, 1, 0).reshape(4, 3) / 2.0
+    signs = np.array([-1.0, 1.0])
+    projectors = half_identity[:, None, None] + (half_pauli @ bloch)[:, :, None] * signs
+    projectors = projectors.reshape(4, -1)
+    slices, start = [], 0
+    for count in settings_per_party:
+        slices.append(projectors[:, start : start + 2 * count])
+        start += 2 * count
+    return tuple(slices)
+
+
 def random_pure_amplitudes(rng, parties):
     raw = rng.normal(size=2**parties) + 1j * rng.normal(size=2**parties)
     return raw / np.linalg.norm(raw)

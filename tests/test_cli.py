@@ -380,7 +380,7 @@ class TestReport:
         )
         assert report["violation"] == {
             "quantum_value": _f12(expected.quantum_value),
-            "local_bound": _rational(expected.local_max),
+            "local_bound": _rational(expected.local_max, "local_bound"),
             "factor": _f12(expected.violation_factor),
             "amount": _f12(expected.violation_amount),
             "violated": expected.violated,
@@ -767,6 +767,37 @@ class TestErrorPaths:
         code, out, err = run(capsys, ["bound", str(path)])
         assert (code, out) == (1, "")
         assert err == f"error: number too long: 5000 digits, more than 4300 ({location})\n"
+
+    @pytest.mark.parametrize("command", ["bound", "expand"])
+    @pytest.mark.parametrize(
+        "header,kind",
+        [("scenario 3 {} 2\n", "settings"), ("scenario 3 2 {}\n", "outcome")],
+        ids=["settings", "outcomes"],
+    )
+    def test_a_count_past_the_index_size_is_located(self, capsys, tmp_path, header, kind, command):
+        path = tmp_path / "huge.bell"
+        path.write_text(header.format(10**20 - 1))
+        code, out, err = run(capsys, [command, str(path)])
+        assert (code, out) == (1, "")
+        assert err == (
+            f"error: {kind} count {10**20 - 1} is past the index size {sys.maxsize} "
+            "(line 1, column 1)\n"
+        )
+
+    def test_an_exact_value_past_the_digit_limit_names_its_field(self, capsys, tmp_path):
+        # each denominator has 2200 digits; the bound's common one about 4400
+        path = tmp_path / "long.bell"
+        path.write_text(
+            "scenario 3 2 2\n"
+            f"+1/{10**2199 + 7} P(A0 B0 C0 | 0 0 0)\n"
+            f"+1/{10**2199 + 9} P(A1 B0 C0 | 0 0 0)\n"
+        )
+        code, out, err = run(capsys, ["bound", str(path)])
+        assert (code, out) == (1, "")
+        assert err == (
+            "error: report field 'max' holds an exact value with more than 4300 digits, "
+            "past the limit for writing an integer\n"
+        )
 
     def test_a_model_number_past_the_digit_limit_is_an_input_error(self, capsys, tmp_path):
         path = tmp_path / "long.json"

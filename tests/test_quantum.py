@@ -28,7 +28,9 @@ from bellkit import (
     paper_model,
     parse_model,
     probability_table,
+    tolerance_by_root_scan,
     violation_report,
+    white_noise_tolerance,
 )
 from bellkit.scenario import _parity_signs
 
@@ -123,13 +125,14 @@ class TestModel:
         assert xy_model.scenario() == TRI
         assert xy_model.scenario() is xy_model.scenario()  # built once, with the model
 
-    def test_the_model_keeps_its_bloch_columns_read_only(self):
+    def test_the_model_keeps_its_projector_blocks_read_only(self):
         model = MeasurementModel(
             (((1.0, 0.0, 0.0), (0.0, 1.0, 0.0)), ((0.0, 0.0, 1.0),), ((0.6, 0.8, 0.0),))
         )
-        columns = model._columns
-        assert columns.shape == (3, 4) and not columns.flags.writeable
-        assert columns.T.tolist() == [list(v) for row in model.bloch for v in row]
+        assert model.settings_per_party == (2, 1, 1)
+        blocks = model._blocks
+        assert [block.shape for block in blocks] == [(4, 4), (4, 2), (4, 2)]
+        assert not any(block.flags.writeable for block in blocks)
 
 
 class TestJointProbability:
@@ -658,3 +661,155 @@ class TestKeptTableLookup:
         by_key = dict(zip(expr.terms, value.term_values))
         by_key.update(zip(other.terms, expression_value(other, state, model).term_values))
         assert list(summed.term_values) == [by_key[key] for key in total.terms]
+
+
+# amplitude parts: exact zeros of either sign, and values of either sign
+amplitude_parts = st.one_of(st.sampled_from([0.0, -0.0, 0.6, -0.8]), st.floats(-1.0, 1.0))
+
+
+@st.composite
+def amplitude_vectors(draw):
+    """Unit amplitudes over 1-4 qubits: real with mixed signs and exact zeros, or complex."""
+    dim = 2 ** draw(st.integers(1, 4))
+    parts = st.lists(amplitude_parts, min_size=dim, max_size=dim)
+    amplitudes = np.array(draw(parts), dtype=complex)
+    if draw(st.booleans()):
+        amplitudes += 1j * np.array(draw(parts))
+    norm = np.linalg.norm(amplitudes)
+    if not norm > 1e-3:
+        amplitudes = np.zeros(dim, dtype=complex)
+        amplitudes[draw(st.integers(0, dim - 1))] = -1.0
+        norm = 1.0
+    return amplitudes / norm
+
+
+@st.composite
+def bloch_rows(draw, parties):
+    """Per party 1-3 unit Bloch vectors, axis-aligned ones of either sign among them."""
+    axes = [tuple(sign * (axis == k) for k in range(3)) for axis in range(3) for sign in (1.0, -1.0)]
+    vectors = st.one_of(
+        st.sampled_from(axes),
+        st.integers(0, 2**32 - 1).map(lambda seed: oracles.random_bloch(np.random.default_rng(seed))),
+    )
+    return tuple(tuple(draw(st.lists(vectors, min_size=1, max_size=3))) for _ in range(parties))
+
+
+class TestInputsBuiltOnce:
+    """States and models build the engine's inputs once, with the bytes each
+    evaluation used to rebuild; ``tobytes`` compares signed zeros too."""
+
+    @settings(max_examples=80, deadline=None)
+    @given(amplitudes=amplitude_vectors())
+    @example(amplitudes=np.array([0.6, -0.8, 0, 0], dtype=complex))
+    def test_a_pure_state_matches_the_outer_product(self, amplitudes):
+        state = PureState(amplitudes)
+        density = oracles.pure_density_by_outer(state.amplitudes)
+        assert state.density().tobytes() == density.tobytes()
+        settings_per_party = (1,) * state.parties
+        paired = quantum._paired_density(state, settings_per_party)
+        assert paired.tobytes() == oracles.paired_density_by_transpose(density).tobytes()
+
+    @settings(max_examples=40, deadline=None)
+    @given(
+        parties=st.integers(1, 4),
+        rank=st.integers(1, 4),
+        fortran=st.booleans(),
+        seed=st.integers(0, 2**32 - 1),
+    )
+    def test_a_density_matrix_matches_the_transposed_copy(self, parties, rank, fortran, seed):
+        matrix = oracles.random_density_matrix(np.random.default_rng(seed), parties, rank)
+        state = DensityMatrix(np.asfortranarray(matrix) if fortran else matrix)
+        assert state.parties == parties
+        paired = quantum._paired_density(state, (1,) * parties)
+        assert paired.tobytes() == oracles.paired_density_by_transpose(matrix).tobytes()
+
+    @settings(max_examples=80, deadline=None)
+    @given(
+        amplitudes=amplitude_vectors(),
+        rank=st.integers(0, 3),
+        fortran=st.booleans(),
+        p=st.one_of(st.sampled_from([0.0, 1.0]), st.floats(0.0, 1.0)),
+        seed=st.integers(0, 2**32 - 1),
+    )
+    @example(amplitudes=np.array([0.6, -0.8, 0, 0], dtype=complex), rank=0, fortran=False,
+             p=0.25, seed=0)
+    def test_mixing_matches_adding_the_scaled_identity(self, amplitudes, rank, fortran, p, seed):
+        # rank 0 mixes the pure state; otherwise a random mixed state of its size
+        if rank:
+            parties = amplitudes.size.bit_length() - 1
+            density = oracles.random_density_matrix(np.random.default_rng(seed), parties, rank)
+            state = DensityMatrix(np.asfortranarray(density) if fortran else density)
+        else:
+            state = PureState(amplitudes)
+            density = oracles.pure_density_by_outer(state.amplitudes)
+        mixed = mix_with_white_noise(state, p)
+        assert mixed.parties == state.parties
+        assert mixed.matrix.tobytes() == oracles.white_noise_by_identity(density, p).tobytes()
+
+    @settings(max_examples=60, deadline=None)
+    @given(data=st.data(), parties=st.integers(1, 4))
+    def test_projector_blocks_match_the_per_call_stack(self, data, parties):
+        rows = data.draw(bloch_rows(parties))
+        model = MeasurementModel(rows)
+        settings_per_party = tuple(map(len, rows))
+        columns = np.array([vector for row in rows for vector in row]).T
+        expected = oracles.projectors_from_bloch_columns(columns, settings_per_party)
+        trial = quantum._projector_blocks(columns, settings_per_party)  # the optimizer's call
+        for blocks in (model._blocks, trial):
+            assert [block.tobytes() for block in blocks] == [block.tobytes() for block in expected]
+
+    @settings(max_examples=60, deadline=None)
+    @given(data=st.data(), rank=st.integers(0, 3), seed=st.integers(0, 2**32 - 1))
+    def test_tables_match_the_per_call_inputs(self, data, rank, seed):
+        amplitudes = data.draw(amplitude_vectors())
+        parties = amplitudes.size.bit_length() - 1
+        if rank:
+            density = oracles.random_density_matrix(np.random.default_rng(seed), parties, rank)
+            state = DensityMatrix(density)
+        else:
+            state = PureState(amplitudes)
+            density = oracles.pure_density_by_outer(state.amplitudes)
+        rows = data.draw(bloch_rows(parties))
+        model = MeasurementModel(rows)
+        columns = np.array([vector for row in rows for vector in row]).T
+        reference = quantum._table(
+            oracles.paired_density_by_transpose(density),
+            oracles.projectors_from_bloch_columns(columns, model.settings_per_party),
+        )
+        assert quantum._flat_table(state, model).tobytes() == reference.tobytes()
+
+
+class _NumpyRefusing:
+    """numpy, except that the named functions raise when called."""
+
+    def __init__(self, *names):
+        self.names = names
+
+    def __getattr__(self, name):
+        if name in self.names:
+
+            def refuse(*args, **kwargs):
+                raise AssertionError(f"numpy.{name} called")
+
+            return refuse
+        return getattr(np, name)
+
+
+def test_evaluations_build_no_outer_product_identity_or_projectors(
+    monkeypatch, g_expr, mermin_expr, xy_model
+):
+    built = []
+    build_blocks = quantum._projector_blocks
+    monkeypatch.setattr(
+        quantum, "_projector_blocks", lambda *args: built.append(args) or build_blocks(*args)
+    )
+    model = MeasurementModel(xy_model.bloch)
+    state = ghz_state(3)
+    expected = [expression_value(expr, state, xy_model) for expr in (g_expr, mermin_expr)]
+    monkeypatch.setattr(quantum, "np", _NumpyRefusing("outer", "eye"))
+    for _ in range(2):
+        assert [expression_value(expr, state, model) for expr in (g_expr, mermin_expr)] == expected
+    assert mix_with_white_noise(state, 0.25).parties == 3
+    assert white_noise_tolerance(g_expr, state, model).p_critical == pytest.approx(0.5, abs=1e-12)
+    assert tolerance_by_root_scan(g_expr, state, model) == pytest.approx(0.5, abs=1e-9)
+    assert len(built) == 1  # the model's own blocks, however many evaluations follow

@@ -1,3 +1,4 @@
+import sys
 from fractions import Fraction
 from itertools import product
 
@@ -166,9 +167,31 @@ class TestScenario:
                 UnsupportedScenarioError,
                 "correlator_to_probability expects a correlator form",
             ),
+            # counts past the machine's index size, which no tuple can hold
+            (
+                lambda: Scenario.uniform(3, 10**20, 2),
+                ScenarioError,
+                f"settings count {10**20} is past the index size {sys.maxsize}",
+            ),
+            (
+                lambda: Scenario.uniform(3, 2, 10**20),
+                ScenarioError,
+                f"outcome count {10**20} is past the index size {sys.maxsize}",
+            ),
+            (
+                lambda: Scenario(1, (10**20,), ((2,),)),
+                ScenarioError,
+                f"settings count {10**20} is past the index size {sys.maxsize}",
+            ),
+            (
+                lambda: Scenario(1, (2,), ((2, 10**20),)),
+                ScenarioError,
+                f"outcome count {10**20} is past the index size {sys.maxsize}",
+            ),
         ],
         ids=["scenario-rows", "settings-length", "settings-range", "coefficient", "marginal",
-             "conversion-of-a-probability-form"],
+             "conversion-of-a-probability-form", "uniform-settings-count",
+             "uniform-outcome-count", "settings-count", "outcome-count"],
     )
     def test_each_check_names_what_it_refuses(self, build, error, message):
         with pytest.raises(error, match=f"^{message}$"):
