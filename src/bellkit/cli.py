@@ -42,13 +42,7 @@ from .lhv import (
     local_bounds,
     trivial_bounds,
 )
-from .noise import (
-    AGREEMENT_TOL,
-    ViolationReport,
-    _closed_form,
-    _coefficient_pass,
-    _root_scan,
-)
+from .noise import AGREEMENT_TOL, ViolationReport, _closed_form, _coefficient_pass, _root_scan
 from .optimize import OptimizerConfig, optimize_measurements
 from .quantum import _model_document, expression_value, ghz_state, paper_model, parse_model
 from .scenario import BellExpression
@@ -75,15 +69,18 @@ def _f12(value: Optional[float]) -> Optional[float]:
 
 def _rational(value: Fraction, field: str) -> dict:
     """An exact value as report field ``field``: its text and its rounded float.
-    The text of an integer past the interpreter's digit limit is refused."""
+    A value whose text passes the interpreter's digit limit for an integer, or
+    that lies past the largest float, is refused by name."""
     try:
-        exact = str(value)
-    except ValueError:
-        raise BellkitError(
-            f"report field {field!r} holds an exact value with more than "
-            f"{sys.get_int_max_str_digits()} digits, past the limit for writing an integer"
-        ) from None
-    return {"exact": exact, "value": _f12(float(value))}
+        return {"exact": str(value), "value": _f12(float(value))}
+    except ValueError:  # str() of an integer past the digit limit
+        what = (
+            f"with more than {sys.get_int_max_str_digits()} digits, "
+            "past the limit for writing an integer"
+        )
+    except OverflowError:  # float() of a value past the largest float
+        what = "past the largest float"
+    raise BellkitError(f"report field {field!r} holds an exact value {what}")
 
 
 def _read(path: str, parse) -> tuple:

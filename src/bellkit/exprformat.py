@@ -1,6 +1,6 @@
 """Line-oriented text format for Bell expressions and full-joint expansions.
 
-Documents are UTF-8 with LF or CRLF line endings accepted and LF emitted.
+Documents are UTF-8; a line ends at LF, CRLF or CR, and LF is emitted.
 ``#`` starts a comment (to end of line) and blank lines are ignored.  The
 first significant line must be the header::
 
@@ -183,8 +183,9 @@ def _parse(text: str, kinds: str) -> tuple:
     first_line: dict = {}
     duplicates: list = []
     magnitude = Fraction(0)
-    for line_no, raw in enumerate(text.splitlines(), start=1):
-        line = raw.rstrip("\r").partition("#")[0]
+    # str.splitlines would also end a line at a form feed, U+2028 and the like
+    for line_no, raw in enumerate(re.split(r"\r\n?|\n", text), start=1):
+        line = raw.partition("#")[0]
         if not line.strip():
             continue
         if scenario is None:

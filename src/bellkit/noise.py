@@ -63,8 +63,7 @@ from .quantum import (
     DensityMatrix,
     MeasurementModel,
     State,
-    _check_expression_model,
-    _check_parties,
+    _check_evaluation,
     expression_value,
     mix_with_white_noise,
 )
@@ -344,8 +343,7 @@ def tolerance_by_root_scan(
     whenever the violation dies by p = 1, and four noisy states (both ends
     and one probe either side of the false-position guess) locate it.
     """
-    _check_parties(state, model.parties)  # as expression_value would, before the grid
-    _check_expression_model(expr, model)
+    _check_evaluation(expr, state, model)  # as expression_value would, before the grid
     bounds = trivial_bounds(expr, cap)
     band = _coefficient_pass(expr).band
     return _root_scan(expr, state, model, bounds, band, magnitude)[0]

@@ -27,10 +27,11 @@ the model at those angles, on which :func:`bellkit.quantum.expression_value`
 re-evaluates the best value.
 
 No qubit convention is re-derived here: angles become Bloch vectors in
-``quantum._bloch_from_angles``, party counts are checked by
-``quantum._check_parties``, and each weight is a coefficient times an
-entry's sign, both placed by the expression's ``table_lookup``, which reads
-every form alike and takes its correlator signs from ``scenario._parity_signs``.
+``quantum._bloch_from_angles`` and turn back in ``quantum._angles_from_bloch``,
+party counts are checked by ``quantum._check_parties``, and each weight is a
+coefficient times an entry's sign, both placed by the expression's
+``table_lookup``, which reads every form alike and takes its correlator signs
+from ``scenario._parity_signs``.
 """
 
 from __future__ import annotations
@@ -45,6 +46,7 @@ from .errors import ConfigError, UnsupportedScenarioError
 from .quantum import (
     MeasurementModel,
     State,
+    _angles_from_bloch,
     _bloch_from_angles,
     _check_parties,
     _paired_density,
@@ -185,8 +187,7 @@ def optimize_measurements(
             if best_score is None or score > best_score:
                 best_score, best_bloch = score, bloch
 
-    x, y, z = best_bloch
-    theta, phi = np.arccos(np.clip(z, -1.0, 1.0)).tolist(), np.arctan2(y, x).tolist()
+    theta, phi = map(np.ndarray.tolist, _angles_from_bloch(best_bloch))
     best_angles = scenario.split_slots(tuple(zip(theta, phi)))
     best_model = MeasurementModel(
         tuple(tuple(_bloch_from_angles(t, f) for t, f in row) for row in best_angles)

@@ -9,10 +9,11 @@ Conventions, fixed so that amplitude-level fixtures are reproducible:
   onto the -1 eigenspace, the sign convention under which the all-ones
   outcome enters a correlator with positive sign;
 * polar angles (theta, phi) mean ``n = (sin t cos f, sin t sin f, cos t)``,
-  and a state has one qubit per party.  :func:`_bloch_from_angles` and
-  :func:`_check_parties` own these two; model documents and the optimizer
-  call them.  A model document has one reader, :func:`parse_model`, and one
-  writer, :func:`_model_document`; its numbers must be JSON numbers.
+  and a state has one qubit per party.  :func:`_bloch_from_angles` with its
+  inverse :func:`_angles_from_bloch`, and :func:`_check_parties`, own these
+  two; model documents and the optimizer call them.  A model document has
+  one reader, :func:`parse_model`, and one writer, :func:`_model_document`;
+  its numbers must be JSON numbers.
 
 Every quantum number comes from one engine, :func:`_table`:
 ``Tr(rho Pi)`` for every setting and outcome tuple, with ``Pi`` the tensor
@@ -26,15 +27,15 @@ states share one path.  Each state keeps its party count, and each model its
 per-party projector blocks (:func:`_projector_blocks`), built with it; the
 optimizer builds blocks for each trial the same way.  :func:`_flat_table`
 runs the engine for a model and yields the table flat in
-``(s_0, o_0, s_1, o_1, ..)`` order;
-:func:`probability_table` reorders and clamps the whole of it, for joint
-probabilities and callers that want every entry.  Expression values and
-correlators gather from the flat table only the entries their terms read, at
-positions each expression compiles once and keeps (``table_lookup``), and
-clamp just those.  The optimizer objective is a dot product with the flat
-table.  An :class:`ExpressionValue` holds numbers only; each term's key and
-coefficient stay on the expression.  Local bounds play no part here:
-comparing a quantum value with one is the job of :mod:`bellkit.noise`.
+``(s_0, o_0, s_1, o_1, ..)`` order.  Every quantum number takes one path,
+:func:`expression_value`, which gathers and clamps only the entries an
+expression's terms read, at positions it compiles once and keeps
+(``table_lookup``); a joint probability or a correlator is the one term of a
+one-term expression.  :func:`probability_table` is the full-table view only.
+The optimizer objective is a dot product with the flat table.  An
+:class:`ExpressionValue` holds numbers only; each term's key and coefficient
+stay on the expression.  Local bounds play no part here: comparing a quantum
+value with one is the job of :mod:`bellkit.noise`.
 
 Dense complex algebra only; dimensions are capped at 2^10 and the table's
 largest intermediate at ``MAX_TABLE_ENTRIES``.
@@ -47,18 +48,15 @@ import math
 import operator
 import sys
 from dataclasses import dataclass, field
+from fractions import Fraction
 from functools import cache
 from itertools import accumulate, pairwise
 from typing import Sequence, Union
 
 import numpy as np
 
-from .errors import (
-    DimensionMismatchError,
-    ParseError,
-    ScenarioMismatchError,
-)
-from .scenario import _OUTCOME_SIGNS, CorrelatorExpression, Expression, Scenario
+from .errors import DimensionMismatchError, ParseError, ScenarioMismatchError
+from .scenario import _OUTCOME_SIGNS, BellExpression, CorrelatorExpression, Expression, Scenario
 
 MAX_PARTIES = 10
 # complex entries in the largest array the table contraction allocates (64 MiB);
@@ -330,37 +328,6 @@ def probability_table(state: State, model: MeasurementModel) -> np.ndarray:
     return np.clip(_flat_table(state, model).reshape(shape).transpose(order), 0.0, 1.0)
 
 
-def joint_probability(
-    state: State, model: MeasurementModel, settings: Sequence[int], outcomes: Sequence[int]
-) -> float:
-    """Born probability of one outcome tuple under one setting choice."""
-    settings, outcomes = model.scenario().validate_term(settings, outcomes)
-    return float(probability_table(state, model)[settings + outcomes])
-
-
-def _term_values(expr: Expression, state: State, model: MeasurementModel) -> np.ndarray:
-    """Each term's value, in term order: its row of entries times their signs,
-    summed, which is a joint probability or a correlator.
-
-    The expression's ``table_lookup`` gathers just the entries its terms read
-    from the flat table, clamped as :func:`probability_table` clamps them; a
-    correlator's row is contiguous, so its sum adds in the same order as a
-    sum over that block of the probability table.
-    """
-    index, signs, _ = expr.table_lookup
-    # np.add.reduce is the sum that ndarray.sum runs, without its Python wrapper
-    return np.add.reduce(_flat_table(state, model)[index].clip(0.0, 1.0) * signs, axis=1)
-
-
-def correlator(state: State, model: MeasurementModel, settings: Sequence[int]) -> float:
-    """Signed sum of joint probabilities: outcome 1 counts +1, outcome 0 counts -1."""
-    scenario = model.scenario()
-    settings = scenario.validate_settings(settings)
-    _check_parties(state, model.parties)
-    unit = CorrelatorExpression(scenario, {settings: 1})
-    return float(_term_values(unit, state, model)[0])
-
-
 @dataclass(frozen=True)
 class ExpressionValue:
     """An expression's value on a state and, in its term order, each term's value
@@ -371,27 +338,48 @@ class ExpressionValue:
     breakdown: tuple
 
 
-def _check_expression_model(expr: Expression, model: MeasurementModel) -> None:
+def _check_evaluation(expr: Expression, state: State, model: MeasurementModel) -> None:
+    """The checks :func:`expression_value` makes: party count, then scenario."""
+    _check_parties(state, model.parties)
     if expr.scenario != model.scenario():
-        raise ScenarioMismatchError(
-            "expression scenario does not match the measurement model"
-        )
+        raise ScenarioMismatchError("expression scenario does not match the measurement model")
 
 
 def expression_value(expr: Expression, state: State, model: MeasurementModel) -> ExpressionValue:
     """Evaluate an expression termwise, keeping the per-term breakdown.
 
-    Terms are visited in the expression's stored order, so builtin
-    expressions report their contributions in their declared term order.
-    :func:`_term_values` gathers every term's value at once, and each is
-    multiplied by its coefficient as a float, both read off the expression's
-    ``table_lookup``, which is compiled on the first evaluation and kept.
+    Terms are visited in the expression's stored order, so builtin expressions
+    report their contributions in their declared term order.  The expression's
+    ``table_lookup``, compiled on the first evaluation and kept, gathers the
+    entries its terms read, clamped as :func:`probability_table` clamps them.
+    A term's value is its row of entries times their signs, summed: a
+    correlator's row is contiguous, so it adds in the order of a sum over that
+    block of the probability table.  Each is multiplied by its float coefficient.
     """
-    _check_parties(state, model.parties)
-    _check_expression_model(expr, model)
-    term_values = tuple(_term_values(expr, state, model).tolist())
-    breakdown = tuple(map(operator.mul, expr.table_lookup[2], term_values))
+    _check_evaluation(expr, state, model)
+    index, signs, coefficients = expr.table_lookup
+    # np.add.reduce is the sum that ndarray.sum runs, without its Python wrapper
+    entries = _flat_table(state, model)[index].clip(0.0, 1.0)
+    term_values = tuple(np.add.reduce(entries * signs, axis=1).tolist())
+    breakdown = tuple(map(operator.mul, coefficients, term_values))
     return ExpressionValue(math.fsum(breakdown), term_values, breakdown)
+
+
+def joint_probability(
+    state: State, model: MeasurementModel, settings: Sequence[int], outcomes: Sequence[int]
+) -> float:
+    """Born probability of one outcome tuple under one setting choice."""
+    scenario = model.scenario()
+    key = scenario.validate_term(settings, outcomes)  # before a list key meets a dict
+    unit = BellExpression._from_valid_terms(scenario, {key: Fraction(1)})
+    return expression_value(unit, state, model).term_values[0]
+
+
+def correlator(state: State, model: MeasurementModel, settings: Sequence[int]) -> float:
+    """Signed sum of joint probabilities: outcome 1 counts +1, outcome 0 counts -1."""
+    scenario = model.scenario()
+    unit = CorrelatorExpression(scenario, {scenario.validate_settings(settings): 1})
+    return expression_value(unit, state, model).term_values[0]
 
 
 def mix_with_white_noise(state: State, p: float) -> DensityMatrix:
@@ -420,6 +408,13 @@ def _bloch_from_angles(theta, phi) -> np.ndarray:
     """Bloch vectors at polar angles, shape (3,) + the angles' shape."""
     sin_theta = np.sin(theta)
     return np.array((sin_theta * np.cos(phi), sin_theta * np.sin(phi), np.cos(theta)))
+
+
+def _angles_from_bloch(bloch) -> tuple:
+    """The inverse of :func:`_bloch_from_angles`: (theta, phi) arrays of Bloch
+    vectors of shape (3,) + any shape, theta in [0, pi] and phi in [-pi, pi]."""
+    x, y, z = bloch
+    return np.arccos(np.clip(z, -1.0, 1.0)), np.arctan2(y, x)
 
 
 def _json_numbers(values) -> tuple:

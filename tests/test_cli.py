@@ -568,6 +568,25 @@ class TestInputFiles:
         assert digest == hashlib.sha256(path.read_bytes()).hexdigest()
 
 
+    def test_a_comment_holding_a_line_separator_stays_one_line(self, capsys, tmp_path):
+        # U+2028 ends a line for str.splitlines, not for the text format
+        path = tmp_path / "note.bell"
+        text = "scenario 3 2 2\n# note: a\u2028b comment\n+1 P(A0 B0 C0 | 0 0 0)\n"
+        path.write_bytes((text + "+1 P(A9 B0 C0 | 0 0 0)\n").encode("utf-8"))
+        code, out, err = run(capsys, ["bound", str(path)])
+        assert (code, out) == (1, "")
+        assert err == "error: setting 9 out of range in token 'A9' (line 4, column 6)\n"
+
+    def test_a_form_feed_between_tokens_is_whitespace(self, capsys, tmp_path):
+        reports = []
+        for name, gap in (("plain.bell", " "), ("feed.bell", " \f")):
+            path = tmp_path / name
+            path.write_bytes(f"scenario 3 2 2\n+1 P(A0 B0{gap}C0 | 0 0 0)\n".encode("utf-8"))
+            reports.append(run_json(capsys, ["bound", str(path)])["local"])
+        assert reports[0] == reports[1]
+        assert reports[1]["max"]["exact"] == "1"
+
+
 def test_every_command_runs_without_scipy_or_sympy():
     # numpy is the only dependency: scipy and sympy are installed, and a fresh
     # interpreter that runs every command must still not have loaded them
@@ -870,9 +889,13 @@ class TestErrorPaths:
         path = tmp_path / "wide.bell"
         path.write_text("scenario 3 2 2\n+1" + "0" * 308 + " P(A0 B0 C0 | 0 0 0)\n")
         assert run(capsys, ["bound", str(path)])[0] == 0
-        code, out, err = run(capsys, ["expand", str(path)])
-        assert code == 1
-        assert err == "error: integer division result too large for a float\n"
+        for command in ("expand", "report"):
+            code, out, err = run(capsys, [command, str(path)])
+            assert code == 1
+            assert err == (
+                "error: report field 'coefficient_sum' holds an exact value past the "
+                "largest float\n"
+            )
 
     def test_more_than_26_parties_is_refused_at_the_header(self, capsys, tmp_path):
         path = tmp_path / "crowd.bell"

@@ -312,3 +312,63 @@ class TestExpansionFormat:
         assert len(text.splitlines()) == 65
         sparse = serialize_expansion(expansion)
         assert len(sparse.splitlines()) == 2
+
+
+# characters str.splitlines ends a line at besides LF, CR and CRLF; the text
+# format reads each of them as whitespace
+_OTHER_BREAKS = "\v\f\x1c\x1d\x1e\x85\u2028\u2029"
+
+
+@st.composite
+def documents_with_other_breaks(draw):
+    """(plain, broken): one ``scenario 3 2 2`` document twice, the second with
+    characters of ``_OTHER_BREAKS`` in its comments and between its tokens.
+    Some terms read setting 2 or a ``Q(...)`` key, so some documents fail."""
+    gaps = st.text(" " + _OTHER_BREAKS, min_size=1, max_size=3)
+    notes = st.text("ab #" + _OTHER_BREAKS, max_size=4)
+    rows = [["scenario", "3", "2", "2"]]
+    for _ in range(draw(st.integers(0, 6))):
+        if draw(st.integers(0, 4)) == 0:
+            rows.append([])  # a comment line
+            continue
+        settings = draw(st.lists(st.integers(0, 1 + (draw(st.integers(0, 5)) == 0)),
+                                 min_size=3, max_size=3))
+        outcomes = draw(st.lists(st.integers(0, 1), min_size=3, max_size=3))
+        kind = draw(st.sampled_from("PPPPQ"))
+        tokens = [f"{letter}{s}" for letter, s in zip("ABC", settings)]
+        tokens += ["|", *map(str, outcomes)]
+        tokens[0], tokens[-1] = f"{kind}({tokens[0]}", f"{tokens[-1]})"
+        rows.append([draw(st.sampled_from(["+1", "-2", "3/4"])), *tokens])
+    plain, broken = [], []
+    for row in rows:
+        comment = draw(st.booleans()) or not row
+        plain.append(" ".join(row) + (" # ab" if comment else ""))
+        spaced = row[:1] + [draw(gaps) + token for token in row[1:]]
+        note = f" #{draw(notes)}a{draw(notes)}" if comment else ""
+        broken.append("".join(spaced) + note)
+    return "\n".join(plain) + "\n", "\n".join(broken) + "\n"
+
+
+def _parsed_or_line(text):
+    """The expression a document parses to, or the line its error names."""
+    try:
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore", DuplicateTermWarning)
+            return parse_expression(text)
+    except ParseError as exc:
+        return exc.line
+
+
+@given(documents=documents_with_other_breaks())
+@settings(max_examples=150, deadline=None)
+def test_only_lf_crlf_and_cr_end_a_line(documents):
+    plain, broken = documents
+    assert _parsed_or_line(broken) == _parsed_or_line(plain)
+    crlf = broken.replace("\n", "\r\n")
+    assert _parsed_or_line(crlf) == _parsed_or_line(crlf.replace("\r\n", "\r"))
+    assert _parsed_or_line(crlf) == _parsed_or_line(plain)
+
+
+def test_a_form_feed_between_tokens_is_whitespace():
+    text = "scenario 3 2 2\n+1 P(A0 B0\f C0 | 0 0 0)\n"
+    assert parse_expression(text) == parse_expression(text.replace("\f", ""))

@@ -15,6 +15,7 @@ from bellkit import (
     ParseError,
     PureState,
     Scenario,
+    ScenarioError,
     ScenarioMismatchError,
     builtin_expression,
     correlator,
@@ -133,6 +134,33 @@ class TestModel:
         blocks = model._blocks
         assert [block.shape for block in blocks] == [(4, 4), (4, 2), (4, 2)]
         assert not any(block.flags.writeable for block in blocks)
+
+
+class TestPolarAngles:
+    @settings(max_examples=200, deadline=None)
+    @given(
+        theta=st.floats(0.0, math.pi, exclude_min=True, exclude_max=True),
+        phi=st.floats(-math.pi, math.pi, exclude_min=True),
+    )
+    @example(theta=math.pi / 2, phi=math.pi)
+    @example(theta=1e-300, phi=-3.0)
+    def test_angles_survive_the_round_trip(self, theta, phi):
+        vector = quantum._bloch_from_angles(theta, phi)
+        back_theta, back_phi = map(float, quantum._angles_from_bloch(vector))
+        # cos(theta) fixes theta to its rounding over sin(theta), ~1.5e-8 at
+        # worst near a pole; x and y fix phi to a few ulps until they go subnormal
+        sin_theta = math.sin(theta)
+        assert abs(back_theta - theta) <= 1e-15 + min(3e-16 / sin_theta, 3e-8)
+        assert -math.pi <= back_phi <= math.pi
+        if sin_theta > 1e-300:
+            assert abs(math.remainder(back_phi - phi, 2 * math.pi)) <= 2e-15
+
+    def test_arrays_turn_back_elementwise(self):
+        theta, phi = np.array([[0.5, 1.0], [2.0, 3.0]]), np.array([[-3.0, -1.0], [1.0, 3.0]])
+        back_theta, back_phi = quantum._angles_from_bloch(quantum._bloch_from_angles(theta, phi))
+        assert back_theta.shape == back_phi.shape == (2, 2)
+        assert np.allclose(back_theta, theta, atol=1e-15)
+        assert np.allclose(back_phi, phi, atol=1e-15)
 
 
 class TestJointProbability:
@@ -280,6 +308,93 @@ class TestCorrelator:
         converted = correlator_to_probability(make_correlator_expression(TRI, [((0, 1, 0), 1)]))
         for outcomes in product((0, 1), repeat=3):
             assert signs[outcomes] == converted.coefficient((0, 1, 0), outcomes)
+
+
+def _key_kinds(key):
+    """One key as a tuple, a list, a numpy array and a generator."""
+    return [tuple(key), list(key), np.array(key), (index for index in key)]
+
+
+@st.composite
+def states_and_models(draw):
+    """A pure state, its mixture with white noise or a random mixed state, on
+    2-4 parties, and a random Bloch model with 1-3 settings per party."""
+    parties = draw(st.integers(2, 4))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    kind = draw(st.sampled_from(["pure", "noisy", "mixed"]))
+    if kind == "mixed":
+        state = DensityMatrix(oracles.random_density_matrix(rng, parties, draw(st.integers(1, 4))))
+    else:
+        state = PureState(oracles.random_pure_amplitudes(rng, parties))
+    if kind == "noisy":
+        state = mix_with_white_noise(state, draw(st.floats(0.0, 1.0)))
+    counts = draw(st.lists(st.integers(1, 3), min_size=parties, max_size=parties))
+    model = MeasurementModel(tuple(tuple(oracles.random_bloch(rng) for _ in range(n)) for n in counts))
+    return state, model
+
+
+class TestPointReads:
+    """A joint probability and a correlator are each the one term value of
+    ``expression_value`` on a one-term expression."""
+
+    def test_every_key_kind_reads_the_same_float(self, ghz3, xy_model):
+        settings, outcomes = (0, 1, 1), (1, 1, 0)
+        expected = joint_probability(ghz3, xy_model, settings, outcomes)
+        assert expected == pytest.approx(0.25, abs=1e-12)
+        for s, o in zip(_key_kinds(settings), _key_kinds(outcomes)):
+            assert joint_probability(ghz3, xy_model, s, o).hex() == expected.hex()
+        expected = correlator(ghz3, xy_model, settings)
+        assert expected == pytest.approx(-1.0, abs=1e-12)
+        for s in _key_kinds(settings):
+            assert correlator(ghz3, xy_model, s).hex() == expected.hex()
+
+    @pytest.mark.parametrize(
+        "read",
+        [
+            lambda state, model: joint_probability(state, model, (0, 0, 2), (0, 0, 0)),
+            lambda state, model: joint_probability(state, model, [0, 0], [0, 0]),
+            lambda state, model: correlator(state, model, (0, 0, 2)),
+            lambda state, model: correlator(state, model, np.array([0, 0])),
+        ],
+        ids=["probability-range", "probability-length", "correlator-range", "correlator-length"],
+    )
+    def test_the_key_is_checked_before_the_state(self, xy_model, read):
+        with pytest.raises(ScenarioError):
+            read(ghz_state(2), xy_model)
+
+    def test_a_non_integer_key_is_named(self, ghz3, xy_model):
+        with pytest.raises(ScenarioError, match=r"index 0.5 is not an integer"):
+            joint_probability(ghz3, xy_model, (x for x in (0, 0.5, 0)), (0, 0, 0))
+        with pytest.raises(ScenarioError, match=r"index '1' is not an integer"):
+            correlator(ghz3, xy_model, [0, "1", 0])
+
+    @settings(max_examples=60, deadline=None)
+    @given(pair=states_and_models(), data=st.data())
+    def test_point_reads_match_the_table_and_the_loop(self, pair, data):
+        state, model = pair
+        table = probability_table(state, model)
+        binary = model.scenario()
+        keys = st.tuples(*(st.integers(0, n - 1) for n in binary.settings_per_party))
+        for settings in data.draw(st.lists(keys, min_size=1, max_size=4)):
+            for outcomes in product((0, 1), repeat=binary.parties):
+                read = joint_probability(state, model, settings, outcomes)
+                assert read.hex() == float(table[settings + outcomes]).hex()
+            unit = make_correlator_expression(binary, [(settings, 1)])
+            expected = oracles.correlator_values_by_loop(unit, table)
+            assert [correlator(state, model, settings)] == expected
+
+    def test_point_reads_take_the_expression_path(
+        self, monkeypatch, call_counts, ghz3, xy_model
+    ):
+        def refuse(*args):
+            raise AssertionError("probability_table called")
+
+        monkeypatch.setattr(quantum, "probability_table", refuse)
+        reads = [joint_probability(ghz3, xy_model, (0, 0, 0), o) for o in product((0, 1), repeat=3)]
+        assert math.fsum(reads) == pytest.approx(1.0, abs=1e-12)
+        assert call_counts["expression_value"] == 8
+        assert correlator(ghz3, xy_model, (1, 1, 0)) == pytest.approx(-1.0, abs=1e-12)
+        assert call_counts["expression_value"] == 9
 
 
 class TestExpressionValue:
