@@ -11,6 +11,7 @@ them.  Exit codes: 0 success, 1 input error, 2 internal failure.
 from __future__ import annotations
 
 import argparse
+import dataclasses
 import hashlib
 import json
 import sys
@@ -85,10 +86,13 @@ def _rational(value: Fraction, field: str) -> dict:
 
 def _read(path: str, parse) -> tuple:
     """(parse(text), digest) of the file at ``path``, read once: the SHA-256 of its
-    bytes, and those bytes as UTF-8 text with CRLF and CR line ends read as LF."""
+    bytes, and those bytes as UTF-8 text without a leading byte-order mark, with
+    CRLF and CR line ends read as LF.  The mark is dropped after decoding, so an
+    error's byte offset counts from the start of the file."""
     data = Path(path).read_bytes()
     try:
-        text = data.decode("utf-8").replace("\r\n", "\n").replace("\r", "\n")
+        text = data.decode("utf-8").removeprefix("\ufeff")
+        text = text.replace("\r\n", "\n").replace("\r", "\n")
     except UnicodeDecodeError as exc:
         raise ParseError(f"{path} is not UTF-8 text: {exc.reason} at byte {exc.start}") from None
     return parse(text), hashlib.sha256(data).hexdigest()
@@ -313,10 +317,7 @@ def _cmd_optimize(args) -> dict:
         "expression": identity,
         "state": state_identity,
         "magnitude": magnitude,
-        "restarts": args.restarts,
-        "seed": args.seed,
-        "tolerance": args.tolerance,
-        "max_evals": args.max_evals,
+        **dataclasses.asdict(config),
     }
     return _envelope(
         "optimize",

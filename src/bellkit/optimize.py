@@ -93,7 +93,7 @@ def _expression_weights(expr: Expression) -> np.ndarray:
     """Each entry's weight in the engine's flat ``(s_0, o_0, s_1, o_1, ..)`` table,
     placed by ``table_lookup``: a term's coefficient times each entry's sign."""
     index, signs, coefficients = expr.table_lookup
-    weights = np.zeros(math.prod(expr.scenario.settings_per_party) * 2**expr.scenario.parties)
+    weights = np.zeros(math.prod(expr.scenario.table_shape))
     weights[index] = np.array(coefficients)[:, None] * signs
     return weights
 
@@ -101,12 +101,10 @@ def _expression_weights(expr: Expression) -> np.ndarray:
 def _objective(expr: Expression, state: State) -> Callable[[np.ndarray], float]:
     """The expression value as a function of Bloch vectors of shape (3, slots),
     one column per (party, setting) slot, party-major."""
-    settings_per_party = expr.scenario.settings_per_party
-    paired = _paired_density(state, settings_per_party)
+    scenario = expr.scenario
+    paired = _paired_density(state, scenario.settings_per_party)
     weights = _expression_weights(expr)
-    return lambda bloch: float(
-        np.dot(weights, _table(paired, _projector_blocks(bloch, settings_per_party)))
-    )
+    return lambda bloch: float(np.dot(weights, _table(paired, _projector_blocks(bloch, scenario))))
 
 
 def _affine(value_at, bloch: np.ndarray, slot: int) -> tuple:

@@ -50,7 +50,7 @@ import sys
 from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import cache
-from itertools import accumulate, pairwise
+from itertools import pairwise
 from typing import Sequence, Union
 
 import numpy as np
@@ -216,11 +216,11 @@ class MeasurementModel:
         object.__setattr__(self, "bloch", tuple(rows))
         settings = tuple(len(row) for row in rows)
         object.__setattr__(self, "settings_per_party", settings)
-        # every evaluation reads the same projector blocks: built once here
-        columns = np.array([vector for row in rows for vector in row]).T
-        object.__setattr__(self, "_blocks", _projector_blocks(columns, settings))
         scenario = Scenario(len(rows), settings, tuple((2,) * n for n in settings))
         object.__setattr__(self, "_scenario", scenario)
+        # every evaluation reads the same projector blocks: built once here
+        columns = np.array([vector for row in rows for vector in row]).T
+        object.__setattr__(self, "_blocks", _projector_blocks(columns, scenario))
 
     @property
     def parties(self) -> int:
@@ -275,10 +275,11 @@ def _paired_density(state: State, settings_per_party) -> np.ndarray:
     return state.density().reshape(-1)[_pair_order(state.parties)].reshape(4, -1)
 
 
-def _projector_blocks(bloch: np.ndarray, settings_per_party) -> tuple:
+def _projector_blocks(bloch: np.ndarray, scenario: Scenario) -> tuple:
     """Per party, the projectors that :func:`_table` contracts with, for Bloch
-    vectors ``bloch`` of shape (3, slots), one per (party, setting) slot,
-    party-major: read-only views of one array, each of shape (4, 2 * settings).
+    vectors ``bloch`` of shape (3, slots), one per slot of the binary
+    ``scenario``, in its ``slots()`` order: read-only views of one array, each
+    of shape (4, 2 * settings), cut at the scenario's ``slot_offsets``.
 
     Column ``2s + o`` of a party's block is its setting s's outcome-o projector
     ``Pi = (I + (2o - 1) n.sigma) / 2`` read as ``Pi[b, a]`` at row ``2a + b``.
@@ -287,8 +288,7 @@ def _projector_blocks(bloch: np.ndarray, settings_per_party) -> tuple:
     projectors = _HALF_IDENTITY_AB[:, None, None] + half_observables[:, :, None] * _SIGNS
     projectors = projectors.reshape(4, -1)
     projectors.flags.writeable = False
-    bounds = accumulate((2 * count for count in settings_per_party), initial=0)
-    return tuple(projectors[:, start:stop] for start, stop in pairwise(bounds))
+    return tuple(projectors[:, 2 * lo : 2 * hi] for lo, hi in pairwise(scenario.slot_offsets))
 
 
 def _table(paired: np.ndarray, blocks: tuple) -> np.ndarray:
@@ -322,8 +322,7 @@ def probability_table(state: State, model: MeasurementModel) -> np.ndarray:
     rounding excursions.
     """
     _check_parties(state, model.parties)
-    settings = model.settings_per_party
-    shape = [dim for count in settings for dim in (count, 2)]
+    shape = model.scenario().table_shape
     order = [*range(0, 2 * model.parties, 2), *range(1, 2 * model.parties, 2)]
     return np.clip(_flat_table(state, model).reshape(shape).transpose(order), 0.0, 1.0)
 
@@ -439,6 +438,16 @@ def _setting_numbers(entry: dict, key: str, count: int, party: int, setting: int
     return numbers
 
 
+def _refuse_unknown_keys(spec: dict, known: tuple, holder: str) -> None:
+    """Raise a ParseError naming the first key of ``spec`` not in ``known``: a
+    key the reader would skip must not leave a number silently unchanged."""
+    for key in spec:
+        if key not in known:
+            raise ParseError(
+                f"{holder} has an unknown key {key!r}; it takes {', '.join(map(repr, known))}"
+            )
+
+
 def parse_model(text: str) -> tuple:
     """Parse a JSON model document into (state, measurement model).
 
@@ -453,7 +462,8 @@ def parse_model(text: str) -> tuple:
         }
 
     The amplitude list must have length 2^parties, ordered with party 0 as
-    the leftmost tensor factor and basis index 0 as spin-up.
+    the leftmost tensor factor and basis index 0 as spin-up.  Any other key,
+    at the top level or in ``state``, is refused by name.
     """
     try:
         document = json.loads(text)
@@ -473,6 +483,9 @@ def parse_model(text: str) -> tuple:
         measurement_spec = document["measurements"]
     except KeyError as exc:
         raise ParseError(f"model document is missing the {exc.args[0]!r} key") from None
+    _refuse_unknown_keys(document, ("state", "measurements"), "model document")
+    if isinstance(state_spec, dict):
+        _refuse_unknown_keys(state_spec, ("amplitudes",), "'state'")
 
     rows = []
     if not isinstance(measurement_spec, list) or not measurement_spec:

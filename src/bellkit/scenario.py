@@ -60,20 +60,6 @@ def _parity_signs(parties: int) -> np.ndarray:
     return signs
 
 
-def _pair_strides(scenario: "Scenario") -> tuple:
-    """(setting strides, outcome strides): how far one step in each party's
-    setting and in its outcome moves in a table flattened in
-    ``(s_0, o_0, s_1, o_1, ..)`` order, each party's outcome axis as long as its
-    largest outcome count; the layout of the quantum engine's table."""
-    dims = [
-        dim
-        for count, row in zip(scenario.settings_per_party, scenario.outcomes_per_setting)
-        for dim in (count, max(row))
-    ]
-    strides = np.cumprod([1, *dims[:0:-1]])[::-1]
-    return strides[0::2], strides[1::2]
-
-
 def _read_only(array: np.ndarray) -> np.ndarray:
     array.flags.writeable = False
     return array
@@ -241,6 +227,17 @@ class Scenario:
     def slot_offsets(self) -> tuple:
         """Index of each party's first slot in ``slots()`` order, then the slot count."""
         return tuple(accumulate(self.settings_per_party, initial=0))
+
+    @cached_property
+    def table_shape(self) -> tuple:
+        """The shape of the quantum engine's table of joint probabilities, laid
+        out ``(s_0, o_0, s_1, o_1, ..)``: party by party, its settings count,
+        then its largest outcome count."""
+        return tuple(
+            dim
+            for count, row in zip(self.settings_per_party, self.outcomes_per_setting)
+            for dim in (count, max(row))
+        )
 
     @cached_property
     def slot_outcomes(self) -> tuple:
@@ -418,7 +415,7 @@ class _LinearExpression:
     @cached_property
     def table_lookup(self) -> tuple:
         """(index, signs, coefficients): the terms compiled for reading off a table
-        of joint probabilities laid out as :func:`_pair_strides` says.
+        of joint probabilities laid out as ``Scenario.table_shape`` says.
 
         Row t of ``index`` holds the flat positions of the entries term t reads and
         ``signs`` each entry's float sign, so a term is its row times ``signs``,
@@ -427,8 +424,9 @@ class _LinearExpression:
         holds each coefficient as a float.  Built on first use and kept.
         """
         settings, outcomes, signs = self._table_rows()
-        setting_strides, outcome_strides = _pair_strides(self.scenario)
-        index = (settings @ setting_strides)[:, None] + outcomes @ outcome_strides
+        shape = self.scenario.table_shape
+        strides = np.cumprod([1, *shape[:0:-1]])[::-1]  # one step on each axis
+        index = (settings @ strides[0::2])[:, None] + outcomes @ strides[1::2]
         return _read_only(index), _read_only(signs), tuple(map(float, self.terms.values()))
 
 

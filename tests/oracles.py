@@ -12,7 +12,14 @@ from itertools import product
 
 import numpy as np
 
-from bellkit import LocalBoundResult, MarginalTerm, MeasurementModel, make_expression
+from bellkit import (
+    LocalBoundResult,
+    MarginalTerm,
+    MeasurementModel,
+    Scenario,
+    make_correlator_expression,
+    make_expression,
+)
 
 PAULI_X = np.array([[0, 1], [1, 0]], dtype=complex)
 PAULI_Y = np.array([[0, -1j], [1j, 0]], dtype=complex)
@@ -232,6 +239,18 @@ def random_expression(rng, scenario, max_terms=8):
         )
         terms.append(MarginalTerm(settings, outcomes, random_rational(rng)))
     return make_expression(scenario, terms)
+
+
+def mermin_expression(parties):
+    """The n-party Mermin correlator sum with the builtin's sign: minus
+    Re prod_k (A_k + i A'_k), m primed (setting 1) parties, m even, weighing
+    -(-1)^(m/2).  n = 3 is the builtin ``mermin``."""
+    terms = [
+        (settings, -((-1) ** (sum(settings) // 2)))
+        for settings in product((0, 1), repeat=parties)
+        if sum(settings) % 2 == 0
+    ]
+    return make_correlator_expression(Scenario.uniform(parties, 2, 2), terms)
 
 
 def product_distribution_probability(tables, settings, outcomes):

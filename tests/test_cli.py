@@ -513,9 +513,9 @@ class TestInputFiles:
     """Expression files, model and state documents and fixtures share one reader."""
 
     @staticmethod
-    def _write(tmp_path, newline):
+    def _write(tmp_path, newline, prefix=""):
         """A g-paper expression, the paper's model and its expansion fixture, each
-        written with ``newline`` line ends."""
+        written with ``newline`` line ends after ``prefix``."""
         model = {"state": "ghz", "measurements": [[{"bloch": [1, 0, 0]}, {"bloch": [0, 1, 0]}]] * 3}
         texts = {
             "g.bell": serialize_expression(builtin_expression("g-paper")),
@@ -525,12 +525,16 @@ class TestInputFiles:
         paths = []
         for name, text in texts.items():
             paths.append(tmp_path / name)
-            paths[-1].write_bytes(text.replace("\n", newline).encode("utf-8"))
+            paths[-1].write_bytes((prefix + text.replace("\n", newline)).encode("utf-8"))
         return paths
 
-    @pytest.mark.parametrize("newline", ["\n", "\r\n", "\r"], ids=["lf", "crlf", "cr"])
-    def test_each_digest_is_that_of_the_file_bytes(self, capsys, tmp_path, newline):
-        paths = expression, model, fixture = self._write(tmp_path, newline)
+    @pytest.mark.parametrize(
+        "newline,prefix",
+        [("\n", ""), ("\r\n", ""), ("\r", ""), ("\r\n", "\ufeff")],
+        ids=["lf", "crlf", "cr", "bom-crlf"],
+    )
+    def test_each_digest_is_that_of_the_file_bytes(self, capsys, tmp_path, newline, prefix):
+        paths = expression, model, fixture = self._write(tmp_path, newline, prefix)
         argv = ["report", str(expression), "--model", str(model), "--diff", str(fixture)]
         report = run_json(capsys, argv)
         digests = [
@@ -542,6 +546,29 @@ class TestInputFiles:
         assert report["quantum"]["value"] == 3.5 and report["expansion"]["diff"]["mismatches"] == 0
         argv = ["optimize", str(expression), "--state", str(model), "--restarts", "0"]
         assert run_json(capsys, argv)["inputs"]["state"]["sha256"] == digests[1]
+
+    def test_a_leading_byte_order_mark_changes_no_report_but_the_digests(self, capsys, tmp_path):
+        def without_digests(value):
+            if isinstance(value, dict):
+                return {k: without_digests(v) for k, v in value.items() if "sha256" not in k}
+            return value
+
+        reports = []
+        for prefix in ("", "\ufeff"):
+            expression, model, fixture = map(str, self._write(tmp_path, "\n", prefix))
+            for argv in (
+                ["report", expression, "--model", model, "--diff", fixture],
+                ["optimize", expression, "--state", model, "--restarts", "0"],
+            ):
+                reports.append(without_digests(run_json(capsys, argv)))
+        assert reports[2:] == reports[:2]
+
+    def test_a_utf8_error_after_a_byte_order_mark_is_located_in_the_file(self, capsys, tmp_path):
+        path = tmp_path / "bad.bell"
+        path.write_bytes(b"\xef\xbb\xbfabc\xff")
+        code, out, err = run(capsys, ["bound", str(path)])
+        assert (code, out) == (1, "")
+        assert err == f"error: {path} is not UTF-8 text: invalid start byte at byte 6\n"
 
     @pytest.mark.parametrize(
         "argv",
@@ -564,7 +591,7 @@ class TestInputFiles:
         path = tmp_path / "document"
         path.write_bytes("".join(pieces).encode("utf-8"))
         text, digest = _read(str(path), lambda text: text)
-        assert text == path.read_text(encoding="utf-8")
+        assert text == path.read_text(encoding="utf-8").removeprefix("\ufeff")
         assert digest == hashlib.sha256(path.read_bytes()).hexdigest()
 
 
@@ -759,6 +786,33 @@ class TestErrorPaths:
             "error: bad amplitude list: expected a list of numbers, "
             "got ['0.7071067811865476', False]\n"
         )
+
+    @pytest.mark.parametrize("flag", ["--model", "--state"])
+    @pytest.mark.parametrize(
+        "add,message",
+        [
+            (lambda document: document.update(noise=0.3),
+             "model document has an unknown key 'noise'; it takes 'state', 'measurements'"),
+            (lambda document: document["state"].update(mixing=0.5),
+             "'state' has an unknown key 'mixing'; it takes 'amplitudes'"),
+        ],
+        ids=["top-level", "state"],
+    )
+    def test_an_unknown_model_key_is_an_input_error_naming_it(
+        self, capsys, tmp_path, flag, add, message
+    ):
+        # GHZ_3 under X/Y: were the key skipped, the value would read 3.5
+        document = {
+            "state": {"amplitudes": [[2**-0.5, 0]] + [[0, 0]] * 6 + [[2**-0.5, 0]]},
+            "measurements": [[{"bloch": [1, 0, 0]}, {"bloch": [0, 1, 0]}]] * 3,
+        }
+        add(document)
+        path = tmp_path / "model.json"
+        path.write_text(json.dumps(document))
+        command = "quantum" if flag == "--model" else "optimize"
+        code, out, err = run(capsys, [command, "--builtin", "g-paper", flag, str(path)])
+        assert (code, out) == (1, "")
+        assert err == f"error: {message}\n"
 
     @pytest.mark.parametrize("flag", ["--model", "--state"])
     def test_a_deeply_nested_model_document_is_an_input_error(self, capsys, tmp_path, flag):

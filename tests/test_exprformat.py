@@ -89,6 +89,14 @@ class TestParseExpression:
             ("+1 P(A\u00b2 B0 C0 | 0 0 0)", "expected token A<setting>", 6),
             ("+1 P(A0 B0 C0 | \u00b2 0 0)", "outcome label must be an integer", 17),
             ("+1 L(\u00b200000)", "L\\(...\\) expects a run of outcome digits", 6),
+            *(
+                pytest.param(line, "^expected one '\\|' separating settings from outcomes", 6,
+                             id=name)
+                for line, name in [
+                    ("+1 P(A0 B0 C0 0 0 0)", "no-bar"),
+                    ("+1 P(A0 B0 | C0 | 0 0 0)", "two-bars"),
+                ]
+            ),
             # past Python's 4300-digit limit on reading an integer from text
             *(
                 pytest.param(line % ("0" * 5000), "number too long: 5001 digits", column, id=name)

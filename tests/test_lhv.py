@@ -191,17 +191,6 @@ def _result(check, scenario, strategy):
     return flat, tuple(map(type, flat))
 
 
-def mermin_probability_form(parties):
-    """Re prod_k (A_k + i A'_k): m primed (setting 1) parties, m even, weigh (-1)^(m/2)."""
-    terms = [
-        (settings, (-1) ** (sum(settings) // 2))
-        for settings in product((0, 1), repeat=parties)
-        if sum(settings) % 2 == 0
-    ]
-    scenario = Scenario.uniform(parties, 2, 2)
-    return as_probability_form(make_correlator_expression(scenario, terms))
-
-
 class TestEnumeration:
     def test_paper_scenario_has_64_strategies(self):
         strategies = enumerate_strategies(TRI)
@@ -522,7 +511,7 @@ class TestLocalBounds:
             tabled_expressions(),
         )
     )
-    @example(expr=mermin_probability_form(4))
+    @example(expr=as_probability_form(-oracles.mermin_expression(4)))
     def test_full_settings_tables_match_the_brute_oracle(self, expr):
         # converted correlators and full tables go through the grid's one
         # broadcast add per settings tuple; mixes also take the per-term path
@@ -584,7 +573,7 @@ class TestLocalBounds:
 
     @pytest.mark.parametrize("parties", [3, 4, 5, 6])
     def test_mermin_magnitude_is_two_to_half_the_parties(self, parties):
-        bounds = local_bounds(mermin_probability_form(parties))
+        bounds = local_bounds(as_probability_form(-oracles.mermin_expression(parties)))
         assert bounds.magnitude == 2 ** (parties // 2)
 
     def test_random_mixtures_stay_within_bounds(self, g_expr):

@@ -22,7 +22,6 @@ from bellkit import (
     expression_value,
     ghz_state,
     local_bounds,
-    make_correlator_expression,
     make_expression,
     mix_with_white_noise,
     paper_model,
@@ -39,16 +38,6 @@ from test_lhv import binary_scenarios, small_correlator_expressions, small_expre
 
 TRI = Scenario.uniform(3, 2, 2)
 XY = ((1.0, 0.0, 0.0), (0.0, 1.0, 0.0))
-
-
-def mermin_expression(parties):
-    """n-party Mermin correlator sum; n = 3 is the builtin ``mermin``."""
-    terms = [
-        (settings, -((-1) ** (sum(settings) // 2)))
-        for settings in product((0, 1), repeat=parties)
-        if sum(settings) % 2 == 0
-    ]
-    return make_correlator_expression(Scenario.uniform(parties, 2, 2), terms)
 
 
 class TestCoefficientSum:
@@ -249,7 +238,7 @@ class TestRootScan:
             (builtin_expression("mermin"), ghz_state(3), paper_model(), True),
         ]
         + [
-            (mermin_expression(n), ghz_state(n), MeasurementModel((XY,) * n), True)
+            (oracles.mermin_expression(n), ghz_state(n), MeasurementModel((XY,) * n), True)
             for n in (3, 4, 5)
         ],
         ids=["g-paper", "mermin", "mermin3", "mermin4", "mermin5"],
@@ -475,7 +464,7 @@ class TestLocalBoundRoute:
     @pytest.mark.parametrize("parties", [3, 5])
     def test_a_correlator_form_is_never_converted(self, call_counts, function, parties):
         model = MeasurementModel((XY,) * parties)
-        function(mermin_expression(parties), ghz_state(parties), model, magnitude=True)
+        function(oracles.mermin_expression(parties), ghz_state(parties), model, magnitude=True)
         assert call_counts["correlator_to_probability"] == 0
 
     @pytest.mark.parametrize(
@@ -531,8 +520,8 @@ class TestKeptExtremes:
         "make, parties, magnitude",
         [
             (lambda: builtin_expression("g-paper"), 3, False),
-            (lambda: mermin_expression(3), 3, True),
-            (lambda: mermin_expression(5), 5, True),
+            (lambda: oracles.mermin_expression(3), 3, True),
+            (lambda: oracles.mermin_expression(5), 5, True),
         ],
     )
     def test_either_call_order_matches_a_fresh_expression(self, make, parties, magnitude):

@@ -869,7 +869,7 @@ class TestInputsBuiltOnce:
         settings_per_party = tuple(map(len, rows))
         columns = np.array([vector for row in rows for vector in row]).T
         expected = oracles.projectors_from_bloch_columns(columns, settings_per_party)
-        trial = quantum._projector_blocks(columns, settings_per_party)  # the optimizer's call
+        trial = quantum._projector_blocks(columns, model.scenario())  # the optimizer's call
         for blocks in (model._blocks, trial):
             assert [block.tobytes() for block in blocks] == [block.tobytes() for block in expected]
 

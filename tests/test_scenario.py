@@ -2,6 +2,7 @@ import sys
 from fractions import Fraction
 from itertools import product
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -68,6 +69,17 @@ class TestScenario:
         assert s.split_slots(("a", "b", "c", "d")) == (("a",), ("b", "c", "d"))
         assert Scenario.uniform(1, 2, 2).split_slots((0, 1)) == ((0, 1),)
 
+    def test_table_shape(self):
+        s = Scenario(2, (1, 3), ((2,), (2, 3, 4)))
+        assert s.table_shape == (1, 2, 3, 4)
+        assert TRI.table_shape == (2, 2) * 3
+        # each term reads the entry at (s_0, o_0, s_1, o_1) of a table of that shape
+        keys = [((0, s), (o0, o1)) for s in range(3) for o0 in range(2) for o1 in range(s + 2)]
+        index, _, _ = BellExpression(s, dict.fromkeys(keys, 1)).table_lookup
+        expected = [np.ravel_multi_index((s0, o0, s1, o1), s.table_shape)
+                    for (s0, s1), (o0, o1) in keys]
+        assert index.reshape(-1).tolist() == expected
+
     def test_a_repeated_row_is_shared_not_copied(self):
         s = Scenario.uniform(4, 3, 2)
         assert all(row is s.outcomes_per_setting[0] for row in s.outcomes_per_setting)
@@ -125,8 +137,6 @@ class TestScenario:
             TRI.validate_strategy(((0, 0), (x for x in (0, 1.5)), (0, 0)))
 
     def test_numpy_integer_indices_are_accepted(self):
-        import numpy as np
-
         key = tuple(np.arange(3)[[0, 1, 0]]), (np.int8(1), np.uint64(0), 1)
         expr = BellExpression(Scenario.uniform(np.int64(3), 2, 2), {key: 1})
         assert list(expr.terms) == [((0, 1, 0), (1, 0, 1))]
@@ -253,6 +263,13 @@ class TestMakeExpression:
         with pytest.raises(ScenarioMismatchError):
             e1 + make_expression(Scenario.uniform(2, 2, 2), [])
 
+    def test_forms_neither_compare_nor_add_across(self, g_expr, mermin_expr):
+        assert g_expr.__eq__(mermin_expr) is NotImplemented
+        assert g_expr.__add__(mermin_expr) is NotImplemented
+        assert (g_expr == mermin_expr) is False
+        with pytest.raises(TypeError, match="unsupported operand"):
+            g_expr + mermin_expr
+
 
 class TestBuiltins:
     def test_names(self):
@@ -286,6 +303,9 @@ class TestBuiltins:
         assert mermin_expr.coefficient((0, 1, 1)) == 1
         assert mermin_expr.coefficient((1, 0, 1)) == 1
         assert mermin_expr.coefficient((1, 1, 0)) == 1
+
+    def test_the_tests_mermin_builder_gives_the_builtin(self):
+        assert oracles.mermin_expression(3) == builtin_expression("mermin")
 
 
 class TestCorrelatorConversion:
