@@ -12,7 +12,6 @@ from __future__ import annotations
 
 import argparse
 import dataclasses
-import hashlib
 import json
 import sys
 import warnings
@@ -43,10 +42,10 @@ from .lhv import (
     local_bounds,
     trivial_bounds,
 )
-from .noise import AGREEMENT_TOL, ViolationReport, _closed_form, _coefficient_pass, _root_scan
-from .optimize import OptimizerConfig, optimize_measurements
-from .quantum import _model_document, expression_value, ghz_state, paper_model, parse_model
 from .scenario import BellExpression
+
+# The quantum, noise and optimizer layers are imported by the commands that
+# run them, so bound and expand never load them.
 
 SCHEMA_VERSION = 1
 
@@ -89,6 +88,8 @@ def _read(path: str, parse) -> tuple:
     bytes, and those bytes as UTF-8 text without a leading byte-order mark, with
     CRLF and CR line ends read as LF.  The mark is dropped after decoding, so an
     error's byte offset counts from the start of the file."""
+    import hashlib
+
     data = Path(path).read_bytes()
     try:
         text = data.decode("utf-8").removeprefix("\ufeff")
@@ -120,6 +121,8 @@ def _load_expression(args):
 
 
 def _load_model(spec: str):
+    from .quantum import ghz_state, paper_model, parse_model
+
     if spec == "paper":
         return ghz_state(3), paper_model(), "paper"
     (state, model), digest = _read(spec, parse_model)
@@ -127,6 +130,8 @@ def _load_model(spec: str):
 
 
 def _load_state(spec: str, parties: int):
+    from .quantum import ghz_state, parse_model
+
     if spec == "ghz":
         return ghz_state(parties), "ghz"
     (state, _), digest = _read(spec, parse_model)
@@ -189,6 +194,8 @@ def _violation_block(report) -> dict:
 
 
 def _noise_block(expr, coefficients, state, model, value, bounds, magnitude) -> dict:
+    from .noise import AGREEMENT_TOL, _closed_form, _root_scan
+
     closed = _closed_form(coefficients, expr.scenario.parties, value, bounds, magnitude)
     scanned, evaluations = _root_scan(expr, state, model, bounds, coefficients.band, magnitude)
     term_count_value = closed.p_critical_term_count
@@ -285,6 +292,8 @@ def _cmd_expand(args) -> dict:
 
 
 def _cmd_quantum(args) -> dict:
+    from .quantum import expression_value
+
     expr, identity, magnitude = _load_expression(args)
     state, model, model_identity = _load_model(args.model)
     valuation = expression_value(expr, state, model)
@@ -293,6 +302,9 @@ def _cmd_quantum(args) -> dict:
 
 
 def _cmd_noise(args) -> dict:
+    from .noise import _coefficient_pass
+    from .quantum import expression_value
+
     expr, identity, magnitude = _load_expression(args)
     state, model, model_identity = _load_model(args.model)
     value = expression_value(expr, state, model).value
@@ -304,13 +316,17 @@ def _cmd_noise(args) -> dict:
 
 
 def _cmd_optimize(args) -> dict:
+    from .optimize import OptimizerConfig, optimize_measurements
+    from .quantum import _model_document
+
     expr, identity, magnitude = _load_expression(args)
     state, state_identity = _load_state(args.state, expr.scenario.parties)
-    config = OptimizerConfig(
-        restarts=args.restarts,
-        seed=args.seed,
-        tolerance=args.tolerance,
-        max_evals=args.max_evals,
+    config = OptimizerConfig(  # a flag not given keeps the config's default
+        **{
+            field.name: getattr(args, field.name)
+            for field in dataclasses.fields(OptimizerConfig)
+            if getattr(args, field.name) is not None
+        }
     )
     result = optimize_measurements(expr, state, config, magnitude=magnitude)
     inputs = {
@@ -340,6 +356,9 @@ def _cmd_optimize(args) -> dict:
 
 
 def _cmd_report(args) -> dict:
+    from .noise import ViolationReport, _coefficient_pass
+    from .quantum import expression_value
+
     expr, identity, magnitude = _load_expression(args)
     state, model, model_identity = _load_model(args.model)
     diff_path = args.diff
@@ -467,11 +486,11 @@ def build_parser() -> argparse.ArgumentParser:
     p_optimize.add_argument(
         "--state", default="ghz", help="'ghz' or a model document path (its state is used)"
     )
-    defaults = OptimizerConfig()
-    p_optimize.add_argument("--restarts", type=int, default=defaults.restarts)
-    p_optimize.add_argument("--seed", type=int, default=defaults.seed)
-    p_optimize.add_argument("--tolerance", type=float, default=defaults.tolerance)
-    p_optimize.add_argument("--max-evals", type=int, default=defaults.max_evals)
+    # each defaults to OptimizerConfig's own, filled in by the command
+    p_optimize.add_argument("--restarts", type=int)
+    p_optimize.add_argument("--seed", type=int)
+    p_optimize.add_argument("--tolerance", type=float)
+    p_optimize.add_argument("--max-evals", type=int)
 
     p_report = subparsers.add_parser(
         "report", help="full analysis report", parents=[source, magnitude, cap, model]

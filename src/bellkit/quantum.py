@@ -448,6 +448,17 @@ def _refuse_unknown_keys(spec: dict, known: tuple, holder: str) -> None:
             )
 
 
+def _object_without_repeats(pairs: list) -> dict:
+    """A JSON object's pairs as a dict, refused if a key repeats: JSON would
+    keep the last value and drop the earlier one silently."""
+    document = {}
+    for key, value in pairs:
+        if key in document:
+            raise ParseError(f"model document repeats the key {key!r}")
+        document[key] = value
+    return document
+
+
 def parse_model(text: str) -> tuple:
     """Parse a JSON model document into (state, measurement model).
 
@@ -463,12 +474,15 @@ def parse_model(text: str) -> tuple:
 
     The amplitude list must have length 2^parties, ordered with party 0 as
     the leftmost tensor factor and basis index 0 as spin-up.  Any other key,
-    at the top level or in ``state``, is refused by name.
+    at the top level or in ``state``, is refused by name, and so is a key
+    repeated in any object.
     """
     try:
-        document = json.loads(text)
+        document = json.loads(text, object_pairs_hook=_object_without_repeats)
     except json.JSONDecodeError as exc:
         raise ParseError(f"model document is not valid JSON: {exc.msg}", exc.lineno, exc.colno)
+    except ParseError:  # a repeated key, which the ValueError branch must not rename
+        raise
     except RecursionError:
         raise ParseError("model document is nested too deeply") from None
     except ValueError:  # an integer past the interpreter's digit limit

@@ -1,4 +1,5 @@
 import contextlib
+import dataclasses
 import hashlib
 import io
 import json
@@ -282,6 +283,13 @@ class TestOptimize:
         assert quantum["quantum"]["value"] == pytest.approx(
             optimization["best_value"], abs=1e-9
         )
+
+    def test_flags_left_out_take_the_optimizer_defaults(self, capsys):
+        given = run_json(capsys, ["optimize", "--builtin", "g-paper", "--tolerance", "1e-6"])
+        assert given["inputs"]["tolerance"] == 1e-6
+        inputs = run_json(capsys, ["optimize", "--builtin", "g-paper"])["inputs"]
+        defaults = dataclasses.asdict(bellkit.OptimizerConfig())
+        assert {name: inputs[name] for name in defaults} == defaults
 
     def test_exhausted_budget_converges_no_start(self, capsys):
         argv = ["optimize", "--builtin", "g-paper", "--restarts", "2", "--max-evals", "1"]
@@ -813,6 +821,40 @@ class TestErrorPaths:
         code, out, err = run(capsys, [command, "--builtin", "g-paper", flag, str(path)])
         assert (code, out) == (1, "")
         assert err == f"error: {message}\n"
+
+    @pytest.mark.parametrize("flag", ["--model", "--state"])
+    @pytest.mark.parametrize(
+        "key,template",
+        [
+            ("measurements", '{{"state": {ghz}, "measurements": {xy}, "measurements": {zz}}}'),
+            ("state", '{{"state": "ghz", "state": {ghz}, "measurements": {xy}}}'),
+            ("amplitudes", '{{"state": {{"amplitudes": {up}, "amplitudes": {amplitudes}}}, '
+                           '"measurements": {xy}}}'),
+            ("bloch", '{{"state": {ghz}, "measurements": '
+                      '[[{{"bloch": [1, 0, 0], "bloch": [0, 0, 1]}}, {{"bloch": [0, 1, 0]}}], '
+                      '[{{"bloch": [1, 0, 0]}}, {{"bloch": [0, 1, 0]}}], '
+                      '[{{"bloch": [1, 0, 0]}}, {{"bloch": [0, 1, 0]}}]]}}'),
+        ],
+        ids=["measurements", "state", "amplitudes", "bloch"],
+    )
+    def test_a_repeated_model_key_is_an_input_error_naming_it(
+        self, capsys, tmp_path, flag, key, template
+    ):
+        # JSON keeps a repeated key's last value: X/Y then Z/Z would read -1.5, not 3.5
+        amplitudes = [[2**-0.5, 0]] + [[0, 0]] * 6 + [[2**-0.5, 0]]
+        pieces = {
+            "amplitudes": json.dumps(amplitudes),
+            "up": json.dumps([[1, 0]] + [[0, 0]] * 7),
+            "ghz": json.dumps({"amplitudes": amplitudes}),
+            "xy": json.dumps([[{"bloch": [1, 0, 0]}, {"bloch": [0, 1, 0]}]] * 3),
+            "zz": json.dumps([[{"bloch": [0, 0, 1]}, {"bloch": [0, 0, 1]}]] * 3),
+        }
+        path = tmp_path / "model.json"
+        path.write_text(template.format(**pieces))
+        command = "quantum" if flag == "--model" else "optimize"
+        code, out, err = run(capsys, [command, "--builtin", "g-paper", flag, str(path)])
+        assert (code, out) == (1, "")
+        assert err == f"error: model document repeats the key {key!r}\n"
 
     @pytest.mark.parametrize("flag", ["--model", "--state"])
     def test_a_deeply_nested_model_document_is_an_input_error(self, capsys, tmp_path, flag):
