@@ -45,19 +45,35 @@ from .lhv import (
 from .scenario import BellExpression
 
 # The quantum, noise and optimizer layers are imported by the commands that
-# run them, so bound and expand never load them.
+# run them, so bound and expand never load them.  numpy loads at the first
+# array a command builds, so bound, --version and --help never load it.
 
 SCHEMA_VERSION = 1
 
 
 class _UsageError(Exception):
-    pass
+    """Bad usage, with the usage text of the parser that refused it, if one did."""
+
+    def __init__(self, message: str, usage: str = ""):
+        super().__init__(message)
+        self.usage = usage
 
 
 class _Parser(argparse.ArgumentParser):
     # argparse exits with code 2 on bad usage; route through code 1 instead
     def error(self, message):
-        raise _UsageError(message)
+        raise _UsageError(message, self.format_usage())
+
+
+def _positive_int(text: str) -> int:
+    """An ``int`` argument of 1 or more; argparse names the flag that refused it."""
+    try:
+        value = int(text)
+    except ValueError:
+        raise argparse.ArgumentTypeError(f"invalid int value: {text!r}") from None
+    if value < 1:
+        raise argparse.ArgumentTypeError(f"must be a positive integer, got {value}")
+    return value
 
 
 def _f12(value: Optional[float]) -> Optional[float]:
@@ -455,7 +471,7 @@ def build_parser() -> argparse.ArgumentParser:
     )
     cap.add_argument(
         "--cap",
-        type=int,
+        type=_positive_int,
         default=DEFAULT_ENUMERATION_CAP,
         help="enumeration size cap for the strategy space",
     )
@@ -553,7 +569,7 @@ def run_command(argv: Optional[Sequence[str]] = None) -> int:
         args = parser.parse_args(argv)
     except _UsageError as exc:
         sys.stderr.write(f"error: {exc}\n")
-        sys.stderr.write(parser.format_usage())
+        sys.stderr.write(exc.usage)
         return 1
     except SystemExit as exc:  # --help / --version
         return int(exc.code or 0)

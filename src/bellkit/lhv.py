@@ -21,12 +21,14 @@ streams the strategies from ``_assignments``, the one owner of the
 enumeration order, which ``enumerate_strategies`` lists and an expansion's
 ``items()`` follows.  The expansion route builds one integer array with an
 axis per slot; a ``FullJointExpansion`` is that grid and its scale, with no
-per-assignment map.  The two routes share no code beyond ``Scenario``'s
-slot layout and the enumeration order: a defect in either one makes
-``local_bounds`` and ``trivial_bounds`` disagree rather than repeat the
-same wrong number.  Both take either expression form after the cap check:
-the grid reads a correlator form's own terms and never builds its
-probability form; the sweep reads the lookup of that probability form.
+per-assignment map.  numpy is imported where that grid is built or checked,
+not with this module, so the sweep, pure Python, never loads it.  The two
+routes share no code beyond ``Scenario``'s slot layout and the enumeration
+order: a defect in either one makes ``local_bounds`` and ``trivial_bounds``
+disagree rather than repeat the same wrong number.  Both take either
+expression form after the cap check: the grid reads a correlator form's own
+terms and never builds its probability form; the sweep reads the lookup of
+that probability form.
 
 Callers that need only the extremes read ``trivial_bounds``, one array add per
 full settings table and one slice-add per other term: the noise layer and the
@@ -48,9 +50,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from itertools import product, repeat
 from operator import itemgetter
-from typing import Sequence
-
-import numpy as np
+from typing import TYPE_CHECKING, Sequence
 
 from .errors import EnumerationCapError, ScenarioError, ScenarioMismatchError
 from .scenario import (
@@ -63,6 +63,9 @@ from .scenario import (
     _scaled_coefficients,
     _scenario_text,
 )
+
+if TYPE_CHECKING:  # numpy itself is imported where an array is built
+    import numpy as np
 
 DEFAULT_ENUMERATION_CAP = 10**7
 # the instance-dict key under which trivial_bounds keeps an expression's extremes
@@ -130,6 +133,8 @@ class FullJointExpansion:
     scale: int
 
     def __post_init__(self):
+        import numpy as np
+
         grid = np.asarray(self.grid)
         if grid.shape != self.scenario.slot_outcomes:
             needs = f"{_scenario_text(self.scenario)} needs {self.scenario.slot_outcomes}"
@@ -172,6 +177,8 @@ def _zero_grid(scenario: Scenario, values, cap: int) -> tuple:
     """(zeros, scale, scaled): a grid with one axis per slot, once the cap allows
     it, for sums of the ``values`` times ``scale`` with signs +/-1; int64 only
     while the scaled magnitudes, which bound every such sum, sum below 2^62."""
+    import numpy as np
+
     _check_cap(scenario, cap)
     _, scale, scaled = _scaled_coefficients(values)
     dtype = np.int64 if sum(map(abs, scaled)) < 2**62 else object
@@ -207,6 +214,8 @@ def _probability_tables(expr: BellExpression, scaled: list, grid: np.ndarray) ->
     """Add each probability term whose settings tuple has a partial outcome
     table to ``grid`` on the slice it fixes; return the full tables, one array
     per settings tuple, for the caller to broadcast-add."""
+    import numpy as np
+
     scenario = expr.scenario
     shape = grid.shape
     # the slots of each settings tuple, and an array for each full outcome table;

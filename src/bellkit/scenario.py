@@ -20,6 +20,11 @@ are exact rationals rather than approximations.  Floats are rejected as
 coefficient inputs instead of being silently converted.  The one float an
 expression holds is the copy of each coefficient in its ``table_lookup``,
 which the quantum engine multiplies its float term values by.
+
+numpy is imported inside the functions that build arrays, ``table_lookup``
+and ``_parity_signs``, not with this module: ``strategy_lookup`` and the
+correlator conversion are pure Python, reading the sign rule from
+``_parity_row``, so a vertex sweep never loads numpy.
 """
 
 from __future__ import annotations
@@ -29,15 +34,16 @@ import operator
 import sys
 from dataclasses import dataclass, field
 from fractions import Fraction
-from functools import cache, cached_property, reduce
+from functools import cache, cached_property
 from itertools import accumulate, chain, pairwise, product
 from operator import itemgetter
 from types import MappingProxyType
-from typing import Callable, Iterable, Mapping, Sequence, Union
-
-import numpy as np
+from typing import TYPE_CHECKING, Callable, Iterable, Mapping, Sequence, Union
 
 from .errors import ScenarioError, ScenarioMismatchError, UnsupportedScenarioError
+
+if TYPE_CHECKING:  # numpy itself is imported where an array is built
+    import numpy as np
 
 SettingsKey = tuple  # one setting index per party
 OutcomesKey = tuple  # one outcome label per party
@@ -51,13 +57,23 @@ _OUTCOME_SIGNS = (-1, 1)
 
 
 @cache
-def _parity_signs(parties: int) -> np.ndarray:
+def _parity_row(parties: int) -> tuple:
     """A correlator's sign at each outcome tuple, the product of each party's
-    ``_OUTCOME_SIGNS`` entry: int64, shape (2,) * parties, built once per party
-    count and read-only.  The expansion grid and the quantum correlators read it."""
-    signs = reduce(np.multiply.outer, [np.array(_OUTCOME_SIGNS, np.int64)] * parties)
-    signs.flags.writeable = False
-    return signs
+    ``_OUTCOME_SIGNS`` entry, in C order over ``product((0, 1), repeat=parties)``:
+    the one build of the sign rule, in pure Python, once per party count."""
+    return tuple(
+        math.prod(map(_OUTCOME_SIGNS.__getitem__, outcomes))
+        for outcomes in product((0, 1), repeat=parties)
+    )
+
+
+@cache
+def _parity_signs(parties: int) -> np.ndarray:
+    """``_parity_row`` as a read-only int64 array of shape (2,) * parties.  The
+    expansion grid and the quantum correlators read it."""
+    import numpy as np
+
+    return _read_only(np.array(_parity_row(parties), np.int64).reshape((2,) * parties))
 
 
 def _read_only(array: np.ndarray) -> np.ndarray:
@@ -423,6 +439,8 @@ class _LinearExpression:
         in C order with their ``_parity_signs`` for a correlator.  ``coefficients``
         holds each coefficient as a float.  Built on first use and kept.
         """
+        import numpy as np
+
         settings, outcomes, signs = self._table_rows()
         shape = self.scenario.table_shape
         strides = np.cumprod([1, *shape[:0:-1]])[::-1]  # one step on each axis
@@ -455,6 +473,8 @@ class BellExpression(_LinearExpression):
 
     def _table_rows(self) -> tuple:
         """(settings, outcomes, signs) for :attr:`table_lookup`: each term's one entry."""
+        import numpy as np
+
         keys = np.array(list(self.terms), dtype=np.intp).reshape(-1, 2, 1, self.scenario.parties)
         return keys[:, 0, 0], keys[:, 1], np.ones(1)
 
@@ -490,6 +510,8 @@ class CorrelatorExpression(_LinearExpression):
     def _table_rows(self) -> tuple:
         """(settings, outcomes, signs) for :attr:`table_lookup`: each term's
         outcome tuples, in C order, with their ``_parity_signs``."""
+        import numpy as np
+
         parties = self.scenario.parties
         settings = np.array(list(self.terms), dtype=np.intp).reshape(-1, parties)
         outcomes = np.array(list(product((0, 1), repeat=parties)), dtype=np.intp)
@@ -541,7 +563,7 @@ def correlator_to_probability(expr: CorrelatorExpression) -> BellExpression:
         raise UnsupportedScenarioError("correlator_to_probability expects a correlator form")
     # each outcome tuple with True where its sign is +1, to index the pair (-c, c)
     parties = expr.scenario.parties
-    positive = (_parity_signs(parties) > 0).reshape(-1).tolist()
+    positive = [sign > 0 for sign in _parity_row(parties)]
     signs = list(zip(product((0, 1), repeat=parties), positive))
     terms = {
         (settings, outcomes): pair[plus]

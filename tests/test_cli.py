@@ -669,12 +669,26 @@ class TestErrorPaths:
         code, out, err = run(capsys, ["bound", "--builtin", "g-paper", "--bogus"])
         assert code == 1
         assert "usage" in err.lower()
+        # a value the subcommand's own parser refuses prints that subcommand's usage
+        code, out, err = run(capsys, ["bound", "--builtin", "g-paper", "--format", "xml"])
+        assert (code, out) == (1, "")
+        assert err.splitlines()[:2] == [
+            "error: argument --format: invalid choice: 'xml' (choose from 'json', 'plain')",
+            "usage: bellkit bound [-h] [--builtin NAME] [--format {json,plain}]",
+        ]
 
     def test_cap_bounds_the_sweep(self, capsys):
         code, out, err = run(capsys, ["bound", "--builtin", "g-paper", "--cap", "10"])
         assert code == 1
         assert "exceeding the cap of 10" in err
         assert out == ""
+        # a cap below 1 is refused by name as the arguments are parsed
+        code, out, err = run(capsys, ["bound", "--builtin", "g-paper", "--cap", "-5"])
+        assert (code, out) == (1, "")
+        assert err.splitlines()[:2] == [
+            "error: argument --cap: must be a positive integer, got -5",
+            "usage: bellkit bound [-h] [--builtin NAME] [--format {json,plain}]",
+        ]
 
     @pytest.mark.parametrize(
         "argv",

@@ -2,7 +2,8 @@
 
 Importing ``bellkit`` loads nothing; the first read of a public name loads
 every submodule, and each read goes through to the owning submodule.  Each
-CLI command imports only the layers it runs.
+CLI command imports only the layers it runs, and numpy only once it builds
+an array.
 """
 
 import importlib
@@ -90,10 +91,16 @@ def test_a_name_patched_in_its_submodule_shows_through_and_comes_back(monkeypatc
     assert "local_bounds" not in vars(bellkit)
 
 
+# the modules the bound command runs on, none of which imports numpy itself
+NUMPY_FREE = {f"bellkit.{name}" for name in ("scenario", "lhv", "exprformat", "builtins", "cli")}
+
+
 @pytest.mark.parametrize("module", ["bellkit", *SUBMODULES, "bellkit.cli"])
 def test_each_module_imports_alone(module):
     # with no eager package import, a cycle between submodules shows here
-    fresh(f"import {module}")
+    numpy_loaded = fresh(f"import sys, {module}; print('numpy' in sys.modules)")
+    if module in NUMPY_FREE:
+        assert numpy_loaded == "False\n"
 
 
 COMMAND = f"""
@@ -102,22 +109,26 @@ from bellkit.cli import run_command
 with contextlib.redirect_stdout(io.StringIO()):
     code = run_command(sys.argv[1:])
 layers = sorted(set({LAYERS!r}) & set(sys.modules))
-print(json.dumps([code, layers, "hashlib" in sys.modules]))
+print(json.dumps([code, layers, "hashlib" in sys.modules, "numpy" in sys.modules]))
 """
+MERMIN4 = str(Path(__file__).parent / "data" / "mermin4-fractions.bell")
 
 
 @pytest.mark.parametrize(
-    "argv,layers",
+    "argv,layers,numpy_loaded",
     [
-        (["bound", "--builtin", "g-paper"], []),
-        (["expand", "--builtin", "g-paper"], []),
-        (["--version"], []),
-        (["quantum", "--builtin", "g-paper"], ["bellkit.quantum"]),
+        (["bound", "--builtin", "g-paper"], [], False),
+        (["bound", "--builtin", "mermin"], [], False),  # a correlator form
+        (["bound", MERMIN4], [], False),
+        (["expand", "--builtin", "g-paper"], [], True),
+        (["--version"], [], False),
+        (["--help"], [], False),
+        (["quantum", "--builtin", "g-paper"], ["bellkit.quantum"], True),
     ],
-    ids=["bound", "expand", "version", "quantum"],
+    ids=["bound", "bound-mermin", "bound-file", "expand", "version", "help", "quantum"],
 )
-def test_each_command_imports_only_the_layers_it_runs(argv, layers):
-    code, loaded, hashlib_loaded = json.loads(fresh(COMMAND, *argv))
-    assert (code, loaded) == (0, layers)
-    if argv[0] == "bound":  # a builtin is read from no file, so nothing is hashed
+def test_each_command_imports_only_the_layers_it_runs(argv, layers, numpy_loaded):
+    code, loaded, hashlib_loaded, numpy = json.loads(fresh(COMMAND, *argv))
+    assert (code, loaded, numpy) == (0, layers, numpy_loaded)
+    if argv[:2] == ["bound", "--builtin"]:  # read from no file, so nothing is hashed
         assert not hashlib_loaded
