@@ -64,6 +64,14 @@ class _Parser(argparse.ArgumentParser):
     def error(self, message):
         raise _UsageError(message, self.format_usage())
 
+    # no command takes arguments it does not know, so the parser left holding
+    # one refuses it, and a subcommand's own usage follows the error
+    def parse_known_args(self, args=None, namespace=None):
+        namespace, extras = super().parse_known_args(args, namespace)
+        if extras:
+            self.error(f"unrecognized arguments: {' '.join(extras)}")
+        return namespace, extras
+
 
 def _positive_int(text: str) -> int:
     """An ``int`` argument of 1 or more; argparse names the flag that refused it."""

@@ -4,7 +4,8 @@ Everything here stays deliberately close to the definitions: explicit loops
 over assignments, term matching by comparing outcome labels slot by slot,
 observable expectations through one dense operator product, and joint
 probabilities as Tr(rho Pi) with every projector built by ``np.kron``.  None
-of it shares code with the package's computational routines.
+of it shares code with the package's computational routines; the slot-wise
+optimizer step takes the value function it differentiates as an argument.
 """
 
 from fractions import Fraction
@@ -110,6 +111,32 @@ def kron_expression_value(expr, density, model):
                 sign = -1 if outcomes.count(0) % 2 else 1
                 total += float(coefficient) * sign * table[key + outcomes]
     return total
+
+
+def slot_affine(value_at, bloch, slot):
+    """(a, b) with ``value_at(bloch) = a + b . n`` while column ``slot`` is n and
+    the other columns stay as they are, from four evaluations: at n = 0, e_x,
+    e_y and e_z.  ``bloch`` (shape (3, slots)) is left unchanged."""
+    kept = bloch[:, slot].copy()
+    bloch[:, slot] = 0.0
+    a = value_at(bloch)
+    b = np.empty(3)
+    for axis, unit in enumerate(np.eye(3)):
+        bloch[:, slot] = unit
+        b[axis] = value_at(bloch) - a
+    bloch[:, slot] = kept
+    return a, b
+
+
+def slot_sweep(value_at, bloch):
+    """One coordinate-ascent sweep on ``bloch`` in place, slot by slot in column
+    order, each slot set to b / |b| from :func:`slot_affine`; returns the value."""
+    for slot in range(bloch.shape[1]):
+        _, b = slot_affine(value_at, bloch, slot)
+        norm = np.linalg.norm(b)
+        if norm > 0:
+            bloch[:, slot] = b / norm
+    return value_at(bloch)
 
 
 def correlator_values_by_loop(expr, table):

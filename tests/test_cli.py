@@ -697,14 +697,17 @@ class TestErrorPaths:
             ["optimize", "--builtin", "g-paper", "--cap", "10"],
             ["expand", "--builtin", "g-paper", "--magnitude"],
             ["expand", "--builtin", "g-paper", "--no-magnitude"],
+            ["bound", "--builtin", "g-paper", "--bogus"],
         ],
-        ids=["quantum-cap", "optimize-cap", "expand-magnitude", "expand-no-magnitude"],
+        ids=["quantum-cap", "optimize-cap", "expand-magnitude", "expand-no-magnitude", "bogus"],
     )
     def test_flags_a_command_ignores_are_usage_errors(self, capsys, argv):
         code, out, err = run(capsys, argv)
         assert code == 1
         assert f"unrecognized arguments: {argv[3]}" in err
         assert out == ""
+        # the usage that follows is the command's own, not the top level's
+        assert err.splitlines()[1].startswith(f"usage: bellkit {argv[0]} [-h]")
 
     def test_missing_expression(self, capsys):
         code, out, err = run(capsys, ["bound"])

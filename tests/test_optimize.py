@@ -5,27 +5,34 @@ import subprocess
 import sys
 from pathlib import Path
 
+from itertools import pairwise
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import bellkit
-import bellkit.optimize
 
 from bellkit import (
     ConfigError,
+    DensityMatrix,
     DimensionMismatchError,
     MeasurementModel,
     OptimizerConfig,
+    PureState,
+    Scenario,
     UnsupportedScenarioError,
     builtin_expression,
     expression_value,
     ghz_state,
+    make_correlator_expression,
     mix_with_white_noise,
     optimize_measurements,
     paper_model,
 )
-
-from bellkit.quantum import _bloch_from_angles
+from bellkit.optimize import _affine, _ascend, _environments, _expression_weights
+from bellkit.quantum import _bloch_from_angles, _paired_density, _projector_blocks, _table
 
 import oracles
 
@@ -135,18 +142,101 @@ class TestTableEvaluator:
         # with the other slots fixed, a + b . n is the value at any unit n
         expr = builtin_expression(name)
         state, density = state_and_density(kind)
-        value_at = bellkit.optimize._objective(expr, state)
         rng = np.random.default_rng(10)
         for flat in random_flats(rng, 25):
-            bloch = bellkit.optimize._bloch_from_angles(flat[0::2], flat[1::2])
+            bloch = _bloch_from_angles(flat[0::2], flat[1::2])
             slot = int(rng.integers(6))
-            a, b = bellkit.optimize._affine(value_at, bloch, slot)
+            party, setting = divmod(slot, 2)
+            a, b = affines(expr, state, bloch)[party]
             n = rng.normal(size=3)
             bloch[:, slot] = n / np.linalg.norm(n)
             vectors = [tuple(column) for column in bloch.T]
             model = MeasurementModel(tuple(tuple(vectors[i : i + 2]) for i in (0, 2, 4)))
             reference = oracles.kron_expression_value(expr, density, model)
-            assert a + b @ bloch[:, slot] == pytest.approx(reference, abs=1e-12)
+            assert a[setting] + b[:, setting] @ bloch[:, slot] == pytest.approx(
+                reference, abs=1e-12
+            )
+
+
+def affines(expr, state, bloch):
+    """Per party, the (a, b) of its settings read off its environment at ``bloch``."""
+    scenario = expr.scenario
+    paired = _paired_density(state, scenario.settings_per_party)
+    weights = _expression_weights(expr)
+    blocks = list(_projector_blocks(bloch, scenario))
+    return [
+        _affine(environment, blocks[party], bloch[:, lo:hi])
+        for party, (environment, (lo, hi)) in enumerate(
+            zip(_environments(paired, weights, blocks), pairwise(scenario.slot_offsets))
+        )
+    ]
+
+
+def table_objective(expr, state):
+    """The expression value at Bloch columns of shape (3, slots), by one table evaluation."""
+    scenario = expr.scenario
+    paired = _paired_density(state, scenario.settings_per_party)
+    weights = _expression_weights(expr)
+    return lambda bloch: float(np.dot(weights, _table(paired, _projector_blocks(bloch, scenario))))
+
+
+@st.composite
+def affine_cases(draw):
+    """2-4 parties with 2-3 binary settings each, a pure or mixed state, Bloch
+    directions, and an expression of either form, all from one seeded generator."""
+    parties = draw(st.integers(2, 4))
+    settings = tuple(draw(st.lists(st.integers(2, 3), min_size=parties, max_size=parties)))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    scenario = Scenario(parties, settings, [(2,) * n for n in settings])
+    rank = draw(st.integers(0, 3))  # 0 draws a pure state
+    if rank:
+        state = DensityMatrix(oracles.random_density_matrix(rng, parties, rank))
+    else:
+        state = PureState(oracles.random_pure_amplitudes(rng, parties))
+    if draw(st.booleans()):
+        expr = oracles.random_expression(rng, scenario)
+    else:
+        terms = [
+            (tuple(int(rng.integers(n)) for n in settings), oracles.random_rational(rng))
+            for _ in range(int(rng.integers(0, 9)))
+        ]
+        expr = make_correlator_expression(scenario, terms)
+    slots = sum(settings)
+    bloch = _bloch_from_angles(rng.uniform(0, math.pi, slots), rng.uniform(0, 2 * math.pi, slots))
+    return expr, state, bloch
+
+
+@settings(max_examples=40, deadline=None)
+@given(case=affine_cases())
+def test_every_slots_affine_step_matches_the_slot_wise_oracle(case):
+    expr, state, bloch = case
+    value_at = table_objective(expr, state)
+    offsets = expr.scenario.slot_offsets
+    for party, (a, b) in enumerate(affines(expr, state, bloch)):
+        for setting in range(a.size):
+            ref_a, ref_b = oracles.slot_affine(value_at, bloch, offsets[party] + setting)
+            assert abs(a[setting] - ref_a) <= 1e-12
+            assert np.max(np.abs(b[:, setting] - ref_b)) <= 1e-12
+
+
+@pytest.mark.parametrize("kind", ["pure", "noisy"])
+@pytest.mark.parametrize("name", ["g-paper", "mermin"])
+def test_a_party_wise_sweep_takes_the_slot_wise_steps(name, kind):
+    # one sweep's budget: the start's value, then one contraction per party
+    expr = builtin_expression(name)
+    state, _ = state_and_density(kind)
+    value_at = table_objective(expr, state)
+    config = OptimizerConfig(max_evals=1 + expr.scenario.parties)
+    paired = _paired_density(state, expr.scenario.settings_per_party)
+    for flat in random_flats(np.random.default_rng(12), 10):
+        bloch = _bloch_from_angles(flat[0::2], flat[1::2])
+        reference = bloch.copy()
+        value, evaluations, _ = _ascend(
+            paired, _expression_weights(expr), bloch, expr.scenario, config
+        )
+        assert evaluations == 1 + expr.scenario.parties
+        assert value == pytest.approx(oracles.slot_sweep(value_at, reference), abs=1e-12)
+        assert np.max(np.abs(bloch - reference)) <= 1e-9
 
 
 def test_import_leaves_scipy_unloaded():

@@ -109,9 +109,11 @@ from bellkit.cli import run_command
 with contextlib.redirect_stdout(io.StringIO()):
     code = run_command(sys.argv[1:])
 layers = sorted(set({LAYERS!r}) & set(sys.modules))
-print(json.dumps([code, layers, "hashlib" in sys.modules, "numpy" in sys.modules]))
+modules = ("hashlib", "numpy", "numpy.random")
+print(json.dumps([code, layers, *(name in sys.modules for name in modules)]))
 """
 MERMIN4 = str(Path(__file__).parent / "data" / "mermin4-fractions.bell")
+QUANTUM_NOISE = ["bellkit.noise", "bellkit.quantum"]
 
 
 @pytest.mark.parametrize(
@@ -124,11 +126,23 @@ MERMIN4 = str(Path(__file__).parent / "data" / "mermin4-fractions.bell")
         (["--version"], [], False),
         (["--help"], [], False),
         (["quantum", "--builtin", "g-paper"], ["bellkit.quantum"], True),
+        (["noise", "--builtin", "g-paper"], QUANTUM_NOISE, True),
+        (["report", "--builtin", "mermin"], QUANTUM_NOISE, True),
+        (
+            ["optimize", "--builtin", "g-paper", "--state", "ghz", "--restarts", "2"],
+            ["bellkit.optimize", "bellkit.quantum"],
+            True,
+        ),
     ],
-    ids=["bound", "bound-mermin", "bound-file", "expand", "version", "help", "quantum"],
+    ids=[
+        "bound", "bound-mermin", "bound-file", "expand", "version", "help", "quantum",
+        "noise", "report", "optimize",
+    ],
 )
 def test_each_command_imports_only_the_layers_it_runs(argv, layers, numpy_loaded):
-    code, loaded, hashlib_loaded, numpy = json.loads(fresh(COMMAND, *argv))
+    code, loaded, hashlib_loaded, numpy, numpy_random = json.loads(fresh(COMMAND, *argv))
     assert (code, loaded, numpy) == (0, layers, numpy_loaded)
+    # restart draws come from the standard library's generator
+    assert not numpy_random
     if argv[:2] == ["bound", "--builtin"]:  # read from no file, so nothing is hashed
         assert not hashlib_loaded
