@@ -2,11 +2,17 @@
 strategy enumeration, quantum values on small multi-qubit states, white-noise
 robustness, and measurement-angle search.
 
-Importing the package loads none of its submodules.  The first read of a
-public name imports all of them at once; every read is served from the
-owning submodule (PEP 562), so a name patched there shows through here.
+Importing the package loads none of its submodules.  Reading a public name
+imports only the layers it needs: a name of the exact layers (``errors``,
+``scenario``, ``lhv``, ``exprformat``, ``builtins``) its owning submodule and
+what that imports, none of which loads numpy; a name of the quantum stack
+(``quantum``, ``noise``, ``optimize``) all three, with numpy, so a timed
+quantum loop never pays a first import of the noise layer.  Every read is
+served from the owning submodule (PEP 562), so a name patched there shows
+through here.
 """
 
+import sys
 from importlib import import_module
 
 __version__ = "0.1.0"
@@ -94,8 +100,10 @@ _EXPORTS = {
 
 __all__ = [name for names in _EXPORTS.values() for name in names]
 
-_OWNERS = {name: module for module, names in _EXPORTS.items() for name in names}
-_modules: dict = {}  # filled on the first read of a public name
+# each public name's owning module, by its full name as sys.modules keys it
+_OWNERS = {name: f"{__name__}.{module}" for module, names in _EXPORTS.items() for name in names}
+# the quantum stack loads as one, on the first read of any of its names
+_QUANTUM_STACK = tuple(f"{__name__}.{module}" for module in ("quantum", "noise", "optimize"))
 
 
 def __getattr__(name: str):
@@ -104,10 +112,14 @@ def __getattr__(name: str):
         if name in _EXPORTS:  # a submodule not yet imported, read as an attribute
             return import_module(f"{__name__}.{name}")
         raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
-    if not _modules:
-        _modules.update({module: import_module(f"{__name__}.{module}") for module in _EXPORTS})
+    try:  # a subscript, not .get: an already loaded owner is the hot path
+        module = sys.modules[owner]
+    except KeyError:
+        for layer in _QUANTUM_STACK if owner in _QUANTUM_STACK else (owner,):
+            import_module(layer)
+        module = sys.modules[owner]
     # read through, never cached here, so a name rebound in its submodule shows
-    return getattr(_modules[owner], name)
+    return getattr(module, name)
 
 
 def __dir__() -> list:

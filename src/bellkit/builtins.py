@@ -4,10 +4,9 @@ from __future__ import annotations
 
 from importlib.resources import files
 from pathlib import Path
+from typing import TYPE_CHECKING
 
 from .errors import UnknownBuiltinError
-from .exprformat import parse_expansion
-from .lhv import FullJointExpansion
 from .scenario import (
     BellExpression,
     CorrelatorExpression,
@@ -17,6 +16,9 @@ from .scenario import (
     make_correlator_expression,
     make_expression,
 )
+
+if TYPE_CHECKING:  # the fixture's reader is imported where the fixture is read
+    from .lhv import FullJointExpansion
 
 TRIPARTITE_BINARY = Scenario.uniform(3, 2, 2)
 
@@ -68,6 +70,8 @@ _G_PAPER_FIXTURE = "data/g_paper_expansion.fixture"
 
 def g_paper_expansion_fixture() -> FullJointExpansion:
     """The shipped g-paper expansion table, parsed."""
+    from .exprformat import parse_expansion
+
     text = files(__package__).joinpath(_G_PAPER_FIXTURE).read_text(encoding="utf-8")
     return parse_expansion(text)
 

@@ -37,11 +37,13 @@ The result holds the best directions as polar angles, per party one
 
 No qubit convention is re-derived here: angles become Bloch vectors in
 ``quantum._bloch_from_angles`` and turn back in ``quantum._angles_from_bloch``,
-projectors are built by ``quantum._projector_blocks``, whose halved Pauli
-matrices and outcome signs give each slot's b, party counts are checked by
-``quantum._check_parties``, and each weight is a coefficient times an
+projectors are built by ``quantum._projectors`` (every party's at a start,
+cut by ``quantum._projector_blocks``, then only the stepped party's), whose
+halved Pauli matrices and outcome signs give each slot's b, party counts are
+checked by ``quantum._check_parties``, and each weight is a coefficient times an
 entry's sign, both placed by the expression's ``table_lookup``, which reads
 every form alike and takes its correlator signs from ``scenario._parity_signs``.
+The config's counts are coerced by ``scenario._indices``, as every index is.
 """
 
 from __future__ import annotations
@@ -65,10 +67,11 @@ from .quantum import (
     _check_parties,
     _paired_density,
     _projector_blocks,
+    _projectors,
     _table,
     expression_value,
 )
-from .scenario import Expression, Scenario
+from .scenario import Expression, Scenario, _indices
 
 
 @dataclass(frozen=True)
@@ -79,12 +82,19 @@ class OptimizerConfig:
     max_evals: int = 6000  # contraction budget per ascent
 
     def __post_init__(self):
+        for name in ("restarts", "seed", "max_evals"):
+            value = getattr(self, name)
+            try:
+                (index,) = _indices((value,), ConfigError)
+            except ConfigError:
+                raise ConfigError(f"{name} must be an integer, got {value!r}") from None
+            object.__setattr__(self, name, index)
         if self.restarts < 0:
             raise ConfigError(f"restarts must be >= 0, got {self.restarts}")
         if self.seed < 0:
             raise ConfigError(f"seed must be a non-negative integer, got {self.seed}")
-        if not self.tolerance > 0:
-            raise ConfigError(f"tolerance must be positive, got {self.tolerance}")
+        if not 0 < self.tolerance < math.inf:
+            raise ConfigError(f"tolerance must be positive and finite, got {self.tolerance}")
         if self.max_evals < 1:
             raise ConfigError(f"max_evals must be >= 1, got {self.max_evals}")
 
@@ -144,7 +154,7 @@ def _affine(environment: np.ndarray, block: np.ndarray, vectors: np.ndarray) -> 
     setting s's Bloch vector at n.  ``block`` and ``vectors``, of shape
     (3, settings), are the party's current projectors and directions.
 
-    A projector is ``I/2 + sign * (sigma . n)/2`` (:func:`_projector_blocks`),
+    A projector is ``I/2 + sign * (sigma . n)/2`` (:func:`_projectors`),
     so b sums the environment's columns of one setting by outcome sign against
     the halved Pauli matrices, and a is the value less ``b . n``.  The party's
     settings never share a term, so each one's (a, b) is free of the others'.
@@ -178,7 +188,7 @@ def _ascend(
             _, b = _affine(environment, blocks[party], vectors)
             norms = np.linalg.norm(b, axis=0)
             np.divide(b, norms, out=vectors, where=norms > 0)
-            blocks[party] = _projector_blocks(bloch, scenario)[party]
+            blocks[party] = _projectors(vectors)
         previous = value
         value = float(np.sum(environment * blocks[-1]).real)
         evaluations += scenario.parties

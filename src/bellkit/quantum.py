@@ -275,19 +275,27 @@ def _paired_density(state: State, settings_per_party) -> np.ndarray:
     return state.density().reshape(-1)[_pair_order(state.parties)].reshape(4, -1)
 
 
-def _projector_blocks(bloch: np.ndarray, scenario: Scenario) -> tuple:
-    """Per party, the projectors that :func:`_table` contracts with, for Bloch
-    vectors ``bloch`` of shape (3, slots), one per slot of the binary
-    ``scenario``, in its ``slots()`` order: read-only views of one array, each
-    of shape (4, 2 * settings), cut at the scenario's ``slot_offsets``.
-
-    Column ``2s + o`` of a party's block is its setting s's outcome-o projector
+def _projectors(bloch: np.ndarray) -> np.ndarray:
+    """The read-only (4, 2 * slots) projector columns of Bloch vectors ``bloch``,
+    of shape (3, slots).  Column ``2s + o`` is slot s's outcome-o projector
     ``Pi = (I + (2o - 1) n.sigma) / 2`` read as ``Pi[b, a]`` at row ``2a + b``.
+    Each column reads only its own slot's vector, so one party's columns are
+    those of its slots alone.
     """
     half_observables = _HALF_PAULI_AB @ bloch
     projectors = _HALF_IDENTITY_AB[:, None, None] + half_observables[:, :, None] * _SIGNS
     projectors = projectors.reshape(4, -1)
     projectors.flags.writeable = False
+    return projectors
+
+
+def _projector_blocks(bloch: np.ndarray, scenario: Scenario) -> tuple:
+    """Per party, the projectors that :func:`_table` contracts with, for Bloch
+    vectors ``bloch`` of shape (3, slots), one per slot of the binary
+    ``scenario``, in its ``slots()`` order: :func:`_projectors`, cut into
+    read-only views of shape (4, 2 * settings) at the scenario's ``slot_offsets``.
+    """
+    projectors = _projectors(bloch)
     return tuple(projectors[:, 2 * lo : 2 * hi] for lo, hi in pairwise(scenario.slot_offsets))
 
 

@@ -291,6 +291,11 @@ class TestOptimize:
         defaults = dataclasses.asdict(bellkit.OptimizerConfig())
         assert {name: inputs[name] for name in defaults} == defaults
 
+    def test_an_infinite_tolerance_is_refused_by_name(self, capsys):
+        code, out, err = run(capsys, ["optimize", "--builtin", "g-paper", "--tolerance", "inf"])
+        assert (code, out) == (1, "")
+        assert err == "error: tolerance must be positive and finite, got inf\n"
+
     def test_exhausted_budget_converges_no_start(self, capsys):
         argv = ["optimize", "--builtin", "g-paper", "--restarts", "2", "--max-evals", "1"]
         optimization = run_json(capsys, argv)["optimization"]

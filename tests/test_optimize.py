@@ -87,6 +87,25 @@ class TestConfig:
         with pytest.raises(ConfigError):
             OptimizerConfig(**kwargs)
 
+    @pytest.mark.parametrize(
+        "field,value",
+        [
+            ("restarts", 2.5),
+            ("restarts", "3"),
+            ("seed", 1.5),
+            ("max_evals", 100.5),
+            ("tolerance", math.inf),
+        ],
+    )
+    def test_a_non_integer_count_or_infinite_tolerance_is_refused_by_name(self, field, value):
+        with pytest.raises(ConfigError, match=f"^{field} must be"):
+            OptimizerConfig(**{field: value})
+
+    def test_integer_counts_are_coerced_to_int(self):
+        config = OptimizerConfig(restarts=np.int64(3), seed=np.int32(7), max_evals=np.int16(50))
+        assert [type(n) for n in (config.restarts, config.seed, config.max_evals)] == [int] * 3
+        assert (config.restarts, config.seed, config.max_evals) == (3, 7, 50)
+
     def test_defaults(self):
         config = OptimizerConfig()
         assert config.restarts == 20

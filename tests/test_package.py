@@ -1,9 +1,10 @@
 """The package namespace and the import graph.
 
-Importing ``bellkit`` loads nothing; the first read of a public name loads
-every submodule, and each read goes through to the owning submodule.  Each
-CLI command imports only the layers it runs, and numpy only once it builds
-an array.
+Importing ``bellkit`` loads nothing.  Reading a public name loads only what
+its owner imports: an exact-layer name never loads numpy or the quantum
+stack, and a quantum-stack name loads all three of its modules.  Each read
+goes through to the owning submodule.  Each CLI command imports only the
+layers it runs, and numpy only once it builds an array.
 """
 
 import importlib
@@ -42,10 +43,39 @@ def test_importing_the_package_loads_no_submodule_and_no_numpy():
     assert fresh(probe) == "[] False\n"
 
 
-def test_the_first_name_read_loads_every_submodule():
-    # errors imports nothing of bellkit itself: the read loads all eight
-    probe = f"import sys, bellkit; bellkit.ParseError; print({LOADED})"
-    assert fresh(probe) == f"{SUBMODULES}\n"
+# a quantum-stack name loads all three layers and what they import
+QUANTUM_STACK = ["errors", "lhv", "noise", "optimize", "quantum", "scenario"]
+
+
+@pytest.mark.parametrize(
+    "name,loaded,numpy_loaded",
+    [
+        ("ParseError", ["errors"], False),
+        ("Scenario", ["errors", "scenario"], False),
+        ("local_bounds", ["errors", "lhv", "scenario"], False),
+        ("builtin_expression", ["builtins", "errors", "scenario"], False),
+        ("parse_expression", ["errors", "exprformat", "lhv", "scenario"], False),
+        ("expression_value", QUANTUM_STACK, True),
+        ("white_noise_tolerance", QUANTUM_STACK, True),
+        ("optimize_measurements", QUANTUM_STACK, True),
+    ],
+)
+def test_the_first_name_read_loads_only_what_its_owner_needs(name, loaded, numpy_loaded):
+    probe = f"import sys, bellkit; bellkit.{name}; print({LOADED}, 'numpy' in sys.modules)"
+    expected = [f"bellkit.{module}" for module in loaded]
+    assert fresh(probe) == f"{expected} {numpy_loaded}\n"
+
+
+EXACT_LAYERS = ("errors", "scenario", "lhv", "exprformat", "builtins")
+
+
+def test_reading_every_exact_layer_name_loads_no_numpy_and_no_quantum_stack():
+    names = [name for module in EXACT_LAYERS for name in bellkit._EXPORTS[module]]
+    probe = (
+        f"import sys, bellkit\nfor name in {names!r}: getattr(bellkit, name)\n"
+        f"print(sorted({{'numpy', *{LAYERS!r}}} & set(sys.modules)))"
+    )
+    assert fresh(probe) == "[]\n"
 
 
 def test_a_submodule_read_as_an_attribute_loads_only_itself():

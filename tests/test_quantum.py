@@ -1,6 +1,6 @@
 import json
 import math
-from itertools import product
+from itertools import pairwise, product
 
 import numpy as np
 import pytest
@@ -870,7 +870,10 @@ class TestInputsBuiltOnce:
         columns = np.array([vector for row in rows for vector in row]).T
         expected = oracles.projectors_from_bloch_columns(columns, settings_per_party)
         trial = quantum._projector_blocks(columns, model.scenario())  # the optimizer's call
-        for blocks in (model._blocks, trial):
+        # the optimizer's rebuild of one party's block after that party's step
+        offsets = pairwise(model.scenario().slot_offsets)
+        stepped = [quantum._projectors(columns[:, lo:hi]) for lo, hi in offsets]
+        for blocks in (model._blocks, trial, stepped):
             assert [block.tobytes() for block in blocks] == [block.tobytes() for block in expected]
 
     @settings(max_examples=60, deadline=None)
