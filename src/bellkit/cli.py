@@ -206,14 +206,14 @@ def _quantum_block(expr, valuation, magnitude: bool) -> dict:
     }
 
 
-def _violation_block(report) -> dict:
+def _violation_block(report, magnitude: bool) -> dict:
     return {
         "quantum_value": _f12(report.quantum_value),
         "local_bound": _rational(report.local_max, "local_bound"),
         "factor": _f12(report.violation_factor),
         "amount": _f12(report.violation_amount),
         "violated": report.violated,
-        "magnitude_convention": report.magnitude,
+        "magnitude_convention": magnitude,
     }
 
 
@@ -230,7 +230,7 @@ def _noise_block(expr, coefficients, state, model, value, bounds, magnitude) -> 
         "coefficient_sum": _rational(closed.coefficient_sum, "coefficient_sum"),
         "positive_terms": closed.positive_terms,
         "negative_terms": closed.negative_terms,
-        "magnitude_convention": closed.magnitude,
+        "magnitude_convention": magnitude,
         "p_critical": {
             "value": _f12(closed.p_critical),
             "method": "closed form from affine mixing",
@@ -368,8 +368,8 @@ def _cmd_optimize(args) -> dict:
                 "best_value": _f12(result.best_value),
                 "evaluations": result.evaluations,
                 "converged_starts": result.converged_starts,
-                "restarts": result.restarts,
-                "seed": result.seed,
+                "restarts": config.restarts,
+                "seed": config.seed,
                 "magnitude_convention": magnitude,
                 "model": _model_document(
                     result.best_angles, None if args.state == "ghz" else state
@@ -434,7 +434,7 @@ def _cmd_report(args) -> dict:
             "expression": expression_block,
             "local": _local_block(bounds, scenario),
             "quantum": _quantum_block(expr, valuation, magnitude),
-            "violation": _violation_block(violation),
+            "violation": _violation_block(violation, magnitude),
             "noise": noise_block,
             "expansion": expansion_block,
         },

@@ -52,12 +52,13 @@ from itertools import product, repeat
 from operator import itemgetter
 from typing import TYPE_CHECKING, Sequence
 
-from .errors import EnumerationCapError, ScenarioError, ScenarioMismatchError
+from .errors import ConfigError, EnumerationCapError, ScenarioError, ScenarioMismatchError
 from .scenario import (
     BellExpression,
     CorrelatorExpression,
     Expression,
     Scenario,
+    _integer,
     _parity_signs,
     _read_only,
     _scaled_coefficients,
@@ -77,6 +78,7 @@ DeterministicStrategy = tuple
 
 
 def _check_cap(scenario: Scenario, cap: int) -> int:
+    cap = _integer(cap, "cap", ConfigError)
     # the log-size first: an exact size of 4300 digits or more is slow to
     # multiply out and beyond Python's int-to-text limit
     if scenario._log10_assignment_count >= 4299:
@@ -251,7 +253,8 @@ def expand_full_joint(
     at assignment t equals evaluate_on_strategy(expr, t).  The result lists every
     assignment, so the space is capped at the smaller of ``cap`` and the default.
     """
-    grid, scale = _expansion_grid(expr, min(cap, DEFAULT_ENUMERATION_CAP))
+    cap = min(_integer(cap, "cap", ConfigError), DEFAULT_ENUMERATION_CAP)
+    grid, scale = _expansion_grid(expr, cap)
     return FullJointExpansion(expr.scenario, grid, scale)
 
 

@@ -131,9 +131,9 @@ def _coefficient_pass(expr: Expression) -> _Coefficients:
 class ViolationReport:
     """Quantum value against the exact local bound of the same expression.
 
-    With ``magnitude`` set, both sides are magnitudes: |quantum value| against
-    max(|local max|, |local min|).  The factor is absent when the local bound
-    is not positive.  ``violated`` holds only for a margin above ``band``.
+    Under the magnitude convention both sides are magnitudes: |quantum value|
+    against max(|local max|, |local min|).  The factor is absent when the local
+    bound is not positive.  ``violated`` holds only for a margin above ``band``.
     """
 
     quantum_value: float
@@ -141,7 +141,6 @@ class ViolationReport:
     violation_factor: Optional[float]
     violation_amount: float
     violated: bool
-    magnitude: bool
 
     @classmethod
     def of(cls, value: float, bounds: tuple, magnitude: bool, band: float) -> "ViolationReport":
@@ -153,7 +152,7 @@ class ViolationReport:
         local_value = float(local)
         factor = quantum / local_value if local_value > 0 else None
         amount = quantum - local_value
-        return cls(quantum, local, factor, amount, amount > band, magnitude)
+        return cls(quantum, local, factor, amount, amount > band)
 
 
 def violation_report(
@@ -172,9 +171,9 @@ def violation_report(
 class NoiseReport:
     """Critical white-noise fraction and the quantities that produce it.
 
-    All fields describe the analyzed orientation: when ``magnitude`` is set
-    and the signed quantum value is negative, the expression is negated first
-    so that the violation is against the positive local bound.
+    All fields describe the analyzed orientation: under the magnitude
+    convention, when the signed quantum value is negative, the expression is
+    negated first so that the violation is against the positive local bound.
     ``p_critical_term_count`` is the term-counting variant of the closed
     form (None when its denominator is not positive), and
     ``interpretations_agree`` records whether the two variants coincide
@@ -190,7 +189,6 @@ class NoiseReport:
     positive_terms: int
     negative_terms: int
     interpretations_agree: bool
-    magnitude: bool
 
 
 def _margin(violation: ViolationReport, band: float) -> float:
@@ -238,7 +236,6 @@ def _closed_form(
         positive_terms=positive,
         negative_terms=negative,
         interpretations_agree=agree,
-        magnitude=magnitude,
     )
 
 

@@ -6,7 +6,7 @@ value is affine in one slot's vector n, ``a + b . n``, so the best unit
 vector for that slot is ``b / |b|``.  The value is linear in each party's
 projector block, so contracting the paired density and the weights with
 every other party's block leaves a 4 x 2s_p "environment" for party p, and
-every slot of p reads its (a, b) off it.  A party's settings never share a
+every slot of p reads its b off it.  A party's settings never share a
 term, so all of them step at once and the steps are those of a slot-by-slot
 sweep, up to rounding.  One sweep takes that step party by party, in party
 order, and reads the value off the last party's environment, so an ascent
@@ -43,7 +43,7 @@ halved Pauli matrices and outcome signs give each slot's b, party counts are
 checked by ``quantum._check_parties``, and each weight is a coefficient times an
 entry's sign, both placed by the expression's ``table_lookup``, which reads
 every form alike and takes its correlator signs from ``scenario._parity_signs``.
-The config's counts are coerced by ``scenario._indices``, as every index is.
+The config's counts go through ``scenario._integer``, its tolerance ``_real``.
 """
 
 from __future__ import annotations
@@ -71,7 +71,7 @@ from .quantum import (
     _table,
     expression_value,
 )
-from .scenario import Expression, Scenario, _indices
+from .scenario import Expression, Scenario, _integer, _real
 
 
 @dataclass(frozen=True)
@@ -83,12 +83,8 @@ class OptimizerConfig:
 
     def __post_init__(self):
         for name in ("restarts", "seed", "max_evals"):
-            value = getattr(self, name)
-            try:
-                (index,) = _indices((value,), ConfigError)
-            except ConfigError:
-                raise ConfigError(f"{name} must be an integer, got {value!r}") from None
-            object.__setattr__(self, name, index)
+            object.__setattr__(self, name, _integer(getattr(self, name), name, ConfigError))
+        object.__setattr__(self, "tolerance", _real(self.tolerance, "tolerance", ConfigError))
         if self.restarts < 0:
             raise ConfigError(f"restarts must be >= 0, got {self.restarts}")
         if self.seed < 0:
@@ -107,9 +103,7 @@ class OptimizationResult:
     best_value: float
     best_angles: tuple  # per party, one (theta, phi) pair per setting
     best_model: MeasurementModel = field(compare=False)  # at best_angles, which gave best_value
-    restarts: int
     evaluations: int  # contractions over all ascents
-    seed: int
     converged_starts: int  # ascents stopped by tolerance, not by budget
 
 
@@ -148,21 +142,15 @@ def _environments(paired: np.ndarray, weights: np.ndarray, blocks: list):
             left = left.reshape(4, -1).T @ blocks[party]
 
 
-def _affine(environment: np.ndarray, block: np.ndarray, vectors: np.ndarray) -> tuple:
-    """(a, b) of every setting of one party, from its ``environment``: while
-    the other slots stay as they are, the value is ``a[s] + b[:, s] . n`` with
-    setting s's Bloch vector at n.  ``block`` and ``vectors``, of shape
-    (3, settings), are the party's current projectors and directions.
-
-    A projector is ``I/2 + sign * (sigma . n)/2`` (:func:`_projectors`),
-    so b sums the environment's columns of one setting by outcome sign against
-    the halved Pauli matrices, and a is the value less ``b . n``.  The party's
-    settings never share a term, so each one's (a, b) is free of the others'.
-    """
-    value = float(np.sum(environment * block).real)
+def _affine(environment: np.ndarray) -> np.ndarray:
+    """Each setting's direction b, shape (3, settings), off its party's
+    ``environment``: with the other slots fixed, the value is affine in setting
+    s's Bloch vector with slope ``b[:, s]``.  A projector is
+    ``I/2 + sign * (sigma . n)/2`` (:func:`_projectors`), so b sums a setting's
+    environment columns by outcome sign against the halved Pauli matrices; the
+    party's settings never share a term, so each b is free of the others'."""
     signed = environment.reshape(4, -1, 2) @ _SIGNS
-    b = (_HALF_PAULI_AB.T @ signed).real
-    return value - np.sum(b * vectors, axis=0), b
+    return (_HALF_PAULI_AB.T @ signed).real
 
 
 def _ascend(
@@ -185,7 +173,7 @@ def _ascend(
     while evaluations + scenario.parties <= config.max_evals:
         for party, environment in enumerate(_environments(paired, weights, blocks)):
             vectors = bloch[:, slice(*offsets[party])]
-            _, b = _affine(environment, blocks[party], vectors)
+            b = _affine(environment)
             norms = np.linalg.norm(b, axis=0)
             np.divide(b, norms, out=vectors, where=norms > 0)
             blocks[party] = _projectors(vectors)
@@ -254,12 +242,4 @@ def optimize_measurements(
     )
     final = expression_value(expr, state, best_model).value
     best_value = abs(final) if magnitude else final
-    return OptimizationResult(
-        best_value=best_value,
-        best_angles=best_angles,
-        best_model=best_model,
-        restarts=config.restarts,
-        evaluations=evaluations,
-        seed=config.seed,
-        converged_starts=converged_starts,
-    )
+    return OptimizationResult(best_value, best_angles, best_model, evaluations, converged_starts)

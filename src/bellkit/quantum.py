@@ -57,6 +57,7 @@ import numpy as np
 
 from .errors import DimensionMismatchError, ParseError, ScenarioMismatchError
 from .scenario import _OUTCOME_SIGNS, BellExpression, CorrelatorExpression, Expression, Scenario
+from .scenario import _integer, _real
 
 MAX_PARTIES = 10
 # complex entries in the largest array the table contraction allocates (64 MiB);
@@ -191,20 +192,16 @@ class MeasurementModel:
         for party, row in enumerate(self.bloch):
             vectors = []
             for setting, vector in enumerate(row):
-                vector = tuple(float(x) for x in vector)
+                where = f"party {party} setting {setting}"
+                name = f"{where}: Bloch component"
+                vector = tuple(_real(x, name, DimensionMismatchError) for x in vector)
                 if len(vector) != 3:
-                    raise DimensionMismatchError(
-                        f"party {party} setting {setting}: Bloch vector needs 3 components"
-                    )
+                    raise DimensionMismatchError(f"{where}: Bloch vector needs 3 components")
                 if not all(math.isfinite(x) for x in vector):
-                    raise DimensionMismatchError(
-                        f"party {party} setting {setting}: Bloch vector {vector} is not finite"
-                    )
+                    raise DimensionMismatchError(f"{where}: Bloch vector {vector} is not finite")
                 norm = math.sqrt(sum(x * x for x in vector))
                 if abs(norm - 1.0) > STATE_ATOL:
-                    raise DimensionMismatchError(
-                        f"party {party} setting {setting}: Bloch norm {norm!r} is not 1"
-                    )
+                    raise DimensionMismatchError(f"{where}: Bloch norm {norm!r} is not 1")
                 vectors.append(vector)
             if not vectors:
                 raise DimensionMismatchError(f"party {party} has no settings")
@@ -233,6 +230,7 @@ class MeasurementModel:
 
 def ghz_state(parties: int) -> PureState:
     """Equal superposition of the all-up and all-down basis states."""
+    parties = _integer(parties, "parties", DimensionMismatchError)
     if parties < 2:
         raise DimensionMismatchError("a GHZ state needs at least two parties")
     _parties_from_dim(2**parties, "state")  # the size cap, before any amplitude exists
@@ -400,7 +398,7 @@ def mix_with_white_noise(state: State, p: float) -> DensityMatrix:
     then turns every -0.0 into +0.0, as adding ``(p / dim) * I`` would, so the
     bytes match that formula's.
     """
-    p = float(p)
+    p = _real(p, "noise fraction", DimensionMismatchError)
     if not 0.0 <= p <= 1.0:
         raise DimensionMismatchError(f"noise fraction must lie in [0, 1], got {p}")
     dim = state.dim

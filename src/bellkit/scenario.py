@@ -3,8 +3,9 @@
 A scenario fixes, for every party, how many measurement settings it has and
 how many outcomes each setting produces.  It owns every label check: term
 keys, settings keys and deterministic strategies, each coerced by
-``_indices``; and it reads each distinct outcome row object once, however
-many parties share it.  A Bell expression is a finite linear combination of
+``_indices`` (``_integer`` for a count argument, ``_real`` for a real one);
+and it reads each distinct outcome row object once, however many parties
+share it.  A Bell expression is a finite linear combination of
 joint-probability terms; each term names one setting and one outcome per
 party and carries an exact rational coefficient.  When every measurement is
 binary the same functional can be written in correlator form, as a signed
@@ -30,6 +31,7 @@ correlator conversion are pure Python, reading the sign rule from
 from __future__ import annotations
 
 import math
+import numbers
 import operator
 import sys
 from dataclasses import dataclass, field
@@ -127,6 +129,24 @@ def _indices(values: Iterable, error: type = ScenarioError) -> tuple:
             except TypeError:
                 raise error(f"index {value!r} is not an integer") from None
         raise
+
+
+def _integer(value, name: str, error: type) -> int:
+    """One integer argument through :func:`_indices`, or ``error`` naming ``name``."""
+    try:
+        (index,) = _indices((value,), error)
+    except error:
+        raise error(f"{name} must be an integer, got {value!r}") from None
+    return index
+
+
+def _real(value, name: str, error: type) -> float:
+    """A real-number argument as a float: a bool, a string or anything else that
+    is not a ``numbers.Real`` raises ``error`` naming ``name``.  numpy floats pass."""
+    # float first: a float, numpy's float64 included, then skips the abstract check
+    if isinstance(value, bool) or not isinstance(value, (float, numbers.Real)):
+        raise error(f"{name} must be a real number, got {value!r}")
+    return float(value)
 
 
 def _counts(values: Iterable, kind: str) -> tuple:

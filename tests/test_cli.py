@@ -387,9 +387,9 @@ class TestReport:
     @pytest.mark.parametrize("name", ["g-paper", "mermin"])
     def test_violation_block_matches_violation_report(self, capsys, name, flag):
         report = run_json(capsys, ["report", "--builtin", name, flag])
+        magnitude = flag == "--magnitude"
         expected = violation_report(
-            builtin_expression(name), ghz_state(3), paper_model(),
-            magnitude=flag == "--magnitude",
+            builtin_expression(name), ghz_state(3), paper_model(), magnitude=magnitude
         )
         assert report["violation"] == {
             "quantum_value": _f12(expected.quantum_value),
@@ -397,7 +397,7 @@ class TestReport:
             "factor": _f12(expected.violation_factor),
             "amount": _f12(expected.violation_amount),
             "violated": expected.violated,
-            "magnitude_convention": expected.magnitude,
+            "magnitude_convention": magnitude,
         }
 
 

@@ -1,3 +1,4 @@
+import re
 from fractions import Fraction
 from itertools import product
 
@@ -8,6 +9,7 @@ from hypothesis import strategies as st
 
 from bellkit import (
     BellExpression,
+    ConfigError,
     EnumerationCapError,
     FullJointExpansion,
     MarginalTerm,
@@ -21,16 +23,35 @@ from bellkit import (
     evaluate_on_strategy,
     expand_full_joint,
     g_paper_expansion_fixture,
+    ghz_state,
     local_bounds,
     make_correlator_expression,
     make_expression,
+    paper_model,
+    tolerance_by_root_scan,
     trivial_bounds,
+    violation_report,
+    white_noise_tolerance,
 )
 
 import bellkit.lhv as lhv
 import oracles
 
 TRI = Scenario.uniform(3, 2, 2)
+
+# every public function that takes an enumeration cap, called on an expression
+CAP_ROUTES = {
+    "enumerate_strategies": lambda expr, cap: enumerate_strategies(expr.scenario, cap=cap),
+    "local_bounds": local_bounds,
+    "trivial_bounds": trivial_bounds,
+    "expand_full_joint": expand_full_joint,
+    **{
+        function.__name__: lambda expr, cap, function=function: function(
+            expr, ghz_state(3), paper_model(), cap=cap
+        )
+        for function in (violation_report, white_noise_tolerance, tolerance_by_root_scan)
+    },
+}
 
 
 @st.composite
@@ -209,21 +230,24 @@ class TestEnumeration:
         flattened = [tuple(o for row in s for o in row) for s in strategies]
         assert flattened == sorted(flattened)
 
-    @pytest.mark.parametrize(
-        "route",
-        [
-            lambda expr, cap: enumerate_strategies(expr.scenario, cap=cap),
-            local_bounds,
-            trivial_bounds,
-            expand_full_joint,
-        ],
-        ids=["enumerate_strategies", "local_bounds", "trivial_bounds", "expand_full_joint"],
-    )
+    @pytest.mark.parametrize("route", CAP_ROUTES.values(), ids=CAP_ROUTES.keys())
     def test_cap_error_reports_size(self, route, g_expr):
         with pytest.raises(EnumerationCapError, match="64") as excinfo:
             route(g_expr, cap=10)
         assert excinfo.value.size == 64
         assert excinfo.value.cap == 10
+
+    @pytest.mark.parametrize("cap", ["100", None, 100.5])
+    @pytest.mark.parametrize("route", CAP_ROUTES.values(), ids=CAP_ROUTES.keys())
+    def test_a_cap_that_is_not_an_integer_is_refused_by_name(self, route, cap, g_expr):
+        # never compared as a float, and never a bare TypeError
+        match = f"^cap must be an integer, got {re.escape(repr(cap))}$"
+        with pytest.raises(ConfigError, match=match):
+            route(g_expr, cap=cap)
+
+    @pytest.mark.parametrize("route", CAP_ROUTES.values(), ids=CAP_ROUTES.keys())
+    def test_a_numpy_integer_cap_passes(self, route, g_expr):
+        route(g_expr, cap=np.int64(64))
 
     def test_an_expansion_lists_at_most_the_default_cap(self):
         # a larger cap does not lift the limit of the listing; the space is

@@ -1,5 +1,6 @@
 import json
 import math
+from fractions import Fraction
 from itertools import pairwise, product
 
 import numpy as np
@@ -62,6 +63,11 @@ class TestStates:
         with pytest.raises(DimensionMismatchError):
             ghz_state(1)
 
+    @pytest.mark.parametrize("parties", ["3", 2.5, None])
+    def test_a_ghz_party_count_that_is_not_an_integer_is_refused_by_name(self, parties):
+        with pytest.raises(DimensionMismatchError, match="^parties must be an integer, got "):
+            ghz_state(parties)
+
     def test_pure_state_norm_checked(self):
         with pytest.raises(DimensionMismatchError, match="norm"):
             PureState(np.array([1.0, 1.0], dtype=complex))
@@ -112,11 +118,26 @@ class TestModel:
             ((((1.0, 0.0, 0.0),), ()), "party 1 has no settings"),
             ((), "model has no parties"),
             ((((1.0, 0.0, 0.0),),) * 11, "models are capped at 10 parties"),
+            # a model document refuses these too; "1" and True would read as 1.0
+            *(
+                (
+                    (((1.0, 0.0, 0.0), (0.0, bad, 0.0)),),
+                    f"party 0 setting 1: Bloch component must be a real number, got {bad!r}",
+                )
+                for bad in ("1", True, np.True_, None, 1j)
+            ),
         ],
     )
     def test_malformed_models(self, bloch, match):
         with pytest.raises(DimensionMismatchError, match=f"^{match}$"):
             MeasurementModel(bloch)
+
+    def test_numpy_floats_and_fractions_pass_as_floats(self):
+        model = MeasurementModel(
+            (((np.float64(1.0), np.float32(0.0), 0), (Fraction(3, 5), np.float64(0.8), 0.0)),)
+        )
+        assert model.bloch == (((1.0, 0.0, 0.0), (0.6, 0.8, 0.0)),)
+        assert {type(x) for row in model.bloch for vector in row for x in vector} == {float}
 
     def test_bloch_norm_checked(self):
         with pytest.raises(DimensionMismatchError, match="norm"):
@@ -446,6 +467,12 @@ class TestWhiteNoiseMixing:
         valuation = expression_value(g_expr, mixed, xy_model)
         # linearity: (1-p) * 3.5 + p * (-12/8)
         assert valuation.value == pytest.approx(1.0, abs=1e-9)
+
+    @pytest.mark.parametrize("bad", [True, np.True_, "0.5", None, 0.5j])
+    def test_a_fraction_that_is_not_a_real_number_is_refused(self, ghz3, bad):
+        match = "^noise fraction must be a real number, got "
+        with pytest.raises(DimensionMismatchError, match=match):
+            mix_with_white_noise(ghz3, bad)
 
     def test_p_out_of_range(self, ghz3):
         with pytest.raises(DimensionMismatchError):
