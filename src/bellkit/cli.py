@@ -111,8 +111,17 @@ def _read(path: str, parse) -> tuple:
     """(parse(text), digest) of the file at ``path``, read once: the SHA-256 of its
     bytes, and those bytes as UTF-8 text without a leading byte-order mark, with
     CRLF and CR line ends read as LF.  The mark is dropped after decoding, so an
-    error's byte offset counts from the start of the file."""
-    import hashlib
+    error's byte offset counts from the start of the file.
+
+    The digest comes from the interpreter's own SHA-256 module, as ``random``
+    gets its SHA-512: ``hashlib`` loads OpenSSL, a few MB for a few KB hashed."""
+    try:
+        from _sha2 import sha256  # Python 3.12 and later
+    except ImportError:
+        try:
+            from _sha256 import sha256  # Python 3.10 and 3.11
+        except ImportError:  # a build without the built-in hashes
+            from hashlib import sha256
 
     data = Path(path).read_bytes()
     try:
@@ -120,7 +129,7 @@ def _read(path: str, parse) -> tuple:
         text = text.replace("\r\n", "\n").replace("\r", "\n")
     except UnicodeDecodeError as exc:
         raise ParseError(f"{path} is not UTF-8 text: {exc.reason} at byte {exc.start}") from None
-    return parse(text), hashlib.sha256(data).hexdigest()
+    return parse(text), sha256(data).hexdigest()
 
 
 def _load_expression(args):

@@ -382,8 +382,9 @@ def joint_probability(
 
 def correlator(state: State, model: MeasurementModel, settings: Sequence[int]) -> float:
     """Signed sum of joint probabilities: outcome 1 counts +1, outcome 0 counts -1."""
-    scenario = model.scenario()
-    unit = CorrelatorExpression(scenario, {scenario.validate_settings(settings): 1})
+    scenario = model.scenario()  # binary: every model observable is +/-1
+    key = scenario.validate_settings(settings)
+    unit = CorrelatorExpression._from_valid_terms(scenario, {key: Fraction(1)})
     return expression_value(unit, state, model).term_values[0]
 
 

@@ -90,7 +90,10 @@ def _scenario_text(scenario: "Scenario") -> str:
 
 
 def as_fraction(value: RationalInput) -> Fraction:
-    """Coerce to an exact rational; floats and bools are rejected outright."""
+    """Coerce to an exact rational; floats and bools are rejected outright.  A
+    Fraction comes back as itself: it is immutable, so no copy is needed."""
+    if type(value) is Fraction:
+        return value
     if isinstance(value, (float, bool)):
         raise ScenarioError(f"coefficients must be exact rationals, got {value!r}")
     try:
@@ -132,21 +135,28 @@ def _indices(values: Iterable, error: type = ScenarioError) -> tuple:
 
 
 def _integer(value, name: str, error: type) -> int:
-    """One integer argument through :func:`_indices`, or ``error`` naming ``name``."""
-    try:
-        (index,) = _indices((value,), error)
-    except error:
-        raise error(f"{name} must be an integer, got {value!r}") from None
-    return index
+    """One integer argument through :func:`_indices`, or ``error`` naming ``name``.
+    A bool is refused, as :func:`_real` refuses one: ``True`` is no count."""
+    if not isinstance(value, bool):
+        try:
+            (index,) = _indices((value,), error)
+            return index
+        except error:
+            pass
+    raise error(f"{name} must be an integer, got {value!r}")
 
 
 def _real(value, name: str, error: type) -> float:
     """A real-number argument as a float: a bool, a string or anything else that
-    is not a ``numbers.Real`` raises ``error`` naming ``name``.  numpy floats pass."""
+    is not a ``numbers.Real`` raises ``error`` naming ``name``, and so does a
+    value past the largest float, such as ``10**400``.  numpy floats pass."""
     # float first: a float, numpy's float64 included, then skips the abstract check
     if isinstance(value, bool) or not isinstance(value, (float, numbers.Real)):
         raise error(f"{name} must be a real number, got {value!r}")
-    return float(value)
+    try:
+        return float(value)
+    except OverflowError:  # its repr may pass the digit limit, so it is not shown
+        raise error(f"{name} must be a real number, got one past the largest float") from None
 
 
 def _counts(values: Iterable, kind: str) -> tuple:
@@ -400,6 +410,17 @@ class _LinearExpression:
                 validated[key] = coefficient
         object.__setattr__(self, "terms", MappingProxyType(validated))
 
+    @classmethod
+    def _from_valid_terms(cls, scenario: Scenario, terms: dict):
+        """Wrap ``terms`` without re-checking them: every key must already be a
+        valid key of ``scenario`` for this form, as int tuples, and every value a
+        nonzero Fraction.  For builders and conversions that checked each key
+        once or whose keys are valid by construction."""
+        self = object.__new__(cls)
+        object.__setattr__(self, "scenario", scenario)
+        object.__setattr__(self, "terms", MappingProxyType(terms))
+        return self
+
     def __eq__(self, other):
         if not isinstance(other, type(self)):
             return NotImplemented
@@ -481,16 +502,6 @@ class BellExpression(_LinearExpression):
         settings, outcomes = key
         return self.scenario.validate_term(settings, outcomes)
 
-    @classmethod
-    def _from_valid_terms(cls, scenario: Scenario, terms: dict) -> "BellExpression":
-        """Wrap ``terms`` without re-checking them: every key must already be a
-        valid term key of ``scenario`` as a pair of int tuples, and every value a
-        nonzero Fraction.  For conversions whose keys are valid by construction."""
-        self = object.__new__(cls)
-        object.__setattr__(self, "scenario", scenario)
-        object.__setattr__(self, "terms", MappingProxyType(terms))
-        return self
-
     def _table_rows(self) -> tuple:
         """(settings, outcomes, signs) for :attr:`table_lookup`: each term's one entry."""
         import numpy as np
@@ -515,10 +526,7 @@ class CorrelatorExpression(_LinearExpression):
     """
 
     def __post_init__(self):
-        if not self.scenario.is_binary:
-            raise UnsupportedScenarioError(
-                "correlator expressions require two outcomes for every measurement"
-            )
+        _require_binary(self.scenario)
         super().__post_init__()
 
     def _valid_key(self, settings) -> SettingsKey:
@@ -541,6 +549,22 @@ class CorrelatorExpression(_LinearExpression):
 Expression = Union[BellExpression, CorrelatorExpression]
 
 
+def _require_binary(scenario: Scenario) -> None:
+    if not scenario.is_binary:
+        raise UnsupportedScenarioError(
+            "correlator expressions require two outcomes for every measurement"
+        )
+
+
+def _merged(pairs: Iterable) -> dict:
+    """(key, Fraction) pairs summed key by key, in the order keys first appear,
+    without the exact cancellations."""
+    merged: dict = {}
+    for key, c in pairs:
+        merged[key] = merged[key] + c if key in merged else c
+    return {key: c for key, c in merged.items() if c}
+
+
 def make_expression(scenario: Scenario, terms: Iterable[MarginalTerm]) -> BellExpression:
     """Build a probability-form expression, merging duplicate keys by addition.
 
@@ -548,25 +572,30 @@ def make_expression(scenario: Scenario, terms: Iterable[MarginalTerm]) -> BellEx
     coefficient.  Input order only affects the order of the surviving keys,
     never the coefficients.
     """
-    merged: dict = {}
+    keys, coefficients = [], []
     for term in terms:
         try:
-            key = scenario.validate_term(term.settings, term.outcomes)
+            keys.append(scenario.validate_term(term.settings, term.outcomes))
         except ScenarioError as exc:
             raise ScenarioError(f"{exc} in term {term}") from None
-        merged[key] = merged.get(key, Fraction(0)) + term.coefficient
-    return BellExpression(scenario, merged)
+        coefficients.append(term.coefficient)
+    # every key is checked before any coefficient, so a bad key is the error reported
+    merged = _merged(zip(keys, map(as_fraction, coefficients)))
+    return BellExpression._from_valid_terms(scenario, merged)
 
 
 def make_correlator_expression(
     scenario: Scenario, terms: Iterable
 ) -> CorrelatorExpression:
-    """Build a correlator-form expression from (settings, coefficient) pairs."""
-    merged: dict = {}
-    for settings, coefficient in terms:
-        key = scenario.validate_settings(settings)
-        merged[key] = merged.get(key, Fraction(0)) + as_fraction(coefficient)
-    return CorrelatorExpression(scenario, merged)
+    """Build a correlator-form expression from (settings, coefficient) pairs,
+    merging duplicate keys and dropping exact cancellations as
+    :func:`make_expression` does."""
+    merged = _merged(
+        (scenario.validate_settings(settings), as_fraction(coefficient))
+        for settings, coefficient in terms
+    )
+    _require_binary(scenario)
+    return CorrelatorExpression._from_valid_terms(scenario, merged)
 
 
 def correlator_to_probability(expr: CorrelatorExpression) -> BellExpression:

@@ -607,6 +607,22 @@ class TestInputFiles:
         assert text == path.read_text(encoding="utf-8").removeprefix("\ufeff")
         assert digest == hashlib.sha256(path.read_bytes()).hexdigest()
 
+    @settings(
+        max_examples=100, deadline=None, suppress_health_check=[HealthCheck.function_scoped_fixture]
+    )
+    @given(data=st.binary() | st.text().map(str.encode))
+    def test_the_digest_is_hashlibs_sha256_of_the_bytes(self, tmp_path, data):
+        # the reader hashes with the interpreter's built-in module; hashlib is the reference
+        path = tmp_path / "document"
+        path.write_bytes(data)
+        try:
+            _, digest = _read(str(path), lambda text: None)
+        except bellkit.ParseError:
+            with pytest.raises(UnicodeDecodeError):
+                data.decode("utf-8")
+        else:
+            assert digest == hashlib.sha256(data).hexdigest()
+
 
     def test_a_comment_holding_a_line_separator_stays_one_line(self, capsys, tmp_path):
         # U+2028 ends a line for str.splitlines, not for the text format

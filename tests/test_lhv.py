@@ -237,7 +237,7 @@ class TestEnumeration:
         assert excinfo.value.size == 64
         assert excinfo.value.cap == 10
 
-    @pytest.mark.parametrize("cap", ["100", None, 100.5])
+    @pytest.mark.parametrize("cap", ["100", None, 100.5, True])
     @pytest.mark.parametrize("route", CAP_ROUTES.values(), ids=CAP_ROUTES.keys())
     def test_a_cap_that_is_not_an_integer_is_refused_by_name(self, route, cap, g_expr):
         # never compared as a float, and never a bare TypeError

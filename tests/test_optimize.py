@@ -3,6 +3,7 @@ import math
 import os
 import subprocess
 import sys
+from fractions import Fraction
 from pathlib import Path
 
 from itertools import pairwise
@@ -92,6 +93,7 @@ class TestConfig:
         [
             ("restarts", 2.5),
             ("restarts", "3"),
+            ("restarts", True),  # no count, though True passes as 1 by operator.index
             ("seed", 1.5),
             ("max_evals", 100.5),
             ("tolerance", math.inf),
@@ -104,6 +106,17 @@ class TestConfig:
     def test_a_non_integer_count_or_infinite_tolerance_is_refused_by_name(self, field, value):
         with pytest.raises(ConfigError, match=f"^{field} must be"):
             OptimizerConfig(**{field: value})
+
+    @pytest.mark.parametrize(
+        "tolerance",
+        [10**400, -(10**5000), Fraction(10**400, 3)],
+        ids=["int", "int-past-the-digit-limit", "fraction"],
+    )
+    def test_a_tolerance_past_the_largest_float_is_refused_by_name(self, tolerance):
+        # never a bare OverflowError, and never a repr past the integer digit limit
+        match = "^tolerance must be a real number, got one past the largest float$"
+        with pytest.raises(ConfigError, match=match):
+            OptimizerConfig(tolerance=tolerance)
 
     def test_integer_counts_are_coerced_to_int(self):
         config = OptimizerConfig(restarts=np.int64(3), seed=np.int32(7), max_evals=np.int16(50))

@@ -142,7 +142,8 @@ layers = sorted(set({LAYERS!r}) & set(sys.modules))
 modules = ("hashlib", "numpy", "numpy.random")
 print(json.dumps([code, layers, *(name in sys.modules for name in modules)]))
 """
-MERMIN4 = str(Path(__file__).parent / "data" / "mermin4-fractions.bell")
+DATA = Path(__file__).parent / "data"
+MERMIN4 = str(DATA / "mermin4-fractions.bell")
 QUANTUM_NOISE = ["bellkit.noise", "bellkit.quantum"]
 
 
@@ -176,3 +177,30 @@ def test_each_command_imports_only_the_layers_it_runs(argv, layers, numpy_loaded
     assert not numpy_random
     if argv[:2] == ["bound", "--builtin"]:  # read from no file, so nothing is hashed
         assert not hashlib_loaded
+
+
+OPENSSL_PROBE = f"""
+import sys
+preloaded = '_hashlib' in sys.modules
+{COMMAND}
+print(preloaded, '_hashlib' in sys.modules)
+"""
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["bound", MERMIN4],
+        ["quantum", str(DATA / "mermin4.bell"), "--model", str(DATA / "ghz4-xy.json")],
+        ["report", "--builtin", "g-paper"],  # hashes the packaged g-paper fixture
+    ],
+    ids=["bound-file", "quantum-files", "report-fixture"],
+)
+def test_a_command_that_hashes_a_file_loads_no_openssl(argv):
+    # the digest comes from the interpreter's own SHA-256, not hashlib's OpenSSL
+    report, loaded = fresh(OPENSSL_PROBE, *argv).splitlines()
+    assert json.loads(report)[0] == 0
+    preloaded, openssl_loaded = loaded.split()
+    if preloaded == "True":
+        pytest.skip("_hashlib is loaded before bellkit is imported")
+    assert openssl_loaded == "False"

@@ -63,7 +63,7 @@ class TestStates:
         with pytest.raises(DimensionMismatchError):
             ghz_state(1)
 
-    @pytest.mark.parametrize("parties", ["3", 2.5, None])
+    @pytest.mark.parametrize("parties", ["3", 2.5, None, True, np.True_])
     def test_a_ghz_party_count_that_is_not_an_integer_is_refused_by_name(self, parties):
         with pytest.raises(DimensionMismatchError, match="^parties must be an integer, got "):
             ghz_state(parties)
@@ -125,6 +125,11 @@ class TestModel:
                     f"party 0 setting 1: Bloch component must be a real number, got {bad!r}",
                 )
                 for bad in ("1", True, np.True_, None, 1j)
+            ),
+            (
+                (((1.0, 0.0, 0.0), (0.0, 10**400, 0.0)),),
+                "party 0 setting 1: Bloch component must be a real number, "
+                "got one past the largest float",
             ),
         ],
     )
@@ -473,6 +478,11 @@ class TestWhiteNoiseMixing:
         match = "^noise fraction must be a real number, got "
         with pytest.raises(DimensionMismatchError, match=match):
             mix_with_white_noise(ghz3, bad)
+
+    def test_a_fraction_past_the_largest_float_is_refused_by_name(self, ghz3):
+        match = "^noise fraction must be a real number, got one past the largest float$"
+        with pytest.raises(DimensionMismatchError, match=match):
+            mix_with_white_noise(ghz3, 10**400)
 
     def test_p_out_of_range(self, ghz3):
         with pytest.raises(DimensionMismatchError):

@@ -1,6 +1,7 @@
 import sys
 from fractions import Fraction
 from itertools import product
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -254,6 +255,56 @@ class TestMakeExpression:
         reference = make_expression(TRI, terms)
         shuffled = make_expression(TRI, [terms[i] for i in permutation])
         assert shuffled == reference
+
+    @given(
+        terms=st.lists(
+            st.tuples(
+                st.tuples(*[st.integers(0, 1)] * 3),
+                st.tuples(*[st.integers(0, 1)] * 3),
+                st.fractions(min_value=-2, max_value=2, max_denominator=2),
+            ),
+            max_size=12,
+        ),
+        correlator=st.booleans(),
+    )
+    @settings(max_examples=60, deadline=None)
+    def test_the_builders_give_what_the_constructor_gives(self, terms, correlator):
+        # one check per key, then the summed map wrapped as the constructor keeps it
+        merged: dict = {}
+        for settings_key, outcomes, c in terms:
+            key = settings_key if correlator else (settings_key, outcomes)
+            merged[key] = merged.get(key, 0) + c
+        if correlator:
+            built = make_correlator_expression(TRI, [(s, c) for s, _, c in terms])
+            constructed = CorrelatorExpression(TRI, merged)
+        else:
+            built = make_expression(TRI, [MarginalTerm(*term) for term in terms])
+            constructed = BellExpression(TRI, merged)
+        assert built == constructed
+        assert list(built.terms) == list(constructed.terms)  # same key order, no zeros
+        assert {type(c) for c in built.terms.values()} <= {Fraction}
+
+    def test_a_duck_typed_terms_coefficient_becomes_a_fraction(self):
+        term = SimpleNamespace(settings=(0, 0, 0), outcomes=(1, 1, 1), coefficient="1/2")
+        expr = make_expression(TRI, [term, term])
+        assert dict(expr.terms) == {((0, 0, 0), (1, 1, 1)): Fraction(1)}
+        assert type(expr.coefficient((0, 0, 0), (1, 1, 1))) is Fraction
+
+    def test_every_key_is_checked_before_any_coefficient(self):
+        float_term = SimpleNamespace(settings=(0, 0, 0), outcomes=(1, 1, 1), coefficient=0.5)
+        with pytest.raises(ScenarioError, match="setting 2 out of range in term"):
+            make_expression(TRI, [float_term, MarginalTerm((2, 0, 0), (0, 0, 0), 1)])
+        with pytest.raises(ScenarioError, match="^coefficients must be exact rationals"):
+            make_expression(TRI, [float_term])
+
+    def test_a_correlator_builder_checks_its_terms_then_the_scenario(self):
+        ternary = Scenario.uniform(3, 2, 3)
+        with pytest.raises(ScenarioError, match="^party 0: setting 5 out of range$"):
+            make_correlator_expression(ternary, [((5, 0, 0), 1)])
+        with pytest.raises(ScenarioError, match="^coefficients must be exact rationals"):
+            make_correlator_expression(ternary, [((0, 0, 0), 0.5)])
+        with pytest.raises(UnsupportedScenarioError, match="two outcomes"):
+            make_correlator_expression(ternary, [((0, 0, 0), 1)])
 
     def test_addition_and_scaling(self):
         e1 = make_expression(TRI, [MarginalTerm((0, 0, 0), (1, 1, 1), 2)])
