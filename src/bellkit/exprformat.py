@@ -299,7 +299,8 @@ def parse_expression(text: str) -> Expression:
     """Parse a P- or E-document; empty documents yield an empty probability form."""
     scenario, kind, terms = _parse(text, "PE")
     form = CorrelatorExpression if kind == "E" else BellExpression
-    return form(scenario, terms)
+    # every key was range-checked as it was read; a merge may have cancelled one
+    return form._from_valid_terms(scenario, {key: c for key, c in terms.items() if c})
 
 
 def parse_expansion(text: str) -> FullJointExpansion:

@@ -28,22 +28,16 @@ independent of restart execution order.  Magnitude runs ascend on the
 expression and on its negation from every start.  Ties go to the earliest
 ascent.
 
-The start's value is the probability-table engine of :mod:`bellkit.quantum`
-called directly, and the environments contract in its layout, with the
-density matrix and the expression's weight vector prepared once per run.
-The result holds the best directions as polar angles, per party one
-(theta, phi) pair per setting, and the model at those angles, on which
-:func:`bellkit.quantum.expression_value` re-evaluates the best value.
-
-No qubit convention is re-derived here: angles become Bloch vectors in
-``quantum._bloch_from_angles`` and turn back in ``quantum._angles_from_bloch``,
-projectors are built by ``quantum._projectors`` (every party's at a start,
-cut by ``quantum._projector_blocks``, then only the stepped party's), whose
-halved Pauli matrices and outcome signs give each slot's b, party counts are
-checked by ``quantum._check_parties``, and each weight is a coefficient times an
-entry's sign, both placed by the expression's ``table_lookup``, which reads
-every form alike and takes its correlator signs from ``scenario._parity_signs``.
-The config's counts go through ``scenario._integer``, its tolerance ``_real``.
+The engine's pieces come from :mod:`bellkit.quantum`, which alone knows the
+flat table layout, the contraction order and the projector basis: the
+start's value is its table, each party's environment is ``_environments``,
+each slot's b is read off it by ``_affine``, and the expression's weights
+are placed by ``_expression_weights``, with the density matrix and the
+weights prepared once per run.  The result holds the best directions as
+polar angles, per party one (theta, phi) pair per setting, and the model at
+those angles, on which :func:`bellkit.quantum.expression_value` re-evaluates
+the best value.  The config's counts go through ``scenario._integer``, its
+tolerance ``_real``.
 """
 
 from __future__ import annotations
@@ -54,17 +48,16 @@ from dataclasses import dataclass, field
 from itertools import chain, pairwise
 from typing import Optional
 
-import numpy as np
-
 from .errors import ConfigError, UnsupportedScenarioError
 from .quantum import (
-    _HALF_PAULI_AB,
-    _SIGNS,
     MeasurementModel,
     State,
+    _affine,
     _angles_from_bloch,
     _bloch_from_angles,
     _check_parties,
+    _environments,
+    _expression_weights,
     _paired_density,
     _projector_blocks,
     _projectors,
@@ -72,6 +65,11 @@ from .quantum import (
     expression_value,
 )
 from .scenario import Expression, Scenario, _integer, _real
+
+# numpy after .quantum: when bellkit runs from source, quantum.py then compiles
+# before numpy loads, not on top of numpy's heap, which would set the memory
+# peak of the optimize command
+import numpy as np
 
 
 @dataclass(frozen=True)
@@ -105,52 +103,6 @@ class OptimizationResult:
     best_model: MeasurementModel = field(compare=False)  # at best_angles, which gave best_value
     evaluations: int  # contractions over all ascents
     converged_starts: int  # ascents stopped by tolerance, not by budget
-
-
-def _expression_weights(expr: Expression) -> np.ndarray:
-    """Each entry's weight in the engine's flat ``(s_0, o_0, s_1, o_1, ..)`` table,
-    placed by ``table_lookup``: a term's coefficient times each entry's sign."""
-    index, signs, coefficients = expr.table_lookup
-    weights = np.zeros(math.prod(expr.scenario.table_shape))
-    weights[index] = np.array(coefficients)[:, None] * signs
-    return weights
-
-
-def _environments(paired: np.ndarray, weights: np.ndarray, blocks: list):
-    """Yield each party's environment in party order: the (4, 2 * settings)
-    array ``E`` with ``value = Re sum(E * blocks[p])`` while every other
-    party's block stays as it is.  It is the contraction of the paired density
-    and the weights with every other party's projector block.
-
-    The right partial products, ``weights`` contracted with the blocks of
-    parties p + 1 .. n - 1, are built once, before the first yield; the left
-    partial product, ``paired`` contracted with the blocks of parties 0 .. p - 1,
-    grows by one party after each yield and reads ``blocks[p]`` only then, so a
-    caller that replaces ``blocks[p]`` in between sees its environments follow.
-    The left product is :func:`~bellkit.quantum._table`'s running table in its
-    ``(r_p, .., r_{n-1}, c_0, .., c_{p-1})`` layout, each ``r`` a party's (a, b)
-    pair and each ``c`` its (s, o) pair; the right product is laid out
-    ``(r_{p+1}, .., r_{n-1}, c_0, .., c_p)``, so one matrix product joins them.
-    """
-    rights = [weights]
-    for block in reversed(blocks[1:]):
-        rights.append(block @ rights[-1].reshape(-1, block.shape[1]).T)
-    left = paired
-    for party, right in enumerate(reversed(rights)):
-        yield left.reshape(4, -1) @ right.reshape(-1, blocks[party].shape[1])
-        if party + 1 < len(blocks):
-            left = left.reshape(4, -1).T @ blocks[party]
-
-
-def _affine(environment: np.ndarray) -> np.ndarray:
-    """Each setting's direction b, shape (3, settings), off its party's
-    ``environment``: with the other slots fixed, the value is affine in setting
-    s's Bloch vector with slope ``b[:, s]``.  A projector is
-    ``I/2 + sign * (sigma . n)/2`` (:func:`_projectors`), so b sums a setting's
-    environment columns by outcome sign against the halved Pauli matrices; the
-    party's settings never share a term, so each b is free of the others'."""
-    signed = environment.reshape(4, -1, 2) @ _SIGNS
-    return (_HALF_PAULI_AB.T @ signed).real
 
 
 def _ascend(

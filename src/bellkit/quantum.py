@@ -32,7 +32,13 @@ runs the engine for a model and yields the table flat in
 expression's terms read, at positions it compiles once and keeps
 (``table_lookup``); a joint probability or a correlator is the one term of a
 one-term expression.  :func:`probability_table` is the full-table view only.
-The optimizer objective is a dot product with the flat table.  An
+The optimizer's primitives live here too, so this module alone knows the
+flat table layout, the contraction order and the projector basis:
+:func:`_expression_weights` places an expression's weights in the flat
+table, whose dot product with them is the objective; :func:`_environments`
+is the engine contracted with one party left open; and :func:`_affine`,
+the adjoint of :func:`_projectors`, reads each setting's slope off an
+environment.  An
 :class:`ExpressionValue` holds numbers only; each term's key and coefficient
 stay on the expression.  Local bounds play no part here: comparing a quantum
 value with one is the job of :mod:`bellkit.noise`.
@@ -318,6 +324,52 @@ def _flat_table(state: State, model: MeasurementModel) -> np.ndarray:
     and an expression's ``table_lookup`` indexes, from the projector blocks
     the model built once.  The caller checks the party count."""
     return _table(_paired_density(state, model.settings_per_party), model._blocks)
+
+
+def _expression_weights(expr: Expression) -> np.ndarray:
+    """Each entry's weight in the engine's flat ``(s_0, o_0, s_1, o_1, ..)`` table,
+    placed by ``table_lookup``: a term's coefficient times each entry's sign."""
+    index, signs, coefficients = expr.table_lookup
+    weights = np.zeros(math.prod(expr.scenario.table_shape))
+    weights[index] = np.array(coefficients)[:, None] * signs
+    return weights
+
+
+def _environments(paired: np.ndarray, weights: np.ndarray, blocks: list):
+    """Yield each party's environment in party order: the (4, 2 * settings)
+    array ``E`` with ``value = Re sum(E * blocks[p])`` while every other
+    party's block stays as it is.  It is the contraction of the paired density
+    and the weights with every other party's projector block.
+
+    The right partial products, ``weights`` contracted with the blocks of
+    parties p + 1 .. n - 1, are built once, before the first yield; the left
+    partial product, ``paired`` contracted with the blocks of parties 0 .. p - 1,
+    grows by one party after each yield and reads ``blocks[p]`` only then, so a
+    caller that replaces ``blocks[p]`` in between sees its environments follow.
+    The left product is :func:`_table`'s running table in its
+    ``(r_p, .., r_{n-1}, c_0, .., c_{p-1})`` layout, each ``r`` a party's (a, b)
+    pair and each ``c`` its (s, o) pair; the right product is laid out
+    ``(r_{p+1}, .., r_{n-1}, c_0, .., c_p)``, so one matrix product joins them.
+    """
+    rights = [weights]
+    for block in reversed(blocks[1:]):
+        rights.append(block @ rights[-1].reshape(-1, block.shape[1]).T)
+    left = paired
+    for party, right in enumerate(reversed(rights)):
+        yield left.reshape(4, -1) @ right.reshape(-1, blocks[party].shape[1])
+        if party + 1 < len(blocks):
+            left = left.reshape(4, -1).T @ blocks[party]
+
+
+def _affine(environment: np.ndarray) -> np.ndarray:
+    """Each setting's direction b, shape (3, settings), off its party's
+    ``environment``: with the other slots fixed, the value is affine in setting
+    s's Bloch vector with slope ``b[:, s]``.  A projector is
+    ``I/2 + sign * (sigma . n)/2`` (:func:`_projectors`), so b sums a setting's
+    environment columns by outcome sign against the halved Pauli matrices; the
+    party's settings never share a term, so each b is free of the others'."""
+    signed = environment.reshape(4, -1, 2) @ _SIGNS
+    return (_HALF_PAULI_AB.T @ signed).real
 
 
 def probability_table(state: State, model: MeasurementModel) -> np.ndarray:

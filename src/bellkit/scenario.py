@@ -434,17 +434,16 @@ class _LinearExpression:
 
     def scale(self, factor: RationalInput):
         factor = as_fraction(factor)
-        return type(self)(self.scenario, {key: factor * c for key, c in self.terms.items()})
+        scaled = {key: factor * c for key, c in self.terms.items()} if factor else {}
+        return self._from_valid_terms(self.scenario, scaled)
 
     def __add__(self, other):
         if not isinstance(other, type(self)):
             return NotImplemented
         if self.scenario != other.scenario:
             raise ScenarioMismatchError("cannot add expressions over different scenarios")
-        merged = dict(self.terms)
-        for key, c in other.terms.items():
-            merged[key] = merged.get(key, Fraction(0)) + c
-        return type(self)(self.scenario, merged)
+        merged = _merged(chain(self.terms.items(), other.terms.items()))
+        return self._from_valid_terms(self.scenario, merged)
 
     def __neg__(self):
         return self.scale(-1)

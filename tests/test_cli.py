@@ -703,13 +703,15 @@ class TestErrorPaths:
         assert code == 1
         assert "exceeding the cap of 10" in err
         assert out == ""
-        # a cap below 1 is refused by name as the arguments are parsed
-        code, out, err = run(capsys, ["bound", "--builtin", "g-paper", "--cap", "-5"])
-        assert (code, out) == (1, "")
-        assert err.splitlines()[:2] == [
-            "error: argument --cap: must be a positive integer, got -5",
-            "usage: bellkit bound [-h] [--builtin NAME] [--format {json,plain}]",
-        ]
+        # a cap below 1, or not an integer, is refused by name as the arguments are parsed
+        refusals = {"-5": "must be a positive integer, got -5", "abc": "invalid int value: 'abc'"}
+        for cap, reason in refusals.items():
+            code, out, err = run(capsys, ["bound", "--builtin", "g-paper", "--cap", cap])
+            assert (code, out) == (1, "")
+            assert err.splitlines()[:2] == [
+                f"error: argument --cap: {reason}",
+                "usage: bellkit bound [-h] [--builtin NAME] [--format {json,plain}]",
+            ]
 
     @pytest.mark.parametrize(
         "argv",

@@ -126,6 +126,17 @@ class TestParseExpression:
         assert expr.coefficient((0, 0, 0), (0, 0, 0)) == 3
 
     @pytest.mark.parametrize(
+        "kept,cancelled",
+        [("P(A1 B1 C1 | 1 1 1)", "P(A0 B0 C0 | 0 0 0)"), ("E(A1 B1 C1)", "E(A0 B0 C0)")],
+    )
+    def test_keys_that_cancel_are_dropped(self, kept, cancelled):
+        text = f"scenario 3 2 2\n+1 {kept}\n+1 {cancelled}\n-1 {cancelled}\n"
+        with pytest.warns(DuplicateTermWarning, match="line 4"):
+            expr = parse_expression(text)
+        assert expr.term_count == 1
+        assert list(expr.terms.values()) == [1]
+
+    @pytest.mark.parametrize(
         "term,bad_line,parse,match,line",
         [
             ("+1 E(A0 B0 C0)", "+1 E(A0 B0)", parse_expression, "3 party tokens", 4),

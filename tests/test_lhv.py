@@ -683,6 +683,11 @@ class TestDiff:
         assert len(report) == 64
         assert all(entry.fixture == entry.computed / 3 for entry in report)
 
+    def test_an_expansion_equals_no_other_type(self, g_expr):
+        expansion = expand_full_joint(g_expr)
+        assert expansion.__eq__(object()) is NotImplemented
+        assert (expansion == object()) is False
+
     def test_scenario_mismatch(self, g_expr):
         other = FullJointExpansion(Scenario.uniform(2, 2, 2), np.zeros((2,) * 4, np.int64), 1)
         both = "scenario 3 2 2 computed, scenario 2 2 2 in the fixture"

@@ -32,8 +32,16 @@ from bellkit import (
     optimize_measurements,
     paper_model,
 )
-from bellkit.optimize import _affine, _ascend, _environments, _expression_weights
-from bellkit.quantum import _bloch_from_angles, _paired_density, _projector_blocks, _table
+from bellkit.optimize import _ascend
+from bellkit.quantum import (
+    _affine,
+    _bloch_from_angles,
+    _environments,
+    _expression_weights,
+    _paired_density,
+    _projector_blocks,
+    _table,
+)
 
 import oracles
 

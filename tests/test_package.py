@@ -83,6 +83,14 @@ def test_a_submodule_read_as_an_attribute_loads_only_itself():
     assert fresh(probe) == "bellkit.errors ['bellkit.errors']\n"
 
 
+def test_a_quantum_layer_read_as_an_attribute_is_imported_and_returned():
+    # the submodule alone, not the whole quantum stack that its names load
+    probe = f"import sys, bellkit; print(bellkit.quantum is sys.modules[{LAYERS[0]!r}], {LOADED})"
+    loaded = ["bellkit.errors", "bellkit.quantum", "bellkit.scenario"]
+    assert fresh(probe) == f"True {loaded}\n"
+    assert bellkit.__getattr__("quantum") is importlib.import_module("bellkit.quantum")
+
+
 def test_the_table_names_each_public_name_once():
     assert len(SUBMODULES) == 8
     assert len(bellkit.__all__) == len(set(bellkit.__all__))

@@ -24,6 +24,8 @@ from bellkit import (
     correlator_to_probability,
     make_correlator_expression,
     make_expression,
+    parse_expression,
+    serialize_expression,
 )
 
 import oracles
@@ -305,6 +307,34 @@ class TestMakeExpression:
             make_correlator_expression(ternary, [((0, 0, 0), 0.5)])
         with pytest.raises(UnsupportedScenarioError, match="two outcomes"):
             make_correlator_expression(ternary, [((0, 0, 0), 1)])
+
+    @pytest.mark.parametrize("name", ["g-paper", "mermin"])
+    def test_parsing_and_the_algebra_check_no_key_twice(self, monkeypatch, name):
+        # the parser range-checks its tokens, and sums, multiples and negations
+        # of valid expressions hold valid keys: none goes through a key check again
+        text = serialize_expression(builtin_expression(name))
+        calls = []
+        for method in ("validate_term", "validate_settings"):
+            def counted(self, *key, _check=getattr(Scenario, method), _name=method):
+                calls.append(_name)
+                return _check(self, *key)
+
+            monkeypatch.setattr(Scenario, method, counted)
+        first, second = parse_expression(text), parse_expression(text)
+        results = [first.scale(Fraction(3, 2)), first.scale(0), first + second, first + -second]
+        monkeypatch.undo()
+        assert calls == []
+        form, terms = type(first), first.terms
+        expected = [
+            {key: Fraction(3, 2) * c for key, c in terms.items()},
+            {},
+            {key: 2 * c for key, c in terms.items()},
+            {},
+        ]
+        for result, expected_terms in zip(results, expected):
+            constructed = form(first.scenario, expected_terms)
+            assert type(result) is form and result == constructed
+            assert list(result.terms) == list(constructed.terms)
 
     def test_addition_and_scaling(self):
         e1 = make_expression(TRI, [MarginalTerm((0, 0, 0), (1, 1, 1), 2)])
