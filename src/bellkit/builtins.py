@@ -7,51 +7,41 @@ from pathlib import Path
 from typing import TYPE_CHECKING
 
 from .errors import UnknownBuiltinError
-from .scenario import (
-    BellExpression,
-    CorrelatorExpression,
-    Expression,
-    MarginalTerm,
-    Scenario,
-    make_correlator_expression,
-    make_expression,
-)
+from .scenario import BellExpression, CorrelatorExpression, Expression, Scenario
 
 if TYPE_CHECKING:  # the fixture's reader is imported where the fixture is read
     from .lhv import FullJointExpansion
 
 TRIPARTITE_BINARY = Scenario.uniform(3, 2, 2)
 
-# (coefficient, settings, outcomes); setting 0 is the unprimed measurement of
-# each party (A, B, C), setting 1 the primed one (A', B', C').
-_G_PAPER_TERMS = (
-    (1, (0, 0, 0), (1, 1, 1)),
-    (5, (0, 0, 0), (1, 0, 0)),
-    (5, (0, 0, 0), (0, 0, 1)),
-    (1, (0, 0, 0), (1, 0, 1)),
-    (4, (0, 0, 0), (0, 0, 0)),
-    (4, (0, 0, 0), (0, 1, 0)),
-    (1, (0, 1, 1), (0, 0, 0)),
-    (1, (0, 1, 1), (0, 1, 1)),
-    (-4, (0, 1, 1), (0, 0, 1)),
-    (-4, (0, 1, 1), (0, 1, 0)),
-    (-1, (1, 1, 0), (0, 0, 1)),
-    (-1, (1, 1, 0), (1, 1, 1)),
-    (-4, (1, 1, 0), (0, 1, 0)),
-    (-4, (1, 1, 0), (1, 0, 0)),
-    (-5, (1, 0, 1), (1, 0, 0)),
-    (-5, (1, 0, 1), (0, 0, 1)),
-    (1, (1, 1, 1), (1, 1, 0)),
-    (1, (1, 1, 1), (0, 0, 1)),
-    (-4, (1, 1, 1), (1, 1, 1)),
-    (-4, (1, 1, 1), (0, 0, 0)),
-)
-
 
 def _g_paper() -> BellExpression:
-    return make_expression(
+    # (settings, outcomes): coefficient; setting 0 is the unprimed measurement
+    # of each party (A, B, C), setting 1 the primed one (A', B', C').
+    return BellExpression(
         TRIPARTITE_BINARY,
-        [MarginalTerm(settings, outcomes, c) for c, settings, outcomes in _G_PAPER_TERMS],
+        {
+            ((0, 0, 0), (1, 1, 1)): 1,
+            ((0, 0, 0), (1, 0, 0)): 5,
+            ((0, 0, 0), (0, 0, 1)): 5,
+            ((0, 0, 0), (1, 0, 1)): 1,
+            ((0, 0, 0), (0, 0, 0)): 4,
+            ((0, 0, 0), (0, 1, 0)): 4,
+            ((0, 1, 1), (0, 0, 0)): 1,
+            ((0, 1, 1), (0, 1, 1)): 1,
+            ((0, 1, 1), (0, 0, 1)): -4,
+            ((0, 1, 1), (0, 1, 0)): -4,
+            ((1, 1, 0), (0, 0, 1)): -1,
+            ((1, 1, 0), (1, 1, 1)): -1,
+            ((1, 1, 0), (0, 1, 0)): -4,
+            ((1, 1, 0), (1, 0, 0)): -4,
+            ((1, 0, 1), (1, 0, 0)): -5,
+            ((1, 0, 1), (0, 0, 1)): -5,
+            ((1, 1, 1), (1, 1, 0)): 1,
+            ((1, 1, 1), (0, 0, 1)): 1,
+            ((1, 1, 1), (1, 1, 1)): -4,
+            ((1, 1, 1), (0, 0, 0)): -4,
+        },
     )
 
 
@@ -59,9 +49,8 @@ def _mermin() -> CorrelatorExpression:
     # Signed linear form E(A,B',C') + E(A',B,C') + E(A',B',C) - E(A,B,C); the
     # customary inequality takes its absolute value, which the analysis layer
     # applies when magnitudes are requested.
-    return make_correlator_expression(
-        TRIPARTITE_BINARY,
-        [((0, 1, 1), 1), ((1, 0, 1), 1), ((1, 1, 0), 1), ((0, 0, 0), -1)],
+    return CorrelatorExpression(
+        TRIPARTITE_BINARY, {(0, 1, 1): 1, (1, 0, 1): 1, (1, 1, 0): 1, (0, 0, 0): -1}
     )
 
 

@@ -589,23 +589,23 @@ def parse_model(text: str) -> tuple:
     except DimensionMismatchError as exc:
         raise ParseError(str(exc)) from None
 
-    if state_spec == "ghz":
-        state: State = ghz_state(model.parties)
-    elif isinstance(state_spec, dict) and "amplitudes" in state_spec:
-        pairs = state_spec["amplitudes"]
-        try:
-            amplitudes = np.array(
-                [complex(re, im) for re, im in map(_json_numbers, pairs)], dtype=complex
-            )
-        except (TypeError, ValueError, OverflowError) as exc:
-            raise ParseError(f"bad amplitude list: {exc}") from None
-        try:
+    try:  # a state that does not fit the model, GHZ or given, is a fault of the document
+        if state_spec == "ghz":
+            state: State = ghz_state(model.parties)
+        elif isinstance(state_spec, dict) and "amplitudes" in state_spec:
+            pairs = state_spec["amplitudes"]
+            try:
+                amplitudes = np.array(
+                    [complex(re, im) for re, im in map(_json_numbers, pairs)], dtype=complex
+                )
+            except (TypeError, ValueError, OverflowError) as exc:
+                raise ParseError(f"bad amplitude list: {exc}") from None
             state = PureState(amplitudes)
             _check_parties(state, model.parties)
-        except DimensionMismatchError as exc:
-            raise ParseError(str(exc)) from None
-    else:
-        raise ParseError("'state' must be \"ghz\" or {'amplitudes': [[re, im], ...]}")
+        else:
+            raise ParseError("'state' must be \"ghz\" or {'amplitudes': [[re, im], ...]}")
+    except DimensionMismatchError as exc:
+        raise ParseError(str(exc)) from None
     return state, model
 
 

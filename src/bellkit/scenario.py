@@ -10,10 +10,12 @@ joint-probability terms; each term names one setting and one outcome per
 party and carries an exact rational coefficient.  When every measurement is
 binary the same functional can be written in correlator form, as a signed
 sum of full correlators E(settings).  Both forms share one base, which owns
-their algebra, the validation loop over term keys and the two compiled
-lookups: ``strategy_lookup`` for the vertex sweep and ``table_lookup`` for
-the quantum engine and the optimizer.  A form supplies only its key check
-and its table rows.
+their algebra, the validating constructor and the two compiled lookups:
+``strategy_lookup`` for the vertex sweep and ``table_lookup`` for the
+quantum engine and the optimizer.  A form supplies only its key check and
+its table rows.  The constructor and both builders merge through one rule,
+``_merged``: keys that name one term sum their coefficients, in the order
+the keys first appear, and exact cancellations are dropped.
 
 Everything in this module is exact: coefficients are `fractions.Fraction`
 and no float arithmetic is performed, so polytope bounds computed downstream
@@ -402,13 +404,9 @@ class _LinearExpression:
     terms: Mapping
 
     def __post_init__(self):
-        validated = {}
-        for key, coefficient in dict(self.terms).items():
-            key = self._valid_key(key)
-            coefficient = as_fraction(coefficient)
-            if coefficient != 0:
-                validated[key] = coefficient
-        object.__setattr__(self, "terms", MappingProxyType(validated))
+        # each key, then its coefficient, term by term; keys that name one term sum
+        pairs = ((self._valid_key(key), as_fraction(c)) for key, c in dict(self.terms).items())
+        object.__setattr__(self, "terms", MappingProxyType(_merged(pairs)))
 
     @classmethod
     def _from_valid_terms(cls, scenario: Scenario, terms: dict):

@@ -17,11 +17,13 @@ from hypothesis import strategies as st
 
 import bellkit
 from bellkit import (
+    NoRootError,
     builtin_expression,
     g_paper_expansion_fixture_path,
     ghz_state,
     paper_model,
     serialize_expression,
+    tolerance_by_root_scan,
     violation_report,
 )
 from bellkit.cli import _f12, _plain_lines, _rational, _read, run_command
@@ -175,6 +177,16 @@ class TestNoise:
         code, out, err = run(capsys, ["noise", str(path)])
         assert code == 1
         assert "undefined" in err
+
+    def test_a_violation_that_survives_the_whole_interval_has_no_root(self, capsys, monkeypatch):
+        # unmixed, every noisy state is GHZ_3 itself, so Q = 3.5 stays above 1 at p = 1
+        monkeypatch.setattr("bellkit.noise.mix_with_white_noise", lambda density, p: density)
+        message = "the violation survives the whole interval; no root in [0, 1]"
+        with pytest.raises(NoRootError, match=f"^{re.escape(message)}$"):
+            tolerance_by_root_scan(builtin_expression("g-paper"), ghz_state(3), paper_model())
+        assert run(capsys, ["noise", "--builtin", "g-paper"]) == (1, "", f"error: {message}\n")
+        report = run_json(capsys, ["report", "--builtin", "g-paper"])
+        assert report["noise"] == {"defined": False, "reason": message}
 
 
 class TestZeroMargin:
@@ -904,6 +916,15 @@ class TestErrorPaths:
         code, out, err = run(capsys, [command, "--builtin", "g-paper", flag, str(path)])
         assert (code, out) == (1, "")
         assert err == "error: model document is nested too deeply\n"
+
+    @pytest.mark.parametrize("flag", ["--model", "--state"])
+    def test_a_one_party_ghz_model_is_an_input_error(self, capsys, tmp_path, flag):
+        path = tmp_path / "one.json"
+        path.write_text('{"state": "ghz", "measurements": [[{"bloch": [1, 0, 0]}]]}')
+        command = "quantum" if flag == "--model" else "optimize"
+        code, out, err = run(capsys, [command, "--builtin", "g-paper", flag, str(path)])
+        assert (code, out) == (1, "")
+        assert err == "error: a GHZ state needs at least two parties\n"
 
     @pytest.mark.parametrize(
         "text,location",

@@ -7,7 +7,9 @@ goes through to the owning submodule.  Each CLI command imports only the
 layers it runs, and numpy only once it builds an array.
 """
 
+import contextlib
 import importlib
+import io
 import json
 import os
 import subprocess
@@ -36,6 +38,7 @@ def fresh(probe: str, *argv: str) -> str:
 
 
 LOADED = "sorted(m for m in sys.modules if m.startswith('bellkit.'))"
+README = Path(__file__).resolve().parents[1] / "README.md"
 
 
 def test_importing_the_package_loads_no_submodule_and_no_numpy():
@@ -212,3 +215,16 @@ def test_a_command_that_hashes_a_file_loads_no_openssl(argv):
     if preloaded == "True":
         pytest.skip("_hashlib is loaded before bellkit is imported")
     assert openssl_loaded == "False"
+
+
+def test_the_library_use_snippet_prints_what_its_comments_say():
+    section = README.read_text(encoding="utf-8").split("\n## Library use\n", 1)[1]
+    snippet = section.split("```python\n", 1)[1].split("```", 1)[0]
+    # each print line's trailing comment is the line it prints
+    expected = [
+        line.rsplit("#", 1)[1].strip() for line in snippet.splitlines() if line.startswith("print(")
+    ]
+    printed = io.StringIO()
+    with contextlib.redirect_stdout(printed):
+        exec(compile(snippet, str(README), "exec"), {})
+    assert expected and printed.getvalue().splitlines() == expected

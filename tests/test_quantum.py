@@ -624,6 +624,11 @@ class TestModelDocuments:
                 '"measurements": [[{"bloch": [1, 0, 0]}], [{"bloch": [1, 0, 0]}]]}',
                 "1 qubits but the model has 2",
             ),
+            pytest.param(
+                '{"state": "ghz", "measurements": [[{"bloch": [1, 0, 0]}]]}',
+                "^a GHZ state needs at least two parties$",
+                id="one-party-ghz",
+            ),
             (
                 '{"state": "ghz", "measurements": [[{"bloch": [NaN, 0, 0]}]]}',
                 "party 0 setting 0: 'bloch' must be 3 finite numbers",

@@ -5,7 +5,7 @@ from types import SimpleNamespace
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from bellkit import (
@@ -264,24 +264,32 @@ class TestMakeExpression:
                 st.tuples(*[st.integers(0, 1)] * 3),
                 st.tuples(*[st.integers(0, 1)] * 3),
                 st.fractions(min_value=-2, max_value=2, max_denominator=2),
+                st.booleans(),  # whether the settings are spelled as bytes
             ),
             max_size=12,
         ),
         correlator=st.booleans(),
     )
+    # two spellings of one term's key: the constructor sums them, as the builders do
+    @example(terms=[((0, 0, 0), (1, 1, 1), 1, False), ((0, 0, 0), (1, 1, 1), 2, True)],
+             correlator=False)
+    @example(terms=[((0, 0, 0), (1, 1, 1), 1, False), ((0, 0, 0), (1, 1, 1), 2, True)],
+             correlator=True)
     @settings(max_examples=60, deadline=None)
     def test_the_builders_give_what_the_constructor_gives(self, terms, correlator):
-        # one check per key, then the summed map wrapped as the constructor keeps it
-        merged: dict = {}
+        # one check per key, then the summed map wrapped as the constructor keeps it;
+        # b"\x00\x01\x01" names the settings (0, 1, 1), so a key may be spelled twice
+        terms = [(bytes(s) if as_bytes else s, o, c) for s, o, c, as_bytes in terms]
+        spelled: dict = {}
         for settings_key, outcomes, c in terms:
             key = settings_key if correlator else (settings_key, outcomes)
-            merged[key] = merged.get(key, 0) + c
+            spelled[key] = spelled.get(key, 0) + c
         if correlator:
             built = make_correlator_expression(TRI, [(s, c) for s, _, c in terms])
-            constructed = CorrelatorExpression(TRI, merged)
+            constructed = CorrelatorExpression(TRI, spelled)
         else:
             built = make_expression(TRI, [MarginalTerm(*term) for term in terms])
-            constructed = BellExpression(TRI, merged)
+            constructed = BellExpression(TRI, spelled)
         assert built == constructed
         assert list(built.terms) == list(constructed.terms)  # same key order, no zeros
         assert {type(c) for c in built.terms.values()} <= {Fraction}
@@ -413,6 +421,8 @@ class TestCorrelatorConversion:
         ternary = Scenario.uniform(2, 2, 3)
         with pytest.raises(UnsupportedScenarioError):
             CorrelatorExpression(ternary, {(0, 0): Fraction(1)})
+        with pytest.raises(UnsupportedScenarioError):  # the scenario before any term
+            CorrelatorExpression(ternary, {(5, 0): 0.5})
 
     @given(
         c1=st.fractions(min_value=-5, max_value=5),
@@ -485,6 +495,11 @@ class TestCorrelatorConversion:
             BellExpression(TRI, {((0, 0), (0, 0)): Fraction(1)})
         with pytest.raises(ScenarioError, match="exact rationals"):
             BellExpression(TRI, {((0, 0, 0), (0, 0, 0)): 0.5})
+        # term by term, each key before its coefficient and both before the next term
+        with pytest.raises(ScenarioError, match="^party 1: setting 2 out of range$"):
+            BellExpression(TRI, {((0, 2, 0), (0, 0, 0)): 0.5})
+        with pytest.raises(ScenarioError, match="^coefficients must be exact rationals"):
+            BellExpression(TRI, {((0, 0, 0), (0, 0, 0)): 0.5, ((0, 2, 0), (0, 0, 0)): 1})
 
     def test_as_probability_form_dispatch(self, g_expr, mermin_expr):
         assert as_probability_form(g_expr) is g_expr
