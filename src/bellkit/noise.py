@@ -26,11 +26,13 @@ changes sign.  Each step probes either side of the false-position guess and
 falls back to bisection when that does not halve the bracket, so the affine
 crossing is closed with four noisy states and any crossing still converges.
 A margin within the band of :func:`_margin_band` gives 0 by both routes and
-is not flagged as a violation: :func:`_margin` owns that zero-margin rule.
+is not flagged as a violation: :meth:`ViolationReport.of` compares the margin
+with the band and decides ``violated``, and :func:`_margin` reads that verdict.
 The scan runs :meth:`ViolationReport.of` once, on the state mixed at p = 0,
 for that rule and the orientation; every later margin is the oriented noisy
 value minus the float local bound that report holds, the subtraction the
-report makes.  All its noisy states mix one density matrix, built once.
+report makes.  Its noisy states all mix the state it is given, pure or mixed,
+reading the density matrix that state built once.
 
 Every number here needs only the local extremes (min, max), never the
 strategies that attain them, so each public function reads them once from
@@ -60,7 +62,6 @@ from typing import Callable, NamedTuple, Optional
 from .errors import NoRootError, NoViolationError
 from .lhv import DEFAULT_ENUMERATION_CAP, bound_magnitude, trivial_bounds
 from .quantum import (
-    DensityMatrix,
     MeasurementModel,
     State,
     _check_evaluation,
@@ -192,15 +193,16 @@ class NoiseReport:
 
 
 def _margin(violation: ViolationReport, band: float) -> float:
-    """Q - L, or exactly 0.0 within ``band`` of zero: the one owner of the
-    zero-margin rule.  Below -``band`` there is no violation to measure."""
+    """Q - L when the report is ``violated``, else exactly 0.0: the report has
+    compared the margin with ``band``.  Below -``band`` there is no violation to
+    measure."""
     amount = violation.violation_amount
     if amount < -band:
         raise NoViolationError(
             f"quantum value {violation.quantum_value:.12g} does not reach the local bound "
             f"{violation.local_max}; the noise tolerance is undefined"
         )
-    return amount if amount > band else 0.0
+    return amount if violation.violated else 0.0
 
 
 def _closed_form(
@@ -297,16 +299,15 @@ def _root_scan(expr, state, model, bounds, band: float, magnitude: bool) -> tupl
     """The scan of :func:`tolerance_by_root_scan`, against a given local (min, max) and
     band: the crossing and the number of noisy states evaluated to find it.
 
-    Every probe mixes one density matrix, built here.  :meth:`ViolationReport.of`
-    runs once, at p = 0; every later probe subtracts the float local bound it
-    reported, as it would."""
+    Every probe mixes the given state, which built its density matrix once.
+    :meth:`ViolationReport.of` runs once, at p = 0; every later probe subtracts
+    the float local bound it reported, as it would."""
     evaluations = 0
-    density = DensityMatrix._from_valid_matrix(state.density(), state.parties)
 
     def value_at(p: float) -> float:
         nonlocal evaluations
         evaluations += 1
-        return expression_value(expr, mix_with_white_noise(density, p), model).value
+        return expression_value(expr, mix_with_white_noise(state, p), model).value
 
     start = ViolationReport.of(value_at(0.0), bounds, magnitude, band)
     margin = _margin(start, band)

@@ -18,14 +18,15 @@ Conventions, fixed so that amplitude-level fixtures are reproducible:
 Every quantum number comes from one engine, :func:`_table`:
 ``Tr(rho Pi)`` for every setting and outcome tuple, with ``Pi`` the tensor
 product of the parties' projectors, contracted one party at a time so that
-no 2^n x 2^n operator is built.  Each state type supplies its density
-matrix: a pure state's is one broadcast product of its amplitudes and their
-conjugates, which it keeps from construction, with no ``np.outer``.  One
-gather through a permutation built once per party count (:func:`_pair_order`)
-then sets each party's row and column index side by side, so pure and mixed
-states share one path.  Each state keeps its party count, and each model its
-per-party projector blocks (:func:`_projector_blocks`), built with it; the
-optimizer builds blocks for each trial the same way.  :func:`_flat_table`
+no 2^n x 2^n operator is built.  Each state keeps its density matrix from
+construction: a pure state builds its once, as one broadcast product of its
+amplitudes and their conjugates, with no ``np.outer``, and reads it back as
+a :class:`DensityMatrix` reads its own.  One gather through a permutation
+built once per party count (:func:`_pair_order`) then sets each party's row
+and column index side by side, so pure and mixed states share one path.
+Each state keeps its party count, and each model its per-party projector
+blocks (:func:`_projector_blocks`), built with it; the optimizer builds
+blocks for each trial the same way.  :func:`_flat_table`
 runs the engine for a model and yields the table flat in
 ``(s_0, o_0, s_1, o_1, ..)`` order.  Every quantum number takes one path,
 :func:`expression_value`, which gathers and clamps only the entries an
@@ -107,7 +108,8 @@ def _pair_order(parties: int) -> np.ndarray:
 
 @dataclass(frozen=True, eq=False)
 class PureState:
-    """Complex amplitudes over the computational product basis, unit norm."""
+    """Complex amplitudes over the computational product basis, unit norm, with
+    their density matrix, built once and kept read-only."""
 
     amplitudes: np.ndarray
     parties: int = field(init=False, repr=False)
@@ -121,18 +123,18 @@ class PureState:
         if abs(norm - 1.0) > STATE_ATOL:
             raise DimensionMismatchError(f"state norm {norm!r} is not 1 within {STATE_ATOL}")
         amplitudes.setflags(write=False)
-        conjugate = amplitudes.conj()
-        conjugate.setflags(write=False)
+        density = amplitudes[:, None] * amplitudes.conj()
+        density.setflags(write=False)
         object.__setattr__(self, "amplitudes", amplitudes)
         object.__setattr__(self, "parties", parties)
-        object.__setattr__(self, "_conjugate", conjugate)
+        object.__setattr__(self, "_density", density)
 
     @property
     def dim(self) -> int:
         return self.amplitudes.size
 
     def density(self) -> np.ndarray:
-        return self.amplitudes[:, None] * self._conjugate
+        return self._density
 
 
 @dataclass(frozen=True, eq=False)

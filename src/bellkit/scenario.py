@@ -125,15 +125,13 @@ def _indices(values: Iterable, error: type = ScenarioError) -> tuple:
     values = tuple(values)  # an exact tuple is returned as itself
     if set(map(type, values)) <= {int}:
         return values
-    try:
-        return tuple(map(operator.index, values))
-    except TypeError:
-        for value in values:
-            try:
-                operator.index(value)
-            except TypeError:
-                raise error(f"index {value!r} is not an integer") from None
-        raise
+    indices = []
+    for value in values:
+        try:
+            indices.append(operator.index(value))
+        except TypeError:
+            raise error(f"index {value!r} is not an integer") from None
+    return tuple(indices)
 
 
 def _integer(value, name: str, error: type) -> int:
@@ -404,8 +402,11 @@ class _LinearExpression:
     terms: Mapping
 
     def __post_init__(self):
+        if not isinstance(self.terms, Mapping):  # a list of pairs may repeat a key
+            kind = type(self.terms).__name__
+            raise ScenarioError(f"terms must map each key to its coefficient, got {kind}")
         # each key, then its coefficient, term by term; keys that name one term sum
-        pairs = ((self._valid_key(key), as_fraction(c)) for key, c in dict(self.terms).items())
+        pairs = ((self._valid_key(key), as_fraction(c)) for key, c in self.terms.items())
         object.__setattr__(self, "terms", MappingProxyType(_merged(pairs)))
 
     @classmethod

@@ -9,6 +9,7 @@ from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from bellkit import (
+    DensityMatrix,
     DimensionMismatchError,
     MarginalTerm,
     MeasurementModel,
@@ -27,6 +28,7 @@ from bellkit import (
     paper_model,
     parse_model,
     tolerance_by_root_scan,
+    trivial_bounds,
     violation_report,
     white_noise_tolerance,
 )
@@ -258,6 +260,23 @@ class TestRootScan:
         assert len(mixes) == 4
         closed = white_noise_tolerance(expr, state, model, magnitude=magnitude)
         assert abs(scanned - closed.p_critical) <= 1e-12
+
+    def test_one_density_matrix_per_noisy_state(self, monkeypatch, g_expr, ghz3, xy_model):
+        # the scan mixes the pure state it is given, wrapping no copy of it first
+        wraps = []
+        original = DensityMatrix._from_valid_matrix.__func__
+
+        def counted(cls, matrix, parties):
+            wraps.append(parties)
+            return original(cls, matrix, parties)
+
+        monkeypatch.setattr(DensityMatrix, "_from_valid_matrix", classmethod(counted))
+        bounds = trivial_bounds(g_expr)
+        band = noise._coefficient_pass(g_expr).band
+        crossing, evaluations = noise._root_scan(g_expr, ghz3, xy_model, bounds, band, False)
+        assert crossing == pytest.approx(0.5, abs=1e-9)
+        assert evaluations == 4
+        assert len(wraps) == evaluations
 
 
 # largest evaluation count :func:`_crossing` may take on [0, 1], ends included

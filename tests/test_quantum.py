@@ -867,6 +867,15 @@ class TestInputsBuiltOnce:
         assert paired.tobytes() == oracles.paired_density_by_transpose(density).tobytes()
 
     @settings(max_examples=40, deadline=None)
+    @given(amplitudes=amplitude_vectors())
+    def test_a_pure_state_keeps_one_read_only_density(self, amplitudes):
+        state = PureState(amplitudes)
+        density = state.density()
+        assert state.density() is density
+        assert not density.flags.writeable
+        assert density.tobytes() == oracles.pure_density_by_outer(state.amplitudes).tobytes()
+
+    @settings(max_examples=40, deadline=None)
     @given(
         parties=st.integers(1, 4),
         rank=st.integers(1, 4),

@@ -135,6 +135,12 @@ class TestScenario:
         with pytest.raises(ScenarioError, match="is not an integer"):
             build()
 
+    def test_mixed_indices_convert_or_name_the_first_non_integer(self):
+        settings = TRI.validate_settings((np.int64(1), 0, np.intp(1)))
+        assert settings == (1, 0, 1) and all(type(i) is int for i in settings)
+        with pytest.raises(ScenarioError, match=r"^index 0\.5 is not an integer$"):
+            TRI.validate_settings((np.int64(1), 0.5, "1"))
+
     def test_a_generator_strategy_row_gets_the_named_error(self):
         with pytest.raises(ScenarioMismatchError, match=r"^index 1\.5 is not an integer$"):
             TRI.validate_strategy(((0, 0), (x for x in (0, 1.5)), (0, 0)))
@@ -500,6 +506,17 @@ class TestCorrelatorConversion:
             BellExpression(TRI, {((0, 2, 0), (0, 0, 0)): 0.5})
         with pytest.raises(ScenarioError, match="^coefficients must be exact rationals"):
             BellExpression(TRI, {((0, 0, 0), (0, 0, 0)): 0.5, ((0, 2, 0), (0, 0, 0)): 1})
+
+    @pytest.mark.parametrize(
+        "form, key",
+        [(BellExpression, ((0, 0, 0), (1, 1, 1))), (CorrelatorExpression, (0, 1, 1))],
+        ids=["bell", "correlator"],
+    )
+    def test_a_list_of_pairs_is_refused_not_collapsed(self, form, key):
+        # a dict copy of these pairs would keep the last coefficient, 2, and drop the 1
+        message = "^terms must map each key to its coefficient, got list$"
+        with pytest.raises(ScenarioError, match=message):
+            form(TRI, [(key, 1), (key, 2)])
 
     def test_as_probability_form_dispatch(self, g_expr, mermin_expr):
         assert as_probability_form(g_expr) is g_expr
