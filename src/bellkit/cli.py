@@ -108,8 +108,9 @@ def _rational(value: Fraction, field: str) -> dict:
 
 
 def _read(path: str, parse) -> tuple:
-    """(parse(text), digest) of the file at ``path``, read once: the SHA-256 of its
-    bytes, and those bytes as UTF-8 text without a leading byte-order mark, with
+    """(parse(text), identity) of the file at ``path``, read once: the identity
+    block ``{"path": path, "sha256": digest}`` holds the SHA-256 of its bytes,
+    and ``text`` is those bytes as UTF-8 without a leading byte-order mark, with
     CRLF and CR line ends read as LF.  The mark is dropped after decoding, so an
     error's byte offset counts from the start of the file.
 
@@ -129,7 +130,7 @@ def _read(path: str, parse) -> tuple:
         text = text.replace("\r\n", "\n").replace("\r", "\n")
     except UnicodeDecodeError as exc:
         raise ParseError(f"{path} is not UTF-8 text: {exc.reason} at byte {exc.start}") from None
-    return parse(text), sha256(data).hexdigest()
+    return parse(text), {"path": path, "sha256": sha256(data).hexdigest()}
 
 
 def _load_expression(args):
@@ -140,8 +141,7 @@ def _load_expression(args):
         identity = {"builtin": args.builtin}
         default_magnitude = builtin_magnitude(args.builtin)
     elif args.expr is not None:
-        expr, digest = _read(args.expr, parse_expression)
-        identity = {"path": args.expr, "sha256": digest}
+        expr, identity = _read(args.expr, parse_expression)
         default_magnitude = False
     else:
         raise _UsageError(
@@ -158,17 +158,8 @@ def _load_model(spec: str):
 
     if spec == "paper":
         return ghz_state(3), paper_model(), "paper"
-    (state, model), digest = _read(spec, parse_model)
-    return state, model, {"path": spec, "sha256": digest}
-
-
-def _load_state(spec: str, parties: int):
-    from .quantum import ghz_state, parse_model
-
-    if spec == "ghz":
-        return ghz_state(parties), "ghz"
-    (state, _), digest = _read(spec, parse_model)
-    return state, {"path": spec, "sha256": digest}
+    (state, model), identity = _read(spec, parse_model)
+    return state, model, identity
 
 
 def _envelope(command: str, inputs: dict, payload: dict) -> dict:
@@ -281,9 +272,9 @@ def _expansion_block(expansion, list_terms: bool) -> dict:
 def _load_fixture(path: str, scenario) -> tuple:
     """The fixture at ``path``, refused unless it covers ``scenario``, and the
     keys that name it in its diff block."""
-    fixture, digest = _read(path, parse_expansion)
+    fixture, identity = _read(path, parse_expansion)
     _check_same_scenario(scenario, fixture.scenario, path)
-    return fixture, {"fixture": path, "fixture_sha256": digest}
+    return fixture, {"fixture": path, "fixture_sha256": identity["sha256"]}
 
 
 def _diff_block(expansion, fixture, named: dict) -> dict:
@@ -350,10 +341,13 @@ def _cmd_noise(args) -> dict:
 
 def _cmd_optimize(args) -> dict:
     from .optimize import OptimizerConfig, optimize_measurements
-    from .quantum import _model_document
+    from .quantum import _model_document, ghz_state, parse_model
 
     expr, identity, magnitude = _load_expression(args)
-    state, state_identity = _load_state(args.state, expr.scenario.parties)
+    if args.state == "ghz":
+        state, state_identity = ghz_state(expr.scenario.parties), "ghz"
+    else:
+        (state, _), state_identity = _read(args.state, parse_model)
     config = OptimizerConfig(  # a flag not given keeps the config's default
         **{
             field.name: getattr(args, field.name)
@@ -450,16 +444,6 @@ def _cmd_report(args) -> dict:
     )
 
 
-_HANDLERS = {
-    "bound": _cmd_bound,
-    "expand": _cmd_expand,
-    "quantum": _cmd_quantum,
-    "noise": _cmd_noise,
-    "optimize": _cmd_optimize,
-    "report": _cmd_report,
-}
-
-
 def build_parser() -> argparse.ArgumentParser:
     parser = _Parser(
         prog="bellkit",
@@ -494,23 +478,25 @@ def build_parser() -> argparse.ArgumentParser:
     )
     model.add_argument("--model", default="paper", help="'paper' or a model document path")
 
+    # each command carries its handler, which _run_handler calls
     subparsers.add_parser(
         "bound", help="exact local bounds and extremizers", parents=[source, magnitude, cap]
-    )
+    ).set_defaults(handler=_cmd_bound)
     p_expand = subparsers.add_parser(
         "expand",
         help="full-joint expansion, optionally diffed against a fixture",
         parents=[source, cap],
     )
     p_expand.add_argument("--diff", metavar="FIXTURE", help="expansion fixture to audit")
+    p_expand.set_defaults(handler=_cmd_expand)
     subparsers.add_parser(
         "quantum",
         help="quantum value with per-term breakdown",
         parents=[source, magnitude, model],
-    )
+    ).set_defaults(handler=_cmd_quantum)
     subparsers.add_parser(
         "noise", help="white-noise tolerance", parents=[source, magnitude, cap, model]
-    )
+    ).set_defaults(handler=_cmd_noise)
     p_optimize = subparsers.add_parser(
         "optimize",
         help="search measurement angles for the best value",
@@ -524,6 +510,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_optimize.add_argument("--seed", type=int)
     p_optimize.add_argument("--tolerance", type=float)
     p_optimize.add_argument("--max-evals", type=int)
+    p_optimize.set_defaults(handler=_cmd_optimize)
 
     p_report = subparsers.add_parser(
         "report", help="full analysis report", parents=[source, magnitude, cap, model]
@@ -533,6 +520,7 @@ def build_parser() -> argparse.ArgumentParser:
         metavar="FIXTURE",
         help="expansion fixture to audit (default: the packaged g-paper table)",
     )
+    p_report.set_defaults(handler=_cmd_report)
 
     return parser
 
@@ -567,7 +555,7 @@ def _run_handler(args) -> tuple:
     with warnings.catch_warnings(record=True) as caught:
         warnings.simplefilter("always")
         try:
-            return 0, _HANDLERS[args.command](args)
+            return 0, args.handler(args)
         except (_UsageError, BellkitError, OSError, ValueError, OverflowError) as exc:
             sys.stderr.write(f"error: {exc}\n")
             return 1, None

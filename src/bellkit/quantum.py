@@ -108,14 +108,18 @@ def _pair_order(parties: int) -> np.ndarray:
 
 @dataclass(frozen=True, eq=False)
 class PureState:
-    """Complex amplitudes over the computational product basis, unit norm, with
-    their density matrix, built once and kept read-only."""
+    """Complex amplitudes over the computational product basis, a flat sequence
+    of unit norm, with their density matrix, built once and kept read-only."""
 
     amplitudes: np.ndarray
     parties: int = field(init=False, repr=False)
 
     def __post_init__(self):
-        amplitudes = np.array(self.amplitudes, dtype=complex).reshape(-1)
+        amplitudes = np.array(self.amplitudes, dtype=complex)
+        if amplitudes.ndim != 1:  # a matrix or a column must not pass for more qubits
+            raise DimensionMismatchError(
+                f"state amplitudes must be a flat sequence, got shape {amplitudes.shape}"
+            )
         parties = _parties_from_dim(amplitudes.size, "state")
         if not np.all(np.isfinite(amplitudes)):
             raise DimensionMismatchError("state amplitudes must be finite")
@@ -586,12 +590,9 @@ def parse_model(text: str) -> tuple:
                     f"{next(iter(entry))!r}"
                 )
         rows.append(tuple(vectors))
-    try:
-        model = MeasurementModel(tuple(rows))
-    except DimensionMismatchError as exc:
-        raise ParseError(str(exc)) from None
 
-    try:  # a state that does not fit the model, GHZ or given, is a fault of the document
+    try:  # a model, or a state that does not fit it, GHZ or given, is a fault of the document
+        model = MeasurementModel(tuple(rows))
         if state_spec == "ghz":
             state: State = ghz_state(model.parties)
         elif isinstance(state_spec, dict) and "amplitudes" in state_spec:

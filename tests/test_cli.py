@@ -615,9 +615,10 @@ class TestInputFiles:
     def test_the_reader_decodes_as_read_text_does(self, tmp_path, pieces):
         path = tmp_path / "document"
         path.write_bytes("".join(pieces).encode("utf-8"))
-        text, digest = _read(str(path), lambda text: text)
+        text, identity = _read(str(path), lambda text: text)
         assert text == path.read_text(encoding="utf-8").removeprefix("\ufeff")
-        assert digest == hashlib.sha256(path.read_bytes()).hexdigest()
+        digest = hashlib.sha256(path.read_bytes()).hexdigest()
+        assert identity == {"path": str(path), "sha256": digest}
 
     @settings(
         max_examples=100, deadline=None, suppress_health_check=[HealthCheck.function_scoped_fixture]
@@ -628,12 +629,30 @@ class TestInputFiles:
         path = tmp_path / "document"
         path.write_bytes(data)
         try:
-            _, digest = _read(str(path), lambda text: None)
+            _, identity = _read(str(path), lambda text: None)
         except bellkit.ParseError:
             with pytest.raises(UnicodeDecodeError):
                 data.decode("utf-8")
         else:
-            assert digest == hashlib.sha256(data).hexdigest()
+            assert identity == {"path": str(path), "sha256": hashlib.sha256(data).hexdigest()}
+
+    def test_a_build_without_the_built_in_hashes_digests_with_hashlib(self, monkeypatch, tmp_path):
+        # None in sys.modules makes an import of that module raise ImportError
+        monkeypatch.setitem(sys.modules, "_sha2", None)
+        monkeypatch.setitem(sys.modules, "_sha256", None)
+        hashlib_sha256, calls = hashlib.sha256, []
+
+        def counted(*args, **kwargs):
+            calls.append(args)
+            return hashlib_sha256(*args, **kwargs)
+
+        monkeypatch.setattr(hashlib, "sha256", counted)
+        data = b"scenario 3 2 2\r\n"
+        path = tmp_path / "document"
+        path.write_bytes(data)
+        _, identity = _read(str(path), lambda text: None)
+        assert calls == [(data,)]  # the fallback ran, once
+        assert identity == {"path": str(path), "sha256": hashlib_sha256(data).hexdigest()}
 
 
     def test_a_comment_holding_a_line_separator_stays_one_line(self, capsys, tmp_path):

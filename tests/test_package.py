@@ -12,6 +12,7 @@ import importlib
 import io
 import json
 import os
+import re
 import subprocess
 import sys
 from pathlib import Path
@@ -228,3 +229,41 @@ def test_the_library_use_snippet_prints_what_its_comments_say():
     with contextlib.redirect_stdout(printed):
         exec(compile(snippet, str(README), "exec"), {})
     assert expected and printed.getvalue().splitlines() == expected
+
+
+# what each line of README's "Command line" block says its report holds:
+# (path of keys into the report, value), or None for a line that claims no number
+COMMAND_LINE_CLAIMS = {
+    "bellkit bound --builtin g-paper": None,
+    "bellkit bound --builtin mermin": (("local", "magnitude", "value"), 2),
+    "bellkit expand --builtin g-paper": (("expansion", "assignment_count"), 64),
+    "bellkit expand --builtin g-paper --diff src/bellkit/data/g_paper_expansion.fixture": (
+        ("diff", "mismatches"),
+        0,
+    ),
+    "bellkit quantum --builtin g-paper --model paper": (("quantum", "value"), 3.5),
+    "bellkit noise --builtin g-paper --model paper": (("noise", "p_critical", "value"), 0.5),
+    "bellkit optimize --builtin g-paper --state ghz --restarts 20 --seed 0": None,
+    "bellkit report --builtin g-paper --model paper": None,
+}
+
+
+def test_the_command_line_snippet_runs_and_reports_what_its_comments_say(monkeypatch):
+    from bellkit.cli import run_command
+
+    section = README.read_text(encoding="utf-8").split("\n## Command line\n", 1)[1]
+    snippet = section.split("```sh\n", 1)[1].split("```", 1)[0]
+    lines = [line.partition("#") for line in snippet.splitlines()]
+    assert [command.strip() for command, _, _ in lines] == list(COMMAND_LINE_CLAIMS)
+    monkeypatch.chdir(README.parent)  # the --diff fixture path is relative to the root
+    for (command, _, comment), claim in zip(lines, COMMAND_LINE_CLAIMS.values()):
+        printed = io.StringIO()
+        with contextlib.redirect_stdout(printed):
+            assert run_command(command.split()[1:]) == 0, command
+        report = json.loads(printed.getvalue())
+        if claim is not None:
+            keys, value = claim
+            for key in keys:
+                report = report[key]
+            assert report == value, command
+            assert not comment or str(value) in re.findall(r"\d[\d.]*", comment), comment

@@ -1,5 +1,6 @@
 import json
 import math
+import re
 from fractions import Fraction
 from itertools import pairwise, product
 
@@ -75,6 +76,21 @@ class TestStates:
     def test_pure_state_dimension_checked(self):
         with pytest.raises(DimensionMismatchError, match="power of two"):
             PureState(np.array([1.0, 0.0, 0.0], dtype=complex))
+
+    @pytest.mark.parametrize(
+        "amplitudes",
+        [
+            # a pure 2-qubit density matrix has unit norm once flattened, as 4 qubits
+            np.outer(ghz_state(2).amplitudes, ghz_state(2).amplitudes.conj()),
+            np.array([[1.0], [0.0], [0.0], [0.0]]),
+            np.array(1.0),
+        ],
+        ids=["density-matrix", "column", "scalar"],
+    )
+    def test_pure_state_amplitudes_that_are_not_flat_are_refused_by_shape(self, amplitudes):
+        shape = re.escape(str(amplitudes.shape))
+        with pytest.raises(DimensionMismatchError, match=f"flat sequence, got shape {shape}$"):
+            PureState(amplitudes)
 
     def test_density_matrix_validation(self):
         with pytest.raises(DimensionMismatchError, match="Hermitian"):
