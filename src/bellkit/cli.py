@@ -294,56 +294,49 @@ def _diff_block(expansion, fixture, named: dict) -> dict:
     }
 
 
-def _cmd_bound(args) -> dict:
-    expr, identity, magnitude = _load_expression(args)
+def _cmd_bound(args, expr, magnitude) -> tuple:
     _check_assignment_digits(expr.scenario)  # the report lists extremizers by key
     bounds = local_bounds(expr, args.cap)
-    inputs = {"expression": identity, "magnitude": magnitude}
-    return _envelope("bound", inputs, {"local": _local_block(bounds, expr.scenario)})
+    return {"magnitude": magnitude}, {"local": _local_block(bounds, expr.scenario)}
 
 
-def _cmd_expand(args) -> dict:
-    expr, identity, _ = _load_expression(args)
+def _cmd_expand(args, expr, magnitude) -> tuple:
     fixture = None if args.diff is None else _load_fixture(args.diff, expr.scenario)
     _check_assignment_digits(expr.scenario)  # the report lists every assignment by key
     expansion = expand_full_joint(expr, args.cap)
     payload = {"expansion": _expansion_block(expansion, list_terms=True)}
-    inputs = {"expression": identity, "diff": args.diff}
     if fixture is not None:
         # mismatches are findings, not failures; exit stays 0
         payload["diff"] = _diff_block(expansion, *fixture)
-    return _envelope("expand", inputs, payload)
+    return {"diff": args.diff}, payload
 
 
-def _cmd_quantum(args) -> dict:
+def _cmd_quantum(args, expr, magnitude) -> tuple:
     from .quantum import expression_value
 
-    expr, identity, magnitude = _load_expression(args)
     state, model, model_identity = _load_model(args.model)
     valuation = expression_value(expr, state, model)
-    inputs = {"expression": identity, "model": model_identity, "magnitude": magnitude}
-    return _envelope("quantum", inputs, {"quantum": _quantum_block(expr, valuation, magnitude)})
+    inputs = {"model": model_identity, "magnitude": magnitude}
+    return inputs, {"quantum": _quantum_block(expr, valuation, magnitude)}
 
 
-def _cmd_noise(args) -> dict:
+def _cmd_noise(args, expr, magnitude) -> tuple:
     from .noise import _coefficient_pass
     from .quantum import expression_value
 
-    expr, identity, magnitude = _load_expression(args)
     state, model, model_identity = _load_model(args.model)
     value = expression_value(expr, state, model).value
     bounds = trivial_bounds(expr, args.cap)
     coefficients = _coefficient_pass(expr)
     noise_block = _noise_block(expr, coefficients, state, model, value, bounds, magnitude)
-    inputs = {"expression": identity, "model": model_identity, "magnitude": magnitude}
-    return _envelope("noise", inputs, {"noise": noise_block})
+    inputs = {"model": model_identity, "magnitude": magnitude}
+    return inputs, {"noise": noise_block}
 
 
-def _cmd_optimize(args) -> dict:
+def _cmd_optimize(args, expr, magnitude) -> tuple:
     from .optimize import OptimizerConfig, optimize_measurements
     from .quantum import _model_document, ghz_state, parse_model
 
-    expr, identity, magnitude = _load_expression(args)
     if args.state == "ghz":
         state, state_identity = ghz_state(expr.scenario.parties), "ghz"
     else:
@@ -357,39 +350,33 @@ def _cmd_optimize(args) -> dict:
     )
     result = optimize_measurements(expr, state, config, magnitude=magnitude)
     inputs = {
-        "expression": identity,
         "state": state_identity,
         "magnitude": magnitude,
         **dataclasses.asdict(config),
     }
-    return _envelope(
-        "optimize",
-        inputs,
-        {
-            "optimization": {
-                "method": "see-saw ascent over Bloch vectors with seeded random restarts",
-                "best_value": _f12(result.best_value),
-                "evaluations": result.evaluations,
-                "converged_starts": result.converged_starts,
-                "restarts": config.restarts,
-                "seed": config.seed,
-                "magnitude_convention": magnitude,
-                "model": _model_document(
-                    result.best_angles, None if args.state == "ghz" else state
-                ),
-            }
-        },
-    )
+    return inputs, {
+        "optimization": {
+            "method": "see-saw ascent over Bloch vectors with seeded random restarts",
+            "best_value": _f12(result.best_value),
+            "evaluations": result.evaluations,
+            "converged_starts": result.converged_starts,
+            "restarts": config.restarts,
+            "seed": config.seed,
+            "magnitude_convention": magnitude,
+            "model": _model_document(
+                result.best_angles, None if args.state == "ghz" else state
+            ),
+        }
+    }
 
 
-def _cmd_report(args) -> dict:
+def _cmd_report(args, expr, magnitude) -> tuple:
     from .noise import ViolationReport, _coefficient_pass
     from .quantum import expression_value
 
-    expr, identity, magnitude = _load_expression(args)
     state, model, model_identity = _load_model(args.model)
     diff_path = args.diff
-    if diff_path is None and identity.get("builtin") == "g-paper":
+    if diff_path is None and args.builtin == "g-paper":
         diff_path = str(g_paper_expansion_fixture_path())
     fixture = None if diff_path is None else _load_fixture(diff_path, expr.scenario)
     valuation = expression_value(expr, state, model)  # checks the model before the sweep
@@ -425,23 +412,18 @@ def _cmd_report(args) -> dict:
         expansion_block["diff"] = _diff_block(expansion, *fixture)
 
     inputs = {
-        "expression": identity,
         "model": model_identity,
         "magnitude": magnitude,
         "diff": diff_path,
     }
-    return _envelope(
-        "report",
-        inputs,
-        {
-            "expression": expression_block,
-            "local": _local_block(bounds, scenario),
-            "quantum": _quantum_block(expr, valuation, magnitude),
-            "violation": _violation_block(violation, magnitude),
-            "noise": noise_block,
-            "expansion": expansion_block,
-        },
-    )
+    return inputs, {
+        "expression": expression_block,
+        "local": _local_block(bounds, scenario),
+        "quantum": _quantum_block(expr, valuation, magnitude),
+        "violation": _violation_block(violation, magnitude),
+        "noise": noise_block,
+        "expansion": expansion_block,
+    }
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -549,13 +531,16 @@ def _emit(report: dict, fmt: str) -> None:
 
 
 def _run_handler(args) -> tuple:
-    """Run one command: (exit code, report or None).  A failure writes its error
-    line to stderr first; then each warning the command raised follows as one
-    line."""
+    """Run one command: (exit code, report or None).  It loads the expression,
+    the command's handler returns the inputs that follow it and the payload, and
+    the report wraps both.  A failure writes its error line to stderr first;
+    then each warning the command raised follows as one line."""
     with warnings.catch_warnings(record=True) as caught:
         warnings.simplefilter("always")
         try:
-            return 0, args.handler(args)
+            expr, identity, magnitude = _load_expression(args)
+            inputs, payload = args.handler(args, expr, magnitude)
+            return 0, _envelope(args.command, {"expression": identity, **inputs}, payload)
         except (_UsageError, BellkitError, OSError, ValueError, OverflowError) as exc:
             sys.stderr.write(f"error: {exc}\n")
             return 1, None

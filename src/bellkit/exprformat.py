@@ -95,7 +95,7 @@ def _parse_party_tokens(
     settings = []
     for party, (token, column) in enumerate(tokens):
         expected = _party_letter(party)
-        if not (len(token) >= 2 and token[0] == expected and token[1:].isdecimal()):
+        if not (token[0] == expected and token[1:].isdecimal()):
             raise ParseError(
                 f"expected token {expected}<setting>, got {token!r}", line_no, column
             )

@@ -220,13 +220,12 @@ def _probability_tables(expr: BellExpression, scaled: list, grid: np.ndarray) ->
 
     scenario = expr.scenario
     shape = grid.shape
-    # the slots of each settings tuple, and an array for each full outcome table;
-    # no table is smaller than 2^parties, every setting having 2+ outcomes
+    # the slots of each settings tuple, and an array for each full outcome table
     axes = {}
     tables = {}
     for settings, count in Counter(map(itemgetter(0), expr.terms)).items():
         axes[settings] = slots = scenario.setting_slots(settings)
-        if count >= 2**scenario.parties and count == math.prod(map(shape.__getitem__, slots)):
+        if count == math.prod(map(shape.__getitem__, slots)):
             tables[settings] = np.zeros([shape[slot] for slot in slots], grid.dtype)
     # indexing with the trailing Ellipsis gives a view even when every axis is
     # fixed, so an add on the view lands in the grid

@@ -9,6 +9,7 @@ import re
 import subprocess
 import sys
 import time
+import warnings
 from pathlib import Path
 
 import pytest
@@ -21,6 +22,7 @@ from bellkit import (
     builtin_expression,
     g_paper_expansion_fixture_path,
     ghz_state,
+    mix_with_white_noise,
     paper_model,
     serialize_expression,
     tolerance_by_root_scan,
@@ -68,6 +70,20 @@ class TestBound:
         assert json.loads(out)["local"]["max"]["exact"] == "3"
         assert err == "warning: duplicate term at line 3 merges with line 2\n"
         assert ".py:" not in err
+
+    @pytest.mark.parametrize("action", ["error", "ignore"])
+    def test_duplicate_terms_warn_whatever_the_interpreters_warning_filter(
+        self, capsys, tmp_path, action
+    ):
+        # as under PYTHONWARNINGS=error or =ignore: the report and its warning line stay
+        path = tmp_path / "dup.bell"
+        path.write_text("scenario 3 2 2\n+1 P(A0 B0 C0 | 1 1 1)\n+2 P(A0 B0 C0 | 1 1 1)\n")
+        with warnings.catch_warnings():
+            warnings.simplefilter(action)
+            code, out, err = run(capsys, ["bound", str(path)])
+        assert code == 0
+        assert json.loads(out)["local"]["max"]["exact"] == "3"
+        assert err == "warning: duplicate term at line 3 merges with line 2\n"
 
     def test_expression_file(self, capsys, tmp_path):
         path = tmp_path / "g.bell"
@@ -178,9 +194,20 @@ class TestNoise:
         assert code == 1
         assert "undefined" in err
 
-    def test_a_violation_that_survives_the_whole_interval_has_no_root(self, capsys, monkeypatch):
-        # unmixed, every noisy state is GHZ_3 itself, so Q = 3.5 stays above 1 at p = 1
-        monkeypatch.setattr("bellkit.noise.mix_with_white_noise", lambda density, p: density)
+    @pytest.mark.parametrize(
+        "mix",
+        [
+            # unmixed, every noisy state is GHZ_3 itself, so Q = 3.5 stays above 1 at p = 1
+            lambda state, p: state,
+            # mixed at 0.4 p, Q = 0.6 * 3.5 + 0.4 * (-1.5) = 1.5 at p = 1: above 1 by 0.5
+            lambda state, p: mix_with_white_noise(state, 0.4 * p),
+        ],
+        ids=["unmixed", "mixed-at-0.4p"],
+    )
+    def test_a_violation_that_survives_the_whole_interval_has_no_root(
+        self, capsys, monkeypatch, mix
+    ):
+        monkeypatch.setattr("bellkit.noise.mix_with_white_noise", mix)
         message = "the violation survives the whole interval; no root in [0, 1]"
         with pytest.raises(NoRootError, match=f"^{re.escape(message)}$"):
             tolerance_by_root_scan(builtin_expression("g-paper"), ghz_state(3), paper_model())
@@ -302,6 +329,11 @@ class TestOptimize:
         inputs = run_json(capsys, ["optimize", "--builtin", "g-paper"])["inputs"]
         defaults = dataclasses.asdict(bellkit.OptimizerConfig())
         assert {name: inputs[name] for name in defaults} == defaults
+
+    def test_the_default_seed_is_zero(self, capsys):
+        # the golden reports all pass --seed 0; a run without it must print the same bytes
+        argv = ["optimize", "--builtin", "g-paper", "--restarts", "2"]
+        assert run(capsys, argv) == run(capsys, [*argv, "--seed", "0"])
 
     def test_an_infinite_tolerance_is_refused_by_name(self, capsys):
         code, out, err = run(capsys, ["optimize", "--builtin", "g-paper", "--tolerance", "inf"])
@@ -865,6 +897,49 @@ class TestErrorPaths:
             "error: bad amplitude list: expected a list of numbers, "
             "got ['0.7071067811865476', False]\n"
         )
+
+    @pytest.mark.parametrize(
+        "change,message",
+        [
+            (
+                {"state": "amplitudes"},
+                "'state' must be \"ghz\" or {'amplitudes': [[re, im], ...]}",
+            ),
+            ({"state": {}}, "'state' must be \"ghz\" or {'amplitudes': [[re, im], ...]}"),
+            (
+                {"measurements": {"0": [{"bloch": [1, 0, 0]}]}},
+                "'measurements' must be a non-empty list of per-party lists",
+            ),
+            (
+                {"measurements": [{"bloch": [1, 0, 0]}] + [[{"bloch": [1, 0, 0]}]] * 2},
+                "party 0: expected a non-empty list of settings",
+            ),
+            (
+                {"measurements": [[["bloch"]]] * 3},
+                "party 0 setting 0: expected {'bloch': [x, y, z]} or {'angles': [theta, phi]}",
+            ),
+            (
+                {"state": {"amplitudes": [""] + [[0, 0]] * 6 + [[1, 0]]}},
+                "bad amplitude list: expected a list of numbers, got ''",
+            ),
+        ],
+        ids=[
+            "state-string",
+            "state-empty",
+            "measurements-object",
+            "row-object",
+            "setting-list",
+            "pair-string",
+        ],
+    )
+    def test_a_model_document_of_the_wrong_shape_is_an_input_error(
+        self, capsys, tmp_path, change, message
+    ):
+        document = {"state": "ghz", "measurements": [[{"bloch": [1, 0, 0]}]] * 3}
+        path = tmp_path / "model.json"
+        path.write_text(json.dumps({**document, **change}))
+        code, out, err = run(capsys, ["quantum", "--builtin", "g-paper", "--model", str(path)])
+        assert (code, out, err) == (1, "", f"error: {message}\n")
 
     @pytest.mark.parametrize("flag", ["--model", "--state"])
     @pytest.mark.parametrize(

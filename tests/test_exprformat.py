@@ -199,6 +199,11 @@ class TestSerializeExpression:
     def test_empty_expression_serializes_to_header_only(self):
         assert serialize_expression(make_expression(TRI, [])) == "scenario 3 2 2\n"
 
+    def test_an_empty_expression_past_26_parties_is_refused(self):
+        expr = make_expression(Scenario.uniform(27, 1, 2), [])
+        with pytest.raises(UnsupportedScenarioError, match="at most 26 parties"):
+            serialize_expression(expr)
+
     def test_lowest_terms_and_explicit_sign(self):
         expr = make_expression(
             TRI, [MarginalTerm((0, 0, 0), (0, 0, 0), Fraction(6, 4))]

@@ -688,6 +688,10 @@ class TestDiff:
         assert expansion.__eq__(object()) is NotImplemented
         assert (expansion == object()) is False
 
+    def test_expansions_over_different_scenarios_are_unequal(self, g_expr):
+        other = FullJointExpansion(Scenario.uniform(2, 2, 2), np.zeros((2,) * 4, np.int64), 1)
+        assert expand_full_joint(g_expr) != other
+
     def test_scenario_mismatch(self, g_expr):
         other = FullJointExpansion(Scenario.uniform(2, 2, 2), np.zeros((2,) * 4, np.int64), 1)
         both = "scenario 3 2 2 computed, scenario 2 2 2 in the fixture"

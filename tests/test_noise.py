@@ -137,6 +137,63 @@ class TestClosedForm:
         )
 
 
+def g_paper_plus_constant(c):
+    """g-paper plus ``c`` times the sum of the eight outcome terms of settings
+    (0, 0, 0), which is 1 on every behaviour: every value moves by exactly ``c``."""
+    constant = [MarginalTerm((0, 0, 0), outcomes, c) for outcomes in product((0, 1), repeat=3)]
+    return builtin_expression("g-paper") + make_expression(TRI, constant)
+
+
+class TestUnequalTermCounts:
+    """Expressions whose probability form has more positive than negative terms,
+    so the term-count rule differs from the coefficient sum.  G1, g-paper plus
+    the constant 1, has 12 positive and 10 negative terms, S = -4, local range
+    [-3, 2] and Q = 4.5 on GHZ_3 under X/Y."""
+
+    def test_g1_in_the_signed_orientation(self, ghz3, xy_model):
+        report = white_noise_tolerance(g_paper_plus_constant(1), ghz3, xy_model)
+        assert (report.positive_terms, report.negative_terms) == (12, 10)
+        assert report.coefficient_sum == -4
+        assert report.local_max == 2
+        assert report.quantum_value == pytest.approx(4.5, abs=1e-12)
+        # p = (Q - L) / (Q - S/8) = 2.5 / 5; the term count reads 2.5 / (4.5 - 2/8)
+        assert report.p_critical == pytest.approx(0.5, abs=1e-12)
+        assert report.p_critical_term_count == pytest.approx(10 / 17, abs=1e-12)
+        assert not report.interpretations_agree
+
+    def test_g1_over_5_by_magnitude_below_one(self, ghz3, xy_model):
+        # Q = 0.9 lies in [0, 1): magnitude mode keeps the signed orientation
+        expr = g_paper_plus_constant(1).scale(Fraction(1, 5))
+        report = white_noise_tolerance(expr, ghz3, xy_model, magnitude=True)
+        assert report.quantum_value == pytest.approx(0.9, abs=1e-12)
+        assert report.local_max == Fraction(3, 5)
+        assert report.coefficient_sum == Fraction(-4, 5)
+        assert (report.positive_terms, report.negative_terms) == (12, 10)
+        assert report.p_critical == pytest.approx(0.3, abs=1e-12)
+        # the term-count denominator 0.9 - 2/8 = 0.65 lies in (0, 1)
+        assert report.p_critical_term_count == pytest.approx(6 / 13, abs=1e-12)
+
+    def test_a_negative_signed_value_keeps_its_orientation(self, ghz3, xy_model):
+        # g-paper minus the constant 4: Q = -0.5 against L = -3, S = -44, and
+        # 6 positive against 14 negative terms; no magnitude, so nothing is negated
+        report = white_noise_tolerance(g_paper_plus_constant(-4), ghz3, xy_model)
+        assert report.quantum_value == pytest.approx(-0.5, abs=1e-12)
+        assert report.local_max == -3
+        assert report.coefficient_sum == -44
+        assert (report.positive_terms, report.negative_terms) == (6, 14)
+        assert report.p_critical == pytest.approx(0.5, abs=1e-12)
+        assert report.p_critical_term_count == pytest.approx(5.0, abs=1e-12)
+
+    def test_a_term_count_denominator_below_zero_gives_no_value(self, ghz3, xy_model):
+        # G1/50: Q = 0.09, and the term count's denominator 0.09 - (12 - 10)/8 is negative
+        expr = g_paper_plus_constant(1).scale(Fraction(1, 50))
+        report = white_noise_tolerance(expr, ghz3, xy_model)
+        assert report.quantum_value == pytest.approx(0.09, abs=1e-12)
+        assert report.p_critical == pytest.approx(0.5, abs=1e-12)
+        assert report.p_critical_term_count is None
+        assert report.interpretations_agree is False
+
+
 class TestRootScan:
     def test_g_paper(self, g_expr, ghz3, xy_model):
         assert tolerance_by_root_scan(g_expr, ghz3, xy_model) == pytest.approx(

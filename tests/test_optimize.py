@@ -327,6 +327,11 @@ class TestOptimization:
         # the pinned start is returned as it was
         assert result.best_angles == XY_ANGLES
 
+    def test_no_config_runs_the_default_config(self, g_expr, ghz3):
+        assert optimize_measurements(g_expr, ghz3) == optimize_measurements(
+            g_expr, ghz3, OptimizerConfig()
+        )
+
     def test_best_value_is_the_reevaluated_value(self, g_expr, ghz3):
         result = optimize_measurements(g_expr, ghz3, OptimizerConfig(restarts=1))
         recomputed = expression_value(g_expr, ghz3, result.best_model).value

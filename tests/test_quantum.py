@@ -64,6 +64,11 @@ class TestStates:
         with pytest.raises(DimensionMismatchError):
             ghz_state(1)
 
+    def test_a_ghz_state_past_the_cap_is_refused_before_its_amplitudes_exist(self):
+        # 2^64 amplitudes cannot even be asked of numpy: the cap must come first
+        with pytest.raises(DimensionMismatchError, match="spans 64 qubits"):
+            ghz_state(64)
+
     @pytest.mark.parametrize("parties", ["3", 2.5, None, True, np.True_])
     def test_a_ghz_party_count_that_is_not_an_integer_is_refused_by_name(self, parties):
         with pytest.raises(DimensionMismatchError, match="^parties must be an integer, got "):
@@ -91,6 +96,24 @@ class TestStates:
         shape = re.escape(str(amplitudes.shape))
         with pytest.raises(DimensionMismatchError, match=f"flat sequence, got shape {shape}$"):
             PureState(amplitudes)
+
+    def test_a_one_amplitude_state_is_refused(self):
+        # 1 = 2^0: a power of two, but no qubit
+        with pytest.raises(DimensionMismatchError, match="dimension 1 is not a power of two"):
+            PureState([1.0])
+
+    @pytest.mark.parametrize(
+        "matrix", [np.array([1.0, 0.0]), np.full((2, 2, 2), 0.25)], ids=["flat", "cube"]
+    )
+    def test_a_density_matrix_that_is_not_two_dimensional_is_refused(self, matrix):
+        shape = re.escape(str(matrix.shape))
+        with pytest.raises(DimensionMismatchError, match=f"must be square, got {shape}$"):
+            DensityMatrix(matrix)
+
+    def test_a_density_matrix_is_read_only(self):
+        rho = DensityMatrix(np.eye(2, dtype=complex) / 2)
+        with pytest.raises(ValueError, match="read-only"):
+            rho.matrix[0, 0] = 1.0
 
     def test_density_matrix_validation(self):
         with pytest.raises(DimensionMismatchError, match="Hermitian"):
@@ -316,6 +339,10 @@ class TestProbabilityTable:
         all_x = table[(0,) * 10]
         even_zeros = [o for o in product((0, 1), repeat=10) if o.count(0) % 2 == 0]
         assert sum(all_x[o] for o in even_zeros) == pytest.approx(1.0, abs=1e-12)
+
+    def test_a_state_with_more_qubits_than_the_model_has_parties_is_refused(self):
+        with pytest.raises(DimensionMismatchError, match="state spans 4 qubits"):
+            probability_table(ghz_state(4), paper_model())
 
     def test_size_guard_names_the_size(self):
         xyz = ((1.0, 0.0, 0.0), (0.0, 1.0, 0.0), (0.0, 0.0, 1.0))

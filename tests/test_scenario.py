@@ -61,6 +61,24 @@ class TestScenario:
         with pytest.raises(ScenarioError):
             Scenario(parties, settings, outcomes)
 
+    def test_a_party_count_that_is_not_an_integer_is_refused_by_name(self):
+        with pytest.raises(ScenarioError, match="^index 2.5 is not an integer$"):
+            Scenario.uniform(2.5, 2, 2)
+
+    def test_outcome_rows_that_differ_make_a_scenario_non_uniform(self):
+        # every party has two settings; only one setting has three outcomes
+        assert Scenario(2, (2, 2), ((2, 2), (2, 3))).uniform_cardinalities() is None
+        assert Scenario(2, (2, 2), ((2, 2), (2, 2))).uniform_cardinalities() == (2, 2, 2)
+
+    @pytest.mark.parametrize(
+        "settings,outcomes",
+        [((0, 0), (1, 1, 1)), ((0, 0, 0), (1, 1))],
+        ids=["settings", "outcomes"],
+    )
+    def test_a_term_key_with_one_side_of_the_wrong_length_is_refused(self, settings, outcomes):
+        with pytest.raises(ScenarioError, match="^term must list one setting and one outcome"):
+            TRI.validate_term(settings, outcomes)
+
     def test_slot_order(self):
         assert TRI.slots() == ((0, 0), (0, 1), (1, 0), (1, 1), (2, 0), (2, 1))
 
@@ -226,6 +244,14 @@ class TestMakeExpression:
         expr = make_expression(TRI, terms)
         assert expr.term_count == 1
         assert expr.coefficient((0, 0, 0), (1, 1, 1)) == 3
+
+    def test_equal_terms_over_different_scenarios_are_unequal(self):
+        term = [MarginalTerm((0, 0, 0), (1, 1, 1), 1)]
+        assert make_expression(TRI, term) != make_expression(Scenario.uniform(3, 2, 3), term)
+
+    def test_scaling_by_a_float_is_refused(self):
+        with pytest.raises(ScenarioError, match="^coefficients must be exact rationals, got 0.5$"):
+            builtin_expression("g-paper").scale(0.5)
 
     def test_exact_cancellation_drops_term(self):
         terms = [
