@@ -40,7 +40,6 @@ from .lhv import (
     diff_expansion,
     expand_full_joint,
     local_bounds,
-    trivial_bounds,
 )
 from .scenario import BellExpression
 
@@ -160,17 +159,6 @@ def _load_model(spec: str):
         return ghz_state(3), paper_model(), "paper"
     (state, model), identity = _read(spec, parse_model)
     return state, model, identity
-
-
-def _envelope(command: str, inputs: dict, payload: dict) -> dict:
-    report = {
-        "schema_version": SCHEMA_VERSION,
-        "tool": {"name": "bellkit", "version": __version__},
-        "command": command,
-        "inputs": inputs,
-    }
-    report.update(payload)
-    return report
 
 
 def _local_block(bounds, scenario) -> dict:
@@ -321,13 +309,10 @@ def _cmd_quantum(args, expr, magnitude) -> tuple:
 
 
 def _cmd_noise(args, expr, magnitude) -> tuple:
-    from .noise import _coefficient_pass
-    from .quantum import expression_value
+    from .noise import _intake
 
     state, model, model_identity = _load_model(args.model)
-    value = expression_value(expr, state, model).value
-    bounds = trivial_bounds(expr, args.cap)
-    coefficients = _coefficient_pass(expr)
+    value, bounds, coefficients = _intake(expr, state, model, args.cap)
     noise_block = _noise_block(expr, coefficients, state, model, value, bounds, magnitude)
     inputs = {"model": model_identity, "magnitude": magnitude}
     return inputs, {"noise": noise_block}
@@ -533,14 +518,22 @@ def _emit(report: dict, fmt: str) -> None:
 def _run_handler(args) -> tuple:
     """Run one command: (exit code, report or None).  It loads the expression,
     the command's handler returns the inputs that follow it and the payload, and
-    the report wraps both.  A failure writes its error line to stderr first;
-    then each warning the command raised follows as one line."""
+    the report wraps both in its envelope: the schema version, the tool, the
+    command and the expression's identity block come first.  A failure writes
+    its error line to stderr first; then each warning the command raised
+    follows as one line."""
     with warnings.catch_warnings(record=True) as caught:
         warnings.simplefilter("always")
         try:
             expr, identity, magnitude = _load_expression(args)
             inputs, payload = args.handler(args, expr, magnitude)
-            return 0, _envelope(args.command, {"expression": identity, **inputs}, payload)
+            return 0, {
+                "schema_version": SCHEMA_VERSION,
+                "tool": {"name": "bellkit", "version": __version__},
+                "command": args.command,
+                "inputs": {"expression": identity, **inputs},
+                **payload,
+            }
         except (_UsageError, BellkitError, OSError, ValueError, OverflowError) as exc:
             sys.stderr.write(f"error: {exc}\n")
             return 1, None

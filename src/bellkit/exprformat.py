@@ -46,7 +46,8 @@ from itertools import chain
 
 from .errors import ParseError, ScenarioError, UnsupportedScenarioError
 from .lhv import DEFAULT_ENUMERATION_CAP, FullJointExpansion, _zero_grid
-from .scenario import BellExpression, CorrelatorExpression, Expression, Scenario, _scenario_text
+from .scenario import BellExpression, CorrelatorExpression, Expression, Scenario
+from .scenario import _read_only, _scenario_text
 
 
 class DuplicateTermWarning(UserWarning):
@@ -310,8 +311,8 @@ def parse_expansion(text: str) -> FullJointExpansion:
     grid, scale, scaled = _zero_grid(scenario, terms.values(), DEFAULT_ENUMERATION_CAP)
     for flat, value in zip(terms, scaled):
         grid[flat] = value
-    grid.flags.writeable = False  # so the expansion keeps it without a copy
-    return FullJointExpansion(scenario, grid, scale)
+    # read-only, so the expansion keeps it without a copy
+    return FullJointExpansion(scenario, _read_only(grid), scale)
 
 
 def _format_coefficient(value: Fraction) -> str:

@@ -77,7 +77,7 @@ _EXTREMES = "_expansion_extremes"
 DeterministicStrategy = tuple
 
 
-def _check_cap(scenario: Scenario, cap: int) -> int:
+def _check_cap(scenario: Scenario, cap: int) -> None:
     cap = _integer(cap, "cap", ConfigError)
     # the log-size first: an exact size of 4300 digits or more is slow to
     # multiply out and beyond Python's int-to-text limit
@@ -86,7 +86,6 @@ def _check_cap(scenario: Scenario, cap: int) -> int:
     size = scenario.assignment_count
     if size > cap:
         raise EnumerationCapError(size, cap)
-    return size
 
 
 def _assignments(scenario: Scenario):

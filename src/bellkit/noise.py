@@ -35,7 +35,7 @@ report makes.  Its noisy states all mix the state it is given, pure or mixed,
 reading the density matrix that state built once.
 
 Every number here needs only the local extremes (min, max), never the
-strategies that attain them, so each public function reads them once from
+strategies that attain them, so they are read from
 :func:`~bellkit.lhv.trivial_bounds`, not off the vertex sweep.  That builds
 the exact expansion grid (one array add per full settings table) on an
 expression's first call and keeps the extremes on the expression, so the
@@ -46,10 +46,15 @@ root scan's noisy states cost one table each.  S, the two term counts and the
 band come from one pass over the coefficients (:func:`_coefficient_pass`),
 which reads a correlator form's own terms: its S is 0 and its terms split
 evenly by sign.  No step here builds a correlator form's probability form.
-Each public function makes that pass once and then runs one private step: the
-closed form, or the root scan.  The ``noise`` command does the same with both
-steps; the ``report`` command, which lists the extremizers, passes its one
-sweep's (min, max) to both steps instead.
+:func:`_intake` is the one place that takes the quantum value, the extremes
+and that pass, in that order, so a model that does not fit is refused before
+any grid is built.  :func:`violation_report`, :func:`white_noise_tolerance`
+and the ``noise`` command read it once and then run their steps: the report,
+the closed form, or the closed form and the root scan.
+:func:`tolerance_by_root_scan` checks the model and reads the extremes and
+the band itself: its first probe takes the value, so :func:`_intake` would
+cost it one more table.  The ``report`` command, which lists the
+extremizers, passes its one sweep's (min, max) to both steps instead.
 """
 
 from __future__ import annotations
@@ -156,6 +161,15 @@ class ViolationReport:
         return cls(quantum, local, factor, amount, amount > band)
 
 
+def _intake(expr: Expression, state: State, model: MeasurementModel, cap: int) -> tuple:
+    """(value, bounds, coefficients): the signed quantum value, the exact local
+    (min, max) of :func:`~bellkit.lhv.trivial_bounds` and the
+    :func:`_coefficient_pass`.  The value comes first, so a model that does not
+    fit the expression is refused before any grid is built."""
+    value = expression_value(expr, state, model).value
+    return value, trivial_bounds(expr, cap), _coefficient_pass(expr)
+
+
 def violation_report(
     expr: Expression,
     state: State,
@@ -163,9 +177,8 @@ def violation_report(
     magnitude: bool = False,
     cap: int = DEFAULT_ENUMERATION_CAP,
 ) -> ViolationReport:
-    value = expression_value(expr, state, model).value
-    bounds = trivial_bounds(expr, cap)
-    return ViolationReport.of(value, bounds, magnitude, _coefficient_pass(expr).band)
+    value, bounds, coefficients = _intake(expr, state, model, cap)
+    return ViolationReport.of(value, bounds, magnitude, coefficients.band)
 
 
 @dataclass(frozen=True)
@@ -255,10 +268,8 @@ def white_noise_tolerance(
     local bound.  Under :func:`_margin`'s zero-margin rule, margins within the
     band of :func:`_margin_band` give p = 0; lower ones raise NoViolationError.
     """
-    value = expression_value(expr, state, model).value
-    bounds = trivial_bounds(expr, cap)
-    parties = expr.scenario.parties
-    return _closed_form(_coefficient_pass(expr), parties, value, bounds, magnitude)
+    value, bounds, coefficients = _intake(expr, state, model, cap)
+    return _closed_form(coefficients, expr.scenario.parties, value, bounds, magnitude)
 
 
 def _crossing(

@@ -64,7 +64,7 @@ import numpy as np
 
 from .errors import DimensionMismatchError, ParseError, ScenarioMismatchError
 from .scenario import _OUTCOME_SIGNS, BellExpression, CorrelatorExpression, Expression, Scenario
-from .scenario import _integer, _real
+from .scenario import _integer, _read_only, _real
 
 MAX_PARTIES = 10
 # complex entries in the largest array the table contraction allocates (64 MiB);
@@ -101,9 +101,8 @@ def _pair_order(parties: int) -> np.ndarray:
     same entries a transposed copy holds at less cost.  Built once per party
     count and read-only: 4^n indices, 8 MiB at the cap of 10 parties."""
     axes = [axis for party in range(parties) for axis in (party, parties + party)]
-    order = np.arange(4**parties).reshape((2,) * (2 * parties)).transpose(axes).reshape(-1)
-    order.flags.writeable = False
-    return order
+    order = np.arange(4**parties).reshape((2,) * (2 * parties)).transpose(axes)
+    return _read_only(order.reshape(-1))
 
 
 @dataclass(frozen=True, eq=False)
@@ -126,12 +125,9 @@ class PureState:
         norm = float(np.linalg.norm(amplitudes))
         if abs(norm - 1.0) > STATE_ATOL:
             raise DimensionMismatchError(f"state norm {norm!r} is not 1 within {STATE_ATOL}")
-        amplitudes.setflags(write=False)
-        density = amplitudes[:, None] * amplitudes.conj()
-        density.setflags(write=False)
-        object.__setattr__(self, "amplitudes", amplitudes)
+        object.__setattr__(self, "amplitudes", _read_only(amplitudes))
         object.__setattr__(self, "parties", parties)
-        object.__setattr__(self, "_density", density)
+        object.__setattr__(self, "_density", _read_only(amplitudes[:, None] * amplitudes.conj()))
 
     @property
     def dim(self) -> int:
@@ -166,8 +162,7 @@ class DensityMatrix:
             raise DimensionMismatchError(
                 f"density matrix has eigenvalue {smallest!r} below {EIGENVALUE_FLOOR}"
             )
-        matrix.setflags(write=False)
-        object.__setattr__(self, "matrix", matrix)
+        object.__setattr__(self, "matrix", _read_only(matrix))
         object.__setattr__(self, "parties", parties)
 
     @classmethod
@@ -175,9 +170,8 @@ class DensityMatrix:
         """Wrap a complex ``matrix`` on ``parties`` qubits without re-checking it:
         it must already pass every check of the public constructor.  For
         mixtures of valid states."""
-        matrix.setflags(write=False)
         self = object.__new__(cls)
-        object.__setattr__(self, "matrix", matrix)
+        object.__setattr__(self, "matrix", _read_only(matrix))
         object.__setattr__(self, "parties", parties)
         return self
 
@@ -294,9 +288,7 @@ def _projectors(bloch: np.ndarray) -> np.ndarray:
     """
     half_observables = _HALF_PAULI_AB @ bloch
     projectors = _HALF_IDENTITY_AB[:, None, None] + half_observables[:, :, None] * _SIGNS
-    projectors = projectors.reshape(4, -1)
-    projectors.flags.writeable = False
-    return projectors
+    return _read_only(projectors.reshape(4, -1))
 
 
 def _projector_blocks(bloch: np.ndarray, scenario: Scenario) -> tuple:

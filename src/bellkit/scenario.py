@@ -62,26 +62,29 @@ _OUTCOME_SIGNS = (-1, 1)
 
 @cache
 def _parity_row(parties: int) -> tuple:
-    """A correlator's sign at each outcome tuple, the product of each party's
-    ``_OUTCOME_SIGNS`` entry, in C order over ``product((0, 1), repeat=parties)``:
-    the one build of the sign rule, in pure Python, once per party count."""
+    """(outcomes, sign) for each tuple of ``parties`` binary outcomes, in C order:
+    a correlator's sign there is the product of each party's ``_OUTCOME_SIGNS``
+    entry.  The one build of the binary outcome tuples and of the sign rule, in
+    pure Python, once per party count."""
     return tuple(
-        math.prod(map(_OUTCOME_SIGNS.__getitem__, outcomes))
+        (outcomes, math.prod(map(_OUTCOME_SIGNS.__getitem__, outcomes)))
         for outcomes in product((0, 1), repeat=parties)
     )
 
 
 @cache
 def _parity_signs(parties: int) -> np.ndarray:
-    """``_parity_row`` as a read-only int64 array of shape (2,) * parties.  The
-    expansion grid and the quantum correlators read it."""
+    """The signs of ``_parity_row`` as a read-only int64 array of shape
+    (2,) * parties, indexed by the outcome tuple.  The expansion grid and the
+    correlator form's table rows read it."""
     import numpy as np
 
-    return _read_only(np.array(_parity_row(parties), np.int64).reshape((2,) * parties))
+    signs = [sign for _, sign in _parity_row(parties)]
+    return _read_only(np.array(signs, np.int64).reshape((2,) * parties))
 
 
 def _read_only(array: np.ndarray) -> np.ndarray:
-    array.flags.writeable = False
+    array.setflags(write=False)  # half the cost of writing array.flags.writeable
     return array
 
 
@@ -535,12 +538,13 @@ class CorrelatorExpression(_LinearExpression):
 
     def _table_rows(self) -> tuple:
         """(settings, outcomes, signs) for :attr:`table_lookup`: each term's
-        outcome tuples, in C order, with their ``_parity_signs``."""
+        outcome tuples, in C order as ``_parity_row`` lists them, with their
+        ``_parity_signs``."""
         import numpy as np
 
         parties = self.scenario.parties
         settings = np.array(list(self.terms), dtype=np.intp).reshape(-1, parties)
-        outcomes = np.array(list(product((0, 1), repeat=parties)), dtype=np.intp)
+        outcomes = np.array([outcomes for outcomes, _ in _parity_row(parties)], dtype=np.intp)
         return settings, outcomes, _parity_signs(parties).reshape(-1).astype(float)
 
 
@@ -609,9 +613,7 @@ def correlator_to_probability(expr: CorrelatorExpression) -> BellExpression:
     if not isinstance(expr, CorrelatorExpression):
         raise UnsupportedScenarioError("correlator_to_probability expects a correlator form")
     # each outcome tuple with True where its sign is +1, to index the pair (-c, c)
-    parties = expr.scenario.parties
-    positive = [sign > 0 for sign in _parity_row(parties)]
-    signs = list(zip(product((0, 1), repeat=parties), positive))
+    signs = [(outcomes, sign > 0) for outcomes, sign in _parity_row(expr.scenario.parties)]
     terms = {
         (settings, outcomes): pair[plus]
         for settings, pair in ((settings, (-c, c)) for settings, c in expr.terms.items())

@@ -77,3 +77,10 @@ def test_a_ledger_entry_is_a_key_line_and_its_indented_reason(tmp_path):
         "m.py check: delete `seen = []`": "the list is refilled before any read",
         "m.py <module>: drop `False` from `True or False`": "equivalent: True decides it",
     }
+
+
+def test_a_mutants_time_limit_follows_the_unmutated_run():
+    # four times the unmutated run's seconds on the same tests, and at least 20
+    assert mutants.time_limit(30.0) == 120.0
+    assert mutants.time_limit(6.0) == 24.0
+    assert mutants.time_limit(2.0) == 20

@@ -11,11 +11,13 @@ A mutant is the tree with one change to one module, written back with
 
 Each mutant runs its module's test files (``MODULE_TESTS``) with ``-x
 --hypothesis-seed=0``, so that a verdict repeats.  A failing run kills it, and
-so does a run past ``TIMEOUT`` seconds.  A mutant that survives its test
-files runs the whole tier-1 suite, and one that survives that too is looked
-up in the ledger, ``tools/mutants.txt``, which lists the accepted survivors
-with their reasons.  Before its mutants, each module's unmutated
-``ast.unparse`` must pass its test files.
+so does a run past its time limit.  A mutant that survives its test files
+runs the whole tier-1 suite, and one that survives that too is looked up in
+the ledger, ``tools/mutants.txt``, which lists the accepted survivors with
+their reasons.  Before its mutants, each module's unmutated ``ast.unparse``
+must pass its test files and tier-1, and the time of each of those two runs
+sets the limit of the same run for every mutant of the module
+(:func:`time_limit`).
 
 Everything runs in copies of the whole tree in a temporary directory, one per
 worker: pytest's ``pythonpath = ["src"]`` puts the tree's own ``src`` first,
@@ -43,13 +45,18 @@ import signal
 import subprocess
 import sys
 import tempfile
+import time
 from collections import Counter
 from concurrent.futures import ThreadPoolExecutor
 from pathlib import Path
 
 ROOT = Path(__file__).resolve().parent.parent
 LEDGER = ROOT / "tools" / "mutants.txt"
-TIMEOUT = 120  # seconds for one mutant's test files; the full suite gets 5 times that
+# a mutant's run may take this many times the unmutated run, and at least
+# MIN_LIMIT seconds: the unmutated run has the machine to itself, while the
+# mutants share it between the workers
+SLOWDOWN = 4
+MIN_LIMIT = 20
 WORKERS = 2  # tree copies, each running one pytest at a time
 MODULE_TESTS = {
     "cli.py": ["tests/test_cli.py", "tests/test_golden.py"],
@@ -141,13 +148,21 @@ def read_ledger(path: Path = LEDGER) -> dict:
     return entries
 
 
-def _pytest(tree: Path, tests: list, timeout: int) -> str:
-    """'passed', 'failed' or 'timeout' for tier-1 or ``tests`` in ``tree``."""
+def time_limit(seconds: float) -> float:
+    """The limit of a mutant's run, given the unmutated run's ``seconds`` on the
+    same tests."""
+    return max(SLOWDOWN * seconds, MIN_LIMIT)
+
+
+def _pytest(tree: Path, tests: list, timeout) -> tuple:
+    """('passed' | 'failed' | 'timeout', seconds) for tier-1 or ``tests`` in
+    ``tree``, stopped past ``timeout`` seconds unless that is None."""
     env = {**os.environ, "PYTHONPATH": str(tree / "src"), "PYTHONDONTWRITEBYTECODE": "1"}
     command = [sys.executable, "-m", "pytest", "-q", "-x", "-p", "no:cacheprovider"]
     command += ["--hypothesis-seed=0", *tests]
     # its own session, so that a timeout ends the subprocesses the tests start too
     # before the tree takes the next mutant
+    start = time.monotonic()
     run = subprocess.Popen(
         command,
         cwd=tree,
@@ -161,22 +176,26 @@ def _pytest(tree: Path, tests: list, timeout: int) -> str:
     except subprocess.TimeoutExpired:
         os.killpg(run.pid, signal.SIGKILL)
         run.wait()
-        return "timeout"
-    return "passed" if code == 0 else "failed"
+        return "timeout", time.monotonic() - start
+    return "passed" if code == 0 else "failed", time.monotonic() - start
 
 
-def _verdict(tree: Path, module: str, source: str) -> str:
-    """'killed', 'timeout' or 'survived' for ``source`` in place of ``module``."""
+def _verdict(tree: Path, module: str, source: str, limits: tuple) -> tuple:
+    """('killed' | 'timeout' | 'survived', seconds of each run) for ``source`` in
+    place of ``module``: its test files, then, if they pass, tier-1, each run
+    stopped past its entry of ``limits``."""
     path = tree / "src" / "bellkit" / module
     original = path.read_text(encoding="utf-8")
     path.write_text(source, encoding="utf-8")
     try:
-        outcome = _pytest(tree, MODULE_TESTS[module], TIMEOUT)
+        outcome, seconds = _pytest(tree, MODULE_TESTS[module], limits[0])
+        times = [seconds]
         if outcome == "passed":
-            outcome = _pytest(tree, [], 5 * TIMEOUT)
+            outcome, seconds = _pytest(tree, [], limits[1])
+            times.append(seconds)
     finally:
         path.write_text(original, encoding="utf-8")
-    return {"passed": "survived", "failed": "killed", "timeout": "timeout"}[outcome]
+    return {"passed": "survived", "failed": "killed", "timeout": "timeout"}[outcome], times
 
 
 def main(argv: list) -> int:
@@ -194,25 +213,32 @@ def main(argv: list) -> int:
         for worker in range(WORKERS):
             trees.put(Path(shutil.copytree(ROOT, Path(scratch) / str(worker), ignore=_COPY_IGNORE)))
 
-        def run(module: str, source: str) -> str:
+        def run(module: str, source: str, limits: tuple) -> tuple:
             tree = trees.get()
             try:
-                return _verdict(tree, module, source)
+                return _verdict(tree, module, source, limits)
             finally:
                 trees.put(tree)
 
         for module in args.modules:
             source = (ROOT / "src" / "bellkit" / module).read_text(encoding="utf-8")
-            if run(module, ast.unparse(ast.parse(source))) != "survived":
+            verdict, times = run(module, ast.unparse(ast.parse(source)), (None, None))
+            if verdict != "survived":
                 print(f"{module}: the unmutated unparse fails tier-1; stopped")
                 return 1
+            limits = tuple(map(time_limit, times))
             found = mutants(module, source)
             with ThreadPoolExecutor(WORKERS) as pool:
-                verdicts = list(pool.map(lambda item: run(module, item[1]), found))
+                runs = list(pool.map(lambda item: run(module, item[1], limits), found))
+            verdicts = [verdict for verdict, _ in runs]
             tally = Counter(verdicts)
             killed = tally["killed"] + tally["timeout"]
             timeouts = tally["timeout"]
-            print(f"{module}: {killed} of {len(found)} killed ({timeouts} by timeout)", flush=True)
+            print(
+                f"{module}: {killed} of {len(found)} killed ({timeouts} by timeout; "
+                f"limits {limits[0]:.0f} s for its tests, {limits[1]:.0f} s for tier-1)",
+                flush=True,
+            )
             for (key, _), verdict in zip(found, verdicts):
                 if verdict == "survived":
                     matched.add(key)
