@@ -2,14 +2,14 @@
 
 from __future__ import annotations
 
-from importlib.resources import files
-from pathlib import Path
 from typing import TYPE_CHECKING
 
 from .errors import UnknownBuiltinError
 from .scenario import BellExpression, CorrelatorExpression, Expression, Scenario
 
-if TYPE_CHECKING:  # the fixture's reader is imported where the fixture is read
+if TYPE_CHECKING:  # pathlib and the reader load only where the fixture is found and read
+    from pathlib import Path
+
     from .lhv import FullJointExpansion
 
 TRIPARTITE_BINARY = Scenario.uniform(3, 2, 2)
@@ -54,20 +54,21 @@ def _mermin() -> CorrelatorExpression:
     )
 
 
-_G_PAPER_FIXTURE = "data/g_paper_expansion.fixture"
-
-
 def g_paper_expansion_fixture() -> FullJointExpansion:
-    """The shipped g-paper expansion table, parsed."""
+    """The shipped g-paper expansion table, read from where
+    :func:`g_paper_expansion_fixture_path` finds it, and parsed."""
     from .exprformat import parse_expansion
 
-    text = files(__package__).joinpath(_G_PAPER_FIXTURE).read_text(encoding="utf-8")
-    return parse_expansion(text)
+    return parse_expansion(g_paper_expansion_fixture_path().read_text(encoding="utf-8"))
 
 
 def g_paper_expansion_fixture_path() -> Path:
-    """Filesystem path of the shipped table (packages installed from a directory)."""
-    return Path(str(files(__package__).joinpath(_G_PAPER_FIXTURE)))
+    """Filesystem path of the shipped table, the one place that locates it:
+    ``data/`` next to this module.  The package must be installed from a
+    directory or a wheel; an import from a zip archive is not supported."""
+    from pathlib import Path
+
+    return Path(__file__).with_name("data") / "g_paper_expansion.fixture"
 
 
 # name -> (factory, whether analyses report the expression by |value|)

@@ -17,7 +17,6 @@ import sys
 import warnings
 from fractions import Fraction
 from itertools import repeat
-from pathlib import Path
 from typing import Optional, Sequence
 
 from . import __version__
@@ -123,7 +122,8 @@ def _read(path: str, parse) -> tuple:
         except ImportError:  # a build without the built-in hashes
             from hashlib import sha256
 
-    data = Path(path).read_bytes()
+    with open(path, "rb") as handle:
+        data = handle.read()
     try:
         text = data.decode("utf-8").removeprefix("\ufeff")
         text = text.replace("\r\n", "\n").replace("\r", "\n")
@@ -485,7 +485,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_report.add_argument(
         "--diff",
         metavar="FIXTURE",
-        help="expansion fixture to audit (default: the packaged g-paper table)",
+        help="expansion fixture to audit (default with --builtin g-paper: the packaged table)",
     )
     p_report.set_defaults(handler=_cmd_report)
 

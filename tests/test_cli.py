@@ -811,6 +811,11 @@ class TestErrorPaths:
         assert code == 1
         assert "/nonexistent/file.bell" in err
 
+    def test_a_file_error_names_the_path_as_given(self, capsys):
+        code, out, err = run(capsys, ["bound", "./no-such-dir//file.bell"])
+        assert (code, out) == (1, "")
+        assert err == "error: [Errno 2] No such file or directory: './no-such-dir//file.bell'\n"
+
     def test_parse_error_carries_line_number(self, capsys, tmp_path):
         path = tmp_path / "bad.bell"
         path.write_text("scenario 3 2 2\n+1 P(A9 B0 C0 | 0 0 0)\n")
@@ -835,6 +840,17 @@ class TestErrorPaths:
         code, out, err = run(capsys, ["--help"])
         assert code == 0
         assert "bellkit" in out
+
+    def test_report_help_says_the_packaged_table_is_the_default_only_for_g_paper(
+        self, capsys, monkeypatch
+    ):
+        monkeypatch.setenv("COLUMNS", "200")  # one line per option
+        code, out, err = run(capsys, ["report", "--help"])
+        assert code == 0
+        assert (
+            "  --diff FIXTURE        expansion fixture to audit "
+            "(default with --builtin g-paper: the packaged table)\n"
+        ) in out
 
     @pytest.mark.parametrize(
         "entry,message",

@@ -3,15 +3,16 @@
 Each case runs one command in process, from inside ``tests/data`` so that
 expression and model paths read as given: ``quantum``, ``noise`` and
 ``report`` on the builtins and the 4-party files, ``quantum`` and ``noise``
-on a 5-party Mermin document, ``optimize`` on the same
-expressions with a short seeded run, and ``bound``, ``expand`` and
-``expand --diff`` on the edge-case text documents under ``tests/data/parse``.  A command that
-succeeds is compared by its stdout with ``tests/data/golden/<case>.json``, and
-by its stderr with ``<case>.stderr`` when that holds warnings; one that exits
-1, as ``noise`` does where there is no violation, by its stderr alone.  The
-packaged g-paper fixture path, which ``report`` names and which depends on
-where the package lives, is replaced by ``FIXTURE_PLACEHOLDER`` before the
-comparison.
+on a 5-party Mermin document, ``optimize`` on the same expressions with a
+short seeded run, ``bound`` on the builtins, ``expand`` on g-paper, plain and
+diffed against its packaged fixture, and ``bound``, ``expand`` and
+``expand --diff`` on the edge-case text documents under ``tests/data/parse``.
+A command that succeeds is compared by its stdout with
+``tests/data/golden/<case>.json``, and by its stderr with ``<case>.stderr``
+when that holds warnings; one that exits 1, as ``noise`` does where there is
+no violation, by its stderr alone.  The packaged g-paper fixture path, which
+``report`` and ``expand --diff`` name and which depends on where the package
+lives, is replaced by ``FIXTURE_PLACEHOLDER`` before the comparison.
 
 Running this file as a script rewrites the golden files from the ``bellkit``
 on the import path; do that only for an intended change of the reports.
@@ -67,6 +68,17 @@ CASES.update(
     }
 )
 CASES["optimize-mermin4"] = ["optimize", "mermin4.bell", "--state", "ghz4-xy.json", *SHORT_RUN]
+CASES.update(
+    {
+        f"bound-{name}-{convention}": ["bound", "--builtin", name, *magnitude_args]
+        for name in ("g-paper", "mermin")
+        for convention, magnitude_args in MAGNITUDES.items()
+    }
+)
+CASES["expand-g-paper"] = ["expand", "--builtin", "g-paper"]
+CASES["expand-diff-packaged"] = [
+    "expand", "--builtin", "g-paper", "--diff", str(g_paper_expansion_fixture_path())
+]
 PARSE = DATA / "parse"
 CASES.update(
     {

@@ -73,6 +73,13 @@ def _read_of(target: str):
     return match
 
 
+def _either(*matches):
+    def match(node, names) -> bool:
+        return any(one(node, names) for one in matches)
+
+    return match
+
+
 def _sets_the_writeable_flag(node, names) -> bool:
     """An assignment to ``x.flags.writeable`` or ``x.flags[...]``, or a call of
     ``x.setflags``."""
@@ -135,6 +142,22 @@ PINS = {
     "file reads": (
         _reads_a_file,
         {"cli._read", "builtins.g_paper_expansion_fixture"},
+    ),
+    "the packaged table's location": (
+        _either(_call_to("importlib.resources.files"), _read_of("__file__")),
+        {"builtins.g_paper_expansion_fixture_path"},
+    ),
+    "the polar-angle convention, from angles to a Bloch vector": (
+        _call_to("numpy.sin", "numpy.cos"),
+        {"quantum._bloch_from_angles"},
+    ),
+    "the polar-angle convention, from a Bloch vector to angles": (
+        _call_to("numpy.arccos", "numpy.arctan2"),
+        {"quantum._angles_from_bloch"},
+    ),
+    "the correlator sign rule": (
+        _read_of("bellkit.scenario._OUTCOME_SIGNS"),
+        {"scenario._parity_row", "quantum"},
     ),
 }
 

@@ -4,11 +4,14 @@ Importing ``bellkit`` loads nothing.  Reading a public name loads only what
 its owner imports: an exact-layer name never loads numpy or the quantum
 stack, and a quantum-stack name loads all three of its modules.  Each read
 goes through to the owning submodule.  Each CLI command imports only the
-layers it runs, and numpy only once it builds an array.
+layers it runs, and numpy only once it builds an array; under ``-S`` no
+command loads ``importlib.resources``, and only the one that diffs the
+packaged table loads ``pathlib``.
 """
 
 import contextlib
 import importlib
+import importlib.util
 import io
 import json
 import os
@@ -25,14 +28,20 @@ SUBMODULES = sorted(f"bellkit.{name}" for name in bellkit._EXPORTS)
 LAYERS = ("bellkit.quantum", "bellkit.noise", "bellkit.optimize")
 
 
-def fresh(probe: str, *argv: str) -> str:
+def fresh(probe: str, *argv: str, site: bool = True) -> str:
     """Standard output of ``probe`` run in a new interpreter that finds this
-    checkout's bellkit first."""
+    checkout's bellkit first.  With ``site=False`` it runs under ``-S``, with
+    numpy's directory on the path, so that no ``.pth`` file of site-packages
+    imports a module before bellkit does."""
     source_root = str(Path(bellkit.__file__).resolve().parents[1])
     env = dict(os.environ)
-    env["PYTHONPATH"] = os.pathsep.join(filter(None, [source_root, env.get("PYTHONPATH")]))
+    paths = [source_root, env.get("PYTHONPATH")]
+    if not site:
+        paths.append(str(Path(importlib.util.find_spec("numpy").origin).parents[1]))
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, paths))
+    options = [] if site else ["-S"]
     result = subprocess.run(
-        [sys.executable, "-c", probe, *argv], capture_output=True, text=True, env=env
+        [sys.executable, *options, "-c", probe, *argv], capture_output=True, text=True, env=env
     )
     assert result.returncode == 0, result.stderr
     return result.stdout
@@ -145,13 +154,16 @@ def test_each_module_imports_alone(module):
         assert numpy_loaded == "False\n"
 
 
+# standard-library modules that only the packaged fixture's locator or the
+# optimizer's restarts may need
+STDLIB = ("importlib.resources", "pathlib", "random", "tempfile", "zipfile")
 COMMAND = f"""
 import contextlib, io, json, sys
 from bellkit.cli import run_command
 with contextlib.redirect_stdout(io.StringIO()):
     code = run_command(sys.argv[1:])
 layers = sorted(set({LAYERS!r}) & set(sys.modules))
-modules = ("hashlib", "numpy", "numpy.random")
+modules = ("hashlib", "numpy", "numpy.random", *{STDLIB!r})
 print(json.dumps([code, layers, *(name in sys.modules for name in modules)]))
 """
 DATA = Path(__file__).parent / "data"
@@ -171,6 +183,7 @@ QUANTUM_NOISE = ["bellkit.noise", "bellkit.quantum"]
         (["quantum", "--builtin", "g-paper"], ["bellkit.quantum"], True),
         (["noise", "--builtin", "g-paper"], QUANTUM_NOISE, True),
         (["report", "--builtin", "mermin"], QUANTUM_NOISE, True),
+        (["report", "--builtin", "g-paper"], QUANTUM_NOISE, True),  # diffs the packaged table
         (
             ["optimize", "--builtin", "g-paper", "--state", "ghz", "--restarts", "2"],
             ["bellkit.optimize", "bellkit.quantum"],
@@ -179,16 +192,26 @@ QUANTUM_NOISE = ["bellkit.noise", "bellkit.quantum"]
     ],
     ids=[
         "bound", "bound-mermin", "bound-file", "expand", "version", "help", "quantum",
-        "noise", "report", "optimize",
+        "noise", "report", "report-fixture", "optimize",
     ],
 )
 def test_each_command_imports_only_the_layers_it_runs(argv, layers, numpy_loaded):
-    code, loaded, hashlib_loaded, numpy, numpy_random = json.loads(fresh(COMMAND, *argv))
+    # under -S, so that what a .pth file preloads cannot hide bellkit's imports
+    code, loaded, hashlib_loaded, numpy, numpy_random, *stdlib = json.loads(
+        fresh(COMMAND, *argv, site=False)
+    )
     assert (code, loaded, numpy) == (0, layers, numpy_loaded)
     # restart draws come from the standard library's generator
     assert not numpy_random
     if argv[:2] == ["bound", "--builtin"]:  # read from no file, so nothing is hashed
         assert not hashlib_loaded
+    # the packaged table is found next to the package, so importlib.resources
+    # (with tempfile and zipfile) is never loaded, and pathlib only to locate it
+    expected = {
+        "pathlib": argv == ["report", "--builtin", "g-paper"],
+        "random": argv[0] == "optimize",
+    }
+    assert dict(zip(STDLIB, stdlib)) == {name: expected.get(name, False) for name in STDLIB}
 
 
 OPENSSL_PROBE = f"""
