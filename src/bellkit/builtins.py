@@ -55,17 +55,17 @@ def _mermin() -> CorrelatorExpression:
 
 
 def g_paper_expansion_fixture() -> FullJointExpansion:
-    """The shipped g-paper expansion table, read from where
-    :func:`g_paper_expansion_fixture_path` finds it, and parsed."""
+    """The shipped g-paper expansion table, read by this module's loader from
+    where :func:`g_paper_expansion_fixture_path` finds it, and parsed."""
     from .exprformat import parse_expansion
 
-    return parse_expansion(g_paper_expansion_fixture_path().read_text(encoding="utf-8"))
+    return parse_expansion(__spec__.loader.get_data(str(g_paper_expansion_fixture_path())).decode())
 
 
 def g_paper_expansion_fixture_path() -> Path:
-    """Filesystem path of the shipped table, the one place that locates it:
-    ``data/`` next to this module.  The package must be installed from a
-    directory or a wheel; an import from a zip archive is not supported."""
+    """Path of the shipped table, the one place that locates it: ``data/``
+    next to this module.  It names a file only for a package installed from a
+    directory or a wheel; under a zip import it points into the archive."""
     from pathlib import Path
 
     return Path(__file__).with_name("data") / "g_paper_expansion.fixture"

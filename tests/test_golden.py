@@ -4,8 +4,8 @@ Each case runs one command in process, from inside ``tests/data`` so that
 expression and model paths read as given: ``quantum``, ``noise`` and
 ``report`` on the builtins and the 4-party files, ``quantum`` and ``noise``
 on a 5-party Mermin document, ``optimize`` on the same expressions with a
-short seeded run, ``bound`` on the builtins, ``expand`` on g-paper, plain and
-diffed against its packaged fixture, and ``bound``, ``expand`` and
+short seeded run, ``bound`` on the builtins, ``expand`` on g-paper diffed
+against its packaged fixture, and ``bound``, ``expand`` and
 ``expand --diff`` on the edge-case text documents under ``tests/data/parse``.
 A command that succeeds is compared by its stdout with
 ``tests/data/golden/<case>.json``, and by its stderr with ``<case>.stderr``
@@ -75,7 +75,6 @@ CASES.update(
         for convention, magnitude_args in MAGNITUDES.items()
     }
 )
-CASES["expand-g-paper"] = ["expand", "--builtin", "g-paper"]
 CASES["expand-diff-packaged"] = [
     "expand", "--builtin", "g-paper", "--diff", str(g_paper_expansion_fixture_path())
 ]

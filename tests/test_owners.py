@@ -97,11 +97,12 @@ def _sets_the_writeable_flag(node, names) -> bool:
 
 
 def _reads_a_file(node, names) -> bool:
-    """A call of ``open`` or of a path's ``read_text``, ``read_bytes`` or ``open``."""
+    """A call of ``open``, of a path's ``read_text``, ``read_bytes`` or ``open``,
+    or of a loader's ``get_data``."""
     if not isinstance(node, ast.Call):
         return False
     if isinstance(node.func, ast.Attribute):
-        return node.func.attr in ("read_text", "read_bytes", "open")
+        return node.func.attr in ("read_text", "read_bytes", "open", "get_data")
     return bool(_dotted(node.func, names) & {"open", "io.open"})
 
 

@@ -4,9 +4,11 @@ Importing ``bellkit`` loads nothing.  Reading a public name loads only what
 its owner imports: an exact-layer name never loads numpy or the quantum
 stack, and a quantum-stack name loads all three of its modules.  Each read
 goes through to the owning submodule.  Each CLI command imports only the
-layers it runs, and numpy only once it builds an array; under ``-S`` no
-command loads ``importlib.resources``, and only the one that diffs the
-packaged table loads ``pathlib``.
+layers it runs, and numpy only once it builds an array; no command loads
+``importlib.resources``, and only the one that diffs the packaged table loads
+``pathlib``.  Each probe runs under ``python -S``, so that no ``.pth`` file
+of site-packages can import a module first and hide an import of bellkit's.
+The packaged g-paper table also reads from a zip import of the package.
 """
 
 import contextlib
@@ -18,6 +20,7 @@ import os
 import re
 import subprocess
 import sys
+import zipfile
 from pathlib import Path
 
 import pytest
@@ -28,20 +31,18 @@ SUBMODULES = sorted(f"bellkit.{name}" for name in bellkit._EXPORTS)
 LAYERS = ("bellkit.quantum", "bellkit.noise", "bellkit.optimize")
 
 
-def fresh(probe: str, *argv: str, site: bool = True) -> str:
+def fresh(probe: str, *argv: str) -> str:
     """Standard output of ``probe`` run in a new interpreter that finds this
-    checkout's bellkit first.  With ``site=False`` it runs under ``-S``, with
-    numpy's directory on the path, so that no ``.pth`` file of site-packages
-    imports a module before bellkit does."""
+    checkout's bellkit first.  It runs under ``-S``, with numpy's directory on
+    the path, so that no ``.pth`` file of site-packages imports a module
+    before bellkit does."""
     source_root = str(Path(bellkit.__file__).resolve().parents[1])
+    numpy_root = str(Path(importlib.util.find_spec("numpy").origin).parents[1])
     env = dict(os.environ)
-    paths = [source_root, env.get("PYTHONPATH")]
-    if not site:
-        paths.append(str(Path(importlib.util.find_spec("numpy").origin).parents[1]))
+    paths = [source_root, env.get("PYTHONPATH"), numpy_root]
     env["PYTHONPATH"] = os.pathsep.join(filter(None, paths))
-    options = [] if site else ["-S"]
     result = subprocess.run(
-        [sys.executable, *options, "-c", probe, *argv], capture_output=True, text=True, env=env
+        [sys.executable, "-S", "-c", probe, *argv], capture_output=True, text=True, env=env
     )
     assert result.returncode == 0, result.stderr
     return result.stdout
@@ -196,10 +197,7 @@ QUANTUM_NOISE = ["bellkit.noise", "bellkit.quantum"]
     ],
 )
 def test_each_command_imports_only_the_layers_it_runs(argv, layers, numpy_loaded):
-    # under -S, so that what a .pth file preloads cannot hide bellkit's imports
-    code, loaded, hashlib_loaded, numpy, numpy_random, *stdlib = json.loads(
-        fresh(COMMAND, *argv, site=False)
-    )
+    code, loaded, hashlib_loaded, numpy, numpy_random, *stdlib = json.loads(fresh(COMMAND, *argv))
     assert (code, loaded, numpy) == (0, layers, numpy_loaded)
     # restart draws come from the standard library's generator
     assert not numpy_random
@@ -215,10 +213,8 @@ def test_each_command_imports_only_the_layers_it_runs(argv, layers, numpy_loaded
 
 
 OPENSSL_PROBE = f"""
-import sys
-preloaded = '_hashlib' in sys.modules
 {COMMAND}
-print(preloaded, '_hashlib' in sys.modules)
+print('_hashlib' in sys.modules)
 """
 
 
@@ -233,12 +229,31 @@ print(preloaded, '_hashlib' in sys.modules)
 )
 def test_a_command_that_hashes_a_file_loads_no_openssl(argv):
     # the digest comes from the interpreter's own SHA-256, not hashlib's OpenSSL
-    report, loaded = fresh(OPENSSL_PROBE, *argv).splitlines()
+    report, openssl_loaded = fresh(OPENSSL_PROBE, *argv).splitlines()
     assert json.loads(report)[0] == 0
-    preloaded, openssl_loaded = loaded.split()
-    if preloaded == "True":
-        pytest.skip("_hashlib is loaded before bellkit is imported")
     assert openssl_loaded == "False"
+
+
+ZIP_PROBE = """
+import sys
+sys.path.insert(0, sys.argv[1])
+import bellkit
+from bellkit.exprformat import parse_expansion
+fixture = bellkit.g_paper_expansion_fixture()
+with open(sys.argv[2], encoding="utf-8") as handle:
+    print(bellkit.__file__.startswith(sys.argv[1]), fixture == parse_expansion(handle.read()))
+"""
+
+
+def test_the_packaged_table_reads_from_a_zip_import(tmp_path):
+    package = Path(bellkit.__file__).parent
+    archive = tmp_path / "bellkit.zip"
+    with zipfile.ZipFile(archive, "w") as bundle:
+        for path in package.rglob("*"):
+            if "__pycache__" not in path.parts:
+                bundle.write(path, path.relative_to(package.parent))
+    table = package / "data" / "g_paper_expansion.fixture"
+    assert fresh(ZIP_PROBE, str(archive), str(table)) == "True True\n"
 
 
 def test_the_library_use_snippet_prints_what_its_comments_say():
